@@ -291,9 +291,13 @@ def cmd_verify(args) -> int:
     report = min_escape_length(lab, source, target, effort)
     audit = audit_labyrinth(lab)
     best = report["best_length"]
-    ok = audit["passed"] and (best is None or best > args.M)
+    # a search that found no path at all is no evidence either way
+    ok = audit["passed"] and best is not None and best > args.M
     out = {"budget_M": args.M, "verification": report, "audit": audit,
            "passed": ok}
+    if best is None:
+        out["reason"] = "no escape path was found at this effort"
+        print(f"verify: {out['reason']}", file=sys.stderr)
     report_out = args.report_out or _sibling(args.file, ".report.json")
     save_report(out, report_out)
     print(f"best={best} budget={args.M} audit="

@@ -13,14 +13,11 @@ from dataclasses import dataclass
 class Tolerances:
     """Package-wide numeric policy.
 
-    geometric: convergence target of 1-d distance minimisation inside
-        the segment/disc predicates.
     lp_margin_floor: smallest hyperplane separation margin we are willing
         to certify as a success.
     unit_norm: allowed deviation of stored unit vectors from norm one.
     """
 
-    geometric: float = 1e-10
     lp_margin_floor: float = 1e-6
     unit_norm: float = 1e-12
 

@@ -4,6 +4,18 @@ A *flat ball* is a closed (d-1)-dimensional disc sitting in an affine
 hyperplane of R^d: {center + v : v . normal = 0, |v| <= radius}.  In d = 2
 it degenerates to a segment.  All functions here are pure; tolerances come
 from :mod:`labyrinths.config`.
+
+The ``pairs_*`` functions work on aligned rows (segment or point i against
+disc i) in any dimension; the scalar predicates are one-row calls of them.
+At clearance 0 the segment/disc test is exact and needs no iteration: with
+signed plane heights ha, hb of its endpoints, a segment touches the closed
+disc iff it crosses the plane (sign(ha) * sign(hb) <= 0, not both zero) at
+a point within the radius of the centre, or lies in the plane (ha == hb ==
+0) with its point nearest the centre within the radius.  A graze at the
+rounding level (about 1e-17 at unit scale, e.g. a node computed to lie on a
+disc's plane) is decided by the sign of that rounding and can go either
+way; only a positive clearance makes it robust.  For clearance > 0 the
+convex distance along the segment is minimised by golden-section search.
 """
 
 from __future__ import annotations
@@ -54,9 +66,6 @@ class Hyperplane:
             raise ValueError("hyperplane normal must have unit norm")
         self.offset = float(self.offset)
 
-    def side(self, x: np.ndarray) -> float:
-        return float(np.dot(self.normal, x) - self.offset)
-
 
 @dataclass(eq=False)
 class FlatBall:
@@ -77,10 +86,12 @@ class FlatBall:
         self.center = np.asarray(self.center, dtype=float)
         self.normal = np.asarray(self.normal, dtype=float)
         self.radius = float(self.radius)
+        # NaN fails every comparison below, so it must be rejected first
+        for name in ("center", "normal", "radius"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"flat ball {name} must be finite")
         if self.radius <= 0.0:
             raise ValueError("flat ball radius must be positive")
-        if not np.all(np.isfinite(self.center)):
-            raise ValueError("flat ball center must be finite")
         if abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
             raise ValueError("flat ball normal must have unit norm")
 
@@ -101,25 +112,25 @@ class Segment:
             raise ValueError("segment endpoints must differ")
 
 
+def pairs_point_disc_distance(P, C, N, R) -> np.ndarray:
+    """Distances from points P to closed discs (C, N, R), row by row.
+
+    The arguments broadcast, so one disc against many points works too.
+    """
+    v = np.asarray(P, dtype=float) - C
+    h = np.sum(v * N, axis=-1)
+    rho = np.linalg.norm(v - h[..., None] * N, axis=-1)
+    return np.hypot(h, np.maximum(rho - R, 0.0))
+
+
 def point_flatball_distance(x: np.ndarray, fb: FlatBall) -> float:
     """Euclidean distance from `x` to the closed flat ball (0 iff inside)."""
-    v = np.asarray(x, dtype=float) - fb.center
-    h = float(v @ fb.normal)
-    w = v - h * fb.normal
-    rho = float(np.linalg.norm(w))
-    if rho <= fb.radius:
-        return abs(h)
-    return float(np.hypot(h, rho - fb.radius))
+    return float(pairs_point_disc_distance(x, fb.center, fb.normal, fb.radius))
 
 
 def points_flatball_distance(xs: np.ndarray, fb: FlatBall) -> np.ndarray:
     """Vectorised :func:`point_flatball_distance` over rows of `xs`."""
-    v = np.asarray(xs, dtype=float) - fb.center
-    h = v @ fb.normal
-    w = v - np.outer(h, fb.normal)
-    rho = np.linalg.norm(w, axis=1)
-    excess = np.maximum(rho - fb.radius, 0.0)
-    return np.hypot(h, excess)
+    return pairs_point_disc_distance(xs, fb.center, fb.normal, fb.radius)
 
 
 def project_to_flatball(x: np.ndarray, fb: FlatBall) -> np.ndarray:
@@ -133,69 +144,87 @@ def project_to_flatball(x: np.ndarray, fb: FlatBall) -> np.ndarray:
     return fb.center + w
 
 
-def segment_flatball_distance(a, b, fb: FlatBall, tol: float | None = None) -> float:
-    """Distance between the segment [a, b] and the flat ball.
+def pairs_segment_disc_contact(A, B, C, N, R) -> np.ndarray:
+    """Exact contact mask of segments [A, B] and closed discs (C, N, R).
 
-    Piercing/touching of the disc plane inside the disc is detected exactly
-    (returns 0.0); otherwise the distance of the point p(t) = a + t(b-a) to
-    the disc is convex in t and is minimised by golden-section search on
-    [0, 1] down to `tol`.
+    Rows are aligned and any dimension works; see the module docstring for
+    the rule and its behaviour at rounding-level grazes.
     """
-    if tol is None:
-        tol = TOL.geometric
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ha = float((a - fb.center) @ fb.normal)
-    hb = float((b - fb.center) @ fb.normal)
-    if ha == 0.0 and hb == 0.0:
-        # Coplanar segment: distance to the disc reduces to an in-plane
-        # point-segment distance against the disc centre.
-        return max(_point_segment_distance(fb.center, a, b) - fb.radius, 0.0)
-    if ha * hb <= 0.0:
-        t = ha / (ha - hb)
-        q = a + t * (b - a)
-        w = q - fb.center
-        w = w - float(w @ fb.normal) * fb.normal
-        if np.linalg.norm(w) <= fb.radius:
-            return 0.0
+    ha = np.einsum("ij,ij->i", A - C, N)
+    hb = np.einsum("ij,ij->i", B - C, N)
+    sa, sb = np.sign(ha), np.sign(hb)
+    coplanar = (sa == 0.0) & (sb == 0.0)
+    hit = np.zeros(len(A), dtype=bool)
+    # crossing rows: the plane point a + t (b - a) must lie within R
+    i = np.flatnonzero((sa * sb <= 0.0) & ~coplanar)
+    a, t = A[i], ha[i] / (ha[i] - hb[i])
+    hit[i] = np.linalg.norm(a + t[:, None] * (B[i] - a) - C[i], axis=1) <= R[i]
+    # coplanar rows: the point nearest the centre must lie within R
+    k = np.flatnonzero(coplanar)
+    if len(k):
+        ab, ac = B[k] - A[k], C[k] - A[k]
+        ab2 = np.einsum("ij,ij->i", ab, ab)
+        u = np.clip(np.einsum("ij,ij->i", ac, ab) / np.where(ab2 > 0.0, ab2, 1.0),
+                    0.0, 1.0)
+        hit[k] = np.linalg.norm(u[:, None] * ab - ac, axis=1) <= R[k]
+    return hit
 
-    def g(t: float) -> float:
-        return point_flatball_distance(a + t * (b - a), fb)
 
-    lo, hi = 0.0, 1.0
-    x1 = hi - INV_GOLDEN * (hi - lo)
-    x2 = lo + INV_GOLDEN * (hi - lo)
+def pairs_segment_disc_distance(A, B, C, N, R, iters: int = 48) -> np.ndarray:
+    """Segment-to-disc distances for aligned rows, any dimension.
+
+    Exactly 0.0 on contact; otherwise golden-section search on the convex
+    distance of a + t (b - a) to the disc, down to a parameter interval of
+    0.618**iters.
+    """
+    def g(t):
+        return pairs_point_disc_distance(A + t[:, None] * (B - A), C, N, R)
+
+    lo, hi = np.zeros(len(A)), np.ones(len(A))
+    x1, x2 = hi - INV_GOLDEN, lo + INV_GOLDEN
     g1, g2 = g(x1), g(x2)
-    while hi - lo > tol:
-        if g1 <= g2:
-            hi, x2, g2 = x2, x1, g1
-            x1 = hi - INV_GOLDEN * (hi - lo)
-            g1 = g(x1)
-        else:
-            lo, x1, g1 = x1, x2, g2
-            x2 = lo + INV_GOLDEN * (hi - lo)
-            g2 = g(x2)
-    return min(g(0.0), g(1.0), g1, g2, g(0.5 * (lo + hi)))
+    for _ in range(iters):
+        left = g1 <= g2
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        x1 = hi - INV_GOLDEN * (hi - lo)
+        x2 = lo + INV_GOLDEN * (hi - lo)
+        g1, g2 = g(x1), g(x2)
+    best = np.minimum.reduce([g(lo), g(hi), g1, g2])
+    best[pairs_segment_disc_contact(A, B, C, N, R)] = 0.0
+    return best
+
+
+def pairs_segment_disc_touch(A, B, C, N, R, clearance: float = 0.0) -> np.ndarray:
+    """Rows whose segment comes within `clearance` of its disc.
+
+    Clearance 0 is the exact contact test; a positive clearance compares
+    the golden-section distance.
+    """
+    if clearance == 0.0:
+        return pairs_segment_disc_contact(A, B, C, N, R)
+    return pairs_segment_disc_distance(A, B, C, N, R) <= clearance
+
+
+def _segment_row(a, b, fb: FlatBall) -> tuple:
+    return (np.atleast_2d(np.asarray(a, dtype=float)),
+            np.atleast_2d(np.asarray(b, dtype=float)),
+            fb.center[None, :], fb.normal[None, :], np.array([fb.radius]))
+
+
+def segment_flatball_distance(a, b, fb: FlatBall) -> float:
+    """Distance between the segment [a, b] and the flat ball (one row of
+    :func:`pairs_segment_disc_distance`)."""
+    return float(pairs_segment_disc_distance(*_segment_row(a, b, fb))[0])
 
 
 def segment_flatball_intersect(seg, fb: FlatBall, clearance: float = 0.0) -> bool:
-    """True iff the segment comes within `clearance` of the flat ball."""
+    """True iff the segment comes within `clearance` of the flat ball (one
+    row of :func:`pairs_segment_disc_touch`)."""
     if clearance < 0.0:
         raise ValueError("clearance must be nonnegative")
-    if isinstance(seg, Segment):
-        a, b = seg.a, seg.b
-    else:
-        a, b = seg
-    return segment_flatball_distance(a, b, fb) <= clearance
-
-
-def _point_segment_distance(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(x - a))
-    t = float(np.clip((x - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(x - (a + t * ab)))
+    a, b = (seg.a, seg.b) if isinstance(seg, Segment) else seg
+    return bool(pairs_segment_disc_touch(*_segment_row(a, b, fb), clearance)[0])
 
 
 def flatball_pair_distance(f1: FlatBall, f2: FlatBall, tol: float = 1e-9,
@@ -237,7 +266,6 @@ def separating_hyperplane(first, second, margin: float = 0.0,
     if floor is None:
         floor = TOL.lp_margin_floor
     d = first.shape[1]
-    n1, n2 = len(first), len(second)
     # variables: u (d), v (d), b, gamma with w = u - v, u, v >= 0
     nv = 2 * d + 2
     cost = np.zeros(nv)
@@ -273,7 +301,6 @@ def separating_hyperplane(first, second, margin: float = 0.0,
         return None
     if np.min(first @ w) < b + margin or np.max(second @ w) > b - margin:
         return None
-    _ = n1, n2
     return Hyperplane(w, b)
 
 

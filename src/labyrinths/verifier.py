@@ -6,6 +6,15 @@ certified escape path it could find, which upper-bounds the true infimum.
 the configured effort", never a proof that none exists.  Structural
 invariants of a labyrinth (tangency, disjointness, separation witnesses,
 covering) are audited exactly or to stated tolerances.
+
+Every roadmap edge, boundary link, shortcut and the final re-verification
+use one predicate, :func:`labyrinths.geometry.pairs_segment_disc_touch`,
+exact at the default clearance 0: a segment touches a closed disc iff it
+crosses the disc's hyperplane, or lies in it, within the radius of the
+centre.  Grazes at the rounding level (about 1e-17, e.g. a rim-ring node on
+a disc's plane) fall either way; a small positive clearance makes them
+robust.  The search culls pairs by a KD query on bounding spheres;
+:func:`verify_path` checks every segment against every component.
 """
 
 from __future__ import annotations
@@ -23,15 +32,17 @@ from .geometry import (
     FlatBall,
     flatball_extremal_points,
     flatball_rim_points,
-    point_flatball_distance,
-    segment_flatball_intersect,
+    pairs_point_disc_distance,
+    pairs_segment_disc_touch,
     separating_hyperplane,
     tangent_basis,
 )
 from .nets import covering_radius, sampling_slack
 from .shells import Labyrinth, sqrt_gap_partial_sums
 
-INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# segments per collision batch; with the dozen candidate discs a segment
+# meets in a dense planar annulus, the pair arrays stay near 10 MB
+_COLLIDE_CHUNK = 1 << 15
 
 
 class RoadmapBudgetError(RuntimeError):
@@ -92,63 +103,30 @@ class _CompArrays:
         return len(self.radii)
 
 
-def _points_comp_distance(pts: np.ndarray, comp: _CompArrays,
-                          idx: np.ndarray, cidx: np.ndarray) -> np.ndarray:
-    """Distances from pts[idx] to discs cidx (aligned pairs)."""
-    v = pts[idx] - comp.centers[cidx]
-    n = comp.normals[cidx]
-    h = np.einsum("ij,ij->i", v, n)
-    w = v - h[:, None] * n
-    rho = np.linalg.norm(w, axis=1)
-    return np.hypot(h, np.maximum(rho - comp.radii[cidx], 0.0))
+def _near_pairs(pts: np.ndarray, reach, comp: _CompArrays) -> tuple:
+    """Indices (i, j) of every pts[i] within reach[i] of component centre j.
 
-
-def _pair_point_distance(P: np.ndarray, C: np.ndarray, N: np.ndarray,
-                         R: np.ndarray) -> np.ndarray:
-    v = P - C
-    h = np.einsum("ij,ij->i", v, N)
-    w = v - h[:, None] * N
-    rho = np.linalg.norm(w, axis=1)
-    return np.hypot(h, np.maximum(rho - R, 0.0))
-
-
-def _pairs_segdisc_distance(A: np.ndarray, B: np.ndarray, C: np.ndarray,
-                            N: np.ndarray, R: np.ndarray,
-                            iters: int = 48) -> np.ndarray:
-    """Segment-to-disc distance for aligned rows, any dimension.
-
-    Same recipe as the scalar predicate: exact zero on piercing, golden
-    section on the convex 1-d restriction otherwise.
+    One dual-tree pass at the largest reach, then a per-row filter; reach
+    may be a scalar.
     """
-    ha = np.einsum("ij,ij->i", A - C, N)
-    hb = np.einsum("ij,ij->i", B - C, N)
-    crossing = ha * hb <= 0.0
-    denom = np.where(ha == hb, 1.0, ha - hb)
-    t0 = np.clip(np.where(ha == hb, 0.0, ha / denom), 0.0, 1.0)
-    q = A + t0[:, None] * (B - A)
-    wq = q - C
-    wq = wq - np.einsum("ij,ij->i", wq, N)[:, None] * N
-    pierced = crossing & (np.linalg.norm(wq, axis=1) <= R)
+    reach = np.broadcast_to(reach, (len(pts),))
+    m = cKDTree(pts).sparse_distance_matrix(comp.tree, float(reach.max()),
+                                            output_type="ndarray")
+    keep = m["v"] <= reach[m["i"]]
+    return m["i"][keep], m["j"][keep]
 
-    def g(t):
-        return _pair_point_distance(A + t[:, None] * (B - A), C, N, R)
 
-    lo = np.zeros(len(A))
-    hi = np.ones(len(A))
-    x1 = hi - INV_GOLDEN * (hi - lo)
-    x2 = lo + INV_GOLDEN * (hi - lo)
-    g1, g2 = g(x1), g(x2)
-    for _ in range(iters):
-        left = g1 <= g2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        x1 = hi - INV_GOLDEN * (hi - lo)
-        x2 = lo + INV_GOLDEN * (hi - lo)
-        g1, g2 = g(x1), g(x2)
-    best = np.minimum.reduce([g(lo), g(hi), g1, g2, g(np.zeros_like(lo)),
-                              g(np.ones_like(lo))])
-    best[pierced] = 0.0
-    return best
+def _drop_blocked(pts: np.ndarray, comp: _CompArrays,
+                  clearance: float) -> np.ndarray:
+    """The points farther than `clearance` from every component."""
+    if len(pts) == 0 or len(comp) == 0:
+        return pts
+    idx, cidx = _near_pairs(pts, comp.radii.max() + clearance + 1e-12, comp)
+    dist = pairs_point_disc_distance(pts[idx], comp.centers[cidx],
+                                     comp.normals[cidx], comp.radii[cidx])
+    bad = np.zeros(len(pts), dtype=bool)
+    bad[idx[dist <= clearance]] = True
+    return pts[~bad]
 
 
 def _pairs_segseg_distance_2d(P1, P2, Q1, Q2) -> np.ndarray:
@@ -182,33 +160,21 @@ def _segments_collide(A: np.ndarray, B: np.ndarray, comp: _CompArrays,
     """Collision mask for segments [A[i], B[i]] against all components.
 
     A bounding-sphere cull (sound: a disc lies inside the sphere of its
-    centre and radius) limits exact tests to nearby segment/disc pairs.
+    centre and radius) limits the predicate to nearby segment/disc pairs.
+    Segments go in chunks, which bounds the size of the pair arrays.
     """
-    n = len(A)
-    out = np.zeros(n, dtype=bool)
-    if len(comp) == 0 or n == 0:
+    out = np.zeros(len(A), dtype=bool)
+    if len(comp) == 0:
         return out
-    mids = 0.5 * (A + B)
-    half = 0.5 * np.linalg.norm(B - A, axis=1)
-    reach = half + comp.radii.max() + clearance + 1e-12
-    cand = comp.tree.query_ball_point(mids, r=reach)
-    idx = np.fromiter((i for i, lst in enumerate(cand) for _ in lst),
-                      dtype=np.intp, count=sum(len(lst) for lst in cand))
-    cidx = np.fromiter((j for lst in cand for j in lst), dtype=np.intp,
-                       count=len(idx))
-    if len(idx) == 0:
-        return out
-    C = comp.centers[cidx]
-    N = comp.normals[cidx]
-    R = comp.radii[cidx]
-    if A.shape[1] == 2:
-        U = np.column_stack([-N[:, 1], N[:, 0]])
-        dist = _pairs_segseg_distance_2d(A[idx], B[idx],
-                                         C - R[:, None] * U, C + R[:, None] * U)
-    else:
-        dist = _pairs_segdisc_distance(A[idx], B[idx], C, N, R)
-    hit = dist <= clearance
-    np.logical_or.at(out, idx[hit], True)
+    for s in range(0, len(A), _COLLIDE_CHUNK):
+        a, b = A[s:s + _COLLIDE_CHUNK], B[s:s + _COLLIDE_CHUNK]
+        reach = 0.5 * np.linalg.norm(b - a, axis=1) + comp.radii.max() \
+            + clearance + 1e-12
+        idx, cidx = _near_pairs(0.5 * (a + b), reach, comp)
+        hit = pairs_segment_disc_touch(a[idx], b[idx], comp.centers[cidx],
+                                       comp.normals[cidx], comp.radii[cidx],
+                                       clearance)
+        out[s + idx[hit]] = True
     return out
 
 
@@ -314,22 +280,8 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
     while got < free_target:
         chunk = sob.random(16384) * (hi - lo) + lo
         drawn += len(chunk)
-        keep = _region_contains(region, chunk)
-        pts = chunk[keep]
-        if len(pts) and len(comp):
-            reach = comp.radii.max() + clearance + 1e-12
-            cand = comp.tree.query_ball_point(pts, r=reach)
-            bad = np.zeros(len(pts), dtype=bool)
-            idx = np.fromiter((i for i, lst in enumerate(cand) for _ in lst),
-                              dtype=np.intp,
-                              count=sum(len(lst) for lst in cand))
-            cidx = np.fromiter((j for lst in cand for j in lst),
-                               dtype=np.intp, count=len(idx))
-            if len(idx):
-                dist = _points_comp_distance(pts, comp, idx, cidx)
-                hit = dist <= clearance
-                np.logical_or.at(bad, idx[hit], True)
-            pts = pts[~bad]
+        pts = _drop_blocked(chunk[_region_contains(region, chunk)], comp,
+                            clearance)
         accepted.append(pts)
         got += len(pts)
         if drawn >= 1000 * node_budget:
@@ -342,16 +294,8 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
 
     measure = _region_measure(region, dim)
     connect_radius = effort.connect_factor * (measure / max(len(nodes), 1)) ** (1.0 / dim)
-    tree = cKDTree(nodes)
-    pairs = tree.query_pairs(connect_radius, output_type="ndarray")
-    k = min(effort.neighbors + 1, len(nodes))
-    _, nbr = tree.query(nodes, k=k)
-    ii = np.repeat(np.arange(len(nodes)), k - 1)
-    jj = nbr[:, 1:].ravel()
-    knn_pairs = np.column_stack([np.minimum(ii, jj), np.maximum(ii, jj)])
-    all_pairs = np.vstack([pairs, knn_pairs]) if len(pairs) else knn_pairs
-    all_pairs = np.unique(all_pairs, axis=0)
-    all_pairs = all_pairs[all_pairs[:, 0] != all_pairs[:, 1]]
+    all_pairs = _unique_pairs(
+        _candidate_pairs(nodes, connect_radius, effort.neighbors), len(nodes))
 
     A = nodes[all_pairs[:, 0]]
     B = nodes[all_pairs[:, 1]]
@@ -366,6 +310,31 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
     return Roadmap(nodes=nodes, graph=graph, region=region,
                    clearance=clearance, connect_radius=connect_radius,
                    comp=comp, n_free=len(free_nodes), n_rim=len(rim_nodes))
+
+
+def _candidate_pairs(nodes: np.ndarray, connect_radius: float,
+                     neighbors: int) -> np.ndarray:
+    """Radius-neighbour and k-nearest pairs (i <= j), duplicates included."""
+    tree = cKDTree(nodes)
+    pairs = tree.query_pairs(connect_radius, output_type="ndarray")
+    k = min(neighbors + 1, len(nodes))
+    _, nbr = tree.query(nodes, k=k)
+    ii = np.repeat(np.arange(len(nodes)), k - 1)
+    jj = nbr[:, 1:].ravel()
+    knn_pairs = np.column_stack([np.minimum(ii, jj), np.maximum(ii, jj)])
+    return np.vstack([pairs, knn_pairs]) if len(pairs) else knn_pairs
+
+
+def _unique_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Distinct pairs i < j of nodes 0..n-1, in lexicographic order.
+
+    Same rows and order as ``np.unique(pairs, axis=0)`` without the
+    self-pairs, from a sort of the 1-d key i*n + j.
+    """
+    key = np.sort(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
+    key = key[np.concatenate([[True], key[1:] != key[:-1]])]
+    out = np.column_stack(np.divmod(key, n))
+    return out[out[:, 0] != out[:, 1]]
 
 
 def _rim_offset_nodes(lab: Labyrinth, comp: _CompArrays, clearance: float,
@@ -391,21 +360,7 @@ def _rim_offset_nodes(lab: Labyrinth, comp: _CompArrays, clearance: float,
             out.append(e + offset * (np.outer(np.cos(ang), u)
                                      + np.outer(np.sin(ang), fb.normal)))
     pts = np.vstack(out)
-    keep = _region_contains(region, pts)
-    pts = pts[keep]
-    if len(pts) and len(comp):
-        reach = comp.radii.max() + clearance + 1e-12
-        cand = comp.tree.query_ball_point(pts, r=reach)
-        bad = np.zeros(len(pts), dtype=bool)
-        idx = np.fromiter((i for i, lst in enumerate(cand) for _ in lst),
-                          dtype=np.intp, count=sum(len(lst) for lst in cand))
-        cidx = np.fromiter((j for lst in cand for j in lst), dtype=np.intp,
-                           count=len(idx))
-        if len(idx):
-            dist = _points_comp_distance(pts, comp, idx, cidx)
-            np.logical_or.at(bad, idx[dist <= clearance], True)
-        pts = pts[~bad]
-    return pts
+    return _drop_blocked(pts[_region_contains(region, pts)], comp, clearance)
 
 
 # ---------------------------------------------------------------------------
@@ -569,12 +524,20 @@ def shortcut(path: EscapePath, lab: Labyrinth, rounds: int = 400,
 
 def verify_path(path: EscapePath, lab: Labyrinth, source: dict | None = None,
                 target: dict | None = None) -> bool:
-    """Literal re-verification of every path segment against every component."""
+    """Re-verification of every path segment against every component.
+
+    Deliberately independent of the search's KD cull: all segment x
+    component pairs go through the predicate in one vectorised call.
+    """
     poly = path.polyline
-    for a, b in zip(poly[:-1], poly[1:]):
-        for fb in lab.components:
-            if segment_flatball_intersect((a, b), fb, path.clearance):
-                return False
+    comp = _CompArrays.from_components(lab.components)
+    if len(comp):
+        s = np.repeat(np.arange(len(poly) - 1), len(comp))
+        c = np.tile(np.arange(len(comp)), len(poly) - 1)
+        if pairs_segment_disc_touch(poly[s], poly[s + 1], comp.centers[c],
+                                    comp.normals[c], comp.radii[c],
+                                    path.clearance).any():
+            return False
     if source is not None and _set_distance(source, poly[:1])[0] > 1e-9:
         return False
     if target is not None and _set_distance(target, poly[-1:])[0] > 1e-9:
@@ -801,9 +764,8 @@ def add_containment_check(lab: Labyrinth, rims, add) -> None:
     pts = np.vstack(rims + [np.array([fb.center for fb in lab.components])])
     kind = lab.domain.get("kind")
     if kind == "ball":
-        lim = lab.scale if lab.scale != 1.0 else 1.0
         mx = float(np.linalg.norm(pts, axis=1).max())
-        add("containment", mx < lim, max_norm=mx, bound=lim)
+        add("containment", mx < lab.scale, max_norm=mx, bound=lab.scale)
     elif kind == "annulus":
         r = np.linalg.norm(pts, axis=1)
         add("containment",

@@ -9,6 +9,8 @@ from labyrinths.geometry import (
     flatball_extremal_points,
     flatball_pair_distance,
     flatball_rim_points,
+    pairs_segment_disc_contact,
+    pairs_segment_disc_distance,
     point_flatball_distance,
     points_flatball_distance,
     segment_flatball_distance,
@@ -47,6 +49,88 @@ def test_point_distances():
     assert point_flatball_distance(DISC.center, DISC) == 0.0
     assert point_flatball_distance(DISC.center + DISC.normal, DISC) == pytest.approx(1.0)
     assert point_flatball_distance(np.array([0.5, 0.5]), DISC) == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("center", [np.nan, 0.0]), ("normal", [np.nan, 1.0]),
+    ("radius", np.nan), ("radius", np.inf)])
+def test_flatball_rejects_non_finite(field, value):
+    kwargs = {"center": [0.0, 0.0], "normal": [0.0, 1.0], "radius": 0.5}
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        FlatBall(**kwargs)
+
+
+# (a, b, touches) against the unit disc at the origin with normal e_last
+DEGENERATE_ROWS = {
+    2: [([-2.0, 0.0], [2.0, 0.0], True),     # in the plane, across the disc
+        ([1.5, 0.0], [3.0, 0.0], False),     # in the plane, beyond the rim
+        ([1.0, -1.0], [1.0, 1.0], True),     # through the rim point
+        ([0.3, 1.0], [0.3, 0.0], True),      # ends on the disc face
+        ([0.0, 1.0], [2.0, 0.0], False)],    # ends on the plane outside R
+    3: [([-2.0, 0.0, 0.0], [2.0, 0.0, 0.0], True),
+        ([-2.0, 1.5, 0.0], [2.0, 1.5, 0.0], False),
+        ([-2.0, 1.0, 0.0], [2.0, 1.0, 0.0], True),    # in the plane, grazing
+        ([0.0, 1.0, -1.0], [0.0, 1.0, 1.0], True),
+        ([0.3, 0.2, 1.0], [0.3, 0.2, 0.0], True),
+        ([0.0, 0.0, 1.0], [2.0, 0.0, 0.0], False)],
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_contact_kernel_degenerate_rows(d):
+    rows = DEGENERATE_ROWS[d]
+    A = np.array([r[0] for r in rows])
+    B = np.array([r[1] for r in rows])
+    expect = np.array([r[2] for r in rows])
+    normal = np.eye(d)[-1]
+    fb = FlatBall(center=np.zeros(d), normal=normal, radius=1.0)
+    n = len(rows)
+    C, N, R = np.zeros((n, d)), np.tile(normal, (n, 1)), np.ones(n)
+    assert np.array_equal(pairs_segment_disc_contact(A, B, C, N, R), expect)
+    assert np.array_equal(pairs_segment_disc_distance(A, B, C, N, R) == 0.0,
+                          expect)
+    for (a, b, touches) in rows:
+        assert segment_flatball_intersect((np.array(a), np.array(b)), fb,
+                                          0.0) == touches
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 10 ** 9))
+def test_contact_kernel_rows_agree_with_scalar_and_oracle(d, seed):
+    """Row-for-row agreement of the vectorised kernel with the one-row
+    predicate and, away from the grid oracle's grey zone, with the oracle.
+
+    Half the segments are aimed through the disc's plane near the rim, so
+    contacts and near misses are both common.
+    """
+    rng = np.random.default_rng(seed)
+    n = 24
+    N = rng.normal(size=(n, d))
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    C = rng.uniform(-1, 1, size=(n, d))
+    R = rng.uniform(0.1, 0.8, size=n)
+    A = rng.uniform(-1.5, 1.5, size=(n, d))
+    B = rng.uniform(-1.5, 1.5, size=(n, d))
+    # in-plane unit directions; the aimed segments pass through the plane
+    # at 0.8..1.2 radii from the centre, at their midpoints
+    U = rng.normal(size=(n, d))
+    U -= np.einsum("ij,ij->i", U, N)[:, None] * N
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    target = C + rng.uniform(0.8, 1.2, size=(n, 1)) * R[:, None] * U
+    B[::2] = (2.0 * target - A)[::2]
+    contact = pairs_segment_disc_contact(A, B, C, N, R)
+    dist = pairs_segment_disc_distance(A, B, C, N, R)
+    assert np.array_equal(dist == 0.0, contact)
+    for i in range(n):
+        fb = FlatBall(center=C[i], normal=N[i], radius=R[i])
+        assert segment_flatball_intersect((A[i], B[i]), fb, 0.0) == contact[i]
+        grid_min = brute_segment_disc_distance(A[i], B[i], C[i], N[i], R[i],
+                                               grid=200)
+        assert dist[i] <= grid_min + 1e-9
+        thresh = np.linalg.norm(B[i] - A[i]) / 398.0 + 1e-9
+        if contact[i] or grid_min > 2.0 * thresh:
+            assert contact[i] == (grid_min <= thresh)
 
 
 def test_segment_requires_distinct_endpoints():

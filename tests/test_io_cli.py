@@ -154,6 +154,33 @@ def test_cli_verify_exit_codes(tmp_path):
     assert len(poly) >= 2  # report carries the best escape polyline
 
 
+def test_cli_verify_fails_when_no_path_is_found(tmp_path, lab, monkeypatch):
+    import labyrinths.cli as cli
+
+    def no_path(*args, **kwargs):
+        return {"best_length": None, "best_path": None, "attempts": [],
+                "upper_bound": True, "note": "stubbed empty search"}
+
+    monkeypatch.setattr(cli, "min_escape_length", no_path)
+    lab_file = tmp_path / "lab.json"
+    save_labyrinth(lab, str(lab_file))
+    assert run_cli("verify", str(lab_file), "--M", "0.1") == 2
+    report = json.loads((tmp_path / "lab.report.json").read_text())
+    assert report["passed"] is False
+    assert "no escape path" in report["reason"]
+
+
+def test_cli_report_names_non_finite_radius(tmp_path, lab, capsys):
+    doc = labyrinth_to_doc(lab)
+    doc["components"][0]["radius"] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))  # json writes the literal NaN
+    assert run_cli("report", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert "components[0]" in err and "finite" in err
+    assert "Traceback" not in err
+
+
 def test_cli_verify_rejects_corrupt_file(tmp_path, lab):
     doc = labyrinth_to_doc(lab)
     doc["components"][0]["radius"] = -1.0

@@ -5,6 +5,8 @@ from labyrinths.geometry import FlatBall, point_flatball_distance
 from labyrinths.shells import Labyrinth, build_labyrinth, empty_labyrinth, make_schedule
 from labyrinths.verifier import (
     EffortBudget,
+    _candidate_pairs,
+    _unique_pairs,
     EscapePath,
     audit_labyrinth,
     build_roadmap,
@@ -78,6 +80,31 @@ def test_roadmap_edges_avoid_components():
     for idx in take:
         a, b = rm.nodes[g.row[idx]], rm.nodes[g.col[idx]]
         assert not segment_flatball_intersect((a, b), SINGLE, 0.0)
+
+
+def test_edge_key_dedupe_matches_np_unique():
+    rm = build_roadmap(SINGLE_LAB.domain, SINGLE_LAB, 3000, 0.0, seed=0)
+    raw = _candidate_pairs(rm.nodes, rm.connect_radius,
+                           EffortBudget().neighbors)
+    raw = raw[np.random.default_rng(0).permutation(len(raw))]
+    expect = np.unique(raw, axis=0)
+    expect = expect[expect[:, 0] != expect[:, 1]]
+    assert len(expect) < len(raw)  # the candidate set has duplicates
+    assert np.array_equal(_unique_pairs(raw, len(rm.nodes)), expect)
+
+
+def test_verify_path_rejects_pierce_far_from_midpoint():
+    # a small disc near one end of one long segment: a cull around the
+    # segment's midpoint with the disc radius alone would miss it
+    tiny = FlatBall(center=np.array([0.97, 0.0]), normal=np.array([1.0, 0.0]),
+                    radius=0.01)
+    lab = Labyrinth(dim=2, domain=SINGLE_LAB.domain, components=[tiny])
+    pierced = np.array([[0.0, 0.0], [1.0, 0.0]])
+    path = EscapePath(polyline=pierced, length=1.0, clearance=0.0)
+    assert not verify_path(path, lab)
+    around = np.array([[0.0, 0.0], [0.97, 0.02], [1.0, 0.0]])
+    assert verify_path(EscapePath(polyline=around, length=path_length(around),
+                                  clearance=0.0), lab)
 
 
 def test_roadmap_budget_validation():
