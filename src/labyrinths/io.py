@@ -8,6 +8,7 @@ so regeneration with identical inputs produces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -100,6 +101,13 @@ def _field(doc: dict, name: str, types) -> object:
     return val
 
 
+def _optional(doc: dict, name: str, convert, default) -> object:
+    try:
+        return convert(doc.get(name, default))
+    except (TypeError, ValueError) as exc:
+        raise MalformedFileError(f"field {name!r} invalid: {exc}") from exc
+
+
 def doc_to_labyrinth(doc: dict) -> Labyrinth:
     if _field(doc, "version", int) != FORMAT_VERSION:
         raise MalformedFileError("field 'version' is unsupported")
@@ -118,7 +126,7 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
                           radius=float(entry["radius"]),
                           level=lv,
                           transform=None if tf is None else np.asarray(tf, float))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise MalformedFileError(
                 f"components[{i}] invalid: {exc}") from exc
         if fb.dim != dim:
@@ -136,32 +144,60 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
                 s0=float(sd["s0"]), s=s, m=int(sd["m"]), t=float(sd["t"]),
                 c=float(sd["c"]), a=float(sd["a"]), sublevels=sublevels,
                 tangent_radii=np.asarray(sd["tangent_radii"], dtype=float))
-        except (KeyError, TypeError, ValueError) as exc:
+            sched.validate()
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise MalformedFileError(f"schedule invalid: {exc}") from exc
     nets = []
-    for nd in doc.get("nets", []):
+    for i, nd in enumerate(_optional(doc, "nets", list, [])):
         try:
+            classes = [np.asarray(cls, dtype=float) for cls in nd["classes"]]
+            if any(cls.ndim != 2 or cls.shape[1] != dim for cls in classes):
+                raise ValueError("a class is not a list of dim-vectors")
             nets.append(SeparatedNet(
                 dim=dim, r=float(nd["r"]), c=float(nd["c"]), m=int(nd["m"]),
-                classes=[np.asarray(cls, dtype=float) for cls in nd["classes"]]))
+                classes=classes))
         except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedFileError(f"nets entry invalid: {exc}") from exc
+            raise MalformedFileError(f"nets[{i}] invalid: {exc}") from exc
     return Labyrinth(dim=dim, domain=domain, components=comps, schedule=sched,
-                     nets=nets, seed=int(doc.get("seed", 0)),
-                     scale=float(doc.get("scale", 1.0)),
+                     nets=nets, seed=_optional(doc, "seed", int, 0),
+                     scale=_optional(doc, "scale", float, 1.0),
                      kind=str(doc.get("kind", "shell")),
-                     collar_widths=[float(w) for w in
-                                    doc.get("collar_widths", [])])
+                     collar_widths=_optional(
+                         doc, "collar_widths",
+                         lambda ws: [float(w) for w in ws], []))
+
+
+def _non_finite_field(doc: dict) -> str | None:
+    """Name of the first NaN or infinite number in a parsed document."""
+    stack = [("", doc)]
+    while stack:
+        name, val = stack.pop()
+        if isinstance(val, float) and not math.isfinite(val):
+            return name
+        if isinstance(val, dict):
+            items = [(f"{name}.{k}" if name else k, v) for k, v in val.items()]
+        elif isinstance(val, list):
+            items = [(f"{name}[{i}]", v) for i, v in enumerate(val)]
+        else:
+            continue
+        stack.extend(reversed(items))
+    return None
 
 
 def load_labyrinth(path: str) -> Labyrinth:
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise MalformedFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedFileError("top level must be an object")
+    # json reads the non-standard NaN, Infinity and -Infinity tokens, and
+    # overflowing literals such as 1e999, as non-finite floats; the writer
+    # refuses those, so a field holding one is corrupt
+    bad = _non_finite_field(doc)
+    if bad is not None:
+        raise MalformedFileError(f"field {bad!r} is not a finite number")
     return doc_to_labyrinth(doc)
 
 

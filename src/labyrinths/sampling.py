@@ -8,6 +8,7 @@ farthest-point passes refine the circle dyadically.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import ndtri
 from scipy.stats import qmc
 
@@ -62,6 +63,12 @@ def sphere_samples(d: int, n: int, seed: int = 0) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+# Rows per block of the traversal's spatial partition: blocks small enough
+# for tight bounding boxes, few enough that testing every box at each pick
+# costs little next to the rows updated.
+_BLOCK = 256
+
+
 def farthest_point_order(
     points: np.ndarray,
     start: int = 0,
@@ -74,6 +81,19 @@ def farthest_point_order(
     `stop_dist` to the selected set, or once `stop_count` points are chosen.
     Ties are broken by the smallest candidate index, so the output is a
     deterministic function of the inputs.
+
+    Each pick updates only the candidates it can change.  The points are
+    cut into blocks of nearby points (kd-tree order), each with a bounding
+    box and the largest squared distance d2 held in it.  A pick p lowers
+    d2[x] only if |x - p|^2 < d2[x] <= the block's largest, so a block
+    whose box lies that far from p, with a margin for rounding, is skipped
+    whole.  The other blocks get the same row-wise squared distance and
+    `np.minimum` as a full update, so every d2 value is bitwise the plain
+    O(n k) loop's; the pick is the smallest index holding the largest d2,
+    as `np.argmax` over all of d2 would give, so the output is that loop's
+    too.  Per pick the cost is a test of n / _BLOCK boxes plus the rows of
+    the blocks near p, roughly the new point's Voronoi cell, for about
+    n log k row updates in all on a quasi-uniform set.
     """
     n = len(points)
     if n == 0:
@@ -83,11 +103,33 @@ def farthest_point_order(
     d2 = np.einsum("ij,ij->i", points - points[start], points - points[start])
     limit = n if stop_count is None else min(stop_count, n)
     thresh2 = None if stop_dist is None else float(stop_dist) ** 2
+    order = cKDTree(points, leafsize=_BLOCK).indices
+    pts, d2 = points[order], d2[order]
+    first = np.arange(0, n, _BLOCK)
+    size = np.diff(np.append(first, n))
+    lo = np.minimum.reduceat(pts, first, axis=0)
+    hi = np.maximum.reduceat(pts, first, axis=0)
+    top = np.maximum.reduceat(d2, first)
+
+    def rows(blocks):
+        """Row indices of `blocks`, and where each block starts among them."""
+        lens = size[blocks]
+        starts = np.cumsum(lens) - lens
+        return (np.arange(lens.sum()) + np.repeat(first[blocks] - starts, lens),
+                starts)
+
     while len(chosen) < limit:
-        i = int(np.argmax(d2))
-        if thresh2 is not None and d2[i] < thresh2:
+        m = top.max()
+        if thresh2 is not None and m < thresh2:
             break
+        tied, _ = rows(np.flatnonzero(top == m))
+        i = int(order[tied[d2[tied] == m]].min())
         chosen.append(i)
-        diff = points - points[i]
-        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+        gap = np.clip(points[i], lo, hi) - points[i]
+        hit = np.flatnonzero(np.einsum("ij,ij->i", gap, gap) * (1.0 - 1e-9) < top)
+        near, starts = rows(hit)
+        diff = pts[near] - points[i]
+        new = np.minimum(d2[near], np.einsum("ij,ij->i", diff, diff))
+        d2[near] = new
+        top[hit] = np.maximum.reduceat(new, starts)
     return np.asarray(chosen, dtype=np.intp)

@@ -390,15 +390,17 @@ def path_length(polyline: np.ndarray) -> float:
                                 axis=1).sum())
 
 
-def _project_to_set(descr: dict, x: np.ndarray) -> np.ndarray:
+def _project_to_set(descr: dict, pts: np.ndarray) -> np.ndarray:
+    """Nearest points of the set to each row of `pts`."""
     if descr["kind"] == "sphere":
         r = float(descr["radius"])
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
+        norms = np.linalg.norm(pts, axis=1)
+        if np.any(norms == 0.0):
             raise ValueError("cannot project the origin onto a sphere")
-        return x * (r / nx)
+        return pts * (r / norms)[:, None]
     if descr["kind"] == "point":
-        return np.asarray(descr["coords"], dtype=float)
+        coords = np.asarray(descr["coords"], dtype=float)
+        return np.broadcast_to(coords, pts.shape).copy()
     raise ValueError(f"unknown set descriptor {descr['kind']!r}")
 
 
@@ -428,7 +430,7 @@ def shortest_escape(rm: Roadmap, source: dict, target: dict) -> EscapePath | Non
             near = np.union1d(near, np.argsort(d)[:k])
         if len(near) == 0:
             return None
-        proj = np.array([_project_to_set(descr, rm.nodes[i]) for i in near])
+        proj = _project_to_set(descr, rm.nodes[near])
         collide = _segments_collide(rm.nodes[near], proj, rm.comp, rm.clearance)
         moved = np.linalg.norm(rm.nodes[near] - proj, axis=1)
         ok = ~collide
@@ -462,10 +464,10 @@ def shortest_escape(rm: Roadmap, source: dict, target: dict) -> EscapePath | Non
     inner = [i for i in chain if i < n]
     if not inner:
         return None
-    poly = [_project_to_set(source, rm.nodes[inner[0]])]
-    poly.extend(rm.nodes[i] for i in inner)
-    poly.append(_project_to_set(target, rm.nodes[inner[-1]]))
-    poly = _dedupe(np.asarray(poly))
+    poly = np.vstack([_project_to_set(source, rm.nodes[inner[:1]]),
+                      rm.nodes[inner],
+                      _project_to_set(target, rm.nodes[inner[-1:]])])
+    poly = _dedupe(poly)
     return EscapePath(polyline=poly, length=path_length(poly),
                       clearance=rm.clearance)
 

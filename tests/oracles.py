@@ -96,3 +96,29 @@ def grid_shortest_path(segments, source, target, step: float,
     t = node(int(round(target[0] / step)) - i0, int(round(target[1] / step)) - j0)
     dist = dijkstra(g, directed=False, indices=s)
     return float(dist[t])
+
+
+def brute_farthest_point_order(points, start: int = 0,
+                               stop_dist: float | None = None,
+                               stop_count: int | None = None) -> np.ndarray:
+    """Farthest-point traversal that updates every candidate after each pick.
+
+    The plain O(n k) loop, with the same stop rules and smallest-index tie
+    rule as `sampling.farthest_point_order`.
+    """
+    n = len(points)
+    if n == 0:
+        return np.empty(0, dtype=np.intp)
+    start = int(start) % n
+    chosen = [start]
+    d2 = np.einsum("ij,ij->i", points - points[start], points - points[start])
+    limit = n if stop_count is None else min(stop_count, n)
+    thresh2 = None if stop_dist is None else float(stop_dist) ** 2
+    while len(chosen) < limit:
+        i = int(np.argmax(d2))
+        if thresh2 is not None and d2[i] < thresh2:
+            break
+        chosen.append(i)
+        diff = points - points[i]
+        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+    return np.asarray(chosen, dtype=np.intp)

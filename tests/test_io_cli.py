@@ -181,6 +181,50 @@ def test_cli_report_names_non_finite_radius(tmp_path, lab, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where, raw, named", [
+    # tokens json reads as non-finite floats, wherever they sit
+    (("schedule", "s0"), "NaN", "'schedule.s0' is not a finite number"),
+    (("nets", 1, "classes", 2, 5, 0), "Infinity",
+     "'nets[1].classes[2][5][0]' is not a finite number"),
+    (("scale",), "-Infinity", "'scale' is not a finite number"),
+    (("components", 3, "center", 1), "1e999",
+     "'components[3].center[1]' is not a finite number"),
+    # finite schedules that break their invariants
+    (("schedule", "t"), "0.9", "schedule invalid: slack factor t"),
+    (("schedule", "tangent_radii"), "[0.2]", "schedule invalid"),
+    (("schedule", "tangent_radii", 1), "0.5",
+     "schedule invalid: tangent disc at shell 2"),
+    # wrong types and shapes
+    (("components", 0), "5", "components[0] invalid"),
+    (("nets",), "5", "field 'nets' invalid"),
+    (("nets", 0, "classes", 1), "[[1.0, 2.0, 3.0]]", "nets[0] invalid"),
+    (("seed",), '"x"', "field 'seed' invalid"),
+    (("scale",), '"x"', "field 'scale' invalid"),
+    (("collar_widths",), '"ab"', "field 'collar_widths' invalid"),
+])
+def test_cli_report_names_corrupt_field(tmp_path, lab, capsys, where, raw,
+                                        named):
+    doc = labyrinth_to_doc(lab)
+    holder = doc
+    for key in where[:-1]:
+        holder = holder[key]
+    holder[where[-1]] = "@corrupt@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps_canonical(doc).replace('"@corrupt@"', raw))
+    assert run_cli("report", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000])
+def test_cli_report_rejects_undecodable_file(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert run_cli("report", str(bad)) == 1
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_cli_verify_rejects_corrupt_file(tmp_path, lab):
     doc = labyrinth_to_doc(lab)
     doc["components"][0]["radius"] = -1.0

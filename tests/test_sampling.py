@@ -1,0 +1,82 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from labyrinths.sampling import farthest_point_order, sphere_candidates
+from oracles import brute_farthest_point_order
+
+
+@pytest.mark.parametrize("d, count, start, stop_dist, stop_count", [
+    # the dyadic circle grid, rich in exactly equal distances
+    (2, 131072, 0, 0.045, None),
+    (2, 131072, 0, 0.0077, None),
+    (3, 100000, 0, 0.045, None),
+    (3, 100000, 0, 0.18, None),
+    (3, 100000, 7919, 0.18, None),
+    (2, 131072, 100003, 0.045, None),
+    # rim candidates of flat balls in d = 4 and d = 5, as flatball_rim_points
+    (3, 2048, 0, None, 256),
+    (4, 2560, 0, None, 320),
+])
+def test_traversal_matches_full_update_on_candidate_sets(
+        d, count, start, stop_dist, stop_count):
+    cand = sphere_candidates(d, count)
+    got = farthest_point_order(cand, start=start, stop_dist=stop_dist,
+                               stop_count=stop_count)
+    want = brute_farthest_point_order(cand, start=start, stop_dist=stop_dist,
+                                      stop_count=stop_count)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, want)
+
+
+def test_traversal_updates_a_block_just_within_reach():
+    # After p1 is picked, the 600 copies of y (more than a block of them)
+    # drop from 1 - 1e-8 to 1 - 3e-8, below w.  A block of copies lies only
+    # 2e-8 (relative) inside reach of p1, so a skip test 1e-6 too eager
+    # keeps their old value and picks a copy of y before w.
+    u, v, w2 = 1.0 - 1e-8, 1.0 - 3e-8, 1.0 - 2e-8
+    x = (1.0 + u - v) / 2.0
+    pts = np.array([[0.0, 0.0], [1.0, 0.0]] + [[x, np.sqrt(u - x * x)]] * 600
+                   + [[-np.sqrt(w2), 0.0]] * 3)
+    want = brute_farthest_point_order(pts, stop_count=4)
+    assert want.tolist() == [0, 1, 602, 2]
+    assert np.array_equal(farthest_point_order(pts, stop_count=4), want)
+
+
+@st.composite
+def clouds(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    # one block of the traversal's partition, or several
+    n = draw(st.one_of(st.integers(0, 40), st.integers(300, 1200)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        # small integer lattice: many exactly equal distances
+        pts = rng.integers(-3, 4, size=(n, d)).astype(float)
+    else:
+        pts = rng.standard_normal((n, d))
+    if n and draw(st.booleans()):
+        dup = rng.integers(0, n, size=draw(st.integers(1, n)))
+        pts = np.vstack([pts, pts[dup]])
+    start = draw(st.integers(-5, 100))
+    if draw(st.booleans()):
+        return pts, start, draw(st.floats(0.0, 6.0)), None
+    return pts, start, None, draw(st.integers(0, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clouds())
+def test_traversal_matches_full_update_on_random_clouds(cloud):
+    pts, start, stop_dist, stop_count = cloud
+    got = farthest_point_order(pts, start=start, stop_dist=stop_dist,
+                               stop_count=stop_count)
+    want = brute_farthest_point_order(pts, start=start, stop_dist=stop_dist,
+                                      stop_count=stop_count)
+    assert np.array_equal(got, want)
+
+
+def test_traversal_of_empty_and_single_point_sets():
+    assert len(farthest_point_order(np.empty((0, 3)))) == 0
+    assert farthest_point_order(np.ones((1, 2)), start=4).tolist() == [0]
+    # duplicates only: with no stop distance the traversal repeats index 0
+    assert farthest_point_order(np.zeros((3, 2)), stop_count=5).tolist() == [0, 0, 0]

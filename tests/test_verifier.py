@@ -6,6 +6,7 @@ from labyrinths.shells import Labyrinth, build_labyrinth, empty_labyrinth, make_
 from labyrinths.verifier import (
     EffortBudget,
     _candidate_pairs,
+    _project_to_set,
     _unique_pairs,
     EscapePath,
     audit_labyrinth,
@@ -105,6 +106,23 @@ def test_verify_path_rejects_pierce_far_from_midpoint():
     around = np.array([[0.0, 0.0], [0.97, 0.02], [1.0, 0.0]])
     assert verify_path(EscapePath(polyline=around, length=path_length(around),
                                   clearance=0.0), lab)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_set_projection_rows_match_one_at_a_time(d):
+    pts = np.random.default_rng(d).standard_normal((200, d))
+    got = _project_to_set({"kind": "sphere", "radius": 0.75}, pts)
+    want = np.array([x * (0.75 / np.linalg.norm(x)) for x in pts])
+    # the row norm may sum in another order than the 1-D norm
+    np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps,
+                               atol=0.0)
+    coords = np.arange(d, dtype=float)
+    assert np.array_equal(
+        _project_to_set({"kind": "point", "coords": coords.tolist()}, pts),
+        np.tile(coords, (200, 1)))
+    pts[17] = 0.0
+    with pytest.raises(ValueError, match="origin"):
+        _project_to_set({"kind": "sphere", "radius": 0.75}, pts)
 
 
 def test_roadmap_budget_validation():
