@@ -270,20 +270,17 @@ def separating_hyperplane(first, second, margin: float = 0.0,
     nv = 2 * d + 2
     cost = np.zeros(nv)
     cost[-1] = -1.0  # maximise gamma
-    rows = []
-    rhs = []
-    for x in first:  # -w.x + b + gamma <= 0
-        rows.append(np.concatenate([-x, x, [1.0, 1.0]]))
-        rhs.append(0.0)
-    for x in second:  # w.x - b + gamma <= 0
-        rows.append(np.concatenate([x, -x, [-1.0, 1.0]]))
-        rhs.append(0.0)
-    l1 = np.concatenate([np.ones(2 * d), [0.0, 0.0]])
-    rows.append(l1)
-    rhs.append(1.0)
+    # rows -w.x + b + gamma <= 0 for first, w.x - b + gamma <= 0 for
+    # second, and the L1 cap sum(u) + sum(v) <= 1
+    rows = np.vstack([
+        np.hstack([-first, first, np.tile([1.0, 1.0], (len(first), 1))]),
+        np.hstack([second, -second, np.tile([-1.0, 1.0], (len(second), 1))]),
+        np.concatenate([np.ones(2 * d), [0.0, 0.0]]),
+    ])
+    rhs = np.zeros(len(rows))
+    rhs[-1] = 1.0
     bounds = [(0.0, None)] * (2 * d) + [(None, None), (None, None)]
-    res = linprog(cost, A_ub=np.asarray(rows), b_ub=np.asarray(rhs),
-                  bounds=bounds, method="highs")
+    res = linprog(cost, A_ub=rows, b_ub=rhs, bounds=bounds, method="highs")
     if not res.success or res.x is None:
         return None
     u, v = res.x[:d], res.x[d:2 * d]

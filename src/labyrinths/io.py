@@ -108,6 +108,55 @@ def _optional(doc: dict, name: str, convert, default) -> object:
         raise MalformedFileError(f"field {name!r} invalid: {exc}") from exc
 
 
+def _finite_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool) \
+        and math.isfinite(val)
+
+
+def _check_domain(domain: dict, dim: int) -> None:
+    """Reject a domain whose fields the verifier, audit or export would
+    trip over; the message names the field."""
+    kind = domain.get("kind")
+    if kind == "annulus":
+        for name in ("inner", "outer"):
+            if not _finite_number(domain.get(name)):
+                raise MalformedFileError(
+                    f"field 'domain.{name}' must be a finite number")
+        if not 0.0 <= domain["inner"] < domain["outer"]:
+            raise MalformedFileError(
+                "field 'domain.outer' must exceed 'domain.inner' >= 0")
+    elif kind == "ellipsoid":
+        for name in ["matrix"] + (["to_ball"] if "to_ball" in domain else []):
+            try:
+                A = np.asarray(domain.get(name), dtype=float)
+            except (TypeError, ValueError):
+                A = None
+            if A is None or A.shape != (dim, dim) \
+                    or not np.all(np.isfinite(A)):
+                raise MalformedFileError(
+                    f"field 'domain.{name}' must be a finite "
+                    f"{dim}x{dim} array")
+        from .domains import ellipsoid_domain
+
+        try:
+            ellipsoid_domain(domain["matrix"])
+        except ValueError as exc:
+            raise MalformedFileError(
+                f"field 'domain.matrix' invalid: {exc}") from exc
+    elif kind == "smooth":
+        from .domains import PRESETS
+
+        preset = domain.get("preset")
+        if not isinstance(preset, str) or preset not in PRESETS:
+            raise MalformedFileError(
+                f"field 'domain.preset' is unknown: {preset!r}")
+        if PRESETS[preset]().dim != dim:
+            raise MalformedFileError(
+                f"field 'domain.preset' {preset!r} is not {dim}-dimensional")
+    elif kind != "ball":
+        raise MalformedFileError(f"field 'domain.kind' is unknown: {kind!r}")
+
+
 def doc_to_labyrinth(doc: dict) -> Labyrinth:
     if _field(doc, "version", int) != FORMAT_VERSION:
         raise MalformedFileError("field 'version' is unsupported")
@@ -115,6 +164,7 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
     if dim < 2:
         raise MalformedFileError("field 'dim' must be >= 2")
     domain = _field(doc, "domain", dict)
+    _check_domain(domain, dim)
     comps = []
     for i, entry in enumerate(_field(doc, "components", list)):
         try:

@@ -13,13 +13,14 @@ exact at the default clearance 0: a segment touches a closed disc iff it
 crosses the disc's hyperplane, or lies in it, within the radius of the
 centre.  Grazes at the rounding level (about 1e-17, e.g. a rim-ring node on
 a disc's plane) fall either way; a small positive clearance makes them
-robust.  The search culls pairs by a KD query on bounding spheres;
+robust.  The search culls pairs by a KD query on a cover of each disc by
+small balls, as fine as the segments are short (:func:`_segments_collide`);
 :func:`verify_path` checks every segment against every component.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -40,8 +41,8 @@ from .geometry import (
 from .nets import covering_radius, sampling_slack
 from .shells import Labyrinth, sqrt_gap_partial_sums
 
-# segments per collision batch; with the dozen candidate discs a segment
-# meets in a dense planar annulus, the pair arrays stay near 10 MB
+# segments per collision batch; with the few candidate sub-balls a segment
+# meets in a dense planar annulus, the pair arrays stay within a few MB
 _COLLIDE_CHUNK = 1 << 15
 
 
@@ -88,6 +89,7 @@ class _CompArrays:
     normals: np.ndarray
     radii: np.ndarray
     tree: cKDTree | None
+    covers: dict = field(default_factory=dict)
 
     @staticmethod
     def from_components(comps: list[FlatBall]) -> "_CompArrays":
@@ -102,26 +104,81 @@ class _CompArrays:
     def __len__(self):
         return len(self.radii)
 
+    def cover(self, k: int) -> tuple:
+        """(owner, tree, rho): the level-k sub-ball cover of the discs.
 
-def _near_pairs(pts: np.ndarray, reach, comp: _CompArrays) -> tuple:
-    """Indices (i, j) of every pts[i] within reach[i] of component centre j.
+        Each disc's tangent plane gets a grid of k^(d-1) cells of side
+        2R/k (the tangent_basis frame, centred on the disc); every cell
+        that meets the disc gives a sub-ball at its centre.  A point of
+        the disc lies in such a cell, so within its half-diagonal
+        R*sqrt(d-1)/k of that sub-ball's centre; rho is the largest such
+        radius.  `owner` maps sub-balls to discs and `tree` holds their
+        centres.  Level 1 is the disc centre and radius R itself.
+        """
+        if k == 1:
+            return np.arange(len(self)), self.tree, float(self.radii.max())
+        if k not in self.covers:
+            d = self.centers.shape[1]
+            # cell centres in units of R; k is a power of two, so these,
+            # the cell edges and the test below are exact
+            mid = (2.0 * np.arange(k) + 1.0) / k - 1.0
+            g = np.stack(np.meshgrid(*[mid] * (d - 1), indexing="ij"),
+                         axis=-1).reshape(-1, d - 1)
+            gap = np.maximum(np.abs(g) - 1.0 / k, 0.0)
+            g = g[np.einsum("ij,ij->i", gap, gap) <= 1.0]
+            T = np.array([tangent_basis(n) for n in self.normals])
+            pts = self.centers[:, None, :] + self.radii[:, None, None] \
+                * np.einsum("ndk,gk->ngd", T, g)
+            self.covers[k] = (np.repeat(np.arange(len(self)), len(g)),
+                              cKDTree(pts.reshape(-1, d)),
+                              float(self.radii.max()) * np.sqrt(d - 1) / k)
+        return self.covers[k]
 
-    One dual-tree pass at the largest reach, then a per-row filter; reach
-    may be a scalar.
+
+def _cover_level(comp: _CompArrays, length: float) -> int:
+    """Cover level k for segments of typical `length` (0: points).
+
+    The largest disc radius over the length, rounded down to a power of
+    two, between 1 and 16 in the plane or 4 beyond: finer covers stop
+    paying once a sub-ball is smaller than a segment, and the number of
+    sub-balls grows as k^(d-1).
     """
-    reach = np.broadcast_to(reach, (len(pts),))
-    m = cKDTree(pts).sparse_distance_matrix(comp.tree, float(reach.max()),
+    cap = 16 if comp.centers.shape[1] == 2 else 4
+    ratio = float(comp.radii.max()) / length if length > 0.0 else np.inf
+    k = 1
+    while 2 * k <= min(ratio, cap):
+        k *= 2
+    return k
+
+
+def _near_pairs(pts: np.ndarray, reach, comp: _CompArrays, k: int) -> tuple:
+    """Rows (i, j): pts[i] lies within reach[i] + rho of a sub-ball of disc j.
+
+    Uses the level-k cover of :meth:`_CompArrays.cover`: one dual-tree
+    pass at the largest reach, then a per-row filter; reach may be a
+    scalar.  A disc shows up once per sub-ball in reach, so rows repeat;
+    callers mark hits idempotently and skip deduplication, which costs
+    more than the repeats.
+    """
+    owner, tree, rho = comp.cover(k)
+    reach = np.broadcast_to(reach, (len(pts),)) + rho
+    m = cKDTree(pts).sparse_distance_matrix(tree, float(reach.max()),
                                             output_type="ndarray")
     keep = m["v"] <= reach[m["i"]]
-    return m["i"][keep], m["j"][keep]
+    return m["i"][keep], owner[m["j"][keep]]
 
 
 def _drop_blocked(pts: np.ndarray, comp: _CompArrays,
                   clearance: float) -> np.ndarray:
-    """The points farther than `clearance` from every component."""
+    """The points farther than `clearance` from every component.
+
+    A point within `clearance` of a disc point lies within clearance + rho
+    of a sub-ball centre, so the finest cover culls soundly.
+    """
     if len(pts) == 0 or len(comp) == 0:
         return pts
-    idx, cidx = _near_pairs(pts, comp.radii.max() + clearance + 1e-12, comp)
+    idx, cidx = _near_pairs(pts, clearance + 1e-12, comp,
+                            _cover_level(comp, 0.0))
     dist = pairs_point_disc_distance(pts[idx], comp.centers[cidx],
                                      comp.normals[cidx], comp.radii[cidx])
     bad = np.zeros(len(pts), dtype=bool)
@@ -159,18 +216,28 @@ def _segments_collide(A: np.ndarray, B: np.ndarray, comp: _CompArrays,
                       clearance: float) -> np.ndarray:
     """Collision mask for segments [A[i], B[i]] against all components.
 
-    A bounding-sphere cull (sound: a disc lies inside the sphere of its
-    centre and radius) limits the predicate to nearby segment/disc pairs.
+    A sub-ball cull limits the predicate to nearby segment/disc pairs.  It
+    is sound: if a segment of length L comes within `clearance` of a disc
+    point p, its midpoint lies within L/2 + clearance of p, and p within
+    rho of a sub-ball centre of that disc (:meth:`_CompArrays.cover`), so
+    the midpoint lies within L/2 + rho + clearance (+ 1e-12 for rounding)
+    of that centre.  Every surviving (segment, disc) row then goes through
+    the exact predicate.  The cover level comes from the median segment
+    length (:func:`_cover_level`): about 4x fewer rows than one bounding
+    sphere per disc for the short edges of a dense planar roadmap, the
+    bounding sphere itself for segments as long as the discs are wide.
     Segments go in chunks, which bounds the size of the pair arrays.
     """
     out = np.zeros(len(A), dtype=bool)
-    if len(comp) == 0:
+    if len(comp) == 0 or len(A) == 0:
         return out
+    half = 0.5 * np.linalg.norm(B - A, axis=1)
+    k = _cover_level(comp, 2.0 * float(np.median(half)))
     for s in range(0, len(A), _COLLIDE_CHUNK):
         a, b = A[s:s + _COLLIDE_CHUNK], B[s:s + _COLLIDE_CHUNK]
-        reach = 0.5 * np.linalg.norm(b - a, axis=1) + comp.radii.max() \
-            + clearance + 1e-12
-        idx, cidx = _near_pairs(0.5 * (a + b), reach, comp)
+        idx, cidx = _near_pairs(0.5 * (a + b),
+                                half[s:s + _COLLIDE_CHUNK] + clearance + 1e-12,
+                                comp, k)
         hit = pairs_segment_disc_touch(a[idx], b[idx], comp.centers[cidx],
                                        comp.normals[cidx], comp.radii[cidx],
                                        clearance)

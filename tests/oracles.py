@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Deliberately dumber than the library: dense parameter grids, dense grid
-graphs, elementary formulas.  Nothing here imports search or construction
-internals beyond plain data types.
+graphs, elementary formulas, all pairs where the library culls.  Nothing
+here imports search or construction internals beyond plain data types and
+the row-wise geometric predicates.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
+
+from labyrinths.geometry import pairs_segment_disc_touch
 
 
 def grid_point_disc_distance(x, center, normal, radius) -> float:
@@ -122,3 +125,21 @@ def brute_farthest_point_order(points, start: int = 0,
         diff = points - points[i]
         np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
     return np.asarray(chosen, dtype=np.intp)
+
+
+def brute_segments_collide(A, B, centers, normals, radii,
+                           clearance: float = 0.0) -> np.ndarray:
+    """Collision mask of segments [A[i], B[i]] against every disc, with no cull.
+
+    Every segment meets every disc in the library's row-wise predicate, one
+    disc at a time, so it answers for each pair exactly what a culled
+    search should answer for the pairs it keeps.
+    """
+    A = np.asarray(A, float)
+    B = np.asarray(B, float)
+    out = np.zeros(len(A), dtype=bool)
+    for c, n, r in zip(centers, normals, radii):
+        out |= pairs_segment_disc_touch(
+            A, B, np.broadcast_to(c, A.shape), np.broadcast_to(n, A.shape),
+            np.full(len(A), r), clearance)
+    return out

@@ -8,6 +8,7 @@ import pytest
 from labyrinths.cli import main
 from labyrinths.io import (
     MalformedFileError,
+    doc_to_labyrinth,
     dumps_canonical,
     export_csv,
     export_svg,
@@ -223,6 +224,70 @@ def test_cli_report_rejects_undecodable_file(tmp_path, capsys, content):
     bad.write_bytes(content)
     assert run_cli("report", str(bad)) == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+BAD_DOMAINS = [
+    ({"kind": "annulus", "outer": 1.0}, "'domain.inner'"),
+    ({"kind": "annulus", "inner": 0.5, "outer": "1"}, "'domain.outer'"),
+    ({"kind": "annulus", "inner": 1.0, "outer": 0.5}, "'domain.outer'"),
+    ({"kind": "annulus", "inner": -0.1, "outer": 0.5}, "'domain.outer'"),
+    ({"kind": "ellipsoid"}, "'domain.matrix'"),
+    ({"kind": "ellipsoid", "matrix": [[1.0, 0.0]]}, "'domain.matrix'"),
+    ({"kind": "ellipsoid", "matrix": [[1.0, 0.0], [0.0, "x"]]},
+     "'domain.matrix'"),
+    ({"kind": "ellipsoid", "matrix": [[1.0, 0.0], [0.0, -1.0]]},
+     "'domain.matrix' invalid"),
+    ({"kind": "ellipsoid", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+      "to_ball": [1.0, 0.0]}, "'domain.to_ball'"),
+    ({"kind": "smooth"}, "'domain.preset'"),
+    ({"kind": "smooth", "preset": "torus"}, "'domain.preset'"),
+    ({"kind": "cube"}, "'domain.kind'"),
+    ({}, "'domain.kind'"),
+]
+
+
+@pytest.mark.parametrize("command", ["report", "verify", "export"])
+@pytest.mark.parametrize("domain, named", BAD_DOMAINS)
+def test_cli_names_corrupt_domain(tmp_path, lab, capsys, command, domain,
+                                  named):
+    doc = labyrinth_to_doc(lab)
+    doc["domain"] = domain
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps_canonical(doc))
+    extra = {"report": [], "verify": ["--M", "0.1"],
+             "export": ["--csv", str(tmp_path / "o.csv")]}[command]
+    assert run_cli(command, str(bad), *extra) == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_loader_names_non_finite_annulus_radius(lab):
+    doc = labyrinth_to_doc(lab)
+    doc["domain"] = {"kind": "annulus", "inner": float("nan"), "outer": 1.0}
+    with pytest.raises(MalformedFileError, match="'domain.inner'"):
+        doc_to_labyrinth(doc)
+
+
+@pytest.mark.parametrize("domain", [
+    {"kind": "ball"},
+    {"kind": "annulus", "inner": 0, "outer": 1.5},
+    {"kind": "ellipsoid", "matrix": [[0.25, 0.0], [0.0, 1.0]],
+     "to_ball": [[0.5, 0.0], [0.0, 1.0]]},
+    {"kind": "smooth", "preset": "ellipse"},
+])
+def test_loader_accepts_well_formed_domains(lab, domain):
+    doc = labyrinth_to_doc(lab)
+    doc["domain"] = domain
+    assert doc_to_labyrinth(doc).domain == domain
+
+
+def test_loader_rejects_preset_of_other_dimension():
+    doc = labyrinth_to_doc(build_labyrinth(make_schedule(0.5, 1, 4), dim=3,
+                                           seed=0))
+    doc["domain"] = {"kind": "smooth", "preset": "ellipse"}
+    with pytest.raises(MalformedFileError, match="'domain.preset'"):
+        doc_to_labyrinth(doc)
 
 
 def test_cli_verify_rejects_corrupt_file(tmp_path, lab):

@@ -1,12 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
-from labyrinths.geometry import FlatBall, point_flatball_distance
+from labyrinths.geometry import (
+    FlatBall,
+    pairs_point_disc_distance,
+    point_flatball_distance,
+)
 from labyrinths.shells import Labyrinth, build_labyrinth, empty_labyrinth, make_schedule
 from labyrinths.verifier import (
     EffortBudget,
     _candidate_pairs,
+    _CompArrays,
+    _cover_level,
+    _drop_blocked,
     _project_to_set,
+    _segments_collide,
     _unique_pairs,
     EscapePath,
     audit_labyrinth,
@@ -18,7 +29,7 @@ from labyrinths.verifier import (
     verify_path,
 )
 
-from oracles import grid_shortest_path
+from oracles import brute_segments_collide, grid_shortest_path
 
 ANNULUS = {"kind": "annulus", "inner": 0.5, "outer": 1.0}
 SPHERE_IN = {"kind": "sphere", "radius": 0.5}
@@ -92,6 +103,107 @@ def test_edge_key_dedupe_matches_np_unique():
     expect = expect[expect[:, 0] != expect[:, 1]]
     assert len(expect) < len(raw)  # the candidate set has duplicates
     assert np.array_equal(_unique_pairs(raw, len(rm.nodes)), expect)
+
+
+def _random_discs(rng, d: int, n: int) -> list[FlatBall]:
+    """n discs in the cube [-1, 1]^d, radii mixed over a factor of 8."""
+    normals = rng.standard_normal((n, d))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return [FlatBall(center=c, normal=u, radius=r) for c, u, r in zip(
+        rng.uniform(-1.0, 1.0, (n, d)), normals, rng.uniform(0.05, 0.4, n))]
+
+
+def _near_disc_points(rng, discs: list[FlatBall], n: int,
+                      spread: float) -> np.ndarray:
+    """Points of random discs (on a random in-plane direction at up to 1.2
+    radii, so rims and just-outside points occur), moved by up to `spread`."""
+    d = discs[0].dim
+    pick = rng.integers(0, len(discs), n)
+    C = np.array([discs[i].center for i in pick])
+    N = np.array([discs[i].normal for i in pick])
+    R = np.array([discs[i].radius for i in pick])
+    v = rng.standard_normal((n, d))
+    v -= np.einsum("ij,ij->i", v, N)[:, None] * N
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return C + (rng.uniform(0.0, 1.2, n) * R)[:, None] * v \
+        + rng.uniform(-spread, spread, (n, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), d=st.sampled_from([2, 3, 4]),
+       discs=st.integers(0, 25), rows=st.sampled_from([1, 2, 300]),
+       short=st.booleans(), clearance=st.sampled_from([0.0, 0.003, 0.05]))
+def test_segments_collide_matches_all_pairs(seed, d, discs, rows, short,
+                                             clearance):
+    rng = np.random.default_rng(seed)
+    comps = _random_discs(rng, d, discs)
+    comp = _CompArrays.from_components(comps)
+    if discs:
+        mid = _near_disc_points(rng, comps, rows, 0.02)
+    else:
+        mid = rng.uniform(-1.0, 1.0, (rows, d))
+    half_len = rng.uniform(0.001, 0.01, rows) if short \
+        else rng.uniform(0.2, 1.0, rows)
+    u = rng.standard_normal((rows, d))
+    u *= (half_len / np.linalg.norm(u, axis=1))[:, None]
+    A, B = mid - u, mid + u
+    got = _segments_collide(A, B, comp, clearance)
+    if not discs:
+        assert not got.any()
+        return
+    want = brute_segments_collide(A, B, comp.centers, comp.normals,
+                                  comp.radii, clearance)
+    assert np.array_equal(got, want)
+    # the short segments are culled with a finer cover (cached), the long
+    # ones with the bounding spheres (level 1, not cached)
+    assert bool(comp.covers) == short
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), d=st.sampled_from([2, 3, 4]),
+       discs=st.integers(1, 25), clearance=st.sampled_from([0.0, 0.003, 0.05]))
+def test_drop_blocked_matches_all_pairs_distance(seed, d, discs, clearance):
+    rng = np.random.default_rng(seed)
+    comps = _random_discs(rng, d, discs)
+    comp = _CompArrays.from_components(comps)
+    pts = np.vstack([_near_disc_points(rng, comps, 400, 0.06),
+                     comp.centers[:3]])  # points on a disc
+    dist = pairs_point_disc_distance(pts[:, None, :], comp.centers[None],
+                                     comp.normals[None], comp.radii[None])
+    want = pts[dist.min(axis=1) > clearance]
+    assert np.array_equal(_drop_blocked(pts, comp, clearance), want)
+
+
+@pytest.mark.parametrize("d, length, level", [
+    (2, 0.068 / 15.3, 8), (2, 0.068 / 2.0, 2), (2, 0.068 / 1.99, 1),
+    (2, 1.0, 1), (2, 0.0, 16), (2, 1e-9, 16), (3, 0.068 / 15.3, 4),
+    (3, 0.0, 4), (4, 0.068 / 3.0, 2), (3, 0.07, 1)])
+def test_cover_level_rule(d, length, level):
+    normal = np.eye(d)[0]
+    comp = _CompArrays.from_components([
+        FlatBall(center=np.zeros(d), normal=normal, radius=0.068),
+        FlatBall(center=np.ones(d), normal=normal, radius=0.01)])
+    assert _cover_level(comp, length) == level
+
+
+def test_roadmap_edges_match_all_pairs_collision_mask():
+    from labyrinths.shells import annulus_labyrinth
+
+    lab = annulus_labyrinth(0.5, 1.0, J=2, m=2, dim=2, seed=0)
+    rm = build_roadmap(ANNULUS, lab, 6000, 0.0, seed=3)
+    pairs = _unique_pairs(_candidate_pairs(rm.nodes, rm.connect_radius,
+                                           EffortBudget().neighbors),
+                          len(rm.nodes))
+    A, B = rm.nodes[pairs[:, 0]], rm.nodes[pairs[:, 1]]
+    assert _cover_level(rm.comp, float(np.median(
+        np.linalg.norm(B - A, axis=1)))) > 1
+    blocked = brute_segments_collide(A, B, rm.comp.centers, rm.comp.normals,
+                                     rm.comp.radii)
+    assert blocked.any()
+    g = sparse.triu(rm.graph).tocoo()
+    got = np.column_stack([g.row, g.col])
+    got = got[np.lexsort((got[:, 1], got[:, 0]))]
+    assert np.array_equal(got, pairs[~blocked])
 
 
 def test_verify_path_rejects_pierce_far_from_midpoint():
