@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .domains import resolve_domain
 from .geometry import FlatBall
 from .nets import SeparatedNet
 from .shells import Labyrinth, ShellSchedule
@@ -117,6 +118,8 @@ def _check_domain(domain: dict, dim: int) -> None:
     """Reject a domain whose fields the verifier, audit or export would
     trip over; the message names the field."""
     kind = domain.get("kind")
+    if kind == "ball":
+        return
     if kind == "annulus":
         for name in ("inner", "outer"):
             if not _finite_number(domain.get(name)):
@@ -125,7 +128,8 @@ def _check_domain(domain: dict, dim: int) -> None:
         if not 0.0 <= domain["inner"] < domain["outer"]:
             raise MalformedFileError(
                 "field 'domain.outer' must exceed 'domain.inner' >= 0")
-    elif kind == "ellipsoid":
+        return
+    if kind == "ellipsoid":
         for name in ["matrix"] + (["to_ball"] if "to_ball" in domain else []):
             try:
                 A = np.asarray(domain.get(name), dtype=float)
@@ -136,25 +140,26 @@ def _check_domain(domain: dict, dim: int) -> None:
                 raise MalformedFileError(
                     f"field 'domain.{name}' must be a finite "
                     f"{dim}x{dim} array")
-        from .domains import ellipsoid_domain
-
-        try:
-            ellipsoid_domain(domain["matrix"])
-        except ValueError as exc:
-            raise MalformedFileError(
-                f"field 'domain.matrix' invalid: {exc}") from exc
-    elif kind == "smooth":
-        from .domains import PRESETS
-
-        preset = domain.get("preset")
-        if not isinstance(preset, str) or preset not in PRESETS:
-            raise MalformedFileError(
-                f"field 'domain.preset' is unknown: {preset!r}")
-        if PRESETS[preset]().dim != dim:
-            raise MalformedFileError(
-                f"field 'domain.preset' {preset!r} is not {dim}-dimensional")
-    elif kind != "ball":
-        raise MalformedFileError(f"field 'domain.kind' is unknown: {kind!r}")
+        if "to_ball" in domain:
+            # the SVG export draws through its inverse
+            try:
+                T = np.asarray(domain["to_ball"], dtype=float)
+                ok = np.all(np.isfinite(np.linalg.inv(T)))
+            except np.linalg.LinAlgError:
+                ok = False
+            if not ok:
+                raise MalformedFileError(
+                    "field 'domain.to_ball' invalid: singular matrix")
+    name = "matrix" if kind == "ellipsoid" else \
+        "preset" if kind == "smooth" else "kind"
+    try:
+        dom = resolve_domain(domain)
+    except (TypeError, ValueError) as exc:
+        raise MalformedFileError(
+            f"field 'domain.{name}' invalid: {exc}") from exc
+    if dom.dim != dim:
+        raise MalformedFileError(
+            f"field 'domain.{name}' is not {dim}-dimensional")
 
 
 def doc_to_labyrinth(doc: dict) -> Labyrinth:

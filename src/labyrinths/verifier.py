@@ -13,8 +13,9 @@ exact at the default clearance 0: a segment touches a closed disc iff it
 crosses the disc's hyperplane, or lies in it, within the radius of the
 centre.  Grazes at the rounding level (about 1e-17, e.g. a rim-ring node on
 a disc's plane) fall either way; a small positive clearance makes them
-robust.  The search culls pairs by a KD query on a cover of each disc by
-small balls, as fine as the segments are short (:func:`_segments_collide`);
+robust.  The search culls pairs by a KD query on a cover of each planar
+disc by small balls, as fine as the segments are short, and on bounding
+spheres beyond the plane (:func:`_segments_collide`);
 :func:`verify_path` checks every segment against every component.
 """
 
@@ -105,48 +106,47 @@ class _CompArrays:
         return len(self.radii)
 
     def cover(self, k: int) -> tuple:
-        """(owner, tree, rho): the level-k sub-ball cover of the discs.
+        """(owner, tree, rho): the level-k sub-ball cover of planar discs.
 
-        Each disc's tangent plane gets a grid of k^(d-1) cells of side
-        2R/k (the tangent_basis frame, centred on the disc); every cell
-        that meets the disc gives a sub-ball at its centre.  A point of
-        the disc lies in such a cell, so within its half-diagonal
-        R*sqrt(d-1)/k of that sub-ball's centre; rho is the largest such
-        radius.  `owner` maps sub-balls to discs and `tree` holds their
-        centres.  Level 1 is the disc centre and radius R itself.
+        Every cell has the same side 2*R_max/k: the chord of radius R is
+        cut into ceil(k*R/R_max) cells centred on the disc, and each
+        cell gives a sub-ball at its centre, so a small disc gets few.  A
+        point of the disc lies in a cell, so within rho = R_max/k of that
+        sub-ball's centre.  `owner` maps sub-balls to discs and `tree`
+        holds their centres.  Level 1 is the disc centres with rho = R_max,
+        a bounding sphere of every disc, in any dimension.
         """
+        r_max = float(self.radii.max())
         if k == 1:
-            return np.arange(len(self)), self.tree, float(self.radii.max())
+            return np.arange(len(self)), self.tree, r_max
         if k not in self.covers:
-            d = self.centers.shape[1]
-            # cell centres in units of R; k is a power of two, so these,
-            # the cell edges and the test below are exact
-            mid = (2.0 * np.arange(k) + 1.0) / k - 1.0
-            g = np.stack(np.meshgrid(*[mid] * (d - 1), indexing="ij"),
-                         axis=-1).reshape(-1, d - 1)
-            gap = np.maximum(np.abs(g) - 1.0 / k, 0.0)
-            g = g[np.einsum("ij,ij->i", gap, gap) <= 1.0]
-            T = np.array([tangent_basis(n) for n in self.normals])
-            pts = self.centers[:, None, :] + self.radii[:, None, None] \
-                * np.einsum("ndk,gk->ngd", T, g)
-            self.covers[k] = (np.repeat(np.arange(len(self)), len(g)),
-                              cKDTree(pts.reshape(-1, d)),
-                              float(self.radii.max()) * np.sqrt(d - 1) / k)
+            h = r_max / k  # half a cell side
+            m = np.ceil(self.radii / h).astype(np.intp)
+            owner = np.repeat(np.arange(len(self)), m)
+            # cell j of a disc with m cells is centred at (2j + 1 - m) h
+            j = np.arange(len(owner)) - np.repeat(np.cumsum(m) - m, m)
+            t = np.column_stack([-self.normals[:, 1], self.normals[:, 0]])
+            t /= np.linalg.norm(t, axis=1, keepdims=True)
+            pts = self.centers[owner] \
+                + (h * (2 * j + 1 - m[owner]))[:, None] * t[owner]
+            self.covers[k] = owner, cKDTree(pts), h
         return self.covers[k]
 
 
 def _cover_level(comp: _CompArrays, length: float) -> int:
-    """Cover level k for segments of typical `length` (0: points).
+    """Cover level k for segments of typical `length`.
 
-    The largest disc radius over the length, rounded down to a power of
-    two, between 1 and 16 in the plane or 4 beyond: finer covers stop
-    paying once a sub-ball is smaller than a segment, and the number of
-    sub-balls grows as k^(d-1).
+    In the plane, the largest disc radius over the length, rounded down to
+    a power of two and at most 16: finer covers stop paying once a
+    sub-ball is smaller than a segment.  Beyond the plane, 1: a disc needs
+    about k^(d-1) sub-balls there, and on a d = 3 annulus roadmap level 2
+    sent twice the pairs of level 1.
     """
-    cap = 16 if comp.centers.shape[1] == 2 else 4
-    ratio = float(comp.radii.max()) / length if length > 0.0 else np.inf
+    if comp.centers.shape[1] != 2:
+        return 1
+    r_max = float(comp.radii.max())
     k = 1
-    while 2 * k <= min(ratio, cap):
+    while k < 16 and 2 * k * length <= r_max:
         k *= 2
     return k
 
@@ -170,15 +170,10 @@ def _near_pairs(pts: np.ndarray, reach, comp: _CompArrays, k: int) -> tuple:
 
 def _drop_blocked(pts: np.ndarray, comp: _CompArrays,
                   clearance: float) -> np.ndarray:
-    """The points farther than `clearance` from every component.
-
-    A point within `clearance` of a disc point lies within clearance + rho
-    of a sub-ball centre, so the finest cover culls soundly.
-    """
+    """The points farther than `clearance` from every component."""
     if len(pts) == 0 or len(comp) == 0:
         return pts
-    idx, cidx = _near_pairs(pts, clearance + 1e-12, comp,
-                            _cover_level(comp, 0.0))
+    idx, cidx = _near_pairs(pts, clearance + 1e-12, comp, 1)
     dist = pairs_point_disc_distance(pts[idx], comp.centers[cidx],
                                      comp.normals[cidx], comp.radii[cidx])
     bad = np.zeros(len(pts), dtype=bool)
@@ -225,7 +220,8 @@ def _segments_collide(A: np.ndarray, B: np.ndarray, comp: _CompArrays,
     the exact predicate.  The cover level comes from the median segment
     length (:func:`_cover_level`): about 4x fewer rows than one bounding
     sphere per disc for the short edges of a dense planar roadmap, the
-    bounding sphere itself for segments as long as the discs are wide.
+    bounding sphere itself beyond the plane and for segments as long as
+    the discs are wide.
     Segments go in chunks, which bounds the size of the pair arrays.
     """
     out = np.zeros(len(A), dtype=bool)

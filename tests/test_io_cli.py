@@ -239,6 +239,9 @@ BAD_DOMAINS = [
      "'domain.matrix' invalid"),
     ({"kind": "ellipsoid", "matrix": [[1.0, 0.0], [0.0, 1.0]],
       "to_ball": [1.0, 0.0]}, "'domain.to_ball'"),
+    ({"kind": "ellipsoid", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+      "to_ball": [[0.0, 0.0], [0.0, 0.0]]}, "'domain.to_ball' invalid"),
+    ({"kind": "smooth", "preset": ["ellipse"]}, "'domain.preset'"),
     ({"kind": "smooth"}, "'domain.preset'"),
     ({"kind": "smooth", "preset": "torus"}, "'domain.preset'"),
     ({"kind": "cube"}, "'domain.kind'"),

@@ -16,6 +16,7 @@ from labyrinths.verifier import (
     _CompArrays,
     _cover_level,
     _drop_blocked,
+    _near_pairs,
     _project_to_set,
     _segments_collide,
     _unique_pairs,
@@ -154,9 +155,9 @@ def test_segments_collide_matches_all_pairs(seed, d, discs, rows, short,
     want = brute_segments_collide(A, B, comp.centers, comp.normals,
                                   comp.radii, clearance)
     assert np.array_equal(got, want)
-    # the short segments are culled with a finer cover (cached), the long
-    # ones with the bounding spheres (level 1, not cached)
-    assert bool(comp.covers) == short
+    # short planar segments are culled with a finer cover (cached), long
+    # ones and all beyond the plane with the bounding spheres (level 1)
+    assert bool(comp.covers) == (short and d == 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,14 +177,38 @@ def test_drop_blocked_matches_all_pairs_distance(seed, d, discs, clearance):
 
 @pytest.mark.parametrize("d, length, level", [
     (2, 0.068 / 15.3, 8), (2, 0.068 / 2.0, 2), (2, 0.068 / 1.99, 1),
-    (2, 1.0, 1), (2, 0.0, 16), (2, 1e-9, 16), (3, 0.068 / 15.3, 4),
-    (3, 0.0, 4), (4, 0.068 / 3.0, 2), (3, 0.07, 1)])
+    (2, 1.0, 1), (2, 0.0, 16), (2, 1e-9, 16), (3, 0.068 / 15.3, 1),
+    (3, 0.0, 1), (4, 0.068 / 3.0, 1)])
 def test_cover_level_rule(d, length, level):
     normal = np.eye(d)[0]
     comp = _CompArrays.from_components([
         FlatBall(center=np.zeros(d), normal=normal, radius=0.068),
         FlatBall(center=np.ones(d), normal=normal, radius=0.01)])
     assert _cover_level(comp, length) == level
+
+
+def test_planar_cover_cells_share_one_size():
+    rng = np.random.default_rng(5)
+    comps = _random_discs(rng, 2, 40)
+    comps[0].radius = 0.4  # R_max, and discs down to R_max / 8
+    comp = _CompArrays.from_components(comps)
+    k = 16
+    owner, tree, rho = comp.cover(k)
+    assert rho == 0.4 / k
+    assert np.array_equal(np.bincount(owner, minlength=len(comps)),
+                          np.ceil(comp.radii * k / 0.4).astype(int))
+    # every disc point lies within rho of one of its own sub-balls
+    s = np.linspace(-1.0, 1.0, 101)
+    for i, fb in enumerate(comps):
+        t = np.array([-fb.normal[1], fb.normal[0]])
+        pts = fb.center + (fb.radius * s)[:, None] * t
+        d = np.linalg.norm(pts[:, None] - tree.data[owner == i][None], axis=2)
+        assert d.min(axis=1).max() <= rho + 1e-12
+    # short segments spread over the discs: no more rows than level 1
+    mid = rng.uniform(-1.2, 1.2, (20000, 2))
+    half = np.full(len(mid), 0.4 / (4 * k))
+    assert len(_near_pairs(mid, half, comp, k)[0]) \
+        <= len(_near_pairs(mid, half, comp, 1)[0])
 
 
 def test_roadmap_edges_match_all_pairs_collision_mask():
