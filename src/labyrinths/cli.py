@@ -276,9 +276,8 @@ def cmd_verify(args) -> int:
         source = {"kind": "sphere", "radius": dom["inner"]}
         target = {"kind": "sphere", "radius": dom["outer"]}
     elif dom.get("kind") in ("ball", "ellipsoid") and lab.schedule is not None:
-        # ellipsoid labyrinths are stored in ball coordinates; the escape
-        # search runs there and lengths transfer through the recorded
-        # operator norms of the normalisation map
+        # ellipsoid labyrinths are stored in ball coordinates and the escape
+        # search runs there; see the budget transfer below
         source = {"kind": "sphere", "radius": lab.scale * lab.schedule.s0}
         target = {"kind": "sphere", "radius": lab.scale}
     else:
@@ -291,16 +290,23 @@ def cmd_verify(args) -> int:
     report = min_escape_length(lab, source, target, effort)
     audit = audit_labyrinth(lab)
     best = report["best_length"]
+    out = {"budget_M": args.M}
+    budget = args.M
+    if dom.get("kind") == "ellipsoid":
+        # T maps the domain onto the ball and stretches lengths by at most
+        # |T| = sqrt(lambda_max(matrix)), so M holds if best > |T| M
+        norm_t = float(np.sqrt(np.linalg.eigvalsh(
+            np.asarray(dom["matrix"], dtype=float)).max()))
+        budget = out["budget_ball"] = norm_t * args.M
     # a search that found no path at all is no evidence either way
-    ok = audit["passed"] and best is not None and best > args.M
-    out = {"budget_M": args.M, "verification": report, "audit": audit,
-           "passed": ok}
+    ok = audit["passed"] and best is not None and best > budget
+    out.update(verification=report, audit=audit, passed=ok)
     if best is None:
         out["reason"] = "no escape path was found at this effort"
         print(f"verify: {out['reason']}", file=sys.stderr)
     report_out = args.report_out or _sibling(args.file, ".report.json")
     save_report(out, report_out)
-    print(f"best={best} budget={args.M} audit="
+    print(f"best={best} budget={budget} audit="
           f"{'pass' if audit['passed'] else 'FAIL'} -> "
           f"{'pass' if ok else 'FAIL'} (+ {report_out})")
     return 0 if ok else 2

@@ -54,18 +54,13 @@ def dumps_canonical(doc: dict) -> str:
 
 
 def labyrinth_to_doc(lab: Labyrinth) -> dict:
-    comps = []
-    for fb in lab.components:
-        entry = {
-            "center": fb.center.tolist(),
-            "normal": fb.normal.tolist(),
-            "radius": fb.radius,
-            "level": {"j": fb.level[0], "k": fb.level[1], "p": fb.level[2]}
-            if fb.level else None,
-        }
-        if fb.transform is not None:
-            entry["transform"] = fb.transform.tolist()
-        comps.append(entry)
+    comps = [{
+        "center": fb.center.tolist(),
+        "normal": fb.normal.tolist(),
+        "radius": fb.radius,
+        "level": {"j": fb.level[0], "k": fb.level[1], "p": fb.level[2]}
+        if fb.level else None,
+    } for fb in lab.components]
     sched = None
     if lab.schedule is not None:
         s = lab.schedule
@@ -175,15 +170,18 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
         try:
             level = entry.get("level")
             lv = (level["j"], level["k"], level["p"]) if level else None
-            tf = entry.get("transform")
             fb = FlatBall(center=np.asarray(entry["center"], dtype=float),
                           normal=np.asarray(entry["normal"], dtype=float),
                           radius=float(entry["radius"]),
-                          level=lv,
-                          transform=None if tf is None else np.asarray(tf, float))
+                          level=lv)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise MalformedFileError(
                 f"components[{i}] invalid: {exc}") from exc
+        # nothing draws, audits or searches a transformed disc, so a file
+        # that asks for one cannot be honoured
+        if "transform" in entry:
+            raise MalformedFileError(
+                f"field 'components[{i}].transform' is not supported")
         if fb.dim != dim:
             raise MalformedFileError(f"components[{i}].center has wrong dimension")
         comps.append(fb)

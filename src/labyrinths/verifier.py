@@ -5,7 +5,9 @@ certified escape path it could find, which upper-bounds the true infimum.
 "Passing" a budget M therefore means "no path of length <= M was found at
 the configured effort", never a proof that none exists.  Structural
 invariants of a labyrinth (tangency, disjointness, separation witnesses,
-covering) are audited exactly or to stated tolerances.
+covering) are audited exactly or to stated tolerances; disjointness uses
+:func:`labyrinths.geometry.pairs_disc_disc_distance`, so the reported
+``min_distance`` is a certified lower bound, exact in the plane.
 
 Every roadmap edge, boundary link, shortcut and the final re-verification
 use one predicate, :func:`labyrinths.geometry.pairs_segment_disc_touch`,
@@ -21,6 +23,7 @@ spheres beyond the plane (:func:`_segments_collide`);
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +37,7 @@ from .geometry import (
     FlatBall,
     flatball_extremal_points,
     flatball_rim_points,
+    pairs_disc_disc_distance,
     pairs_point_disc_distance,
     pairs_segment_disc_touch,
     separating_hyperplane,
@@ -46,6 +50,11 @@ from .shells import Labyrinth, sqrt_gap_partial_sums
 # meets in a dense planar annulus, the pair arrays stay within a few MB
 _COLLIDE_CHUNK = 1 << 15
 
+# roadmap edges: k nearest neighbours plus every pair within CONNECT_FACTOR
+# times the mean node spacing (measure / nodes)^(1/d)
+NEIGHBORS = 10
+CONNECT_FACTOR = 2.2
+
 
 class RoadmapBudgetError(RuntimeError):
     """Free-space sampling rejected nearly everything."""
@@ -53,14 +62,11 @@ class RoadmapBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class EffortBudget:
-    """Search effort: seeds, node budgets and connection parameters."""
+    """Search effort: seeds, node budgets, clearance and shortcut rounds."""
 
     seeds: tuple = (0, 1, 2, 3)
     node_budgets: tuple = (20_000, 80_000)
     clearance: float = 0.0
-    rim_step: float = RIM_STEP
-    neighbors: int = 10
-    connect_factor: float = 2.2
     shortcut_rounds: int = 400
 
     @staticmethod
@@ -181,32 +187,6 @@ def _drop_blocked(pts: np.ndarray, comp: _CompArrays,
     return pts[~bad]
 
 
-def _pairs_segseg_distance_2d(P1, P2, Q1, Q2) -> np.ndarray:
-    """Exact segment-segment distance in the plane, vectorised over rows."""
-
-    def cross(u, v):
-        return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-
-    d1 = cross(P2 - P1, Q1 - P1)
-    d2 = cross(P2 - P1, Q2 - P1)
-    d3 = cross(Q2 - Q1, P1 - Q1)
-    d4 = cross(Q2 - Q1, P2 - Q1)
-    proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-
-    def pt_seg(X, A, B):
-        ab = B - A
-        denom = np.einsum("ij,ij->i", ab, ab)
-        denom = np.where(denom == 0.0, 1.0, denom)
-        t = np.clip(np.einsum("ij,ij->i", X - A, ab) / denom, 0.0, 1.0)
-        return np.linalg.norm(X - (A + t[:, None] * ab), axis=1)
-
-    dist = np.minimum.reduce([
-        pt_seg(Q1, P1, P2), pt_seg(Q2, P1, P2),
-        pt_seg(P1, Q1, Q2), pt_seg(P2, Q1, Q2)])
-    dist[proper] = 0.0
-    return dist
-
-
 def _segments_collide(A: np.ndarray, B: np.ndarray, comp: _CompArrays,
                       clearance: float) -> np.ndarray:
     """Collision mask for segments [A[i], B[i]] against all components.
@@ -267,9 +247,6 @@ def _region_box(region: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
     if kind == "annulus":
         r = float(region["outer"])
         return -r * np.ones(dim), r * np.ones(dim)
-    if kind == "ball":
-        r = float(region["radius"])
-        return -r * np.ones(dim), r * np.ones(dim)
     if kind == "box":
         return np.asarray(region["lo"], dtype=float), np.asarray(region["hi"], dtype=float)
     raise ValueError(f"unknown region kind {kind!r}")
@@ -280,8 +257,6 @@ def _region_contains(region: dict, pts: np.ndarray) -> np.ndarray:
     if kind == "annulus":
         r = np.linalg.norm(pts, axis=1)
         return (r > region["inner"]) & (r < region["outer"])
-    if kind == "ball":
-        return np.linalg.norm(pts, axis=1) < region["radius"]
     if kind == "box":
         lo, hi = _region_box(region, pts.shape[1])
         return np.all((pts > lo) & (pts < hi), axis=1)
@@ -289,13 +264,13 @@ def _region_contains(region: dict, pts: np.ndarray) -> np.ndarray:
 
 
 def _region_measure(region: dict, dim: int) -> float:
+    """Volume of the region: the unit ball's pi^(d/2)/Gamma(d/2+1) times
+    outer^d - inner^d for an annulus, the box volume otherwise."""
+    if region["kind"] == "annulus":
+        return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) \
+            * (region["outer"] ** dim - region["inner"] ** dim)
     lo, hi = _region_box(region, dim)
-    box = float(np.prod(hi - lo))
-    if region["kind"] == "annulus" and dim == 2:
-        return np.pi * (region["outer"] ** 2 - region["inner"] ** 2)
-    if region["kind"] == "ball" and dim == 2:
-        return np.pi * region["radius"] ** 2
-    return box
+    return float(np.prod(hi - lo))
 
 
 @dataclass(eq=False)
@@ -304,34 +279,29 @@ class Roadmap:
 
     nodes: np.ndarray
     graph: sparse.csr_matrix
-    region: dict
     clearance: float
     connect_radius: float
     comp: _CompArrays = None
-    n_free: int = 0
     n_rim: int = 0
 
 
 def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
-                  clearance: float = 0.0, seed: int = 0,
-                  effort: EffortBudget | None = None) -> Roadmap:
+                  clearance: float = 0.0, seed: int = 0) -> Roadmap:
     """Quasi-uniform free samples plus rim-hugging offsets, k-NN connected.
 
     Free-space samples are drawn from a scrambled Sobol stream and rejected
     when within `clearance` of a component or outside the region; every
     component rim point additionally gets a small ring of nodes at offset
-    clearance + rim_step, which is where taut escape paths turn.  Edges are
+    clearance + RIM_STEP, which is where taut escape paths turn.  Edges are
     the union of radius-neighbour and k-nearest pairs whose segments clear
     all components at the given clearance.
     """
     if node_budget < 100:
         raise ValueError("node budget must be at least 100")
-    effort = effort or EffortBudget.default(lab.dim)
     dim = lab.dim
     comp = _CompArrays.from_components(lab.components)
 
-    rim_nodes = _rim_offset_nodes(lab, comp, clearance, effort.rim_step,
-                                  region, node_budget)
+    rim_nodes = _rim_offset_nodes(lab, comp, clearance, region, node_budget)
     rim_nodes = rim_nodes[:node_budget // 2]
     free_target = node_budget - len(rim_nodes)
 
@@ -356,9 +326,9 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
     nodes = np.vstack([free_nodes, rim_nodes]) if len(rim_nodes) else free_nodes
 
     measure = _region_measure(region, dim)
-    connect_radius = effort.connect_factor * (measure / max(len(nodes), 1)) ** (1.0 / dim)
+    connect_radius = CONNECT_FACTOR * (measure / max(len(nodes), 1)) ** (1.0 / dim)
     all_pairs = _unique_pairs(
-        _candidate_pairs(nodes, connect_radius, effort.neighbors), len(nodes))
+        _candidate_pairs(nodes, connect_radius, NEIGHBORS), len(nodes))
 
     A = nodes[all_pairs[:, 0]]
     B = nodes[all_pairs[:, 1]]
@@ -370,9 +340,9 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
         (np.concatenate([w, w]),
          (np.concatenate([ok[:, 0], ok[:, 1]]),
           np.concatenate([ok[:, 1], ok[:, 0]]))), shape=(n, n))
-    return Roadmap(nodes=nodes, graph=graph, region=region,
-                   clearance=clearance, connect_radius=connect_radius,
-                   comp=comp, n_free=len(free_nodes), n_rim=len(rim_nodes))
+    return Roadmap(nodes=nodes, graph=graph, clearance=clearance,
+                   connect_radius=connect_radius, comp=comp,
+                   n_rim=len(rim_nodes))
 
 
 def _candidate_pairs(nodes: np.ndarray, connect_radius: float,
@@ -401,11 +371,10 @@ def _unique_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
 
 
 def _rim_offset_nodes(lab: Labyrinth, comp: _CompArrays, clearance: float,
-                      rim_step: float, region: dict,
-                      node_budget: int) -> np.ndarray:
+                      region: dict, node_budget: int) -> np.ndarray:
     if lab.is_empty:
         return np.empty((0, lab.dim))
-    offset = clearance + rim_step
+    offset = clearance + RIM_STEP
     rim_count = 12 if lab.dim >= 3 else 2
     # Fit the rings into half the node budget by thinning the ring, never
     # by dropping whole components.
@@ -628,7 +597,7 @@ def min_escape_length(lab: Labyrinth, source: dict, target: dict,
     for budget in effort.node_budgets:
         for seed in effort.seeds:
             rm = build_roadmap(region, lab, budget, effort.clearance,
-                               seed=seed * 1_000_003 + budget, effort=effort)
+                               seed=seed * 1_000_003 + budget)
             path = shortest_escape(rm, source, target)
             if path is not None:
                 path = shortcut(path, lab, rounds=effort.shortcut_rounds,
@@ -657,58 +626,26 @@ def min_escape_length(lab: Labyrinth, source: dict, target: dict,
 
 
 def _pairwise_min_distance(lab: Labyrinth) -> float:
-    """Minimum distance between distinct components.
+    """Certified lower bound on the distance between distinct components.
 
     Candidate pairs come from a sound centre-distance cull: pairs beyond
     the cull radius are at least `slack` apart, so when no candidate pair
-    exists that slack is returned as a valid positive lower bound.
+    exists that slack is returned as a valid positive lower bound.  The
+    candidates go through :func:`pairs_disc_disc_distance` in one call.
     """
-    comps = lab.components
-    n = len(comps)
-    if n < 2:
+    comp = _CompArrays.from_components(lab.components)
+    if len(comp) < 2:
         return np.inf
-    C = np.array([fb.center for fb in comps])
-    N = np.array([fb.normal for fb in comps])
-    R = np.array([fb.radius for fb in comps])
     slack = 0.05
-    reach = 2.0 * R.max() + slack
-    tree = cKDTree(C)
-    pairs = tree.query_pairs(reach, output_type="ndarray")
+    pairs = comp.tree.query_pairs(2.0 * comp.radii.max() + slack,
+                                  output_type="ndarray")
     if len(pairs) == 0:
         return slack
     i, j = pairs[:, 0], pairs[:, 1]
-    if lab.dim == 2:
-        U = np.column_stack([-N[:, 1], N[:, 0]])
-        P1 = C[i] - R[i, None] * U[i]
-        P2 = C[i] + R[i, None] * U[i]
-        Q1 = C[j] - R[j, None] * U[j]
-        Q2 = C[j] + R[j, None] * U[j]
-        dmin = float(_pairs_segseg_distance_2d(P1, P2, Q1, Q2).min())
-    else:
-        dmin = _alternating_projection_min(C[i], N[i], R[i], C[j], N[j], R[j])
+    C, N, R = comp.centers, comp.normals, comp.radii
+    dmin = float(pairs_disc_disc_distance(C[i], N[i], R[i],
+                                          C[j], N[j], R[j]).min())
     return min(dmin, slack)
-
-
-def _alternating_projection_min(C1, N1, R1, C2, N2, R2, iters: int = 400,
-                                tol: float = 1e-10) -> float:
-    def proj(X, C, N, R):
-        v = X - C
-        h = np.einsum("ij,ij->i", v, N)
-        w = v - h[:, None] * N
-        rho = np.linalg.norm(w, axis=1)
-        scale = np.where(rho > R, np.where(rho == 0.0, 1.0, R / np.maximum(rho, 1e-300)), 1.0)
-        return C + w * scale[:, None]
-
-    x = C1.copy()
-    prev = np.full(len(C1), np.inf)
-    for _ in range(iters):
-        y = proj(x, C2, N2, R2)
-        x = proj(y, C1, N1, R1)
-        d = np.linalg.norm(x - y, axis=1)
-        if np.all(prev - d < tol):
-            break
-        prev = d
-    return float(d.min())
 
 
 def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None,
@@ -766,10 +703,17 @@ def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None,
         add("next-sublevel-clearance", clear_margin > 1e-9,
             min_margin=clear_margin, worst_component=worst)
 
+        # the law is read off the radii: an equal-width schedule is rebuilt
+        # for each J, so its prefixes are not schedules and only the total
+        # is held to the bound; any other schedule is held at every prefix
         sums = sqrt_gap_partial_sums(sched)
         target = 0.4 * np.sqrt(1.0 - sched.s0) * np.log(np.arange(1, sched.J + 1) + 1.0)
-        add("schedule-divergence", bool(np.all(sums > target)),
-            partial_sums=[float(x) for x in sums])
+        gaps = sched.gaps()
+        law = "equal-width" if sched.J > 1 and np.allclose(
+            gaps, gaps[0], rtol=1e-9, atol=0.0) else "harmonic"
+        held = slice(-1, None) if law == "equal-width" else slice(None)
+        add("schedule-divergence", bool(np.all(sums[held] > target[held])),
+            law=law, partial_sums=[float(x) for x in sums])
 
         sep_ok = True
         cov_ok = True
@@ -787,6 +731,7 @@ def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None,
         add("net-separation", sep_ok)
         add("net-covering", cov_ok, slack=cov_slack)
 
+    # min_distance is a certified lower bound, exact in the plane
     dmin = _pairwise_min_distance(lab)
     add("pairwise-disjoint", dmin > 0.0, min_distance=float(dmin))
 

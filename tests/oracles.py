@@ -143,3 +143,56 @@ def brute_segments_collide(A, B, centers, normals, radii,
             A, B, np.broadcast_to(c, A.shape), np.broadcast_to(n, A.shape),
             np.full(len(A), r), clearance)
     return out
+
+
+def segment_segment_distance_2d(P1, P2, Q1, Q2) -> np.ndarray:
+    """Exact distances of planar segments [P1, P2] and [Q1, Q2], row by row.
+
+    Reference copy of the closed form the audit has used since the seed:
+    0 for a proper crossing, else the least of the four endpoint-to-segment
+    distances.
+    """
+
+    def cross(u, v):
+        return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+    d1 = cross(P2 - P1, Q1 - P1)
+    d2 = cross(P2 - P1, Q2 - P1)
+    d3 = cross(Q2 - Q1, P1 - Q1)
+    d4 = cross(Q2 - Q1, P2 - Q1)
+    proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+
+    def pt_seg(X, A, B):
+        ab = B - A
+        denom = np.einsum("ij,ij->i", ab, ab)
+        denom = np.where(denom == 0.0, 1.0, denom)
+        t = np.clip(np.einsum("ij,ij->i", X - A, ab) / denom, 0.0, 1.0)
+        return np.linalg.norm(X - (A + t[:, None] * ab), axis=1)
+
+    dist = np.minimum.reduce([
+        pt_seg(Q1, P1, P2), pt_seg(Q2, P1, P2),
+        pt_seg(P1, Q1, Q2), pt_seg(P2, Q1, Q2)])
+    dist[proper] = 0.0
+    return dist
+
+
+def brute_disc_disc_distance(f1, f2, steps: int) -> tuple[float, float]:
+    """Least distance from a dense sample of disc f2 to disc f1, and the
+    sample's resolution.
+
+    The samples are a cube grid of `steps` points per axis in f2's plane,
+    pulled radially into the disc, so every point of f2 lies within the
+    resolution of one of them and the true distance lies in
+    [least - resolution, least].
+    """
+    d = f2.dim
+    basis = np.linalg.svd(f2.normal[None, :])[2][1:].T  # (d, d-1)
+    ts = np.linspace(-1.0, 1.0, steps)
+    grid = np.stack(np.meshgrid(*[ts] * (d - 1)), axis=-1).reshape(-1, d - 1)
+    grid /= np.maximum(np.linalg.norm(grid, axis=1), 1.0)[:, None]
+    pts = f2.center + (f2.radius * grid) @ basis.T
+    v = pts - f1.center
+    h = v @ f1.normal
+    rho = np.linalg.norm(v - h[:, None] * f1.normal, axis=1)
+    least = float(np.hypot(h, np.maximum(rho - f1.radius, 0.0)).min())
+    return least, f2.radius * np.sqrt(d - 1) / (steps - 1)

@@ -9,6 +9,7 @@ from labyrinths.geometry import (
     flatball_extremal_points,
     flatball_pair_distance,
     flatball_rim_points,
+    pairs_disc_disc_distance,
     pairs_segment_disc_contact,
     pairs_segment_disc_distance,
     point_flatball_distance,
@@ -19,7 +20,11 @@ from labyrinths.geometry import (
     tangent_basis,
 )
 
-from oracles import brute_segment_disc_distance
+from oracles import (
+    brute_disc_disc_distance,
+    brute_segment_disc_distance,
+    segment_segment_distance_2d,
+)
 
 DISC = FlatBall(center=np.array([0.5, 0.0]), normal=np.array([1.0, 0.0]),
                 radius=0.2)
@@ -313,3 +318,69 @@ def test_pair_distance_matches_dense_sampling():
         assert got <= brute + 1e-6
         if got > 1e-6:
             assert brute >= got * 0.5
+
+
+def _disc_rows(discs: list[FlatBall]) -> tuple:
+    return (np.array([f.center for f in discs]),
+            np.array([f.normal for f in discs]),
+            np.array([f.radius for f in discs]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), d=st.sampled_from([2, 3, 4]),
+       rows=st.integers(1, 6), spread=st.sampled_from([0.3, 1.0, 2.0]))
+def test_disc_distance_is_a_certified_lower_bound(seed, d, rows, spread):
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((2 * rows, d))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    discs = [FlatBall(center=c, normal=n, radius=r) for c, n, r in zip(
+        rng.uniform(-spread, spread, (2 * rows, d)), normals,
+        rng.uniform(0.1, 0.8, 2 * rows))]
+    first, second = discs[0::2], discs[1::2]
+    got = pairs_disc_disc_distance(*_disc_rows(first), *_disc_rows(second))
+    for k, (f1, f2) in enumerate(zip(first, second)):
+        least, res = brute_disc_disc_distance(
+            f1, f2, {2: 2001, 3: 201, 4: 41}[d])
+        one = flatball_pair_distance(f1, f2)
+        # the true distance lies in [least - res, least]; a certified lower
+        # bound may not exceed it beyond rounding
+        for value in (got[k], one):
+            assert least - res <= value <= least + 1e-12
+        if d == 2:  # exact, so the one-row call agrees to the bit
+            assert one == got[k]
+
+
+def test_intersecting_discs_in_space_give_zero():
+    flat = FlatBall(center=np.array([0.0, -0.5, 0.0]),
+                    normal=np.array([0.0, 0.0, 1.0]), radius=1.0)
+    steep = FlatBall(center=np.array([0.3, 0.0, 0.2]),
+                     normal=np.array([1.0, 0.0, 0.0]), radius=0.5)
+    # tilted by 0.01 about the x-axis, meeting `flat` along the x-axis:
+    # alternating projection has not met in 400 rounds, so its pair is
+    # still about 1e-3 apart
+    th = 0.01
+    shallow = FlatBall(center=np.array([0.0, 0.5 * np.cos(th), 0.5 * np.sin(th)]),
+                       normal=np.array([0.0, -np.sin(th), np.cos(th)]),
+                       radius=0.6)
+    for other in (steep, shallow):
+        assert flatball_pair_distance(flat, other) == 0.0
+        assert flatball_pair_distance(other, flat) == 0.0
+
+
+def test_planar_disc_distances_are_the_segment_formula():
+    from scipy.spatial import cKDTree
+
+    from labyrinths.shells import build_labyrinth, make_schedule
+
+    lab = build_labyrinth(make_schedule(0.5, 3, 5), dim=2, seed=0)
+    C, N, R = _disc_rows(lab.components)
+    i, j = cKDTree(C).query_pairs(2.0 * R.max() + 0.05,
+                                  output_type="ndarray").T
+    U = np.column_stack([-N[:, 1], N[:, 0]])
+    want = segment_segment_distance_2d(
+        C[i] - R[i, None] * U[i], C[i] + R[i, None] * U[i],
+        C[j] - R[j, None] * U[j], C[j] + R[j, None] * U[j])
+    got = pairs_disc_disc_distance(C[i], N[i], R[i], C[j], N[j], R[j])
+    assert len(got) == 1000
+    assert np.array_equal(got, want)
+    assert got.min() == 0.0032602746444939565

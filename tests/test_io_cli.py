@@ -52,20 +52,17 @@ def test_roundtrip_values_exact(lab, tmp_path):
             assert np.array_equal(cx, cy)
 
 
-def test_component_transform_roundtrips(lab, tmp_path):
-    import copy
-
+def test_component_transform_is_rejected(lab, tmp_path, capsys):
     doc = labyrinth_to_doc(lab)
-    doc["components"][0]["transform"] = [[1.0, 0.0, 0.1], [0.0, 1.0, -0.2]]
+    assert all("transform" not in c for c in doc["components"])
+    doc["components"][1]["transform"] = [[1.0, 0.0, 0.1], [0.0, 1.0, -0.2]]
     p = tmp_path / "t.json"
     p.write_text(dumps_canonical(doc))
-    loaded = load_labyrinth(str(p))
-    assert loaded.components[0].transform.shape == (2, 3)
-    p2 = tmp_path / "t2.json"
-    save_labyrinth(loaded, str(p2))
-    assert json.loads(p2.read_text())["components"][0]["transform"] == \
-        doc["components"][0]["transform"]
-    _ = copy
+    with pytest.raises(MalformedFileError, match=r"components\[1\]\.transform"):
+        load_labyrinth(str(p))
+    assert run_cli("report", str(p)) == 1
+    err = capsys.readouterr().err
+    assert "components[1].transform" in err and "Traceback" not in err
 
 
 def test_malformed_file_names_field(lab, tmp_path):
@@ -169,6 +166,22 @@ def test_cli_verify_fails_when_no_path_is_found(tmp_path, lab, monkeypatch):
     report = json.loads((tmp_path / "lab.report.json").read_text())
     assert report["passed"] is False
     assert "no escape path" in report["reason"]
+
+
+def test_cli_verify_holds_ellipsoid_budget_in_the_ball_frame(tmp_path):
+    # semi-axes 0.5, 0.4: T = diag(2, 2.5) maps the ellipse onto the ball,
+    # so a ball-frame best of about 0.607 certifies only 0.607 / 2.5 in it
+    lab_file = tmp_path / "ell.json"
+    assert run_cli("generate", "--domain", "ellipsoid", "--axes", "0.5,0.4",
+                   "--J", "2", "--out", str(lab_file)) == 0
+    verify = ("verify", str(lab_file), "--seeds", "1", "--nodes", "4000")
+    assert run_cli(*verify, "--M", "0.3") == 2
+    report = json.loads((tmp_path / "ell.report.json").read_text())
+    assert report["budget_M"] == 0.3
+    assert report["budget_ball"] == pytest.approx(0.75, rel=1e-12)
+    best = report["verification"]["best_length"]
+    assert 0.5 < best < 0.75 and report["audit"]["passed"]
+    assert run_cli(*verify, "--M", "0.2") == 0
 
 
 def test_cli_report_names_non_finite_radius(tmp_path, lab, capsys):

@@ -11,6 +11,7 @@ from labyrinths.geometry import (
 )
 from labyrinths.shells import Labyrinth, build_labyrinth, empty_labyrinth, make_schedule
 from labyrinths.verifier import (
+    NEIGHBORS,
     EffortBudget,
     _candidate_pairs,
     _CompArrays,
@@ -18,6 +19,7 @@ from labyrinths.verifier import (
     _drop_blocked,
     _near_pairs,
     _project_to_set,
+    _region_measure,
     _segments_collide,
     _unique_pairs,
     EscapePath,
@@ -97,13 +99,24 @@ def test_roadmap_edges_avoid_components():
 
 def test_edge_key_dedupe_matches_np_unique():
     rm = build_roadmap(SINGLE_LAB.domain, SINGLE_LAB, 3000, 0.0, seed=0)
-    raw = _candidate_pairs(rm.nodes, rm.connect_radius,
-                           EffortBudget().neighbors)
+    raw = _candidate_pairs(rm.nodes, rm.connect_radius, NEIGHBORS)
     raw = raw[np.random.default_rng(0).permutation(len(raw))]
     expect = np.unique(raw, axis=0)
     expect = expect[expect[:, 0] != expect[:, 1]]
     assert len(expect) < len(raw)  # the candidate set has duplicates
     assert np.array_equal(_unique_pairs(raw, len(rm.nodes)), expect)
+
+
+@pytest.mark.parametrize("d, unit_ball", [
+    (2, np.pi), (3, 4.0 * np.pi / 3.0), (4, np.pi ** 2 / 2.0)])
+def test_annulus_measure_is_the_shell_volume(d, unit_ball):
+    region = {"kind": "annulus", "inner": 0.75, "outer": 0.875}
+    assert _region_measure(region, d) == pytest.approx(
+        unit_ball * (0.875 ** d - 0.75 ** d), rel=1e-14)
+    if d == 2:  # bitwise the planar formula the roadmaps were tuned with
+        assert _region_measure(region, 2) == np.pi * (0.875 ** 2 - 0.75 ** 2)
+    box = {"kind": "box", "lo": [-1.0] * d, "hi": [0.5] * d}
+    assert _region_measure(box, d) == 1.5 ** d
 
 
 def _random_discs(rng, d: int, n: int) -> list[FlatBall]:
@@ -217,7 +230,7 @@ def test_roadmap_edges_match_all_pairs_collision_mask():
     lab = annulus_labyrinth(0.5, 1.0, J=2, m=2, dim=2, seed=0)
     rm = build_roadmap(ANNULUS, lab, 6000, 0.0, seed=3)
     pairs = _unique_pairs(_candidate_pairs(rm.nodes, rm.connect_radius,
-                                           EffortBudget().neighbors),
+                                           NEIGHBORS),
                           len(rm.nodes))
     A, B = rm.nodes[pairs[:, 0]], rm.nodes[pairs[:, 1]]
     assert _cover_level(rm.comp, float(np.median(
@@ -342,6 +355,57 @@ def test_audit_flags_inflated_component():
                      if c["name"] == "next-sublevel-clearance")
     assert not clearance["passed"]
     assert clearance["worst_component"] == lab.components[3].level
+
+
+def test_audit_fails_on_intersecting_discs_in_space():
+    th = 0.01  # a shallow crossing along the x-axis
+    comps = [FlatBall(center=np.array([0.0, -0.5, 0.0]),
+                      normal=np.array([0.0, 0.0, 1.0]), radius=1.0),
+             FlatBall(center=np.array([0.0, 0.5 * np.cos(th),
+                                       0.5 * np.sin(th)]),
+                      normal=np.array([0.0, -np.sin(th), np.cos(th)]),
+                      radius=0.6)]
+    rep = audit_labyrinth(Labyrinth(dim=3, domain={"kind": "ball"},
+                                    components=comps))
+    disjoint = next(c for c in rep["checks"]
+                    if c["name"] == "pairwise-disjoint")
+    assert not disjoint["passed"] and disjoint["min_distance"] == 0.0
+    assert not rep["passed"]
+
+
+def _divergence(lab: Labyrinth) -> dict:
+    return next(c for c in audit_labyrinth(lab)["checks"]
+                if c["name"] == "schedule-divergence")
+
+
+def test_divergence_holds_equal_width_schedules_to_their_total():
+    from labyrinths.shells import annulus_labyrinth
+
+    # the first of the 13 equal gaps alone is below the harmonic bound at
+    # J = 1, yet the schedule is not a prefix of a longer one
+    lab = annulus_labyrinth(0.75, 0.875, J=13)
+    rep = audit_labyrinth(lab)
+    check = next(c for c in rep["checks"]
+                 if c["name"] == "schedule-divergence")
+    assert check["passed"] and check["law"] == "equal-width"
+    assert rep["passed"]
+
+
+def test_divergence_holds_other_schedules_at_every_prefix():
+    from labyrinths.shells import schedule_from_radii
+
+    lab = build_labyrinth(make_schedule(0.5, 4, 2), dim=2, seed=0)
+    check = _divergence(lab)
+    assert check["passed"] and check["law"] == "harmonic"
+    # shrink the first harmonic gap tenfold: the total still clears the
+    # bound, its first partial sum does not
+    s = lab.schedule.s.copy()
+    s[0] = 0.5 + 0.1 * (s[0] - 0.5)
+    lab.schedule = schedule_from_radii(0.5, s, 2)
+    check = _divergence(lab)
+    assert not check["passed"] and check["law"] == "harmonic"
+    sums = check["partial_sums"]
+    assert sums[-1] > 0.4 * np.sqrt(0.5) * np.log(5.0)
 
 
 def test_audit_empty_labyrinth():
