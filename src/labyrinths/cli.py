@@ -1,8 +1,9 @@
 """Command line front end: generate, verify, export, report.
 
-Exit codes: 0 success, 1 usage or input error (message names the violated
-constraint), 2 verification or audit failure.  A JSON config file can seed
-any flag; explicit flags win on conflict.
+Exit codes: 0 success, 1 usage or input error (the message names the flag,
+field or constraint), 2 verification or audit failure.  Parse errors exit
+1 too, never with argparse's 2 or a traceback; `--help` exits 0.  A JSON
+config file can seed any flag; explicit flags win on conflict.
 """
 
 from __future__ import annotations
@@ -15,6 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_C, DEFAULT_T
+from .domains import (
+    PRESETS,
+    CollarCollapseError,
+    CoverageError,
+    assemble_patch_labyrinth,
+    ellipsoid_domain,
+    ellipsoid_labyrinth,
+    normalize_ellipsoid,
+    patch_cover,
+)
 from .io import (
     MalformedFileError,
     export_csv,
@@ -38,6 +49,13 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors are usage errors (exit 1)."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated generation parameters; every downstream constraint is
@@ -59,6 +77,8 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.dim < 2:
+            raise UsageError("constraint violated: --dim >= 2")
         if not (0.0 < self.c < 0.5):
             raise UsageError("constraint violated: 0 < c < 1/2")
         if self.t <= 1.0:
@@ -69,6 +89,8 @@ class RunConfig:
             raise UsageError("constraint violated: 0 < s0 < 1")
         if self.J < 1:
             raise UsageError("constraint violated: J >= 1")
+        if self.M is not None and not 0.0 <= self.M < np.inf:
+            raise UsageError("constraint violated: --M finite and >= 0")
         if self.domain == "ellipsoid":
             if not self.axes or len(self.axes) != self.dim \
                     or min(self.axes) <= 0.0:
@@ -76,17 +98,30 @@ class RunConfig:
                                  "positive semi-axes (SPD shape matrix)")
         if self.annuli is not None:
             if len(self.annuli) < 2 or any(
-                    b <= a for a, b in zip(self.annuli, self.annuli[1:])):
-                raise UsageError("constraint violated: annuli must increase "
-                                 "strictly")
+                    b <= a for a, b in zip(self.annuli, self.annuli[1:])) \
+                    or self.annuli[0] <= 0.0 or self.annuli[-1] > 1.0:
+                raise UsageError("constraint violated: --annuli must increase "
+                                 "strictly within (0, 1]")
+            if self.budgets is not None and (
+                    len(self.budgets) != len(self.annuli) - 1
+                    or min(self.budgets) < 0.0):
+                raise UsageError("constraint violated: --Mn needs one "
+                                 "budget >= 0 per consecutive --annuli pair")
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _float_list(text: str) -> tuple[float, ...]:
+    try:
+        vals = tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        vals = ()
+    if not vals or not np.all(np.isfinite(vals)):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated finite numbers, got {text!r}")
+    return vals
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="labyrinths", allow_abbrev=False)
+    top = _Parser(prog="labyrinths", allow_abbrev=False)
     top.add_argument("--config", help="JSON config file; flags win on conflict")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -94,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dim", type=int, default=2)
     gen.add_argument("--domain", default="ball",
                      choices=["ball", "ellipsoid", "ellipse", "superellipse"])
-    gen.add_argument("--axes", default=None,
+    gen.add_argument("--axes", type=_float_list, default=None,
                      help="ellipsoid semi-axes, comma separated")
     gen.add_argument("--s0", type=float, default=0.5)
     gen.add_argument("--J", type=int, default=3)
@@ -104,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--c", type=float, default=DEFAULT_C)
     gen.add_argument("--M", type=float, default=None,
                      help="escape budget (drives smooth-domain schedules)")
-    gen.add_argument("--Mn", default=None,
+    gen.add_argument("--Mn", type=_float_list, default=None,
                      help="per-annulus budgets, comma separated")
-    gen.add_argument("--annuli", default=None,
+    gen.add_argument("--annuli", type=_float_list, default=None,
                      help="exhaustion radii, comma separated")
     gen.add_argument("--patch-radius", type=float, default=0.9)
     gen.add_argument("--eta", type=float, default=0.08)
@@ -118,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("file")
     ver.add_argument("--M", type=float, required=True)
     ver.add_argument("--seeds", type=int, default=4)
-    ver.add_argument("--nodes", default=None,
-                     help="node budgets, comma separated")
+    ver.add_argument("--nodes", type=_float_list, default=None,
+                     help="node budgets (each >= 100), comma separated")
     ver.add_argument("--source", type=float, default=None,
                      help="source sphere radius (defaults from the domain)")
     ver.add_argument("--target", type=float, default=None)
@@ -131,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--csv", default=None)
     exp.add_argument("--path-from", default=None,
                      help="verification report whose best path to overlay")
-    exp.add_argument("--projection", default=None,
+    exp.add_argument("--projection", type=_float_list, default=None,
                      help="axis pair for dim > 2, e.g. 0,1")
 
     rep = sub.add_parser("report", help="run the structural audit and print it")
@@ -142,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(argv: list[str]) -> list[str]:
     """Inject config-file values as defaults; explicit flags still win."""
-    probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    probe = _Parser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
@@ -154,18 +189,10 @@ def _apply_config(argv: list[str]) -> list[str]:
         raise UsageError(f"config file unusable: {exc}") from exc
     if not isinstance(conf, dict):
         raise UsageError("config file must hold a JSON object")
-    out = []
-    skip = False
-    for i, a in enumerate(argv):  # drop --config itself; subparsers never see it
-        if skip:
-            skip = False
-            continue
-        if a == "--config":
-            skip = True
-            continue
-        if a.startswith("--config="):
-            continue
-        out.append(a)
+    # drop --config and its value; subparsers never see it
+    out = [a for i, a in enumerate(argv) if a != "--config"
+           and not a.startswith("--config=")
+           and not (i and argv[i - 1] == "--config")]
     present = set(a.split("=")[0] for a in out if a.startswith("--"))
     insert_at = 1 if out and not out[0].startswith("-") else 0
     for key, val in conf.items():
@@ -178,11 +205,9 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(
-        dim=args.dim, domain=args.domain,
-        axes=tuple(_float_list(args.axes)) if args.axes else None,
+        dim=args.dim, domain=args.domain, axes=args.axes,
         s0=args.s0, J=args.J, m=args.m, t=args.t, c=args.c, M=args.M,
-        budgets=tuple(_float_list(args.Mn)) if args.Mn else None,
-        annuli=tuple(_float_list(args.annuli)) if args.annuli else None,
+        budgets=args.Mn, annuli=args.annuli,
         patch_radius=args.patch_radius, eta=args.eta, seed=args.seed)
     cfg.validate()
     return cfg
@@ -217,26 +242,15 @@ def cmd_generate(args) -> int:
                         audit_out)
         return 0 if all_pass else 2
 
-    if cfg.domain == "ball":
+    if cfg.domain in ("ball", "ellipsoid"):
         m = cfg.m or calibrated_class_count(cfg.dim, cfg.c, seed)
         sched = make_schedule(cfg.s0, cfg.J, m, cfg.t, cfg.c)
-        lab = build_labyrinth(sched, cfg.dim, seed=seed)
-    elif cfg.domain == "ellipsoid":
-        from .domains import ellipsoid_domain, ellipsoid_labyrinth
-
-        dom = ellipsoid_domain(np.diag([1.0 / a ** 2 for a in cfg.axes]))
-        m = cfg.m or calibrated_class_count(cfg.dim, cfg.c, seed)
-        sched = make_schedule(cfg.s0, cfg.J, m, cfg.t, cfg.c)
-        lab = ellipsoid_labyrinth(dom, sched, seed=seed)
+        if cfg.domain == "ball":
+            lab = build_labyrinth(sched, cfg.dim, seed=seed)
+        else:
+            dom = ellipsoid_domain(np.diag([1.0 / a ** 2 for a in cfg.axes]))
+            lab = ellipsoid_labyrinth(dom, sched, seed=seed)
     else:
-        from .domains import (
-            CollarCollapseError,
-            CoverageError,
-            PRESETS,
-            assemble_patch_labyrinth,
-            patch_cover,
-        )
-
         if cfg.dim != 2:
             raise UsageError("smooth presets are planar (dim 2)")
         if cfg.M is None:
@@ -263,11 +277,7 @@ def _sibling(path: str, suffix: str) -> str:
 
 
 def cmd_verify(args) -> int:
-    try:
-        lab = load_labyrinth(args.file)
-    except (MalformedFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    lab = _load(args.file)
     dom = lab.domain
     if args.source is not None and args.target is not None:
         source = {"kind": "sphere", "radius": args.source}
@@ -281,11 +291,12 @@ def cmd_verify(args) -> int:
         source = {"kind": "sphere", "radius": lab.scale * lab.schedule.s0}
         target = {"kind": "sphere", "radius": lab.scale}
     else:
-        print("error: no source/target given and none derivable from the "
-              "domain", file=sys.stderr)
-        return 1
-    budgets = tuple(int(v) for v in _float_list(args.nodes)) if args.nodes \
-        else EffortBudget.default(lab.dim).node_budgets
+        raise UsageError("no --source/--target given and none derivable "
+                         "from the domain")
+    budgets = tuple(int(v) for v in args.nodes or ()) \
+        or EffortBudget.default(lab.dim).node_budgets
+    if min(budgets) < 100:
+        raise UsageError("--nodes: node budgets must be at least 100")
     effort = EffortBudget(seeds=tuple(range(args.seeds)), node_budgets=budgets)
     report = min_escape_length(lab, source, target, effort)
     audit = audit_labyrinth(lab)
@@ -295,8 +306,7 @@ def cmd_verify(args) -> int:
     if dom.get("kind") == "ellipsoid":
         # T maps the domain onto the ball and stretches lengths by at most
         # |T| = sqrt(lambda_max(matrix)), so M holds if best > |T| M
-        norm_t = float(np.sqrt(np.linalg.eigvalsh(
-            np.asarray(dom["matrix"], dtype=float)).max()))
+        norm_t = normalize_ellipsoid(dom["matrix"]).norm_to_ball
         budget = out["budget_ball"] = norm_t * args.M
     # a search that found no path at all is no evidence either way
     ok = audit["passed"] and best is not None and best > budget
@@ -313,34 +323,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        lab = load_labyrinth(args.file)
-    except (MalformedFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    lab = _load(args.file)
     if args.svg is None and args.csv is None:
-        print("error: nothing to export; pass --svg and/or --csv",
-              file=sys.stderr)
-        return 1
-    projection = None
-    if args.projection:
-        pair = [int(v) for v in args.projection.split(",")]
-        if len(pair) != 2:
-            print("error: projection must be two axes", file=sys.stderr)
-            return 1
-        projection = (pair[0], pair[1])
+        raise UsageError("nothing to export; pass --svg and/or --csv")
+    projection = args.projection
+    if projection is not None:
+        if len(projection) != 2 or projection[0] == projection[1] \
+                or not all(a in range(lab.dim) for a in projection):
+            raise UsageError(f"--projection needs two distinct axes in "
+                             f"0..{lab.dim - 1}")
+        projection = tuple(int(a) for a in projection)
     if args.svg:
         if lab.dim != 2 and projection is None:
-            print("error: SVG export beyond the plane needs --projection",
-                  file=sys.stderr)
-            return 1
-        overlay = None
-        if args.path_from:
-            with open(args.path_from, "r", encoding="utf-8") as f:
-                rep = json.load(f)
-            best = rep.get("verification", rep).get("best_path")
-            if best and best.get("polyline"):
-                overlay = np.asarray(best["polyline"], dtype=float)
+            raise UsageError("SVG export beyond the plane needs --projection")
+        overlay = _overlay_path(args.path_from, lab.dim) \
+            if args.path_from else None
         export_svg(lab, args.svg, escape_path=overlay, projection=projection)
         print(f"svg -> {args.svg}")
     if args.csv:
@@ -349,12 +346,31 @@ def cmd_export(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
+def _overlay_path(path: str, dim: int) -> np.ndarray | None:
+    """Best path of a verification report, None if it found none."""
     try:
-        lab = load_labyrinth(args.file)
+        with open(path, "r", encoding="utf-8") as f:
+            rep = json.load(f)
+        best = rep.get("verification", rep)["best_path"]
+        poly = None if best is None else np.asarray(best["polyline"], float)
+    except (OSError, ValueError, RecursionError, AttributeError, KeyError,
+            TypeError) as exc:
+        raise UsageError(f"--path-from: not a readable verification report "
+                         f"({type(exc).__name__}: {exc})") from exc
+    if poly is not None and (poly.ndim != 2 or poly.shape[1] != dim):
+        raise UsageError(f"--path-from: best path is not a {dim}-d polyline")
+    return poly
+
+
+def _load(path: str):
+    try:
+        return load_labyrinth(path)
     except (MalformedFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise UsageError(str(exc)) from exc
+
+
+def cmd_report(args) -> int:
+    lab = _load(args.file)
     audit = audit_labyrinth(lab)
     if audit.get("empty"):
         print("labyrinth is empty: all checks hold vacuously")

@@ -1,4 +1,11 @@
-"""Convex domains beyond the ball: ellipsoids exactly, smooth domains locally.
+"""Convex domains {rho < 0}: ellipsoids exactly, smooth domains locally.
+
+Every domain is one model: a defining function rho with its gradient and
+Hessian.  A ball or an ellipsoid is the quadric rho = x'Ax - 1 and keeps A,
+which gives the boundary point along a ray and the extent in closed form;
+osculating charts, the boundary distance and containment read rho alone.
+Only the file descriptor reads the kind: it resolves to a domain of the
+file's dimension (:func:`resolve_domain`) and back (`descriptor`).
 
 Ellipsoids are handled by one global linear change of coordinates.  Smooth
 strictly convex domains get local affine osculating maps at boundary
@@ -22,6 +29,19 @@ from .geometry import FlatBall, tangent_basis, unit_vector
 from .shells import Labyrinth, build_shell, schedule_from_radii
 
 
+# patch covers: boundary samples, and ring samples per patch for the gap
+PATCH_BOUNDARY_SAMPLES = 2048
+PATCH_RING_SAMPLES = 1024
+# chart validity: tangent directions (beyond the plane) and radii tried
+VALIDITY_DIRECTIONS = 16
+VALIDITY_STEPS = 24
+# patch assembly: one shell per step, placed in the band [0.88, 0.97] of the
+# collar depth, with a chart deviation of 15% of the band's inner edge
+SHELLS_PER_STEP = 1
+COLLAR_BAND = (0.88, 0.97)
+DEVIATION_FRACTION = 0.15
+
+
 class CoverageError(RuntimeError):
     """Patch shrinking could not keep the boundary covered with a gap."""
 
@@ -34,18 +54,19 @@ class CollarCollapseError(RuntimeError):
 class ConvexDomain:
     """Bounded convex domain {rho < 0} containing the origin.
 
-    kind "ball" and "ellipsoid" carry exact data; kind "smooth" carries a
-    defining function with gradient and Hessian callables, required to be
-    strictly convex on the boundary (tangential Hessian positive definite
-    at sampled boundary points, validated at construction).
+    Every domain carries the defining function with gradient and Hessian
+    callables, strictly convex on the boundary.  Kinds "ball" and
+    "ellipsoid" are the quadric x'Ax - 1 and keep A in `matrix`; kind
+    "smooth" is validated at construction (tangential Hessian positive
+    definite at sampled boundary points).
     """
 
     kind: str
     dim: int
+    rho: Callable[[np.ndarray], float]
+    grad: Callable[[np.ndarray], np.ndarray]
+    hess: Callable[[np.ndarray], np.ndarray]
     matrix: np.ndarray | None = None
-    rho: Callable[[np.ndarray], float] | None = None
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
-    hess: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
 
     def descriptor(self) -> dict:
@@ -56,8 +77,17 @@ class ConvexDomain:
         return {"kind": "smooth", "preset": self.name}
 
 
+def _quadric_domain(kind: str, A: np.ndarray) -> ConvexDomain:
+    """{x : x'Ax < 1}: rho = x'Ax - 1, grad = 2Ax, hess = 2A."""
+    return ConvexDomain(
+        kind=kind, dim=A.shape[0], matrix=A, name=kind,
+        rho=lambda x: np.einsum("...i,ij,...j->...", x, A, x) - 1.0,
+        grad=lambda x: 2.0 * np.asarray(x, dtype=float) @ A,
+        hess=lambda x: 2.0 * A)
+
+
 def ball_domain(dim: int = 2) -> ConvexDomain:
-    return ConvexDomain(kind="ball", dim=dim, matrix=np.eye(dim), name="ball")
+    return _quadric_domain("ball", np.eye(dim))
 
 
 def ellipsoid_domain(matrix) -> ConvexDomain:
@@ -67,8 +97,7 @@ def ellipsoid_domain(matrix) -> ConvexDomain:
         raise ValueError("shape matrix must be symmetric")
     if np.linalg.eigvalsh(A).min() <= 1e-10:
         raise ValueError("shape matrix must be positive definite")
-    return ConvexDomain(kind="ellipsoid", dim=A.shape[0], matrix=A,
-                        name="ellipsoid")
+    return _quadric_domain("ellipsoid", A)
 
 
 def _smooth_domain(name: str, dim: int, rho, grad, hess,
@@ -132,26 +161,29 @@ def superellipse_preset() -> ConvexDomain:
 PRESETS = {"ellipse": ellipse_preset, "superellipse": superellipse_preset}
 
 
-def resolve_domain(descriptor: dict) -> ConvexDomain:
+def resolve_domain(descriptor: dict, dim: int) -> ConvexDomain:
+    """The `dim`-dimensional domain a file's descriptor names."""
     kind = descriptor.get("kind")
     if kind == "ball":
-        return ball_domain(descriptor.get("dim", 2))
-    if kind == "ellipsoid":
-        return ellipsoid_domain(np.asarray(descriptor["matrix"], dtype=float))
-    if kind == "smooth":
+        dom = ball_domain(dim)
+    elif kind == "ellipsoid":
+        dom = ellipsoid_domain(np.asarray(descriptor["matrix"], dtype=float))
+    elif kind == "smooth":
         name = descriptor.get("preset")
         if name not in PRESETS:
             raise ValueError(f"unknown smooth preset {name!r}")
-        return PRESETS[name]()
-    raise ValueError(f"unknown domain kind {kind!r}")
+        dom = PRESETS[name]()
+    else:
+        raise ValueError(f"unknown domain kind {kind!r}")
+    if dom.dim != dim:
+        raise ValueError(f"domain is not {dim}-dimensional")
+    return dom
 
 
 def boundary_point(dom: ConvexDomain, direction: np.ndarray) -> np.ndarray:
     """Boundary point along a ray from the origin."""
     u = unit_vector(direction)
-    if dom.kind == "ball":
-        return u
-    if dom.kind == "ellipsoid":
+    if dom.matrix is not None:
         return u / np.sqrt(float(u @ dom.matrix @ u))
     hi = 1.0
     while dom.rho(hi * u) < 0.0:
@@ -184,12 +216,6 @@ def boundary_distance(dom: ConvexDomain, pts: np.ndarray) -> np.ndarray:
     accuracy.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if dom.kind == "ball":
-        return 1.0 - np.linalg.norm(pts, axis=1)
-    if dom.kind == "ellipsoid":
-        q = np.sqrt(np.einsum("ij,jk,ik->i", pts, dom.matrix, pts))
-        scale = np.where(q > 0.0, 1.0 / np.maximum(q, 1e-300), 0.0)
-        return np.linalg.norm(pts - pts * scale[:, None], axis=1)
     x = pts.copy()
     for _ in range(8):
         vals = np.asarray(dom.rho(x))
@@ -323,21 +349,10 @@ def osculating_map(dom: ConvexDomain, x: np.ndarray,
     which matters on flat boundary stretches where the chart compresses.
     """
     x = np.asarray(x, dtype=float)
-    if dom.kind == "smooth":
-        if abs(dom.rho(x)) > 1e-9:
-            raise ValueError("base point must lie on the boundary")
-        g = dom.grad(x)
-        H = dom.hess(x)
-    elif dom.kind == "ellipsoid":
-        if abs(float(x @ dom.matrix @ x) - 1.0) > 1e-9:
-            raise ValueError("base point must lie on the boundary")
-        g = 2.0 * dom.matrix @ x
-        H = 2.0 * dom.matrix
-    else:
-        if abs(np.linalg.norm(x) - 1.0) > 1e-9:
-            raise ValueError("base point must lie on the boundary")
-        g = 2.0 * x
-        H = 2.0 * np.eye(dom.dim)
+    if abs(dom.rho(x)) > 1e-9:
+        raise ValueError("base point must lie on the boundary")
+    g = dom.grad(x)
+    H = dom.hess(x)
     ng = float(np.linalg.norm(g))
     n_out = g / ng
     B = tangent_basis(n_out)
@@ -362,18 +377,17 @@ def osculating_map(dom: ConvexDomain, x: np.ndarray,
                          deviation_bound=deviation_bound, normal_scale=s_n)
 
 
-def _measure_validity(dom, x, n_out, B, L, chart_deviation,
-                      dirs: int = 16, steps: int = 24) -> float:
+def _measure_validity(dom, x, n_out, B, L, chart_deviation) -> float:
     """Largest sampled chart radius keeping |(|z|-1)| within chart_deviation."""
     e1 = np.zeros(dom.dim)
     e1[0] = 1.0
     if dom.dim == 2:
         tangents = [B[:, 0], -B[:, 0]]
     else:
-        ang = 2.0 * np.pi * np.arange(dirs) / dirs
+        n = VALIDITY_DIRECTIONS
+        ang = 2.0 * np.pi * np.arange(n) / n
         tangents = [np.cos(a) * B[:, 0] + np.sin(a) * B[:, 1] for a in ang]
-    extent = 2.0 * _domain_extent(dom)
-    radii = extent * np.geomspace(1e-3, 0.5, steps)
+    radii = 2.0 * domain_extent(dom) * np.geomspace(1e-3, 0.5, VALIDITY_STEPS)
     good = 0.0
     for r in radii:
         worst = 0.0
@@ -395,7 +409,7 @@ def _measure_validity(dom, x, n_out, B, L, chart_deviation,
 
 def _boundary_near(dom, y, n_out):
     """Boundary point reached from y along the normal direction."""
-    f = lambda s: _rho_eval(dom, y + s * n_out)
+    f = lambda s: float(dom.rho(y + s * n_out))
     lo, hi = -0.5, 0.5
     flo, fhi = f(lo), f(hi)
     tries = 0
@@ -410,28 +424,15 @@ def _boundary_near(dom, y, n_out):
     return y + s * n_out
 
 
-def _rho_eval(dom: ConvexDomain, y: np.ndarray) -> float:
-    if dom.kind == "ball":
-        return float(y @ y - 1.0)
-    if dom.kind == "ellipsoid":
-        return float(y @ dom.matrix @ y - 1.0)
-    return float(dom.rho(y))
-
-
 def rho_values(dom: ConvexDomain, pts: np.ndarray) -> np.ndarray:
     """Defining-function values on many points."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if dom.kind == "ball":
-        return np.einsum("ij,ij->i", pts, pts) - 1.0
-    if dom.kind == "ellipsoid":
-        return np.einsum("ij,jk,ik->i", pts, dom.matrix, pts) - 1.0
-    return np.asarray(dom.rho(pts))
+    return np.asarray(dom.rho(np.atleast_2d(np.asarray(pts, dtype=float))))
 
 
-def _domain_extent(dom: ConvexDomain) -> float:
-    if dom.kind == "ball":
-        return 1.0
-    if dom.kind == "ellipsoid":
+def domain_extent(dom: ConvexDomain) -> float:
+    """Largest distance from the origin to the boundary along an axis; for
+    a quadric, 1/sqrt(lambda_min(A)), the largest over all directions."""
+    if dom.matrix is not None:
         return float(1.0 / np.sqrt(np.linalg.eigvalsh(dom.matrix).min()))
     return max(np.linalg.norm(boundary_point(dom, u))
                for u in np.eye(dom.dim))
@@ -456,16 +457,14 @@ class PatchCover:
     eta: float
     delta: float
     boundary: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    samples_per_patch: int = 512
 
     @property
     def k(self) -> int:
         return len(self.centers)
 
 
-def patch_cover(dom: ConvexDomain, patch_radius: float, eta: float,
-                boundary_count: int = 2048,
-                samples_per_patch: int = 1024) -> PatchCover:
+def patch_cover(dom: ConvexDomain, patch_radius: float,
+                eta: float) -> PatchCover:
     """Greedy boundary cover by patch balls, then a gap-maximising shrink.
 
     Patch centres are chosen farthest-point-first among boundary samples
@@ -474,7 +473,7 @@ def patch_cover(dom: ConvexDomain, patch_radius: float, eta: float,
     requested one to maximise the measured collar gap delta (measured by
     sampled distances between patch boundaries restricted to the collar).
     """
-    bnd = boundary_samples(dom, boundary_count)
+    bnd = boundary_samples(dom, PATCH_BOUNDARY_SAMPLES)
     inradius = float(np.min(np.linalg.norm(bnd, axis=1)))
     if not (0.0 < eta < 0.25 * inradius):
         raise ValueError("eta must be small relative to the domain inradius")
@@ -485,28 +484,27 @@ def patch_cover(dom: ConvexDomain, patch_radius: float, eta: float,
         i = int(np.argmax(d2))
         centers.append(bnd[i])
         d2 = np.minimum(d2, np.linalg.norm(bnd - bnd[i], axis=1))
-        if len(centers) > boundary_count:
+        if len(centers) > PATCH_BOUNDARY_SAMPLES:
             raise CoverageError("patch radius too small to cover the boundary")
     centers = np.asarray(centers)
     covering_need = float(d2.max()) / patch_radius  # fraction of radius used
     best = None
     for f in np.linspace(min(1.0, covering_need + 0.05), 1.0, 16):
         delta = _measure_delta(dom, centers, f * patch_radius, eta,
-                               samples_per_patch)
+                               PATCH_RING_SAMPLES)
         if delta is not None and (best is None or delta > best[1]):
             best = (f, delta)
     if best is None or best[1] <= 0.0:
         raise CoverageError("no radius in range yields a positive collar gap")
     f, delta = best
     return PatchCover(domain=dom, centers=centers, radius=f * patch_radius,
-                      eta=eta, delta=delta, boundary=bnd,
-                      samples_per_patch=samples_per_patch)
+                      eta=eta, delta=delta, boundary=bnd)
 
 
 def measure_delta(cover: PatchCover, sample_factor: int = 1) -> float | None:
     """Re-measure the collar gap at a denser per-patch sampling."""
     return _measure_delta(cover.domain, cover.centers, cover.radius,
-                          cover.eta, cover.samples_per_patch * sample_factor)
+                          cover.eta, PATCH_RING_SAMPLES * sample_factor)
 
 
 def _measure_delta(dom, centers, radius, eta, samples) -> float | None:
@@ -564,14 +562,12 @@ def patch_schedule(cover: PatchCover, M: float) -> list[int]:
 
 def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
                              t: float = DEFAULT_T, c: float = DEFAULT_C,
-                             seed: int = 0, shells_per_step: int = 1,
-                             band: tuple[float, float] = (0.88, 0.97),
-                             collar_floor: float = 1e-6,
-                             deviation_fraction: float = 0.15) -> Labyrinth:
+                             seed: int = 0,
+                             collar_floor: float = 1e-6) -> Labyrinth:
     """Iterate the patch schedule, stacking disc layers in shrinking collars.
 
     Step j builds a local shell stack inside patch U_(sigma j), placed in
-    the osculating chart within the band [band0, band1] * eta_j of current
+    the osculating chart within the band COLLAR_BAND * eta_j of current
     collar depth, then maps it back (exactly, segments to segments in the
     plane).  The collar width eta_(j+1) is re-measured as the distance from
     the boundary to everything built so far, and must decrease strictly;
@@ -584,19 +580,19 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
     eta = cover.eta
     collar_widths: list[float] = []
     components: list[FlatBall] = []
-    alpha, beta = band
+    alpha, beta = COLLAR_BAND
     for step, pidx in enumerate(schedule):
         if eta < collar_floor:
             raise CollarCollapseError(
                 f"collar width {eta:.3g} fell below {collar_floor} at step "
                 f"{step} of {len(schedule)}")
         center = cover.centers[pidx]
-        dev = min(0.05, deviation_fraction * alpha * eta)
+        dev = min(0.05, DEVIATION_FRACTION * alpha * eta)
         osc = osculating_map(dom, center, deviation_bound=dev)
         h = osc.normal_scale * eta
         s_lo, s_hi = 1.0 - beta * h, 1.0 - alpha * h
-        js = np.arange(1, shells_per_step + 1)
-        radii = s_lo + js * (s_hi - s_lo) / (shells_per_step + 1)
+        js = np.arange(1, SHELLS_PER_STEP + 1)
+        radii = s_lo + js * (s_hi - s_lo) / (SHELLS_PER_STEP + 1)
         local = schedule_from_radii(s_lo, radii, 2, t, c)
         window = min(osc.validity_radius * np.linalg.norm(osc.linear, 2),
                      cover.radius * 0.9 * np.linalg.norm(osc.linear, 2))

@@ -260,11 +260,13 @@ def pairs_disc_disc_distance(C1, N1, R1, C2, N2, R2) -> np.ndarray:
 
     In the plane the discs are segments and the distance is exact.  Beyond
     it, alternating projection (Cheney & Goldstein 1959) from the first
-    centres, for at most 400 rounds or until no row gains 1e-10, ends at a
-    pair x, y that only upper-bounds the distance.  Along w = (x-y)/|x-y|,
-    disc 1 lies where p.w >= c1.w - r1 sqrt(1-(n1.w)^2) and disc 2 where
-    p.w <= c2.w + r2 sqrt(1-(n2.w)^2); the gap between these bounds the
-    distance from below.  The result is min(|x-y|, gap), clipped at 0.
+    centres ends at a pair x, y that only upper-bounds the distance; each
+    row stops after 400 rounds or once it gains less than 1e-10, so its
+    value does not depend on the other rows of the batch.  Along
+    w = (x-y)/|x-y|, disc 1 lies where p.w >= c1.w - r1 sqrt(1-(n1.w)^2)
+    and disc 2 where p.w <= c2.w + r2 sqrt(1-(n2.w)^2); the gap between
+    these bounds the distance from below.  The result is min(|x-y|, gap),
+    clipped at 0.
     """
     if C1.shape[1] == 2:
         U1 = np.column_stack([-N1[:, 1], N1[:, 0]])
@@ -272,15 +274,18 @@ def pairs_disc_disc_distance(C1, N1, R1, C2, N2, R2) -> np.ndarray:
         return _pairs_segseg_distance_2d(
             C1 - R1[:, None] * U1, C1 + R1[:, None] * U1,
             C2 - R2[:, None] * U2, C2 + R2[:, None] * U2)
-    x = C1.copy()
-    prev = np.full(len(C1), np.inf)
+    x, y = C1.copy(), C1.copy()
+    d = np.full(len(C1), np.inf)
+    live = np.arange(len(C1))
     for _ in range(400):
-        y = _pairs_project_to_disc(x, C2, N2, R2)
-        x = _pairs_project_to_disc(y, C1, N1, R1)
-        d = np.linalg.norm(x - y, axis=1)
-        if np.all(prev - d < 1e-10):
+        if len(live) == 0:
             break
-        prev = d
+        y[live] = _pairs_project_to_disc(x[live], C2[live], N2[live], R2[live])
+        x[live] = _pairs_project_to_disc(y[live], C1[live], N1[live], R1[live])
+        new = np.linalg.norm(x[live] - y[live], axis=1)
+        gain = d[live] - new
+        d[live] = new
+        live = live[gain >= 1e-10]
     w = (x - y) / np.where(d > 0.0, d, 1.0)[:, None]
 
     def reach(C, N, R):  # largest |p.w - c.w| over the disc

@@ -12,12 +12,14 @@ import math
 
 import numpy as np
 
-from .domains import resolve_domain
+from .domains import boundary_samples, domain_extent, resolve_domain
 from .geometry import FlatBall
 from .nets import SeparatedNet
 from .shells import Labyrinth, ShellSchedule
 
 FORMAT_VERSION = 1
+# SVG drawing units per unit length
+SVG_UNIT = 1000.0
 
 
 class MalformedFileError(ValueError):
@@ -113,8 +115,6 @@ def _check_domain(domain: dict, dim: int) -> None:
     """Reject a domain whose fields the verifier, audit or export would
     trip over; the message names the field."""
     kind = domain.get("kind")
-    if kind == "ball":
-        return
     if kind == "annulus":
         for name in ("inner", "outer"):
             if not _finite_number(domain.get(name)):
@@ -148,13 +148,10 @@ def _check_domain(domain: dict, dim: int) -> None:
     name = "matrix" if kind == "ellipsoid" else \
         "preset" if kind == "smooth" else "kind"
     try:
-        dom = resolve_domain(domain)
+        resolve_domain(domain, dim)
     except (TypeError, ValueError) as exc:
         raise MalformedFileError(
             f"field 'domain.{name}' invalid: {exc}") from exc
-    if dom.dim != dim:
-        raise MalformedFileError(
-            f"field 'domain.{name}' is not {dim}-dimensional")
 
 
 def doc_to_labyrinth(doc: dict) -> Labyrinth:
@@ -295,12 +292,11 @@ def _svg_transform_2d(lab: Labyrinth):
 
 
 def export_svg(lab: Labyrinth, path: str, escape_path=None,
-               projection: tuple[int, int] | None = None,
-               unit: float = 1000.0) -> dict:
+               projection: tuple[int, int] | None = None) -> dict:
     """Draw the domain outline, faint sublevel circles, components, path.
 
     Components are one stroke each; the viewBox tightly bounds the domain
-    scaled so the unit length is 1000 drawing units.  For dim > 2 a
+    scaled so the unit length is SVG_UNIT drawing units.  For dim > 2 a
     projection pair of axes must be given.
     """
     if lab.dim != 2 and projection is None:
@@ -310,19 +306,19 @@ def export_svg(lab: Labyrinth, path: str, escape_path=None,
 
     def pt(x):
         y = M @ x
-        return unit * y[axes[0]], -unit * y[axes[1]]
+        return SVG_UNIT * y[axes[0]], -SVG_UNIT * y[axes[1]]
 
     bound = _domain_bound(lab)
-    half = unit * bound * 1.0
+    half = SVG_UNIT * bound * 1.0
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_fmt(-half)} {_fmt(-half)} {_fmt(2 * half)} {_fmt(2 * half)}">',
     ]
-    lines.extend(_domain_outline_svg(lab, unit))
+    lines.extend(_domain_outline_svg(lab, SVG_UNIT))
     if lab.schedule is not None:
         for j in range(lab.schedule.J):
             for k in range(lab.schedule.m):
-                r = unit * lab.scale * lab.schedule.sublevels[j, k]
+                r = SVG_UNIT * lab.scale * lab.schedule.sublevels[j, k]
                 lines.append(
                     f'<circle cx="0" cy="0" r="{_fmt(r)}" fill="none" '
                     f'stroke="#dddddd" stroke-width="1"/>')
@@ -357,17 +353,11 @@ def export_svg(lab: Labyrinth, path: str, escape_path=None,
 
 
 def _domain_bound(lab: Labyrinth) -> float:
-    dom = lab.domain
-    kind = dom.get("kind")
+    kind = lab.domain.get("kind")
     if kind == "annulus":
-        return float(dom["outer"])
-    if kind == "ellipsoid":
-        A = np.asarray(dom["matrix"], dtype=float)
-        return float(1.0 / np.sqrt(np.linalg.eigvalsh(A).min()))
-    if kind == "smooth":
-        from .domains import _domain_extent, resolve_domain
-
-        return _domain_extent(resolve_domain(dom))
+        return float(lab.domain["outer"])
+    if kind in ("ellipsoid", "smooth"):
+        return domain_extent(resolve_domain(lab.domain, lab.dim))
     return max(1.0, lab.scale)
 
 
@@ -383,9 +373,7 @@ def _domain_outline_svg(lab: Labyrinth, unit: float) -> list[str]:
     if kind == "ball":
         return [f'<circle cx="0" cy="0" r="{_fmt(unit * max(1.0, lab.scale))}" {style}/>']
     if kind in ("ellipsoid", "smooth"):
-        from .domains import boundary_samples, resolve_domain
-
-        bnd = boundary_samples(resolve_domain(dom), 256)
+        bnd = boundary_samples(resolve_domain(dom, lab.dim), 256)
         pts = " ".join(f"{_fmt(unit * p[0])},{_fmt(-unit * p[1])}" for p in bnd)
         return [f'<polygon points="{pts}" {style}/>']
     return []

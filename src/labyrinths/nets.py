@@ -65,14 +65,13 @@ class SeparatedNet:
 _NET_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def greedy_net(d: int, delta: float, seed: int = 0,
-               candidate_cap: int = CANDIDATE_CAP) -> np.ndarray:
+def greedy_net(d: int, delta: float, seed: int = 0) -> np.ndarray:
     """Maximal delta-separated subset of S^(d-1).
 
     Farthest-point selection over a quasi-uniform candidate set whose
     resolution is min(delta/2, sampling_slack(d, 1e5)); candidate count
     grows like (4/resolution)^(d-1) and the call fails rather than degrade
-    once it exceeds `candidate_cap`.  The result is pairwise >= delta
+    once it exceeds CANDIDATE_CAP.  The result is pairwise >= delta
     separated (up to a 1e-12 relative slack that admits exact ties) and
     every candidate lies within delta of it, so the sphere is covered at
     delta plus the candidate resolution.  Deterministic given (d, delta,
@@ -82,14 +81,14 @@ def greedy_net(d: int, delta: float, seed: int = 0,
         raise ValueError("dimension must be >= 2")
     if not (0.0 < delta <= 2.0):
         raise ValueError("delta must lie in (0, 2]")
-    key = (d, float(delta), int(seed), int(candidate_cap))
+    key = (d, float(delta), int(seed))
     if key in _NET_CACHE:
         return _NET_CACHE[key]
     eps = min(delta / 2.0, sampling_slack(d, COVER_SAMPLES))
     need = int(np.ceil((4.0 / eps) ** (d - 1)))
-    if need > candidate_cap:
+    if need > CANDIDATE_CAP:
         raise NetBudgetError(
-            f"candidate budget {need} exceeds cap {candidate_cap} "
+            f"candidate budget {need} exceeds cap {CANDIDATE_CAP} "
             f"(d={d}, delta={delta})")
     cand = sphere_candidates(d, need)
     idx = farthest_point_order(cand, start=seed % len(cand),

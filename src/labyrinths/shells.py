@@ -18,6 +18,9 @@ from .config import DEFAULT_C, DEFAULT_T, RADIUS_SAFETY
 from .geometry import FlatBall
 from .nets import SeparatedNet, build_separated_families
 
+# sublevels per shell of the exhaustion's annulus labyrinths
+ANNULUS_SUBLEVELS = 2
+
 
 class DegenerateScheduleError(ValueError):
     """Sublevel radii fail to increase strictly."""
@@ -330,22 +333,19 @@ class ExhaustionPlan:
 
 def annulus_labyrinth(rho_in: float, rho_out: float, J: int, m: int = 2,
                       dim: int = 2, t: float = DEFAULT_T, c: float = DEFAULT_C,
-                      seed: int = 0, uniform: bool = True) -> Labyrinth:
+                      seed: int = 0) -> Labyrinth:
     """Shell labyrinth filling the open annulus rho_in < |x| < rho_out.
 
     Built in unit-ball coordinates with s0 = rho_in/rho_out and scaled by
     rho_out, so every tangent disc stays tangent to its (scaled) sphere.
-    Annuli default to equal-width shells: inside a fixed band that spreads
-    the forced detours evenly and keeps every inter-sublevel corridor at
-    the same, samplable width (the harmonic default would shrink the outer
+    Annuli get equal-width shells: inside a fixed band that spreads the
+    forced detours evenly and keeps every inter-sublevel corridor at the
+    same, samplable width (a harmonic schedule would shrink the outer
     corridors below any fixed search resolution).
     """
     s0 = rho_in / rho_out
-    if uniform:
-        j = np.arange(1, J + 1)
-        sched = schedule_from_radii(s0, s0 + j * (1.0 - s0) / (J + 1), m, t, c)
-    else:
-        sched = make_schedule(s0, J, m, t, c)
+    j = np.arange(1, J + 1)
+    sched = schedule_from_radii(s0, s0 + j * (1.0 - s0) / (J + 1), m, t, c)
     domain = {"kind": "annulus", "inner": float(rho_in), "outer": float(rho_out)}
     return build_labyrinth(sched, dim, seed=seed, domain=domain, scale=rho_out)
 
@@ -353,8 +353,7 @@ def annulus_labyrinth(rho_in: float, rho_out: float, J: int, m: int = 2,
 def exhaustion_labyrinth(plan: ExhaustionPlan, dim: int = 2,
                          t: float = DEFAULT_T, c: float = DEFAULT_C,
                          seed: int = 0, shell_cap: int = 32,
-                         effort=None, search_effort=None,
-                         m_start: int = 2) -> list[dict]:
+                         effort=None, search_effort=None) -> list[dict]:
     """One labyrinth per annulus, each verified to exceed its budget.
 
     Verifier-in-the-loop replaces the non-constructive "large enough" shell
@@ -383,7 +382,8 @@ def exhaustion_labyrinth(plan: ExhaustionPlan, dim: int = 2,
         tried: list[dict] = []
         best_report = None
         while True:
-            lab = annulus_labyrinth(rho_in, rho_out, J, m_start, dim, t, c, seed)
+            lab = annulus_labyrinth(rho_in, rho_out, J, ANNULUS_SUBLEVELS, dim,
+                                    t, c, seed)
             probe = min_escape_length(lab, source, target, search_effort)
             found = probe["best_length"]
             tried.append({"shells": J, "probe_length": found})

@@ -19,6 +19,11 @@ robust.  The search culls pairs by a KD query on a cover of each planar
 disc by small balls, as fine as the segments are short, and on bounding
 spheres beyond the plane (:func:`_segments_collide`);
 :func:`verify_path` checks every segment against every component.
+
+The search region comes from the escape sets, not the domain: two spheres
+give the annulus between their radii, point sets a box around them.  The
+audit's ``containment`` check holds an annulus to its radii and any other
+domain to its defining function, reporting ``max_defining_value``.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
 from .config import RIM_STEP, TOL
+from .domains import resolve_domain, rho_values
 from .geometry import (
     FlatBall,
     flatball_extremal_points,
@@ -54,6 +60,11 @@ _COLLIDE_CHUNK = 1 << 15
 # times the mean node spacing (measure / nodes)^(1/d)
 NEIGHBORS = 10
 CONNECT_FACTOR = 2.2
+
+# structural audit: the lex-witness LPs run only up to this many components;
+# net covering radii are estimated from this many sphere samples
+LEX_COMPONENT_CAP = 400
+AUDIT_COVER_SAMPLES = 20_000
 
 
 class RoadmapBudgetError(RuntimeError):
@@ -225,21 +236,16 @@ def _segments_collide(A: np.ndarray, B: np.ndarray, comp: _CompArrays,
 # regions, roadmaps
 
 
-def _region_from_domain(lab: Labyrinth, source: dict, target: dict) -> dict:
-    kind = lab.domain.get("kind")
-    if kind == "annulus":
-        return {"kind": "annulus", "inner": lab.domain["inner"],
-                "outer": lab.domain["outer"]}
-    if kind == "ball" and source.get("kind") == "sphere" \
-            and target.get("kind") == "sphere":
-        lo = min(source["radius"], target["radius"])
-        hi = max(source["radius"], target["radius"])
+def _region_from_sets(lab: Labyrinth, source: dict, target: dict) -> dict:
+    """Search region: the annulus between two escape spheres, else the box
+    around the point sets and the labyrinth's scale, with margin 0.1."""
+    if source.get("kind") == "sphere" and target.get("kind") == "sphere":
+        lo, hi = sorted((source["radius"], target["radius"]))
         return {"kind": "annulus", "inner": lo, "outer": hi}
     pts = [np.asarray(s["coords"], dtype=float)
            for s in (source, target) if s.get("kind") == "point"]
     ext = max([np.linalg.norm(p) for p in pts] + [lab.scale]) + 0.1
-    dim = lab.dim
-    return {"kind": "box", "lo": [-ext] * dim, "hi": [ext] * dim}
+    return {"kind": "box", "lo": [-ext] * lab.dim, "hi": [ext] * lab.dim}
 
 
 def _region_box(region: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -591,7 +597,7 @@ def min_escape_length(lab: Labyrinth, source: dict, target: dict,
     this effort".
     """
     effort = effort or EffortBudget.default(lab.dim)
-    region = region or _region_from_domain(lab, source, target)
+    region = region or _region_from_sets(lab, source, target)
     best: EscapePath | None = None
     attempts = []
     for budget in effort.node_budgets:
@@ -648,9 +654,7 @@ def _pairwise_min_distance(lab: Labyrinth) -> float:
     return min(dmin, slack)
 
 
-def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None,
-                    lex_component_cap: int = 400,
-                    cover_samples: int = 20_000) -> dict:
+def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None) -> dict:
     """Run every structural check and report pass/fail with measurements.
 
     Included checks: component well-formedness, tangency to the recorded
@@ -717,7 +721,7 @@ def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None,
 
         sep_ok = True
         cov_ok = True
-        cov_slack = sampling_slack(lab.dim, cover_samples)
+        cov_slack = sampling_slack(lab.dim, AUDIT_COVER_SAMPLES)
         for net in lab.nets:
             for cls in net.classes:
                 if len(cls) > 1:
@@ -725,7 +729,8 @@ def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None,
                     dd, _ = t.query(cls, k=2)
                     if dd[:, 1].min() < net.r:
                         sep_ok = False
-            cov = covering_radius(net.points, lab.dim, cover_samples, seed=7)
+            cov = covering_radius(net.points, lab.dim, AUDIT_COVER_SAMPLES,
+                                  seed=7)
             if cov > net.c * net.r + cov_slack:
                 cov_ok = False
         add("net-separation", sep_ok)
@@ -745,7 +750,7 @@ def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None,
 
     if lab.kind == "shell" and lab.dim <= 3 \
             and (lab.schedule is None or lab.schedule.J <= 4) \
-            and len(comps) <= lex_component_cap:
+            and len(comps) <= LEX_COMPONENT_CAP:
         # LP sampling density: exact in the plane (a segment's hull is its
         # endpoints), 64 points per dimension on the rim otherwise
         samples = [flatball_extremal_points(fb, 2 if lab.dim == 2
@@ -771,34 +776,24 @@ def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None,
 
 
 def add_containment_check(lab: Labyrinth, rims, add) -> None:
+    """Rim and centre points inside the domain: strictly between the radii
+    of an annulus, else where the defining function is negative, in units
+    of the labyrinth's scale.  A file with `to_ball` stores its discs in
+    ball coordinates, where containment in the ellipsoid is containment in
+    the unit ball."""
     pts = np.vstack(rims + [np.array([fb.center for fb in lab.components])])
-    kind = lab.domain.get("kind")
-    if kind == "ball":
-        mx = float(np.linalg.norm(pts, axis=1).max())
-        add("containment", mx < lab.scale, max_norm=mx, bound=lab.scale)
-    elif kind == "annulus":
+    if lab.domain.get("kind") == "annulus":
         r = np.linalg.norm(pts, axis=1)
         add("containment",
             float(r.min()) > lab.domain["inner"] and float(r.max()) < lab.domain["outer"],
             min_norm=float(r.min()), max_norm=float(r.max()))
-    elif kind == "ellipsoid":
-        if "to_ball" in lab.domain:
-            # components are stored in ball coordinates; containment in the
-            # ellipsoid is exactly containment of the stored discs in the
-            # unit ball
-            mx = float(np.linalg.norm(pts, axis=1).max())
-            add("containment", mx < 1.0, max_norm=mx, bound=1.0)
-        else:
-            A = np.asarray(lab.domain["matrix"], dtype=float)
-            q = np.einsum("ij,jk,ik->i", pts, A, pts)
-            add("containment", float(q.max()) < 1.0,
-                max_quadratic=float(q.max()))
-    elif kind == "smooth":
-        from .domains import resolve_domain, rho_values
-
-        dom = resolve_domain(lab.domain)
-        vals = rho_values(dom, pts)
-        add("containment", float(vals.max()) < 0.0,
-            max_defining_value=float(vals.max()))
-    else:
-        add("containment", False, error=f"unknown domain kind {kind!r}")
+        return
+    frame = {"kind": "ball"} if "to_ball" in lab.domain else lab.domain
+    try:
+        dom = resolve_domain(frame, lab.dim)
+    except (KeyError, TypeError, ValueError) as exc:
+        add("containment", False, error=str(exc))
+        return
+    vals = rho_values(dom, pts / lab.scale)
+    add("containment", float(vals.max()) < 0.0,
+        max_defining_value=float(vals.max()))

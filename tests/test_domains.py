@@ -20,6 +20,7 @@ from labyrinths.domains import (
     osculating_map,
     patch_cover,
     patch_schedule,
+    resolve_domain,
     rho_values,
     superellipse_preset,
 )
@@ -243,11 +244,21 @@ def test_assemble_collar_floor_trips():
 
 
 def test_boundary_distance_accuracy():
-    dom = ellipse_preset()
-    for th in np.linspace(0, 2 * np.pi, 17):
-        b = boundary_point(dom, np.array([np.cos(th), np.sin(th)]))
-        inward = -np.array([0.5 * b[0], 2.0 * b[1]])
-        inward /= np.linalg.norm(inward)
-        for eps in (1e-3, 1e-5):
-            d = boundary_distance(dom, (b + eps * inward)[None])[0]
-            assert d == pytest.approx(eps, rel=1e-3)
+    # the smooth preset and the quadric of the same ellipse x^2/4 + y^2 < 1
+    for dom in (ellipse_preset(), ellipsoid_domain(np.diag([0.25, 1.0]))):
+        for th in np.linspace(0, 2 * np.pi, 17):
+            b = boundary_point(dom, np.array([np.cos(th), np.sin(th)]))
+            inward = -np.array([0.5 * b[0], 2.0 * b[1]])
+            inward /= np.linalg.norm(inward)
+            for eps in (1e-3, 1e-5):
+                d = boundary_distance(dom, (b + eps * inward)[None])[0]
+                assert d == pytest.approx(eps, rel=1e-3)
+
+
+def test_resolve_domain_takes_the_dimension():
+    for dim in (2, 3, 4):
+        dom = resolve_domain({"kind": "ball"}, dim)
+        assert dom.dim == dim
+        assert rho_values(dom, np.eye(dim) * 0.5).max() == pytest.approx(-0.75)
+    with pytest.raises(ValueError, match="not 3-dimensional"):
+        resolve_domain({"kind": "smooth", "preset": "ellipse"}, 3)

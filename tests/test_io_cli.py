@@ -184,6 +184,78 @@ def test_cli_verify_holds_ellipsoid_budget_in_the_ball_frame(tmp_path):
     assert run_cli(*verify, "--M", "0.2") == 0
 
 
+def test_cli_verify_searches_an_ellipsoid_file_between_its_spheres(
+        tmp_path, monkeypatch):
+    # the search runs in ball coordinates from the sphere of radius s0 to
+    # the unit sphere, so no roadmap node lies inside the one or outside
+    # the other
+    import labyrinths.verifier as verifier
+    from labyrinths.domains import ellipsoid_domain, ellipsoid_labyrinth
+
+    radii = []
+    build = verifier.build_roadmap
+
+    def recording(*args, **kwargs):
+        rm = build(*args, **kwargs)
+        radii.append(np.linalg.norm(rm.nodes, axis=1))
+        return rm
+
+    monkeypatch.setattr(verifier, "build_roadmap", recording)
+    lab_file = tmp_path / "ell.json"
+    save_labyrinth(ellipsoid_labyrinth(ellipsoid_domain(np.diag([4.0, 6.25])),
+                                       make_schedule(0.5, 2, 4), seed=0),
+                   str(lab_file))
+    run_cli("verify", str(lab_file), "--M", "0.2", "--seeds", "1",
+            "--nodes", "4000")
+    assert len(radii) == 1 and len(radii[0]) == 4000
+    assert np.all((radii[0] > 0.5) & (radii[0] < 1.0))
+
+
+USAGE_ERRORS = [
+    pytest.param(["verify", "{lab}", "--M", "0.1", "--nodes", "abc"],
+                 "--nodes", id="nodes-not-a-number"),
+    pytest.param(["verify", "{lab}", "--M", "0.1", "--nodes", "50"],
+                 "--nodes", id="nodes-below-100"),
+    pytest.param(["verify", "{lab}"], "--M", id="verify-without-M"),
+    pytest.param(["report", "{lab}", "--bogus"], "--bogus",
+                 id="unknown-flag"),
+    pytest.param(["export", "{lab}", "--svg", "{tmp}/o.svg",
+                  "--projection", "a,b"], "--projection",
+                 id="projection-not-axes"),
+    pytest.param(["export", "{lab}", "--svg", "{tmp}/o.svg",
+                  "--projection", "0,5"], "--projection",
+                 id="projection-beyond-dim"),
+    pytest.param(["export", "{lab}", "--svg", "{tmp}/o.svg",
+                  "--path-from", "{tmp}/missing.json"], "--path-from",
+                 id="path-from-missing"),
+    pytest.param(["export", "{lab}", "--svg", "{tmp}/o.svg",
+                  "--path-from", "{lab}"], "--path-from",
+                 id="path-from-not-a-report"),
+    pytest.param(["generate", "--axes", "1,x", "--domain", "ellipsoid",
+                  "--out", "{tmp}/g.json"], "--axes", id="axes-not-numbers"),
+    pytest.param(["generate", "--annuli", "0.5,0.75", "--Mn", "1,2",
+                  "--out", "{tmp}/g.json"], "--Mn", id="budget-count"),
+    pytest.param(["generate", "--dim", "1", "--out", "{tmp}/g.json"], "--dim",
+                 id="dim-below-2"),
+    pytest.param(["generate", "--domain", "ellipse", "--M", "nan",
+                  "--out", "{tmp}/g.json"], "--M", id="budget-not-finite"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", USAGE_ERRORS)
+def test_cli_usage_errors_exit_1_naming_the_flag(tmp_path, lab, capsys, argv,
+                                                 flag):
+    lab_file = tmp_path / "lab.json"
+    save_labyrinth(lab, str(lab_file))
+    argv = [a.format(lab=lab_file, tmp=tmp_path) for a in argv]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    with pytest.raises(SystemExit) as done:
+        run_cli(argv[0], "--help")
+    assert done.value.code == 0
+
+
 def test_cli_report_names_non_finite_radius(tmp_path, lab, capsys):
     doc = labyrinth_to_doc(lab)
     doc["components"][0]["radius"] = float("nan")

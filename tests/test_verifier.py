@@ -6,6 +6,7 @@ from scipy import sparse
 
 from labyrinths.geometry import (
     FlatBall,
+    flatball_rim_points,
     pairs_point_disc_distance,
     point_flatball_distance,
 )
@@ -23,6 +24,7 @@ from labyrinths.verifier import (
     _segments_collide,
     _unique_pairs,
     EscapePath,
+    add_containment_check,
     audit_labyrinth,
     build_roadmap,
     min_escape_length,
@@ -371,6 +373,59 @@ def test_audit_fails_on_intersecting_discs_in_space():
                     if c["name"] == "pairwise-disjoint")
     assert not disjoint["passed"] and disjoint["min_distance"] == 0.0
     assert not rep["passed"]
+
+
+def _containment(lab: Labyrinth) -> dict:
+    """The audit's containment entry, without the audit's other checks."""
+    checks = []
+    rims = [flatball_rim_points(fb, 64 * lab.dim) for fb in lab.components]
+    add_containment_check(lab, rims, lambda name, passed, **details:
+                          checks.append(dict(details, passed=passed)))
+    return checks[0]
+
+
+def test_containment_on_a_3d_ball_file_is_the_3d_ball(tmp_path):
+    from labyrinths.io import load_labyrinth, save_labyrinth
+
+    path = tmp_path / "ball3.json"
+    save_labyrinth(build_labyrinth(make_schedule(0.5, 1, 4), dim=3, seed=0),
+                   str(path))
+    lab = load_labyrinth(str(path))
+    check = _containment(lab)
+    assert check["passed"] and -1.0 < check["max_defining_value"] < 0.0
+    # a disc on the third axis whose rim reaches |x|^2 = 0.9^2 + 0.5^2
+    lab.components.append(FlatBall(center=np.array([0.0, 0.0, 0.9]),
+                                   normal=np.array([0.0, 0.0, 1.0]),
+                                   radius=0.5))
+    check = _containment(lab)
+    assert not check["passed"]
+    assert check["max_defining_value"] == pytest.approx(0.06)
+
+
+def test_containment_of_a_to_ball_file_is_in_the_unit_ball():
+    from labyrinths.domains import ellipsoid_domain, ellipsoid_labyrinth
+
+    lab = ellipsoid_labyrinth(ellipsoid_domain(np.diag([0.25, 1.0])),
+                              make_schedule(0.5, 1, 4), seed=0)
+    assert _containment(lab)["passed"]
+    # the tips (0.9, +-0.5) lie inside the ellipse x^2/4 + y^2 < 1 but
+    # outside the unit ball, where the file stores its discs
+    lab.components.append(FlatBall(center=np.array([0.9, 0.0]),
+                                   normal=np.array([1.0, 0.0]), radius=0.5))
+    check = _containment(lab)
+    assert not check["passed"]
+    assert check["max_defining_value"] == pytest.approx(0.06)
+
+
+def test_containment_holds_a_scaled_ball_labyrinth_to_its_scale():
+    lab = build_labyrinth(make_schedule(0.5, 1, 4), dim=2, seed=0, scale=0.5)
+    assert _containment(lab)["passed"]
+    # tips at |x| = sqrt(0.45^2 + 0.25^2) > 0.5, well inside the unit ball
+    lab.components.append(FlatBall(center=np.array([0.45, 0.0]),
+                                   normal=np.array([1.0, 0.0]), radius=0.25))
+    check = _containment(lab)
+    assert not check["passed"]
+    assert check["max_defining_value"] == pytest.approx(0.06)
 
 
 def _divergence(lab: Labyrinth) -> dict:
