@@ -297,6 +297,8 @@ def cmd_verify(args) -> int:
         or EffortBudget.default(lab.dim).node_budgets
     if min(budgets) < 100:
         raise UsageError("--nodes: node budgets must be at least 100")
+    if args.seeds < 1:
+        raise UsageError("--seeds: at least one search attempt is needed")
     effort = EffortBudget(seeds=tuple(range(args.seeds)), node_budgets=budgets)
     report = min_escape_length(lab, source, target, effort)
     audit = audit_labyrinth(lab)

@@ -32,6 +32,10 @@ from .config import TOL
 
 INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
+# row-generated separation LP: points per side in the first working set,
+# and the most rows a side adds per round
+LP_ROWS_PER_SIDE = 256
+
 
 def unit_vector(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
@@ -303,22 +307,10 @@ def flatball_pair_distance(f1: FlatBall, f2: FlatBall) -> float:
     return float(pairs_disc_disc_distance(*_disc_row(f1), *_disc_row(f2))[0])
 
 
-def separating_hyperplane(first, second, margin: float = 0.0,
-                          floor: float | None = None) -> Hyperplane | None:
-    """Hyperplane with first on the high side and second on the low side.
-
-    Solves the max-margin feasibility LP (with an L1 cap on the normal so
-    the problem stays bounded), rescales the witness to unit norm, and
-    re-checks the inequalities `w.x >= b + margin` / `w.x <= b - margin`
-    against every input point.  Returns None when no witness achieving
-    max(margin, floor) was found; that is not a proof of inseparability.
-    """
-    first = np.atleast_2d(np.asarray(first, dtype=float))
-    second = np.atleast_2d(np.asarray(second, dtype=float))
-    if first.size == 0 or second.size == 0:
-        raise ValueError("both point sets must be nonempty")
-    if floor is None:
-        floor = TOL.lp_margin_floor
+def _max_margin_lp(first: np.ndarray, second: np.ndarray):
+    """(w, b, gamma) maximising gamma subject to w.x >= b + gamma on
+    `first`, w.x <= b - gamma on `second` and |w|_1 <= 1; None when HiGHS
+    reports no solution."""
     d = first.shape[1]
     # variables: u (d), v (d), b, gamma with w = u - v, u, v >= 0
     nv = 2 * d + 2
@@ -337,8 +329,63 @@ def separating_hyperplane(first, second, margin: float = 0.0,
     res = linprog(cost, A_ub=rows, b_ub=rhs, bounds=bounds, method="highs")
     if not res.success or res.x is None:
         return None
-    u, v = res.x[:d], res.x[d:2 * d]
-    w = u - v
+    return res.x[:d] - res.x[d:2 * d], res.x[-2], res.x[-1]
+
+
+def _top_rows(score: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Indices of the at most LP_ROWS_PER_SIDE allowed rows of largest score."""
+    idx = np.flatnonzero(allowed)
+    if len(idx) > LP_ROWS_PER_SIDE:
+        idx = idx[np.argpartition(-score[idx], LP_ROWS_PER_SIDE)
+                  [:LP_ROWS_PER_SIDE]]
+    return idx
+
+
+def separating_hyperplane(first, second, margin: float = 0.0,
+                          floor: float | None = None) -> Hyperplane | None:
+    """Hyperplane with first on the high side and second on the low side.
+
+    Solves the max-margin feasibility LP (with an L1 cap on the normal so
+    the problem stays bounded) by row generation (Kelley 1960).  The first
+    working set holds the LP_ROWS_PER_SIDE points of each side nearest the
+    other side along the centroid difference; a side with no more points
+    goes in whole, so a small LP is one solve of the full problem.  After
+    each solve every row is evaluated, and per side the at most
+    LP_ROWS_PER_SIDE most-violated rows outside the working set join it.
+    When no outside row is violated the working optimum is the full LP's;
+    the set grows every round, so the loop ends.
+
+    The witness is rescaled to unit norm and `w.x >= b + margin` /
+    `w.x <= b - margin` are re-checked against every input point, so the
+    plane is a certificate whichever rows the LP saw.  Returns None when no
+    witness achieving max(margin, floor) was found; that is not a proof of
+    inseparability.
+    """
+    first = np.atleast_2d(np.asarray(first, dtype=float))
+    second = np.atleast_2d(np.asarray(second, dtype=float))
+    if first.size == 0 or second.size == 0:
+        raise ValueError("both point sets must be nonempty")
+    if floor is None:
+        floor = TOL.lp_margin_floor
+    g = first.mean(axis=0) - second.mean(axis=0)
+    in_first = np.zeros(len(first), dtype=bool)
+    in_second = np.zeros(len(second), dtype=bool)
+    in_first[_top_rows(-(first @ g), ~in_first)] = True
+    in_second[_top_rows(second @ g, ~in_second)] = True
+    while True:
+        sol = _max_margin_lp(first[in_first], second[in_second])
+        if sol is None:
+            return None
+        w, b, gamma = sol
+        excess_first = b + gamma - first @ w
+        excess_second = second @ w - b + gamma
+        new_first = _top_rows(excess_first, ~in_first & (excess_first > 0.0))
+        new_second = _top_rows(excess_second,
+                               ~in_second & (excess_second > 0.0))
+        if len(new_first) + len(new_second) == 0:
+            break
+        in_first[new_first] = True
+        in_second[new_second] = True
     nw = float(np.linalg.norm(w))
     if nw < 1e-14:
         return None

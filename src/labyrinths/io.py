@@ -197,6 +197,16 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
             sched.validate()
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise MalformedFileError(f"schedule invalid: {exc}") from exc
+    kind = str(doc.get("kind", "shell"))
+    if kind == "shell" and sched is not None:
+        # the audit reads each disc's sublevel off its level
+        for i, fb in enumerate(comps):
+            lv = fb.level
+            if not (lv is not None and all(type(x) is int for x in lv)
+                    and 1 <= lv[0] <= sched.J and 1 <= lv[1] <= sched.m):
+                raise MalformedFileError(
+                    f"field 'components[{i}].level' must be integers (j, k, p)"
+                    f" with 1 <= j <= {sched.J} and 1 <= k <= {sched.m}")
     nets = []
     for i, nd in enumerate(_optional(doc, "nets", list, [])):
         try:
@@ -211,7 +221,7 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
     return Labyrinth(dim=dim, domain=domain, components=comps, schedule=sched,
                      nets=nets, seed=_optional(doc, "seed", int, 0),
                      scale=_optional(doc, "scale", float, 1.0),
-                     kind=str(doc.get("kind", "shell")),
+                     kind=kind,
                      collar_widths=_optional(
                          doc, "collar_widths",
                          lambda ws: [float(w) for w in ws], []))

@@ -41,7 +41,6 @@ from .config import RIM_STEP, TOL
 from .domains import resolve_domain, rho_values
 from .geometry import (
     FlatBall,
-    flatball_extremal_points,
     flatball_rim_points,
     pairs_disc_disc_distance,
     pairs_point_disc_distance,
@@ -751,21 +750,23 @@ def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None) -> dict:
     if lab.kind == "shell" and lab.dim <= 3 \
             and (lab.schedule is None or lab.schedule.J <= 4) \
             and len(comps) <= LEX_COMPONENT_CAP:
-        # LP sampling density: exact in the plane (a segment's hull is its
-        # endpoints), 64 points per dimension on the rim otherwise
-        samples = [flatball_extremal_points(fb, 2 if lab.dim == 2
-                                            else 64 * lab.dim)
-                   for fb in comps]
+        # LP samples are the rims plus centres: exact in the plane (a
+        # segment's hull is its endpoints), 64 points per dimension on the
+        # rim otherwise; component i is rows [i*per, (i+1)*per) of one stack
+        per = len(rims[0]) + 1
+        samples = np.concatenate(
+            [np.stack(rims), np.array([fb.center for fb in comps])[:, None]],
+            axis=1).reshape(-1, lab.dim)
         worst_margin = np.inf
         failed_at = None
         for i in range(1, len(comps)):
-            h = separating_hyperplane(samples[i], np.vstack(samples[:i]),
-                                      margin=lex_margin)
+            own, earlier = samples[i * per:(i + 1) * per], samples[:i * per]
+            h = separating_hyperplane(own, earlier, margin=lex_margin)
             if h is None:
                 failed_at = comps[i].level
                 break
-            m = min(float(np.min(samples[i] @ h.normal) - h.offset),
-                    float(h.offset - np.max(np.vstack(samples[:i]) @ h.normal)))
+            m = min(float(np.min(own @ h.normal) - h.offset),
+                    float(h.offset - np.max(earlier @ h.normal)))
             worst_margin = min(worst_margin, m)
         add("lex-hyperplane-witnesses", failed_at is None,
             worst_margin=None if failed_at else float(worst_margin),

@@ -196,3 +196,29 @@ def brute_disc_disc_distance(f1, f2, steps: int) -> tuple[float, float]:
     rho = np.linalg.norm(v - h[:, None] * f1.normal, axis=1)
     least = float(np.hypot(h, np.maximum(rho - f1.radius, 0.0)).min())
     return least, f2.radius * np.sqrt(d - 1) / (steps - 1)
+
+
+def full_lp_margin(first, second) -> float:
+    """Margin of the max-margin separation LP over every point at once.
+
+    Variables (w+, w-, b, gamma): maximise gamma subject to
+    (w+ - w-).x >= b + gamma on `first`, <= b - gamma on `second` and
+    sum(w+) + sum(w-) <= 1; the optimal normal is then scaled to unit
+    length and the margin measured as half the gap it leaves.
+    """
+    from scipy.optimize import linprog
+
+    first, second = np.asarray(first, float), np.asarray(second, float)
+    d = first.shape[1]
+    ones_f, ones_s = np.ones((len(first), 1)), np.ones((len(second), 1))
+    a_ub = np.block([[-first, first, ones_f, ones_f],
+                     [second, -second, -ones_s, ones_s],
+                     [np.ones((1, 2 * d)), np.zeros((1, 2))]])
+    b_ub = np.r_[np.zeros(len(first) + len(second)), 1.0]
+    c = np.r_[np.zeros(2 * d + 1), -1.0]
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(0, None)] * (2 * d) + [(None, None)] * 2)
+    assert res.success
+    w = res.x[:d] - res.x[d:2 * d]
+    w = w / np.linalg.norm(w)
+    return 0.5 * float(np.min(first @ w) - np.max(second @ w))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labyrinths import geometry
 from labyrinths.geometry import (
     FlatBall,
     Segment,
@@ -23,6 +24,7 @@ from labyrinths.geometry import (
 from oracles import (
     brute_disc_disc_distance,
     brute_segment_disc_distance,
+    full_lp_margin,
     segment_segment_distance_2d,
 )
 
@@ -155,8 +157,61 @@ def test_separating_hyperplane_axis_separated():
 
 
 def test_separating_hyperplane_identical_sets_fails():
-    pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-    assert separating_hyperplane(pts, pts, margin=0.0) is None
+    # 3000 points per side is more than one working set of the LP
+    big = np.random.default_rng(3).uniform(-1, 1, (3000, 3))
+    for pts in (np.array([[0.0, 0.0], [1.0, 1.0]]), big):
+        assert separating_hyperplane(pts, pts, margin=0.0) is None
+
+
+def _plane_margin(h, first, second) -> float:
+    return min(float(np.min(first @ h.normal) - h.offset),
+               float(h.offset - np.max(second @ h.normal)))
+
+
+def _counting_linprog(monkeypatch) -> list:
+    calls = []
+    solve = geometry.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["A_ub"].shape[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "linprog", counted)
+    return calls
+
+
+def test_separating_hyperplane_row_generation_matches_full_lp(monkeypatch):
+    # two solid d = 3 balls sampled by thousands of points each
+    rng = np.random.default_rng(11)
+
+    def ball(n, centre):
+        v = rng.standard_normal((n, 3))
+        v *= (rng.uniform(0, 1, (n, 1)) ** (1 / 3)) / np.linalg.norm(
+            v, axis=1)[:, None]
+        return v + centre
+
+    first, second = ball(4000, [2.5, 0.3, 0.0]), ball(3000, [0.0, 0.0, 0.0])
+    calls = _counting_linprog(monkeypatch)
+    h = separating_hyperplane(first, second, margin=0.1)
+    assert h is not None
+    assert max(calls) < len(first) + len(second)
+    assert _plane_margin(h, first, second) == pytest.approx(
+        full_lp_margin(first, second), abs=1e-9)
+
+
+def test_separating_hyperplane_row_generation_adds_rows(monkeypatch):
+    # the first set is a long strip above the square, so its centroid lies
+    # far to the right and the points nearest along the centroid difference
+    # are not the ones that bind: the LP needs another round
+    rng = np.random.default_rng(5)
+    second = rng.uniform(-1, 1, (3000, 2))
+    first = np.column_stack([rng.uniform(-1, 30, 3000),
+                             rng.uniform(1.2, 1.3, 3000)])
+    calls = _counting_linprog(monkeypatch)
+    h = separating_hyperplane(first, second)
+    assert h is not None and len(calls) >= 2
+    assert _plane_margin(h, first, second) == pytest.approx(
+        full_lp_margin(first, second), abs=1e-9)
 
 
 def test_separating_hyperplane_empty_input():

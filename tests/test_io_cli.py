@@ -216,6 +216,10 @@ USAGE_ERRORS = [
                  "--nodes", id="nodes-not-a-number"),
     pytest.param(["verify", "{lab}", "--M", "0.1", "--nodes", "50"],
                  "--nodes", id="nodes-below-100"),
+    pytest.param(["verify", "{lab}", "--M", "0.1", "--seeds", "0"],
+                 "--seeds", id="seeds-zero"),
+    pytest.param(["verify", "{lab}", "--M", "0.1", "--seeds", "-1"],
+                 "--seeds", id="seeds-negative"),
     pytest.param(["verify", "{lab}"], "--M", id="verify-without-M"),
     pytest.param(["report", "{lab}", "--bogus"], "--bogus",
                  id="unknown-flag"),
@@ -287,6 +291,9 @@ def test_cli_report_names_non_finite_radius(tmp_path, lab, capsys):
     (("seed",), '"x"', "field 'seed' invalid"),
     (("scale",), '"x"', "field 'scale' invalid"),
     (("collar_widths",), '"ab"', "field 'collar_widths' invalid"),
+    # levels the audit would read the sublevel of (the fixture has J = 2)
+    (("components", 0, "level"), "null", "field 'components[0].level'"),
+    (("components", 1, "level", "j"), "9", "field 'components[1].level'"),
 ])
 def test_cli_report_names_corrupt_field(tmp_path, lab, capsys, where, raw,
                                         named):
