@@ -2,10 +2,13 @@
 """Net calibration sweep: sizes, class counts and covering across scales.
 
 Useful when changing the candidate generator or the colouring policy: the
-class count must come out identical across the separation ladder.
+class count must come out identical across the separation ladder.  Exits 1
+when it does not (UNSTABLE) for some dimension, else 0.  All scales of one
+dimension and seed share one farthest-point sweep through the net cache.
 """
 
 import argparse
+import sys
 import time
 
 from labyrinths.nets import (
@@ -24,6 +27,7 @@ def main():
     ap.add_argument("--samples", type=int, default=100_000)
     args = ap.parse_args()
 
+    stable = True
     for d in (int(v) for v in args.dims.split(",")):
         counts = []
         for r in (float(v) for v in args.separations.split(",")):
@@ -35,9 +39,11 @@ def main():
             print(f"d={d} r={r}: {net.size} points in {net.m} classes, "
                   f"covering {cov:.4f} <= {args.c * r:.4f} + {slack:.4f} "
                   f"({time.time() - t0:.1f}s)")
+        stable &= len(set(counts)) == 1
         status = "stable" if len(set(counts)) == 1 else "UNSTABLE"
         print(f"d={d}: class count across scales {counts} [{status}]")
+    return 0 if stable else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

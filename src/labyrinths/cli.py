@@ -340,7 +340,12 @@ def cmd_export(args) -> int:
             raise UsageError("SVG export beyond the plane needs --projection")
         overlay = _overlay_path(args.path_from, lab.dim) \
             if args.path_from else None
-        export_svg(lab, args.svg, escape_path=overlay, projection=projection)
+        try:
+            export_svg(lab, args.svg, escape_path=overlay,
+                       projection=projection)
+        except ValueError as exc:  # a coordinate too large to draw
+            raise UsageError(f"cannot draw {args.file}: a drawing coordinate "
+                             f"overflows ({exc})") from exc
         print(f"svg -> {args.svg}")
     if args.csv:
         rows = export_csv(lab, args.csv)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -20,6 +21,12 @@ from .shells import Labyrinth, ShellSchedule
 FORMAT_VERSION = 1
 # SVG drawing units per unit length
 SVG_UNIT = 1000.0
+# The loader holds a schedule's J x m sublevel radii in memory and checks
+# them one by one, so it refuses a larger grid.
+MAX_SUBLEVELS = 1_000_000
+# Largest magnitude of a component coordinate or radius: squared distances
+# between such points stay finite.
+MAX_COORDINATE = 1e150
 
 
 class MalformedFileError(ValueError):
@@ -160,8 +167,6 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
     dim = _field(doc, "dim", int)
     if dim < 2:
         raise MalformedFileError("field 'dim' must be >= 2")
-    domain = _field(doc, "domain", dict)
-    _check_domain(domain, dim)
     comps = []
     for i, entry in enumerate(_field(doc, "components", list)):
         try:
@@ -179,21 +184,40 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
         if "transform" in entry:
             raise MalformedFileError(
                 f"field 'components[{i}].transform' is not supported")
+        if fb.center.ndim != 1 or fb.normal.shape != fb.center.shape:
+            raise MalformedFileError(
+                f"components[{i}] invalid: center and normal must be "
+                "vectors of one length")
+        if max(np.abs(fb.center).max(initial=0.0), fb.radius) > MAX_COORDINATE:
+            raise MalformedFileError(
+                f"components[{i}] invalid: center and radius must not exceed "
+                f"{MAX_COORDINATE:g} in magnitude")
+        # checked before the domain is built: a ball domain allocates dim^2
         if fb.dim != dim:
-            raise MalformedFileError(f"components[{i}].center has wrong dimension")
+            raise MalformedFileError(
+                f"field 'dim' is {dim}, but components[{i}] has "
+                f"{fb.dim} coordinates")
         comps.append(fb)
     sched = None
     sd = doc.get("schedule")
     if sd is not None:
         try:
             s = np.asarray(sd["s"], dtype=float)
+            m = int(sd["m"])
+            if not 1 <= m * max(len(s), 1) <= MAX_SUBLEVELS:
+                raise ValueError(f"m must be at least 1, with J*m at most "
+                                 f"{MAX_SUBLEVELS}")
             lower = np.concatenate([[sd["s0"]], s[:-1]])
-            ks = np.arange(1, sd["m"] + 1)
-            sublevels = lower[:, None] + ks[None, :] * (s - lower)[:, None] / (sd["m"] + 1)
+            ks = np.arange(1, m + 1)
+            sublevels = lower[:, None] + ks[None, :] * (s - lower)[:, None] / (m + 1)
             sched = ShellSchedule(
-                s0=float(sd["s0"]), s=s, m=int(sd["m"]), t=float(sd["t"]),
+                s0=float(sd["s0"]), s=s, m=m, t=float(sd["t"]),
                 c=float(sd["c"]), a=float(sd["a"]), sublevels=sublevels,
                 tangent_radii=np.asarray(sd["tangent_radii"], dtype=float))
+            # a null among the radii reads as NaN, which every check passes
+            if not np.all(np.isfinite(sched.sublevels)) \
+                    or not np.all(np.isfinite(sched.tangent_radii)):
+                raise ValueError("radii must be finite numbers")
             sched.validate()
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise MalformedFileError(f"schedule invalid: {exc}") from exc
@@ -211,17 +235,25 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
     for i, nd in enumerate(_optional(doc, "nets", list, [])):
         try:
             classes = [np.asarray(cls, dtype=float) for cls in nd["classes"]]
-            if any(cls.ndim != 2 or cls.shape[1] != dim for cls in classes):
-                raise ValueError("a class is not a list of dim-vectors")
+            if not classes:
+                raise ValueError("a net needs at least one class")
+            if any(cls.ndim != 2 or cls.shape[1] != dim
+                   or not np.all(np.isfinite(cls)) for cls in classes):
+                raise ValueError("a class is not a list of finite dim-vectors")
             nets.append(SeparatedNet(
                 dim=dim, r=float(nd["r"]), c=float(nd["c"]), m=int(nd["m"]),
                 classes=classes))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedFileError(f"nets[{i}] invalid: {exc}") from exc
+    scale = _optional(doc, "scale", float, 1.0)
+    if not (math.isfinite(scale) and scale >= sys.float_info.min):
+        raise MalformedFileError(
+            "field 'scale' must be a finite normal number > 0")
+    domain = _field(doc, "domain", dict)
+    _check_domain(domain, dim)
     return Labyrinth(dim=dim, domain=domain, components=comps, schedule=sched,
                      nets=nets, seed=_optional(doc, "seed", int, 0),
-                     scale=_optional(doc, "scale", float, 1.0),
-                     kind=kind,
+                     scale=scale, kind=kind,
                      collar_widths=_optional(
                          doc, "collar_widths",
                          lambda ws: [float(w) for w in ws], []))
@@ -262,6 +294,9 @@ def load_labyrinth(path: str) -> Labyrinth:
 
 
 def save_report(report: dict, path: str) -> None:
+    """Write a report; a number that overflowed or is undefined (an infinite
+    or NaN value, say from a file whose scale is far from its discs') is
+    written as null."""
     clean = _jsonable(report)
     with open(path, "w", encoding="utf-8") as f:
         f.write(dumps_canonical(clean))
@@ -271,16 +306,17 @@ def _jsonable(obj):
     from .verifier import EscapePath
 
     if isinstance(obj, EscapePath):
-        return {"length": obj.length, "clearance": obj.clearance,
-                "polyline": obj.polyline.tolist()}
+        return {"length": _jsonable(obj.length),
+                "clearance": _jsonable(obj.clearance),
+                "polyline": _jsonable(obj.polyline)}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):

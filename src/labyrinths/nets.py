@@ -6,6 +6,15 @@ at threshold r then splits it into classes that are each r-separated while
 the union keeps covering radius <= delta = c*r.  The sweep skips the blocks
 of nearby candidates that a new point provably cannot bring closer, and
 picks exactly the points the plain all-candidate update would.
+
+Nets at different scales nest.  The sweep picks its points in an order
+that does not depend on where it stops, and the distance from each pick to
+the earlier ones never grows along it, so the net at a coarser delta' is
+the prefix of the net at a finer delta that ends before the first pick
+closer than delta' to the earlier picks (Gonzalez 1985).  One sweep is
+therefore kept per candidate set and start, keyed by (dim, candidate
+count, seed), together with the finest delta it was run to; a coarser
+request is cut from it, a finer one runs a new sweep and replaces it.
 """
 
 from __future__ import annotations
@@ -62,7 +71,32 @@ class SeparatedNet:
         return sum(len(c) for c in self.classes)
 
 
-_NET_CACHE: dict[tuple, np.ndarray] = {}
+# (dim, candidate count, seed) -> (delta, net): the finest sweep run so far
+_NET_CACHE: dict[tuple, tuple[float, np.ndarray]] = {}
+
+
+def _stop_prefix(net: np.ndarray, thresh2: float) -> np.ndarray:
+    """`net` up to its first pick whose squared distance to the earlier
+    picks is below `thresh2`: where a sweep with that threshold stops.
+
+    The distances are formed as the sweep forms them (later point minus
+    earlier point, one row `einsum`), so the cut is bitwise the sweep's.
+    They never grow along the net, so a galloping then bisecting search
+    finds the cut after O(log k) tests of at most 2k rows each, for a
+    prefix of k points.
+    """
+    def stops(k: int) -> bool:
+        diff = net[k] - net[:k]
+        return bool(np.einsum("ij,ij->i", diff, diff).min() < thresh2)
+
+    lo, hi = 0, 1  # picks before lo are kept; the cut is at hi or before
+    while hi < len(net) and not stops(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, len(net))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if stops(mid) else (mid, hi)
+    return net[:hi]
 
 
 def greedy_net(d: int, delta: float, seed: int = 0) -> np.ndarray:
@@ -76,28 +110,35 @@ def greedy_net(d: int, delta: float, seed: int = 0) -> np.ndarray:
     every candidate lies within delta of it, so the sphere is covered at
     delta plus the candidate resolution.  Deterministic given (d, delta,
     seed); the seed only moves the starting point.
+
+    A call whose candidate set and start were swept before, to a delta no
+    larger, returns the exact prefix of that sweep at which a sweep to this
+    delta stops (see the module docstring), without sweeping again.  The
+    returned array is read-only and may be a view of the cached net.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
     if not (0.0 < delta <= 2.0):
         raise ValueError("delta must lie in (0, 2]")
-    key = (d, float(delta), int(seed))
-    if key in _NET_CACHE:
-        return _NET_CACHE[key]
     eps = min(delta / 2.0, sampling_slack(d, COVER_SAMPLES))
     need = int(np.ceil((4.0 / eps) ** (d - 1)))
     if need > CANDIDATE_CAP:
         raise NetBudgetError(
             f"candidate budget {need} exceeds cap {CANDIDATE_CAP} "
             f"(d={d}, delta={delta})")
+    key = (d, need, int(seed))
+    stop_dist = delta * (1.0 - 1e-12)
+    cached = _NET_CACHE.get(key)
+    if cached is not None and delta >= cached[0]:
+        return _stop_prefix(cached[1], float(stop_dist) ** 2)
     cand = sphere_candidates(d, need)
     idx = farthest_point_order(cand, start=seed % len(cand),
-                               stop_dist=delta * (1.0 - 1e-12))
+                               stop_dist=stop_dist)
     net = cand[idx]
     net.setflags(write=False)  # callers share the cached array
     if len(_NET_CACHE) > 64:
         _NET_CACHE.clear()
-    _NET_CACHE[key] = net
+    _NET_CACHE[key] = (float(delta), net)
     return net
 
 

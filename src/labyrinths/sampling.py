@@ -94,42 +94,46 @@ def farthest_point_order(
     too.  Per pick the cost is a test of n / _BLOCK boxes plus the rows of
     the blocks near p, roughly the new point's Voronoi cell, for about
     n log k row updates in all on a quasi-uniform set.
+
+    The blocks are laid out as one (blocks, _BLOCK) array, the last one
+    padded with copies of its last point, so a pick updates its blocks with
+    one `einsum` and takes their tops with one `max` along the rows.  A pad
+    row keeps d2 = -1, below every real value, so it is never picked and
+    its point leaves the box unchanged.
     """
     n = len(points)
     if n == 0:
         return np.empty(0, dtype=np.intp)
     start = int(start) % n
     chosen = [start]
-    d2 = np.einsum("ij,ij->i", points - points[start], points - points[start])
+    diff = points - points[start]
+    d2 = np.einsum("ij,ij->i", diff, diff)
     limit = n if stop_count is None else min(stop_count, n)
     thresh2 = None if stop_dist is None else float(stop_dist) ** 2
     order = cKDTree(points, leafsize=_BLOCK).indices
+    pad = -n % _BLOCK
+    order = np.append(order, np.full(pad, order[-1])).reshape(-1, _BLOCK)
     pts, d2 = points[order], d2[order]
-    first = np.arange(0, n, _BLOCK)
-    size = np.diff(np.append(first, n))
-    lo = np.minimum.reduceat(pts, first, axis=0)
-    hi = np.maximum.reduceat(pts, first, axis=0)
-    top = np.maximum.reduceat(d2, first)
-
-    def rows(blocks):
-        """Row indices of `blocks`, and where each block starts among them."""
-        lens = size[blocks]
-        starts = np.cumsum(lens) - lens
-        return (np.arange(lens.sum()) + np.repeat(first[blocks] - starts, lens),
-                starts)
-
+    d2[-1, _BLOCK - pad:] = -1.0
+    # the boxes from the flat rows: a min along axis 1 of the 3-D array
+    # runs about ten times slower
+    flat = pts.reshape(n + pad, -1)
+    first = np.arange(0, n + pad, _BLOCK)
+    lo = np.minimum.reduceat(flat, first)
+    hi = np.maximum.reduceat(flat, first)
+    top = d2.max(axis=1)
     while len(chosen) < limit:
         m = top.max()
         if thresh2 is not None and m < thresh2:
             break
-        tied, _ = rows(np.flatnonzero(top == m))
-        i = int(order[tied[d2[tied] == m]].min())
+        tied = (top == m).nonzero()[0]
+        i = int(order[tied][d2[tied] == m].min())
         chosen.append(i)
-        gap = np.clip(points[i], lo, hi) - points[i]
-        hit = np.flatnonzero(np.einsum("ij,ij->i", gap, gap) * (1.0 - 1e-9) < top)
-        near, starts = rows(hit)
-        diff = pts[near] - points[i]
-        new = np.minimum(d2[near], np.einsum("ij,ij->i", diff, diff))
-        d2[near] = new
-        top[hit] = np.maximum.reduceat(new, starts)
+        p = points[i]
+        gap = np.minimum(np.maximum(p, lo), hi) - p
+        hit = (np.einsum("ij,ij->i", gap, gap) * (1.0 - 1e-9) < top).nonzero()[0]
+        diff = pts[hit] - p
+        new = np.minimum(d2[hit], np.einsum("bij,bij->bi", diff, diff))
+        d2[hit] = new
+        top[hit] = new.max(axis=1)
     return np.asarray(chosen, dtype=np.intp)

@@ -1,9 +1,14 @@
 import json
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from labyrinths.cli import main
 from labyrinths.io import (
@@ -425,3 +430,128 @@ def test_cli_entrypoint_subprocess(tmp_path):
          "--out", str(out)], capture_output=True, text=True)
     assert r.returncode == 0
     assert out.exists()
+
+
+@pytest.fixture(scope="module")
+def j1_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("j1") / "j1.json"
+    assert run_cli("generate", "--J", "1", "--out", str(path)) == 0
+    return json.loads(path.read_text())
+
+
+REMOVED = object()
+
+
+def write_with(doc, where, value, path):
+    """`doc` with the field at `where` set to `value` (REMOVED deletes it)."""
+    doc = json.loads(json.dumps(doc))
+    holder = doc
+    for key in where[:-1]:
+        holder = holder[key]
+    if value is REMOVED:
+        del holder[where[-1]]
+    else:
+        holder[where[-1]] = value
+    path.write_text(json.dumps(doc))  # NaN and infinities as json's tokens
+
+
+def command_args(command, tmp_path):
+    """What each command needs besides the file to get as far as loading it."""
+    return {"report": [], "verify": ["--M", "0.1"],
+            "export": ["--csv", str(tmp_path / "o.csv")]}[command]
+
+
+@pytest.mark.parametrize("command", ["report", "verify", "export"])
+@pytest.mark.parametrize("scale", [0, 0.0, -1.0, 1e-320, 5e-324, "inf"])
+def test_cli_rejects_a_scale_that_is_not_a_normal_positive_number(
+        tmp_path, j1_doc, capsys, command, scale):
+    bad = tmp_path / "bad.json"
+    write_with(j1_doc, ("scale",), scale, bad)
+    assert run_cli(command, str(bad), *command_args(command, tmp_path)) == 1
+    assert "field 'scale' must be a finite normal number > 0" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "verify", "export"])
+def test_cli_rejects_a_dim_its_components_do_not_have(tmp_path, j1_doc, capsys,
+                                                      command):
+    bad = tmp_path / "bad.json"
+    write_with(j1_doc, ("dim",), 100_000, bad)
+    tracemalloc.start()
+    try:
+        rc = run_cli(command, str(bad), *command_args(command, tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert "field 'dim' is 100000, but components[0] has 2 coordinates" \
+        in capsys.readouterr().err
+    assert peak < 50 * 2 ** 20  # no domain of that dimension was built
+
+
+def test_loader_rejects_components_of_mixed_shape(j1_doc, tmp_path):
+    for where, value in [(("components", 0, "normal"), [0.0, 0.0, 1.0]),
+                         (("components", 0, "center"), [[0.5, 0.0]])]:
+        bad = tmp_path / "bad.json"
+        write_with(j1_doc, where, value, bad)
+        with pytest.raises(MalformedFileError, match=r"components\[0\] invalid"):
+            load_labyrinth(str(bad))
+
+
+# The fields of a J = 1 shell file, nested ones through their first or last
+# entry; every one of them must exist in the generated file.
+J1_FIELDS = [
+    ("version",), ("dim",), ("domain",), ("domain", "kind"), ("schedule",),
+    ("schedule", "s0"), ("schedule", "s"), ("schedule", "s", 0),
+    ("schedule", "m"), ("schedule", "t"), ("schedule", "c"),
+    ("schedule", "a"), ("schedule", "tangent_radii"),
+    ("schedule", "tangent_radii", 0), ("components",), ("components", 0),
+    ("components", -1), ("components", 0, "center"),
+    ("components", 0, "center", 1), ("components", 0, "normal"),
+    ("components", -1, "normal", 0), ("components", 0, "radius"),
+    ("components", 0, "level"), ("components", 0, "level", "j"),
+    ("components", -1, "level", "k"), ("components", 0, "level", "p"),
+    ("seed",), ("scale",), ("kind",), ("nets",), ("nets", 0),
+    ("nets", 0, "r"), ("nets", 0, "c"), ("nets", 0, "m"),
+    ("nets", 0, "classes"), ("nets", 0, "classes", 0),
+    ("nets", 0, "classes", -1, 0), ("nets", 0, "classes", 0, 0, 1),
+    ("collar_widths",),
+]
+
+HOSTILE = st.one_of(
+    st.just(REMOVED), st.none(), st.booleans(), st.integers(-3, 12),
+    st.sampled_from([100_000, 10 ** 12, -10 ** 12, 2 ** 63]),
+    st.floats(), st.sampled_from([0.0, -0.0, 1e-320, 5e-324, 1e150, 1e200, 1e308, -1e308]),
+    st.text(max_size=4), st.lists(st.floats(-2.0, 2.0), max_size=4),
+    st.lists(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "j", "x"]),
+                    st.one_of(st.integers(-1, 3), st.text(max_size=3)),
+                    max_size=2),
+)
+
+
+def test_fuzz_fields_exist_in_a_generated_file(j1_doc):
+    for where in J1_FIELDS:
+        holder = j1_doc
+        for key in where:
+            holder = holder[key]
+
+
+@settings(max_examples=100, deadline=None)
+@given(where=st.sampled_from(J1_FIELDS), value=HOSTILE)
+@example(where=("scale",), value=0)
+@example(where=("scale",), value=1e-320)
+@example(where=("dim",), value=100_000)
+@example(where=("components", 0, "radius"), value=1e308)
+@example(where=("components", 0, "center", 1), value=1e200)
+@example(where=("scale",), value=1e308)
+@example(where=("scale",), value=1e-237)
+def test_report_and_export_survive_one_changed_field(j1_doc, where, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "bad.json"
+        write_with(j1_doc, where, value, bad)
+        assert run_cli("report", str(bad), "--out",
+                       str(Path(tmp) / "report.json")) in (0, 1, 2)
+        assert run_cli("export", str(bad), "--svg", str(Path(tmp) / "o.svg"),
+                       "--csv", str(Path(tmp) / "o.csv")) in (0, 1, 2)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from labyrinths.nets import (
+    _NET_CACHE,
+    COVER_SAMPLES,
     NetBudgetError,
     build_separated_families,
     calibrated_class_count,
@@ -13,6 +17,8 @@ from labyrinths.nets import (
     greedy_net,
     sampling_slack,
 )
+from labyrinths.sampling import sphere_candidates
+from oracles import brute_farthest_point_order
 
 
 def min_pairwise(points):
@@ -165,3 +171,77 @@ def test_net_example_sizes_d2():
     net = build_separated_families(2, 0.4, 0.45, seed=0)
     assert 20 <= net.size <= 50  # ~35 circle points
     assert 3 <= net.m <= 7
+
+
+# Scales that share one candidate set per dimension (the resolution is the
+# sampling slack at all of them) and are coarse enough for the brute oracle.
+NESTED_DELTAS = {2: (0.04, 0.09, 0.2, 0.5, 1.3), 3: (0.3, 0.42, 0.6, 0.9, 1.5)}
+NESTED_SEEDS = (0, 3, 11)
+
+
+def stop_dist(delta):
+    return delta * (1.0 - 1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_net(d, delta, seed):
+    """The net greedy_net promises, from the plain all-candidate traversal."""
+    eps = min(delta / 2.0, sampling_slack(d, COVER_SAMPLES))
+    cand = sphere_candidates(d, int(np.ceil((4.0 / eps) ** (d - 1))))
+    return cand[brute_farthest_point_order(cand, start=seed % len(cand),
+                                           stop_dist=stop_dist(delta))]
+
+
+@functools.lru_cache(maxsize=None)
+def delta_pool(d, seed):
+    """NESTED_DELTAS plus up to three deltas whose squared stop distance
+    equals, to the bit, the squared distance of a pick of the finest net
+    to the earlier picks: there a cut one pick early or late shows."""
+    net = oracle_net(d, min(NESTED_DELTAS[d]), seed)
+    ties = []
+    for k in range(1, len(net)):
+        diff = net[k] - net[:k]
+        mk = np.einsum("ij,ij->i", diff, diff).min()
+        delta = np.sqrt(mk) / (1.0 - 1e-12)
+        for _ in range(12):
+            if float(stop_dist(delta)) ** 2 == mk:
+                if delta <= 2.0 and float(delta) not in ties:
+                    ties.append(float(delta))
+                break
+            delta = np.nextafter(delta, np.inf if stop_dist(delta) ** 2 < mk
+                                 else -np.inf)
+        if len(ties) == 3:
+            break
+    assert ties, "no delta found that ties a pick distance"
+    return NESTED_DELTAS[d] + tuple(ties)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_coarser_nets_are_exact_prefixes_of_the_cached_sweep(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    seed = data.draw(st.sampled_from(NESTED_SEEDS))
+    deltas = data.draw(st.lists(st.sampled_from(delta_pool(d, seed)),
+                                min_size=3, max_size=5, unique=True))
+    _NET_CACHE.clear()
+    warm = [greedy_net(d, delta, seed=seed) for delta in deltas]
+    for delta, net in zip(deltas, warm):
+        _NET_CACHE.clear()
+        assert np.array_equal(net, greedy_net(d, delta, seed=seed))
+        assert np.array_equal(net, oracle_net(d, delta, seed))
+    _NET_CACHE.clear()
+
+
+def test_coarser_net_is_cut_from_the_finer_sweep():
+    _NET_CACHE.clear()
+    fine = greedy_net(2, 0.04, seed=3)
+    coarse = greedy_net(2, 0.2, seed=3)
+    assert len(_NET_CACHE) == 1
+    assert 1 < len(coarse) < len(fine)
+    assert np.shares_memory(coarse, fine)
+    assert np.array_equal(coarse, fine[:len(coarse)])
+    assert not coarse.flags.writeable
+    finer = greedy_net(2, 0.02, seed=3)  # a new sweep replaces the entry
+    assert len(_NET_CACHE) == 1 and len(finer) > len(fine)
+    assert np.array_equal(greedy_net(2, 0.04, seed=3), fine)
+    _NET_CACHE.clear()

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labyrinths.sampling import farthest_point_order, sphere_candidates
+from scipy.spatial import cKDTree
+
+from labyrinths.sampling import _BLOCK, farthest_point_order, sphere_candidates
 from oracles import brute_farthest_point_order
 
 
@@ -80,3 +82,34 @@ def test_traversal_of_empty_and_single_point_sets():
     assert farthest_point_order(np.ones((1, 2)), start=4).tolist() == [0]
     # duplicates only: with no stop distance the traversal repeats index 0
     assert farthest_point_order(np.zeros((3, 2)), stop_count=5).tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 511])
+@pytest.mark.parametrize("stop_dist, stop_count", [
+    (None, None), (0.5, None), (None, 40)])
+def test_traversal_at_block_boundaries(n, stop_dist, stop_count):
+    # one block short of full, exactly full, one row into a padded block,
+    # and a last block one row short of full
+    pts = np.random.default_rng(n).standard_normal((n, 3))
+    got = farthest_point_order(pts, start=n // 3, stop_dist=stop_dist,
+                               stop_count=stop_count)
+    want = brute_farthest_point_order(pts, start=n // 3, stop_dist=stop_dist,
+                                      stop_count=stop_count)
+    assert np.array_equal(got, want)
+
+
+def test_traversal_ties_in_the_padded_last_block():
+    # 300 rows over the 9 points of a 3 x 3 lattice: the 44 real rows of the
+    # padded last block are copies, tied with rows of the full block; past
+    # the 9 distinct points every d2 is 0 and stop_count keeps picking
+    pts = np.random.default_rng(4).integers(-1, 2, size=(300, 2)).astype(float)
+    last = cKDTree(pts, leafsize=_BLOCK).indices[_BLOCK:]
+    assert len(last) == 300 - _BLOCK
+    assert len(np.unique(pts[last], axis=0)) < len(last)
+    for start in (0, 7, 299):
+        for stop_count in (9, 20, 400):
+            got = farthest_point_order(pts, start=start, stop_count=stop_count)
+            want = brute_farthest_point_order(pts, start=start,
+                                              stop_count=stop_count)
+            assert np.array_equal(got, want)
+        assert len(farthest_point_order(pts, start=start, stop_dist=0.5)) == 9
