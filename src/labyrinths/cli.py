@@ -258,9 +258,15 @@ def cmd_generate(args) -> int:
         dom = PRESETS[cfg.domain]()
         try:
             cover = patch_cover(dom, cfg.patch_radius, cfg.eta)
+        except ValueError as exc:  # the collar width check
+            raise UsageError(f"constraint violated: --eta: {exc}") from exc
+        except CoverageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        try:
             lab = assemble_patch_labyrinth(dom, cover, cfg.M, t=cfg.t,
                                            c=cfg.c, seed=seed)
-        except (CoverageError, CollarCollapseError) as exc:
+        except CollarCollapseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     save_labyrinth(lab, args.out)

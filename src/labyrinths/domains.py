@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 from .config import DEFAULT_C, DEFAULT_T
-from .geometry import FlatBall, tangent_basis, unit_vector
+from .geometry import FlatBall, disc_rows, tangent_basis, unit_vector
 from .shells import Labyrinth, build_shell, schedule_from_radii
 
 
@@ -476,7 +476,8 @@ def patch_cover(dom: ConvexDomain, patch_radius: float,
     bnd = boundary_samples(dom, PATCH_BOUNDARY_SAMPLES)
     inradius = float(np.min(np.linalg.norm(bnd, axis=1)))
     if not (0.0 < eta < 0.25 * inradius):
-        raise ValueError("eta must be small relative to the domain inradius")
+        raise ValueError(f"eta must lie in (0, {0.25 * inradius:.6g}), below "
+                         "a quarter of the domain inradius")
     centers = [bnd[0]]
     d2 = np.linalg.norm(bnd - bnd[0], axis=1)
     # cover the sampled boundary with strict interior margin
@@ -508,47 +509,43 @@ def measure_delta(cover: PatchCover, sample_factor: int = 1) -> float | None:
 
 
 def _measure_delta(dom, centers, radius, eta, samples) -> float | None:
-    """min over patches j of dist(V & dU_j, V & d(union_{i!=j} U_i))."""
+    """min over patches j of dist(V & dU_j, V & d(union_{i!=j} U_i)).
+
+    A collar point of ring i lies on the boundary of the union without
+    patch j when no patch other than i and j strictly contains it, so each
+    ring's points are sorted once by the patches containing them: free for
+    every j (none), for one j only (exactly that one), or for none.
+    """
     if len(centers) < 2:
         return None
     if dom.dim != 2:
         raise NotImplementedError("patch covers are implemented for d = 2")
     ang = 2.0 * np.pi * np.arange(samples) / samples
     circle = np.column_stack([np.cos(ang), np.sin(ang)])
-    rings = [c + radius * circle for c in centers]
-    in_collar = []
-    for ring in rings:
-        inside = rho_values(dom, ring) <= 0.0
-        depth = boundary_distance(dom, ring)
-        in_collar.append(ring[inside & (depth <= eta)])
-    delta = np.inf
     k = len(centers)
+    in_collar, only = [], []
+    for i, c in enumerate(centers):
+        ring = c + radius * circle
+        ring = ring[(rho_values(dom, ring) <= 0.0)
+                    & (boundary_distance(dom, ring) <= eta)]
+        inside = np.linalg.norm(ring[:, None] - centers, axis=2) \
+            < radius * (1.0 - 1e-12)
+        inside[:, i] = False
+        # the one other patch containing a point, -1 if none, k if several
+        only.append(np.where(inside.sum(axis=1) > 1, k, np.where(
+            inside.any(axis=1), inside.argmax(axis=1), -1)))
+        in_collar.append(ring)
+    ring_of = np.repeat(np.arange(k), [len(r) for r in in_collar])
+    pts, only = np.concatenate(in_collar), np.concatenate(only)
+    delta = np.inf
     for j in range(k):
         mine = in_collar[j]
         if len(mine) == 0:
             return None
-        others = []
-        for i in range(k):
-            if i == j:
-                continue
-            ring = in_collar[i]
-            if len(ring) == 0:
-                continue
-            # boundary of the union: points of ring i not strictly inside
-            # any other patch (patch j excluded from the union)
-            free = np.ones(len(ring), dtype=bool)
-            for i2 in range(k):
-                if i2 in (i, j):
-                    continue
-                free &= np.linalg.norm(ring - centers[i2], axis=1) \
-                    >= radius * (1.0 - 1e-12)
-            others.append(ring[free])
-        others = np.vstack([o for o in others if len(o)]) \
-            if any(len(o) for o in others) else None
-        if others is None or len(others) == 0:
+        others = pts[(ring_of != j) & ((only == -1) | (only == j))]
+        if len(others) == 0:
             continue
-        dd = cKDTree(others).query(mine, k=1)[0]
-        delta = min(delta, float(dd.min()))
+        delta = min(delta, float(cKDTree(others).query(mine, k=1)[0].min()))
     return None if not np.isfinite(delta) else delta
 
 
@@ -606,9 +603,11 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
                                      np.array([1.0, 0.0]))
             mapped.level = (step + 1, fb.level[1], fb.level[2])
             components.append(mapped)
-        pts = np.vstack([_disc_samples_2d(components[i])
-                         for i in range(len(components) - len(built),
-                                        len(components))])
+        # nine points along each new segment, its ends included
+        C, N, R = disc_rows(components[-len(built):])
+        U = R[:, None] * np.column_stack([-N[:, 1], N[:, 0]])
+        pts = (C[:, None] + np.linspace(-1.0, 1.0, 9)[:, None] * U[:, None]
+               ).reshape(-1, 2)
         eta_new = float(boundary_distance(dom, pts).min())
         if eta_new >= eta:
             raise CollarCollapseError("collar width failed to decrease strictly")
@@ -630,9 +629,3 @@ def _local_patch_discs(schedule, dim, seed, window) -> list[FlatBall]:
             if np.linalg.norm(fb.center - e1) + fb.radius <= window:
                 out.append(fb)
     return out
-
-
-def _disc_samples_2d(fb: FlatBall, count: int = 9) -> np.ndarray:
-    u = np.array([-fb.normal[1], fb.normal[0]])
-    ts = np.linspace(-1.0, 1.0, count)
-    return fb.center + np.outer(ts, fb.radius * u)

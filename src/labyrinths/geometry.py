@@ -6,7 +6,8 @@ it degenerates to a segment.  All functions here are pure; tolerances come
 from :mod:`labyrinths.config`.
 
 The ``pairs_*`` functions work on aligned rows (segment or point i against
-disc i) in any dimension; the scalar predicates are one-row calls of them.
+disc i) in any dimension, as do the rims and tangent bases of disc rows;
+the scalar functions are one-row calls of them.
 At clearance 0 the segment/disc test is exact and needs no iteration: with
 signed plane heights ha, hb of its endpoints, a segment touches the closed
 disc iff it crosses the plane (sign(ha) * sign(hb) <= 0, not both zero) at
@@ -45,19 +46,33 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def tangent_basis(normal: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the hyperplane orthogonal to `normal`.
+def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of X and Y, each summed as the 1-D `x @ y`
+    sums it, so a batch reproduces one-row values (and ``np.linalg.norm``
+    of one vector) bit for bit; a row einsum or norm(axis=1) does not."""
+    return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
-    Returns a (d, d-1) matrix whose columns span normal^perp, built from a
-    single Householder reflection (no branch on near-parallel cases).
+
+def tangent_bases(N: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the hyperplanes orthogonal to the rows of N.
+
+    Returns (n, d, d-1): each row's columns span its normal^perp, from one
+    Householder reflection (no branch on near-parallel cases).
     """
-    n = unit_vector(normal)
-    d = n.shape[0]
-    alpha = 1.0 if n[0] >= 0.0 else -1.0
-    u = n.copy()
-    u[0] += alpha
-    H = np.eye(d) - 2.0 * np.outer(u, u) / (u @ u)
-    return H[:, 1:]
+    N = np.asarray(N, dtype=float)
+    norms = np.sqrt(row_dots(N, N))
+    if np.any(norms == 0.0):
+        raise ValueError("cannot normalise the zero vector")
+    U = N / norms[:, None]
+    U[:, 0] += np.where(U[:, 0] >= 0.0, 1.0, -1.0)
+    H = np.eye(N.shape[1]) \
+        - 2.0 * (U[:, :, None] * U[:, None, :]) / row_dots(U, U)[:, None, None]
+    return H[:, :, 1:]
+
+
+def tangent_basis(normal: np.ndarray) -> np.ndarray:
+    """The (d, d-1) basis of normal^perp (one row of :func:`tangent_bases`)."""
+    return tangent_bases(np.asarray(normal, dtype=float)[None, :])[0]
 
 
 @dataclass(eq=False)
@@ -200,13 +215,16 @@ def pairs_segment_disc_touch(A, B, C, N, R, clearance: float = 0.0) -> np.ndarra
     return pairs_segment_disc_distance(A, B, C, N, R) <= clearance
 
 
-def _disc_row(fb: FlatBall) -> tuple:
-    return fb.center[None, :], fb.normal[None, :], np.array([fb.radius])
+def disc_rows(balls) -> tuple:
+    """(C, N, R): centres, normals and radii of the flat balls as arrays."""
+    return (np.array([fb.center for fb in balls]),
+            np.array([fb.normal for fb in balls]),
+            np.array([fb.radius for fb in balls]))
 
 
 def _segment_row(a, b, fb: FlatBall) -> tuple:
     return (np.atleast_2d(np.asarray(a, dtype=float)),
-            np.atleast_2d(np.asarray(b, dtype=float)), *_disc_row(fb))
+            np.atleast_2d(np.asarray(b, dtype=float)), *disc_rows([fb]))
 
 
 def segment_flatball_distance(a, b, fb: FlatBall) -> float:
@@ -304,7 +322,7 @@ def pairs_disc_disc_distance(C1, N1, R1, C2, N2, R2) -> np.ndarray:
 def flatball_pair_distance(f1: FlatBall, f2: FlatBall) -> float:
     """Certified lower bound on the distance between two flat balls (one
     row of :func:`pairs_disc_disc_distance`)."""
-    return float(pairs_disc_disc_distance(*_disc_row(f1), *_disc_row(f2))[0])
+    return float(pairs_disc_disc_distance(*disc_rows([f1]), *disc_rows([f2]))[0])
 
 
 def _max_margin_lp(first: np.ndarray, second: np.ndarray):
@@ -402,29 +420,37 @@ def separating_hyperplane(first, second, margin: float = 0.0,
     return Hyperplane(w, b)
 
 
-def flatball_rim_points(fb: FlatBall, count: int) -> np.ndarray:
-    """`count` spread points on the rim sphere of the flat ball.
+def disc_rim_points(C, N, R, count: int) -> np.ndarray:
+    """`count` spread points on the rim sphere of each disc row: (n, count, d).
 
     d = 2: the two segment endpoints (count is ignored beyond 2).
     d = 3: equally spaced rim angles.
-    d >= 4: farthest-point selection from a quasi-uniform candidate set of
-    the rim (d-2)-sphere, giving an empirical covering of the rim at
-    resolution comparable to count^(-1/(d-2)).
+    d >= 4: one farthest-point selection from a quasi-uniform candidate set
+    of the (d-2)-sphere, shared by every row, giving an empirical covering
+    of the rim at resolution comparable to count^(-1/(d-2)).
     """
-    B = tangent_basis(fb.normal)
-    d = fb.dim
+    C = np.asarray(C, dtype=float)
+    B = tangent_bases(N)
+    d = C.shape[1]
+    Rc = np.asarray(R, dtype=float)[:, None, None]
     if d == 2:
-        u = B[:, 0]
-        return np.vstack([fb.center - fb.radius * u, fb.center + fb.radius * u])
+        return C[:, None] + Rc * np.concatenate([-B[:, None, :, 0],
+                                                 B[:, None, :, 0]], axis=1)
     if d == 3:
         ang = 2.0 * np.pi * np.arange(count) / count
-        circ = np.outer(np.cos(ang), B[:, 0]) + np.outer(np.sin(ang), B[:, 1])
-        return fb.center + fb.radius * circ
+        circ = np.cos(ang)[:, None] * B[:, None, :, 0] \
+            + np.sin(ang)[:, None] * B[:, None, :, 1]
+        return C[:, None] + Rc * circ
     from .sampling import farthest_point_order, sphere_candidates
 
     cand = sphere_candidates(d - 1, max(64, 8 * count))
     idx = farthest_point_order(cand, start=0, stop_count=count)
-    return fb.center + fb.radius * (cand[idx] @ B.T)
+    return C[:, None] + Rc * (cand[idx] @ B.transpose(0, 2, 1))
+
+
+def flatball_rim_points(fb: FlatBall, count: int) -> np.ndarray:
+    """Rim points of one flat ball (one row of :func:`disc_rim_points`)."""
+    return disc_rim_points(*disc_rows([fb]), count)[0]
 
 
 def flatball_extremal_points(fb: FlatBall, count: int) -> np.ndarray:

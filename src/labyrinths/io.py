@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .domains import boundary_samples, domain_extent, resolve_domain
-from .geometry import FlatBall
+from .geometry import FlatBall, disc_rim_points, disc_rows
 from .nets import SeparatedNet
 from .shells import Labyrinth, ShellSchedule
 
@@ -24,6 +24,9 @@ SVG_UNIT = 1000.0
 # The loader holds a schedule's J x m sublevel radii in memory and checks
 # them one by one, so it refuses a larger grid.
 MAX_SUBLEVELS = 1_000_000
+# A ball or ellipsoid domain holds a dim x dim matrix, and the search draws
+# samples of dim coordinates, so the loader refuses a larger dim.
+MAX_DOMAIN_ENTRIES = 1_000_000
 # Largest magnitude of a component coordinate or radius: squared distances
 # between such points stay finite.
 MAX_COORDINATE = 1e150
@@ -198,6 +201,9 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
                 f"field 'dim' is {dim}, but components[{i}] has "
                 f"{fb.dim} coordinates")
         comps.append(fb)
+    if dim * dim > MAX_DOMAIN_ENTRIES:
+        raise MalformedFileError(f"field 'dim' must be at most "
+                                 f"{math.isqrt(MAX_DOMAIN_ENTRIES)}")
     sched = None
     sd = doc.get("schedule")
     if sd is not None:
@@ -328,15 +334,6 @@ def _jsonable(obj):
 # figure and table export
 
 
-def _svg_transform_2d(lab: Labyrinth):
-    """Map from stored component coordinates to drawing coordinates."""
-    dom = lab.domain
-    if dom.get("kind") == "ellipsoid" and "to_ball" in dom:
-        T = np.asarray(dom["to_ball"], dtype=float)
-        return np.linalg.inv(T)
-    return np.eye(lab.dim)
-
-
 def export_svg(lab: Labyrinth, path: str, escape_path=None,
                projection: tuple[int, int] | None = None) -> dict:
     """Draw the domain outline, faint sublevel circles, components, path.
@@ -348,7 +345,11 @@ def export_svg(lab: Labyrinth, path: str, escape_path=None,
     if lab.dim != 2 and projection is None:
         raise ValueError("SVG export beyond the plane needs a projection pair")
     axes = projection if projection is not None else (0, 1)
-    M = _svg_transform_2d(lab) if lab.dim == 2 else np.eye(lab.dim)
+    # a planar ellipsoid file stores ball coordinates; draw the domain's
+    dom = lab.domain
+    M = np.linalg.inv(np.asarray(dom["to_ball"], dtype=float)) \
+        if lab.dim == 2 and dom.get("kind") == "ellipsoid" and "to_ball" in dom \
+        else np.eye(lab.dim)
 
     def pt(x):
         y = M @ x
@@ -368,8 +369,8 @@ def export_svg(lab: Labyrinth, path: str, escape_path=None,
                 lines.append(
                     f'<circle cx="0" cy="0" r="{_fmt(r)}" fill="none" '
                     f'stroke="#dddddd" stroke-width="1"/>')
-    for fb in lab.components:
-        if lab.dim == 2:
+    if lab.dim == 2:
+        for fb in lab.components:
             u = np.array([-fb.normal[1], fb.normal[0]])
             a = pt(fb.center - fb.radius * u)
             b = pt(fb.center + fb.radius * u)
@@ -377,10 +378,8 @@ def export_svg(lab: Labyrinth, path: str, escape_path=None,
                 f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
                 f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" stroke="#000000" '
                 f'stroke-width="3" stroke-linecap="round" class="component"/>')
-        else:
-            from .geometry import flatball_rim_points
-
-            rim = flatball_rim_points(fb, 32)
+    elif lab.components:
+        for rim in disc_rim_points(*disc_rows(lab.components), 32):
             pts = " ".join(f"{_fmt(px)},{_fmt(py)}"
                            for px, py in (pt(x) for x in rim))
             lines.append(f'<polygon points="{pts}" fill="none" '

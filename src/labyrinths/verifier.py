@@ -15,10 +15,12 @@ exact at the default clearance 0: a segment touches a closed disc iff it
 crosses the disc's hyperplane, or lies in it, within the radius of the
 centre.  Grazes at the rounding level (about 1e-17, e.g. a rim-ring node on
 a disc's plane) fall either way; a small positive clearance makes them
-robust.  The search culls pairs by a KD query on a cover of each planar
-disc by small balls, as fine as the segments are short, and on bounding
-spheres beyond the plane (:func:`_segments_collide`);
-:func:`verify_path` checks every segment against every component.
+robust.  The roadmap edges and boundary links are culled by a KD query on a
+cover of each planar disc by small balls, as fine as the segments are
+short, and on bounding spheres beyond the plane (:func:`_segments_collide`);
+:func:`shortcut` and :func:`verify_path` test every segment against every
+disc (:func:`_touches_any`).  Per-disc quantities come from one table of
+disc rows per call (:class:`_CompArrays`), never one disc at a time.
 
 The search region comes from the escape sets, not the domain: two spheres
 give the annulus between their radii, point sets a box around them.  The
@@ -41,12 +43,14 @@ from .config import RIM_STEP, TOL
 from .domains import resolve_domain, rho_values
 from .geometry import (
     FlatBall,
-    flatball_rim_points,
+    disc_rim_points,
+    disc_rows,
     pairs_disc_disc_distance,
     pairs_point_disc_distance,
     pairs_segment_disc_touch,
+    row_dots,
     separating_hyperplane,
-    tangent_basis,
+    tangent_bases,
 )
 from .nets import covering_radius, sampling_slack
 from .shells import Labyrinth, sqrt_gap_partial_sums
@@ -110,13 +114,8 @@ class _CompArrays:
 
     @staticmethod
     def from_components(comps: list[FlatBall]) -> "_CompArrays":
-        if not comps:
-            return _CompArrays(np.empty((0, 0)), np.empty((0, 0)),
-                               np.empty(0), None)
-        C = np.array([fb.center for fb in comps])
-        N = np.array([fb.normal for fb in comps])
-        R = np.array([fb.radius for fb in comps])
-        return _CompArrays(C, N, R, cKDTree(C))
+        C, N, R = disc_rows(comps)
+        return _CompArrays(C, N, R, cKDTree(C) if comps else None)
 
     def __len__(self):
         return len(self.radii)
@@ -231,6 +230,19 @@ def _segments_collide(A: np.ndarray, B: np.ndarray, comp: _CompArrays,
     return out
 
 
+def _touches_any(A: np.ndarray, B: np.ndarray, comp: _CompArrays,
+                 clearance: float) -> np.ndarray:
+    """Collision mask for segments [A[i], B[i]] against all components,
+    with no cull: every segment/disc pair goes through the exact predicate
+    in one call."""
+    n = len(comp)
+    if n == 0:
+        return np.zeros(len(A), dtype=bool)
+    s, c = np.divmod(np.arange(len(A) * n), n)
+    return pairs_segment_disc_touch(A[s], B[s], comp.centers[c], comp.normals[c],
+                                    comp.radii[c], clearance).reshape(-1, n).any(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # regions, roadmaps
 
@@ -326,9 +338,7 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
             raise RoadmapBudgetError(
                 "rejection rate above 99.9%: region nearly filled by the "
                 "clearance zone")
-    free_nodes = np.vstack(accepted)[:free_target] if accepted else \
-        np.empty((0, dim))
-    nodes = np.vstack([free_nodes, rim_nodes]) if len(rim_nodes) else free_nodes
+    nodes = np.vstack([np.vstack(accepted)[:free_target], rim_nodes])
 
     measure = _region_measure(region, dim)
     connect_radius = CONNECT_FACTOR * (measure / max(len(nodes), 1)) ** (1.0 / dim)
@@ -385,18 +395,17 @@ def _rim_offset_nodes(lab: Labyrinth, comp: _CompArrays, clearance: float,
     # by dropping whole components.
     per_tip_cap = (node_budget // 2) // max(1, len(lab.components) * rim_count)
     ring = int(np.clip(per_tip_cap, 2, 8))
-    out = []
-    for fb in lab.components:
-        rim = flatball_rim_points(fb, rim_count)
-        B = tangent_basis(fb.normal)
-        for e in rim:
-            u = e - fb.center
-            nu = np.linalg.norm(u)
-            u = u / nu if nu > 0 else B[:, 0]
-            ang = 2.0 * np.pi * np.arange(ring) / ring
-            out.append(e + offset * (np.outer(np.cos(ang), u)
-                                     + np.outer(np.sin(ang), fb.normal)))
-    pts = np.vstack(out)
+    # each rim point's ring spans its radial direction u and the normal; a
+    # rim point that rounds onto its centre takes the first tangent vector
+    rims = disc_rim_points(comp.centers, comp.normals, comp.radii, rim_count)
+    U = rims - comp.centers[:, None]
+    nu = np.sqrt(row_dots(U, U))[..., None]
+    U = np.where(nu > 0.0, U / np.where(nu > 0.0, nu, 1.0),
+                 tangent_bases(comp.normals)[:, None, :, 0])
+    ang = 2.0 * np.pi * np.arange(ring) / ring
+    pts = (rims[:, :, None] + offset * (
+        np.cos(ang)[:, None] * U[:, :, None]
+        + np.sin(ang)[:, None] * comp.normals[:, None, None])).reshape(-1, lab.dim)
     return _drop_blocked(pts[_region_contains(region, pts)], comp, clearance)
 
 
@@ -427,26 +436,29 @@ def path_length(polyline: np.ndarray) -> float:
                                 axis=1).sum())
 
 
+def _set_sphere(descr: dict) -> tuple:
+    """(centre, radius) of an escape set: a sphere about the origin, or a
+    point, the sphere of radius 0 about its coords."""
+    if descr["kind"] == "sphere":
+        return 0.0, float(descr["radius"])
+    if descr["kind"] == "point":
+        return np.asarray(descr["coords"], dtype=float), 0.0
+    raise ValueError(f"unknown set descriptor {descr['kind']!r}")
+
+
 def _project_to_set(descr: dict, pts: np.ndarray) -> np.ndarray:
     """Nearest points of the set to each row of `pts`."""
-    if descr["kind"] == "sphere":
-        r = float(descr["radius"])
-        norms = np.linalg.norm(pts, axis=1)
-        if np.any(norms == 0.0):
-            raise ValueError("cannot project the origin onto a sphere")
-        return pts * (r / norms)[:, None]
-    if descr["kind"] == "point":
-        coords = np.asarray(descr["coords"], dtype=float)
-        return np.broadcast_to(coords, pts.shape).copy()
-    raise ValueError(f"unknown set descriptor {descr['kind']!r}")
+    c, r = _set_sphere(descr)
+    v = pts - c
+    norms = np.linalg.norm(v, axis=1)
+    if r > 0.0 and np.any(norms == 0.0):
+        raise ValueError("cannot project the origin onto a sphere")
+    return c + v * (r / np.where(norms > 0.0, norms, 1.0))[:, None]
 
 
 def _set_distance(descr: dict, pts: np.ndarray) -> np.ndarray:
-    if descr["kind"] == "sphere":
-        return np.abs(np.linalg.norm(pts, axis=1) - descr["radius"])
-    if descr["kind"] == "point":
-        return np.linalg.norm(pts - np.asarray(descr["coords"], float), axis=1)
-    raise ValueError(f"unknown set descriptor {descr['kind']!r}")
+    c, r = _set_sphere(descr)
+    return np.abs(np.linalg.norm(pts - c, axis=1) - r)
 
 
 def shortest_escape(rm: Roadmap, source: dict, target: dict) -> EscapePath | None:
@@ -462,20 +474,18 @@ def shortest_escape(rm: Roadmap, source: dict, target: dict) -> EscapePath | Non
     for descr in (source, target):
         d = _set_distance(descr, rm.nodes)
         near = np.flatnonzero(d <= max(rm.connect_radius * 1.5, 1e-9))
-        if descr["kind"] == "point":
+        if _set_sphere(descr)[1] == 0.0:  # a point: link its nearest nodes
             k = min(n, 24)
             near = np.union1d(near, np.argsort(d)[:k])
         if len(near) == 0:
             return None
         proj = _project_to_set(descr, rm.nodes[near])
-        collide = _segments_collide(rm.nodes[near], proj, rm.comp, rm.clearance)
-        moved = np.linalg.norm(rm.nodes[near] - proj, axis=1)
-        ok = ~collide
-        links.append((near[ok], np.maximum(moved[ok], 1e-300)))
-        if not np.any(ok):
+        ok = ~_segments_collide(rm.nodes[near], proj, rm.comp, rm.clearance)
+        if not ok.any():
             return None
-    src_i, src_w = links[0]
-    tgt_i, tgt_w = links[1]
+        moved = np.linalg.norm(rm.nodes[near[ok]] - proj[ok], axis=1)
+        links.append((near[ok], np.maximum(moved, 1e-300)))
+    (src_i, src_w), (tgt_i, tgt_w) = links
     S, T = n, n + 1
     rows = np.concatenate([np.full(len(src_i), S), src_i,
                            np.full(len(tgt_i), T), tgt_i])
@@ -491,16 +501,11 @@ def shortest_escape(rm: Roadmap, source: dict, target: dict) -> EscapePath | Non
                           return_predecessors=True)
     if not np.isfinite(dist[T]):
         return None
-    chain = []
-    v = T
-    while v != S and v >= 0:
-        chain.append(v)
-        v = pred[v]
-    chain.append(S)
-    chain = chain[::-1]
-    inner = [i for i in chain if i < n]
-    if not inner:
-        return None
+    # the roadmap nodes of the path: S links to nodes only, never to T
+    inner = [pred[T]]
+    while pred[inner[-1]] != S:
+        inner.append(pred[inner[-1]])
+    inner = inner[::-1]
     poly = np.vstack([_project_to_set(source, rm.nodes[inner[:1]]),
                       rm.nodes[inner],
                       _project_to_set(target, rm.nodes[inner[-1:]])])
@@ -510,11 +515,9 @@ def shortest_escape(rm: Roadmap, source: dict, target: dict) -> EscapePath | Non
 
 
 def _dedupe(poly: np.ndarray) -> np.ndarray:
-    keep = [0]
-    for i in range(1, len(poly)):
-        if np.linalg.norm(poly[i] - poly[keep[-1]]) > 0.0:
-            keep.append(i)
-    return poly[keep]
+    """The polyline without repeats of its previous point."""
+    step = np.linalg.norm(np.diff(poly, axis=0), axis=1)
+    return poly[np.concatenate([[True], step > 0.0])]
 
 
 def shortcut(path: EscapePath, lab: Labyrinth, rounds: int = 400,
@@ -535,9 +538,8 @@ def shortcut(path: EscapePath, lab: Labyrinth, rounds: int = 400,
         ti, tj = rng.random(2)
         a = poly[i] + ti * (poly[i + 1] - poly[i])
         b = poly[j] + tj * (poly[j + 1] - poly[j])
-        if j <= i or np.linalg.norm(b - a) == 0.0:
-            continue
-        if _segments_collide(a[None, :], b[None, :], comp, path.clearance)[0]:
+        if j <= i or np.linalg.norm(b - a) == 0.0 \
+                or _touches_any(a[None, :], b[None, :], comp, path.clearance)[0]:
             continue
         poly = poly[:i + 1] + [a, b] + poly[j + 1:]
     # deterministic vertex-skipping sweep
@@ -547,7 +549,7 @@ def shortcut(path: EscapePath, lab: Labyrinth, rounds: int = 400,
         k = 0
         while k + 2 < len(poly):
             a, b = poly[k], poly[k + 2]
-            if np.linalg.norm(b - a) > 0.0 and not _segments_collide(
+            if np.linalg.norm(b - a) > 0.0 and not _touches_any(
                     a[None, :], b[None, :], comp, path.clearance)[0]:
                 del poly[k + 1]
                 changed = True
@@ -569,24 +571,16 @@ def verify_path(path: EscapePath, lab: Labyrinth, source: dict | None = None,
     component pairs go through the predicate in one vectorised call.
     """
     poly = path.polyline
-    comp = _CompArrays.from_components(lab.components)
-    if len(comp):
-        s = np.repeat(np.arange(len(poly) - 1), len(comp))
-        c = np.tile(np.arange(len(comp)), len(poly) - 1)
-        if pairs_segment_disc_touch(poly[s], poly[s + 1], comp.centers[c],
-                                    comp.normals[c], comp.radii[c],
-                                    path.clearance).any():
-            return False
-    if source is not None and _set_distance(source, poly[:1])[0] > 1e-9:
+    if _touches_any(poly[:-1], poly[1:],
+                    _CompArrays.from_components(lab.components),
+                    path.clearance).any():
         return False
-    if target is not None and _set_distance(target, poly[-1:])[0] > 1e-9:
-        return False
-    return True
+    return all(s is None or _set_distance(s, p)[0] <= 1e-9
+               for s, p in ((source, poly[:1]), (target, poly[-1:])))
 
 
 def min_escape_length(lab: Labyrinth, source: dict, target: dict,
-                      effort: EffortBudget | None = None,
-                      region: dict | None = None) -> dict:
+                      effort: EffortBudget | None = None) -> dict:
     """Multi-start upper-bound search for the shortest escape path.
 
     Loops over node budgets and seeds, keeps the shortest certified path
@@ -596,7 +590,7 @@ def min_escape_length(lab: Labyrinth, source: dict, target: dict,
     this effort".
     """
     effort = effort or EffortBudget.default(lab.dim)
-    region = region or _region_from_sets(lab, source, target)
+    region = _region_from_sets(lab, source, target)
     best: EscapePath | None = None
     attempts = []
     for budget in effort.node_budgets:
@@ -630,7 +624,7 @@ def min_escape_length(lab: Labyrinth, source: dict, target: dict,
 # structural audit
 
 
-def _pairwise_min_distance(lab: Labyrinth) -> float:
+def _pairwise_min_distance(comp: _CompArrays) -> float:
     """Certified lower bound on the distance between distinct components.
 
     Candidate pairs come from a sound centre-distance cull: pairs beyond
@@ -638,7 +632,6 @@ def _pairwise_min_distance(lab: Labyrinth) -> float:
     exists that slack is returned as a valid positive lower bound.  The
     candidates go through :func:`pairs_disc_disc_distance` in one call.
     """
-    comp = _CompArrays.from_components(lab.components)
     if len(comp) < 2:
         return np.inf
     slack = 0.05
@@ -646,11 +639,10 @@ def _pairwise_min_distance(lab: Labyrinth) -> float:
                                   output_type="ndarray")
     if len(pairs) == 0:
         return slack
-    i, j = pairs[:, 0], pairs[:, 1]
+    i, j = pairs.T
     C, N, R = comp.centers, comp.normals, comp.radii
-    dmin = float(pairs_disc_disc_distance(C[i], N[i], R[i],
-                                          C[j], N[j], R[j]).min())
-    return min(dmin, slack)
+    return min(float(pairs_disc_disc_distance(C[i], N[i], R[i],
+                                              C[j], N[j], R[j]).min()), slack)
 
 
 def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None) -> dict:
@@ -672,39 +664,34 @@ def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None) -> dict:
     checks = []
 
     def add(name: str, passed: bool, **details):
-        entry = {"name": name, "passed": bool(passed)}
-        entry.update(details)
-        checks.append(entry)
+        checks.append({"name": name, "passed": bool(passed), **details})
 
     comps = lab.components
-    norm_err = max(abs(np.linalg.norm(fb.normal) - 1.0) for fb in comps)
-    add("components-well-formed",
-        norm_err <= 1e-9 and all(fb.radius > 0 for fb in comps),
+    comp = _CompArrays.from_components(comps)
+    C, N, R = comp.centers, comp.normals, comp.radii
+    norm_err = float(np.abs(np.sqrt(row_dots(N, N)) - 1.0).max())
+    add("components-well-formed", norm_err <= 1e-9 and bool(np.all(R > 0.0)),
         max_normal_error=norm_err)
 
-    rims = [flatball_rim_points(fb, 64 * lab.dim) for fb in comps]
+    rims = disc_rim_points(C, N, R, 64 * lab.dim)
+    # the LP and containment samples: each disc's rim points, then its centre
+    samples = np.concatenate([rims, C[:, None]], axis=1)
 
     if lab.kind == "shell" and lab.schedule is not None:
         sched = lab.schedule
-        tang_err = 0.0
-        level_err = 0.0
-        clear_margin = np.inf
-        worst = None
-        for fb, rim in zip(comps, rims):
-            j, k, _ = fb.level
-            s_jk = lab.scale * float(sched.sublevels[j - 1, k - 1])
-            tang_err = max(tang_err, abs(float(fb.center @ fb.normal)
-                                         - np.linalg.norm(fb.center)))
-            level_err = max(level_err, abs(np.linalg.norm(fb.center) - s_jk))
-            margin = lab.scale * sched.sublevel_above(j, k) \
-                - float(np.linalg.norm(rim, axis=1).max())
-            if margin < clear_margin:
-                clear_margin = margin
-                worst = fb.level
+        j, k = np.array([fb.level[:2] for fb in comps]).T
+        norms = np.sqrt(row_dots(C, C))
+        tang_err = float(np.abs(row_dots(C, N) - norms).max())
+        level_err = float(np.abs(
+            norms - lab.scale * sched.sublevels[j - 1, k - 1]).max())
         add("tangency", tang_err <= 1e-9 and level_err <= 1e-9,
             tangency_error=tang_err, sublevel_error=level_err)
-        add("next-sublevel-clearance", clear_margin > 1e-9,
-            min_margin=clear_margin, worst_component=worst)
+        # s_(j,k+1), with s_(j,m+1) = s_j, against each disc's farthest rim
+        above = np.column_stack([sched.sublevels, sched.s])[j - 1, k]
+        margin = lab.scale * above - np.linalg.norm(rims, axis=2).max(axis=1)
+        worst = int(np.argmin(margin))
+        add("next-sublevel-clearance", margin[worst] > 1e-9,
+            min_margin=float(margin[worst]), worst_component=comps[worst].level)
 
         # the law is read off the radii: an equal-width schedule is rebuilt
         # for each J, so its prefixes are not schedules and only the total
@@ -718,28 +705,20 @@ def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None) -> dict:
         add("schedule-divergence", bool(np.all(sums[held] > target[held])),
             law=law, partial_sums=[float(x) for x in sums])
 
-        sep_ok = True
-        cov_ok = True
         cov_slack = sampling_slack(lab.dim, AUDIT_COVER_SAMPLES)
-        for net in lab.nets:
-            for cls in net.classes:
-                if len(cls) > 1:
-                    t = cKDTree(cls)
-                    dd, _ = t.query(cls, k=2)
-                    if dd[:, 1].min() < net.r:
-                        sep_ok = False
-            cov = covering_radius(net.points, lab.dim, AUDIT_COVER_SAMPLES,
-                                  seed=7)
-            if cov > net.c * net.r + cov_slack:
-                cov_ok = False
+        sep_ok = all(cKDTree(cls).query(cls, k=2)[0][:, 1].min() >= net.r
+                     for net in lab.nets for cls in net.classes if len(cls) > 1)
+        cov_ok = all(covering_radius(net.points, lab.dim, AUDIT_COVER_SAMPLES,
+                                     seed=7) <= net.c * net.r + cov_slack
+                     for net in lab.nets)
         add("net-separation", sep_ok)
         add("net-covering", cov_ok, slack=cov_slack)
 
     # min_distance is a certified lower bound, exact in the plane
-    dmin = _pairwise_min_distance(lab)
+    dmin = _pairwise_min_distance(comp)
     add("pairwise-disjoint", dmin > 0.0, min_distance=float(dmin))
 
-    add_containment_check(lab, rims, add)
+    add_containment_check(lab, samples, add)
 
     if lab.kind == "patch":
         widths = lab.collar_widths
@@ -752,15 +731,11 @@ def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None) -> dict:
             and len(comps) <= LEX_COMPONENT_CAP:
         # LP samples are the rims plus centres: exact in the plane (a
         # segment's hull is its endpoints), 64 points per dimension on the
-        # rim otherwise; component i is rows [i*per, (i+1)*per) of one stack
-        per = len(rims[0]) + 1
-        samples = np.concatenate(
-            [np.stack(rims), np.array([fb.center for fb in comps])[:, None]],
-            axis=1).reshape(-1, lab.dim)
+        # rim otherwise
         worst_margin = np.inf
         failed_at = None
         for i in range(1, len(comps)):
-            own, earlier = samples[i * per:(i + 1) * per], samples[:i * per]
+            own, earlier = samples[i], samples[:i].reshape(-1, lab.dim)
             h = separating_hyperplane(own, earlier, margin=lex_margin)
             if h is None:
                 failed_at = comps[i].level
@@ -776,13 +751,13 @@ def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None) -> dict:
             "checks": checks}
 
 
-def add_containment_check(lab: Labyrinth, rims, add) -> None:
-    """Rim and centre points inside the domain: strictly between the radii
-    of an annulus, else where the defining function is negative, in units
-    of the labyrinth's scale.  A file with `to_ball` stores its discs in
-    ball coordinates, where containment in the ellipsoid is containment in
-    the unit ball."""
-    pts = np.vstack(rims + [np.array([fb.center for fb in lab.components])])
+def add_containment_check(lab: Labyrinth, samples: np.ndarray, add) -> None:
+    """Disc samples (rims and centres, any leading shape) inside the domain:
+    strictly between the radii of an annulus, else where the defining
+    function is negative, in units of the labyrinth's scale.  A file with
+    `to_ball` stores its discs in ball coordinates, where containment in
+    the ellipsoid is containment in the unit ball."""
+    pts = samples.reshape(-1, lab.dim)
     if lab.domain.get("kind") == "annulus":
         r = np.linalg.norm(pts, axis=1)
         add("containment",

@@ -7,6 +7,7 @@ from labyrinths import geometry
 from labyrinths.geometry import (
     FlatBall,
     Segment,
+    disc_rim_points,
     flatball_extremal_points,
     flatball_pair_distance,
     flatball_rim_points,
@@ -255,6 +256,49 @@ def test_extremal_points_d3_gap():
     ang = np.sort(np.arctan2(rim[:, 1], rim[:, 0]))
     gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
     assert gaps.max() <= np.pi / 2 + 1e-9
+
+
+def _rim_one_disc(fb: FlatBall, count: int) -> np.ndarray:
+    """Rim points of one disc from 1-D products: a Householder basis of the
+    normal's complement, then its endpoints, a circle or the shared
+    farthest-point directions."""
+    from labyrinths.sampling import farthest_point_order, sphere_candidates
+
+    d = fb.dim
+    u = fb.normal / np.linalg.norm(fb.normal)
+    u[0] += 1.0 if u[0] >= 0.0 else -1.0
+    B = (np.eye(d) - 2.0 * np.outer(u, u) / (u @ u))[:, 1:]
+    if d == 2:
+        return np.vstack([fb.center - fb.radius * B[:, 0],
+                          fb.center + fb.radius * B[:, 0]])
+    if d == 3:
+        ang = 2.0 * np.pi * np.arange(count) / count
+        return fb.center + fb.radius * (np.outer(np.cos(ang), B[:, 0])
+                                        + np.outer(np.sin(ang), B[:, 1]))
+    cand = sphere_candidates(d - 1, max(64, 8 * count))
+    idx = farthest_point_order(cand, start=0, stop_count=count)
+    return fb.center + fb.radius * (cand[idx] @ B.T)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_rims_equal_per_disc_rims_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    N = rng.standard_normal((40, d))
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    N[0] = -np.eye(d)[0]  # a normal the Householder step reflects through
+    discs = [FlatBall(center=c, normal=n, radius=r) for c, n, r in zip(
+        rng.uniform(-1.0, 1.0, (40, d)), N, rng.uniform(0.01, 0.5, 40))]
+    for count in (2, 12, 64 * d):
+        got = disc_rim_points(*_disc_rows(discs), count)
+        assert got.shape == (40, 2 if d == 2 else count, d)
+        for rim, fb in zip(got, discs):
+            assert np.array_equal(rim, flatball_rim_points(fb, count))
+            assert np.array_equal(rim, _rim_one_disc(fb, count))
+            # each rim point sits on the disc's rim sphere
+            v = rim - fb.center
+            np.testing.assert_allclose(v @ fb.normal, 0.0, atol=1e-12)
+            np.testing.assert_allclose(np.linalg.norm(v, axis=1), fb.radius,
+                                       rtol=1e-12)
 
 
 def test_extremal_points_on_the_set():

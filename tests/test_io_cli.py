@@ -248,6 +248,10 @@ USAGE_ERRORS = [
                  id="dim-below-2"),
     pytest.param(["generate", "--domain", "ellipse", "--M", "nan",
                   "--out", "{tmp}/g.json"], "--M", id="budget-not-finite"),
+    pytest.param(["generate", "--domain", "ellipse", "--M", "1.0", "--eta", "5",
+                  "--out", "{tmp}/g.json"], "--eta", id="eta-too-large"),
+    pytest.param(["generate", "--domain", "ellipse", "--M", "1.0", "--eta", "-1",
+                  "--out", "{tmp}/g.json"], "--eta", id="eta-negative"),
 ]
 
 
@@ -487,6 +491,22 @@ def test_cli_rejects_a_dim_its_components_do_not_have(tmp_path, j1_doc, capsys,
     assert "field 'dim' is 100000, but components[0] has 2 coordinates" \
         in capsys.readouterr().err
     assert peak < 50 * 2 ** 20  # no domain of that dimension was built
+
+
+def test_cli_rejects_a_dim_too_large_for_its_domain_matrix(
+        tmp_path, j1_doc, capsys, monkeypatch):
+    from labyrinths import domains
+
+    def refuse(dim):
+        raise AssertionError(f"a {dim}x{dim} ball domain was built")
+
+    monkeypatch.setattr(domains, "ball_domain", refuse)
+    doc = dict(j1_doc, components=[], nets=[], dim=100_000)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("report", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert "field 'dim' must be at most 1000" in err and "Traceback" not in err
 
 
 def test_loader_rejects_components_of_mixed_shape(j1_doc, tmp_path):

@@ -6,7 +6,7 @@ from scipy import sparse
 
 from labyrinths.geometry import (
     FlatBall,
-    flatball_rim_points,
+    disc_rim_points,
     pairs_point_disc_distance,
     point_flatball_distance,
 )
@@ -22,6 +22,7 @@ from labyrinths.verifier import (
     _project_to_set,
     _region_measure,
     _segments_collide,
+    _touches_any,
     _unique_pairs,
     EscapePath,
     add_containment_check,
@@ -165,11 +166,13 @@ def test_segments_collide_matches_all_pairs(seed, d, discs, rows, short,
     A, B = mid - u, mid + u
     got = _segments_collide(A, B, comp, clearance)
     if not discs:
-        assert not got.any()
+        assert not got.any() and not _touches_any(A, B, comp, clearance).any()
         return
     want = brute_segments_collide(A, B, comp.centers, comp.normals,
                                   comp.radii, clearance)
     assert np.array_equal(got, want)
+    # the unculled all-disc test of shortcut and verify_path agrees
+    assert np.array_equal(_touches_any(A, B, comp, clearance), want)
     # short planar segments are culled with a finer cover (cached), long
     # ones and all beyond the plane with the bounding spheres (level 1)
     assert bool(comp.covers) == (short and d == 2)
@@ -378,8 +381,12 @@ def test_audit_fails_on_intersecting_discs_in_space():
 def _containment(lab: Labyrinth) -> dict:
     """The audit's containment entry, without the audit's other checks."""
     checks = []
-    rims = [flatball_rim_points(fb, 64 * lab.dim) for fb in lab.components]
-    add_containment_check(lab, rims, lambda name, passed, **details:
+    comp = _CompArrays.from_components(lab.components)
+    rims = disc_rim_points(comp.centers, comp.normals, comp.radii,
+                           64 * lab.dim)
+    add_containment_check(lab, np.concatenate([rims, comp.centers[:, None]],
+                                              axis=1),
+                          lambda name, passed, **details:
                           checks.append(dict(details, passed=passed)))
     return checks[0]
 
