@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .shells import (
     ExhaustionPlan,
     ShellBudgetError,
     build_labyrinth,
+    check_constants,
     exhaustion_labyrinth,
     make_schedule,
 )
@@ -54,59 +54,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated generation parameters; every downstream constraint is
-    checked here at parse time so failures surface before any work."""
-
-    dim: int = 2
-    domain: str = "ball"
-    axes: tuple[float, ...] | None = None
-    s0: float = 0.5
-    J: int = 3
-    m: int = 0
-    t: float = DEFAULT_T
-    c: float = DEFAULT_C
-    M: float | None = None
-    budgets: tuple[float, ...] | None = None
-    annuli: tuple[float, ...] | None = None
-    patch_radius: float = 0.9
-    eta: float = 0.08
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.dim < 2:
-            raise UsageError("constraint violated: --dim >= 2")
-        if not (0.0 < self.c < 0.5):
-            raise UsageError("constraint violated: 0 < c < 1/2")
-        if self.t <= 1.0:
-            raise UsageError("constraint violated: t > 1")
-        if self.t * self.c >= 0.5:
-            raise UsageError("constraint violated: t*c < 1/2")
-        if not (0.0 < self.s0 < 1.0):
-            raise UsageError("constraint violated: 0 < s0 < 1")
-        if self.J < 1:
-            raise UsageError("constraint violated: J >= 1")
-        if self.M is not None and not 0.0 <= self.M < np.inf:
-            raise UsageError("constraint violated: --M finite and >= 0")
-        if self.domain == "ellipsoid":
-            if not self.axes or len(self.axes) != self.dim \
-                    or min(self.axes) <= 0.0:
-                raise UsageError("constraint violated: ellipsoid needs dim "
-                                 "positive semi-axes (SPD shape matrix)")
-        if self.annuli is not None:
-            if len(self.annuli) < 2 or any(
-                    b <= a for a, b in zip(self.annuli, self.annuli[1:])) \
-                    or self.annuli[0] <= 0.0 or self.annuli[-1] > 1.0:
-                raise UsageError("constraint violated: --annuli must increase "
-                                 "strictly within (0, 1]")
-            if self.budgets is not None and (
-                    len(self.budgets) != len(self.annuli) - 1
-                    or min(self.budgets) < 0.0):
-                raise UsageError("constraint violated: --Mn needs one "
-                                 "budget >= 0 per consecutive --annuli pair")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -203,27 +150,50 @@ def _apply_config(argv: list[str]) -> list[str]:
     return out
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        dim=args.dim, domain=args.domain, axes=args.axes,
-        s0=args.s0, J=args.J, m=args.m, t=args.t, c=args.c, M=args.M,
-        budgets=args.Mn, annuli=args.annuli,
-        patch_radius=args.patch_radius, eta=args.eta, seed=args.seed)
-    cfg.validate()
-    return cfg
+def _check_generate_args(args) -> None:
+    """Every constraint on the generate flags, checked before any work."""
+    if args.dim < 2:
+        raise UsageError("constraint violated: --dim >= 2")
+    try:
+        check_constants(args.s0, args.t, args.c)
+    except ValueError as exc:
+        raise UsageError(f"constraint violated: {exc}") from exc
+    if args.J < 1:
+        raise UsageError("constraint violated: J >= 1")
+    if args.m < 0:
+        raise UsageError("constraint violated: --m >= 0")
+    if args.M is not None and not 0.0 <= args.M < np.inf:
+        raise UsageError("constraint violated: --M finite and >= 0")
+    if not 0.0 < args.patch_radius < np.inf:
+        raise UsageError("constraint violated: --patch-radius finite and > 0")
+    if args.domain == "ellipsoid":
+        if not args.axes or len(args.axes) != args.dim \
+                or min(args.axes) <= 0.0:
+            raise UsageError("constraint violated: ellipsoid needs dim "
+                             "positive semi-axes (SPD shape matrix)")
+    if args.annuli is not None:
+        if len(args.annuli) < 2 or any(
+                b <= a for a, b in zip(args.annuli, args.annuli[1:])) \
+                or args.annuli[0] <= 0.0 or args.annuli[-1] > 1.0:
+            raise UsageError("constraint violated: --annuli must increase "
+                             "strictly within (0, 1]")
+        if args.Mn is not None and (
+                len(args.Mn) != len(args.annuli) - 1 or min(args.Mn) < 0.0):
+            raise UsageError("constraint violated: --Mn needs one "
+                             "budget >= 0 per consecutive --annuli pair")
 
 
 def cmd_generate(args) -> int:
-    cfg = _config_from_args(args)
-    seed = cfg.seed
-    if cfg.annuli:
-        rho = list(cfg.annuli)
-        budgets = list(cfg.budgets) if cfg.budgets else \
-            [cfg.M if cfg.M is not None else 0.0] * (len(rho) - 1)
+    _check_generate_args(args)
+    seed = args.seed
+    if args.annuli:
+        rho = list(args.annuli)
+        budgets = list(args.Mn) if args.Mn else \
+            [args.M if args.M is not None else 0.0] * (len(rho) - 1)
         plan = ExhaustionPlan(rho=np.array(rho), budgets=np.array(budgets))
         try:
-            results = exhaustion_labyrinth(plan, dim=cfg.dim, t=cfg.t,
-                                           c=cfg.c, seed=seed)
+            results = exhaustion_labyrinth(plan, dim=args.dim, t=args.t,
+                                           c=args.c, seed=seed)
         except ShellBudgetError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -242,30 +212,30 @@ def cmd_generate(args) -> int:
                         audit_out)
         return 0 if all_pass else 2
 
-    if cfg.domain in ("ball", "ellipsoid"):
-        m = cfg.m or calibrated_class_count(cfg.dim, cfg.c, seed)
-        sched = make_schedule(cfg.s0, cfg.J, m, cfg.t, cfg.c)
-        if cfg.domain == "ball":
-            lab = build_labyrinth(sched, cfg.dim, seed=seed)
+    if args.domain in ("ball", "ellipsoid"):
+        m = args.m or calibrated_class_count(args.dim, args.c, seed)
+        sched = make_schedule(args.s0, args.J, m, args.t, args.c)
+        if args.domain == "ball":
+            lab = build_labyrinth(sched, args.dim, seed=seed)
         else:
-            dom = ellipsoid_domain(np.diag([1.0 / a ** 2 for a in cfg.axes]))
+            dom = ellipsoid_domain(np.diag([1.0 / a ** 2 for a in args.axes]))
             lab = ellipsoid_labyrinth(dom, sched, seed=seed)
     else:
-        if cfg.dim != 2:
+        if args.dim != 2:
             raise UsageError("smooth presets are planar (dim 2)")
-        if cfg.M is None:
+        if args.M is None:
             raise UsageError("--M is required for smooth domains")
-        dom = PRESETS[cfg.domain]()
+        dom = PRESETS[args.domain]()
         try:
-            cover = patch_cover(dom, cfg.patch_radius, cfg.eta)
+            cover = patch_cover(dom, args.patch_radius, args.eta)
         except ValueError as exc:  # the collar width check
             raise UsageError(f"constraint violated: --eta: {exc}") from exc
         except CoverageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         try:
-            lab = assemble_patch_labyrinth(dom, cover, cfg.M, t=cfg.t,
-                                           c=cfg.c, seed=seed)
+            lab = assemble_patch_labyrinth(dom, cover, args.M, t=args.t,
+                                           c=args.c, seed=seed)
         except CollarCollapseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 
 import numpy as np
 
@@ -21,8 +20,8 @@ from .shells import Labyrinth, ShellSchedule
 FORMAT_VERSION = 1
 # SVG drawing units per unit length
 SVG_UNIT = 1000.0
-# The loader holds a schedule's J x m sublevel radii in memory and checks
-# them one by one, so it refuses a larger grid.
+# The loader holds a schedule's J x m sublevel radii in memory, with the
+# radii above them, so it refuses a larger grid.
 MAX_SUBLEVELS = 1_000_000
 # A ball or ellipsoid domain holds a dim x dim matrix, and the search draws
 # samples of dim coordinates, so the loader refuses a larger dim.
@@ -213,13 +212,10 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
             if not 1 <= m * max(len(s), 1) <= MAX_SUBLEVELS:
                 raise ValueError(f"m must be at least 1, with J*m at most "
                                  f"{MAX_SUBLEVELS}")
-            lower = np.concatenate([[sd["s0"]], s[:-1]])
-            ks = np.arange(1, m + 1)
-            sublevels = lower[:, None] + ks[None, :] * (s - lower)[:, None] / (m + 1)
             sched = ShellSchedule(
                 s0=float(sd["s0"]), s=s, m=m, t=float(sd["t"]),
-                c=float(sd["c"]), a=float(sd["a"]), sublevels=sublevels,
-                tangent_radii=np.asarray(sd["tangent_radii"], dtype=float))
+                c=float(sd["c"]), a=float(sd["a"]),
+                tangent_radii=sd["tangent_radii"])
             # a null among the radii reads as NaN, which every check passes
             if not np.all(np.isfinite(sched.sublevels)) \
                     or not np.all(np.isfinite(sched.tangent_radii)):
@@ -252,9 +248,12 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedFileError(f"nets[{i}] invalid: {exc}") from exc
     scale = _optional(doc, "scale", float, 1.0)
-    if not (math.isfinite(scale) and scale >= sys.float_info.min):
+    # beyond these bounds the search box overflows or the norms of its
+    # samples underflow
+    if not 1.0 / MAX_COORDINATE <= scale <= MAX_COORDINATE:
         raise MalformedFileError(
-            "field 'scale' must be a finite normal number > 0")
+            "field 'scale' must be a finite normal number > 0, within "
+            f"[{1.0 / MAX_COORDINATE:g}, {MAX_COORDINATE:g}]")
     domain = _field(doc, "domain", dict)
     _check_domain(domain, dim)
     return Labyrinth(dim=dim, domain=domain, components=comps, schedule=sched,
@@ -363,12 +362,11 @@ def export_svg(lab: Labyrinth, path: str, escape_path=None,
     ]
     lines.extend(_domain_outline_svg(lab, SVG_UNIT))
     if lab.schedule is not None:
-        for j in range(lab.schedule.J):
-            for k in range(lab.schedule.m):
-                r = SVG_UNIT * lab.scale * lab.schedule.sublevels[j, k]
-                lines.append(
-                    f'<circle cx="0" cy="0" r="{_fmt(r)}" fill="none" '
-                    f'stroke="#dddddd" stroke-width="1"/>')
+        for s_jk in lab.schedule.sublevels.ravel():
+            r = SVG_UNIT * lab.scale * s_jk
+            lines.append(
+                f'<circle cx="0" cy="0" r="{_fmt(r)}" fill="none" '
+                f'stroke="#dddddd" stroke-width="1"/>')
     if lab.dim == 2:
         for fb in lab.components:
             u = np.array([-fb.normal[1], fb.normal[0]])

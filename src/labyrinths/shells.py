@@ -38,14 +38,40 @@ class IntegrityError(RuntimeError):
     """Construction invariant violated; indicates a bug, not bad input."""
 
 
+def check_constants(s0: float, t: float, c: float) -> None:
+    """The construction constants: 0 < s0 < 1, t > 1, 0 < c < 1/2, t*c < 1/2.
+
+    Written so a NaN fails every rule it enters.
+    """
+    if not 0.0 < s0 < 1.0:
+        raise ValueError("s0 must lie in (0, 1)")
+    if not t > 1.0:
+        raise ValueError("slack factor t must exceed 1")
+    if not 0.0 < c < 0.5:
+        raise ValueError("covering fraction c must lie in (0, 1/2)")
+    if not t * c < 0.5:
+        raise ValueError("t*c < 1/2 is required")
+
+
+def _sublevel_grid(s0: float, s: np.ndarray, m: int):
+    """s_{j,k} = s_{j-1} + k (s_j - s_{j-1})/(m+1) as a (J, m) array, and
+    beside it s_{j,k+1} with the convention s_{j,m+1} = s_j."""
+    lower = np.concatenate([[s0], s[:-1]])
+    ks = np.arange(1, m + 1)
+    sublevels = lower[:, None] + ks[None, :] * (s - lower)[:, None] / (m + 1)
+    above = np.concatenate([sublevels[:, 1:], s[:, None]], axis=1)
+    return sublevels, above
+
+
 @dataclass(eq=False)
 class ShellSchedule:
     """Radii and constants of the shell construction.
 
     s0: innermost radius; s: shell radii s_1 < ... < s_J < 1;
     m: sublevels (= net classes) per shell; t: slack factor > 1;
-    c: covering fraction with t*c < 1/2; a: tangent radius constant.
-    sublevels[j-1, k-1] holds s_{j,k} = s_{j-1} + k (s_j - s_{j-1})/(m+1).
+    c: covering fraction with t*c < 1/2; a: tangent radius constant;
+    tangent_radii: r_j per shell.  Derived from (s0, s, m):
+    sublevels[j-1, k-1] = s_{j,k} and above[j-1, k-1] = s_{j,k+1}.
     """
 
     s0: float
@@ -54,8 +80,16 @@ class ShellSchedule:
     t: float
     c: float
     a: float = 0.0
-    sublevels: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     tangent_radii: np.ndarray = field(default_factory=lambda: np.empty(0))
+    sublevels: np.ndarray = field(init=False)
+    above: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.s = np.asarray(self.s, dtype=float)
+        if self.s.ndim != 1:
+            raise ValueError("shell radii must be a list of numbers")
+        self.tangent_radii = np.asarray(self.tangent_radii, dtype=float)
+        self.sublevels, self.above = _sublevel_grid(self.s0, self.s, self.m)
 
     @property
     def J(self) -> int:
@@ -65,39 +99,26 @@ class ShellSchedule:
         """s_{j-1}: the sphere just below shell j (s_0 for j = 1)."""
         return self.s0 if j == 1 else float(self.s[j - 2])
 
-    def sublevel_above(self, j: int, k: int) -> float:
-        """s_{j,k+1} with the convention s_{j,m+1} = s_j."""
-        if k >= self.m:
-            return float(self.s[j - 1])
-        return float(self.sublevels[j - 1, k])
-
     def gaps(self) -> np.ndarray:
         """Shell widths s_j - s_{j-1}."""
         lower = np.concatenate([[self.s0], self.s[:-1]])
         return self.s - lower
 
     def validate(self) -> None:
-        if not (0.0 < self.s0 < 1.0):
-            raise ValueError("s0 must lie in (0, 1)")
+        check_constants(self.s0, self.t, self.c)
         if self.m < 1:
             raise ValueError("need at least one sublevel per shell")
-        if self.t <= 1.0:
-            raise ValueError("slack factor t must exceed 1")
-        if not (0.0 < self.c < 0.5):
-            raise ValueError("covering fraction c must lie in (0, 1/2)")
-        if self.t * self.c >= 0.5:
-            raise ValueError("t*c < 1/2 is required")
         radii = np.concatenate([[self.s0], self.s])
         if np.any(np.diff(radii) <= 0.0) or radii[-1] >= 1.0:
             raise ValueError("shell radii must increase strictly and stay below 1")
-        for j in range(1, self.J + 1):
-            for k in range(1, self.m + 1):
-                s_jk = float(self.sublevels[j - 1, k - 1])
-                nxt = self.sublevel_above(j, k)
-                if s_jk ** 2 + self.tangent_radii[j - 1] ** 2 >= nxt ** 2:
-                    raise ValueError(
-                        f"tangent disc at shell {j} sublevel {k} reaches the "
-                        "next sublevel sphere")
+        if self.tangent_radii.shape != (self.J,):
+            raise ValueError("need one tangent radius per shell")
+        reach = (self.sublevels ** 2 + self.tangent_radii[:, None] ** 2
+                 >= self.above ** 2)
+        if reach.any():
+            j, k = np.argwhere(reach)[0] + 1
+            raise ValueError(f"tangent disc at shell {j} sublevel {k} reaches "
+                             "the next sublevel sphere")
 
 
 def compute_tangent_radius_constant(s0: float, s: np.ndarray, m: int) -> float:
@@ -110,31 +131,20 @@ def compute_tangent_radius_constant(s0: float, s: np.ndarray, m: int) -> float:
     floating point.
     """
     s = np.asarray(s, dtype=float)
-    lower = np.concatenate([[s0], s[:-1]])
-    gaps = s - lower
-    worst = np.inf
-    for j in range(len(s)):
-        ks = np.arange(1, m + 1)
-        levels = lower[j] + ks * gaps[j] / (m + 1)
-        above = np.concatenate([levels[1:], [s[j]]])
-        if np.any(above <= levels):
-            raise DegenerateScheduleError("sublevel radii are not increasing")
-        worst = min(worst, float(np.min((above ** 2 - levels ** 2) / gaps[j])))
+    sublevels, above = _sublevel_grid(s0, s, m)
+    if np.any(above <= sublevels):
+        raise DegenerateScheduleError("sublevel radii are not increasing")
+    gaps = s - np.concatenate([[s0], s[:-1]])
+    worst = np.min((above ** 2 - sublevels ** 2) / gaps[:, None], initial=np.inf)
     return RADIUS_SAFETY * float(np.sqrt(worst))
 
 
 def schedule_from_radii(s0: float, s, m: int, t: float = DEFAULT_T,
                         c: float = DEFAULT_C) -> ShellSchedule:
-    """Schedule with explicit shell radii; computes sublevels, a and r_j."""
-    s = np.asarray(s, dtype=float)
-    lower = np.concatenate([[s0], s[:-1]])
-    gaps = s - lower
-    ks = np.arange(1, m + 1)
-    sublevels = lower[:, None] + ks[None, :] * gaps[:, None] / (m + 1)
-    a = compute_tangent_radius_constant(s0, s, m)
-    sched = ShellSchedule(s0=float(s0), s=s, m=int(m), t=float(t), c=float(c),
-                          a=a, sublevels=sublevels,
-                          tangent_radii=a * np.sqrt(gaps))
+    """Schedule with explicit shell radii; computes a and r_j."""
+    sched = ShellSchedule(s0=float(s0), s=s, m=int(m), t=float(t), c=float(c))
+    sched.a = compute_tangent_radius_constant(sched.s0, sched.s, sched.m)
+    sched.tangent_radii = sched.a * np.sqrt(sched.gaps())
     sched.validate()
     return sched
 
@@ -147,8 +157,7 @@ def make_schedule(s0: float, J: int, m: int, t: float = DEFAULT_T,
     square roots diverge like sqrt(1-s0) * log J, which is what makes long
     schedules force unbounded escape length.
     """
-    if not (0.0 < s0 < 1.0):
-        raise ValueError("s0 must lie in (0, 1)")
+    check_constants(s0, t, c)
     if J < 1:
         raise ValueError("need at least one shell")
     j = np.arange(1, J + 1)
@@ -299,17 +308,19 @@ def truncate(lab: Labyrinth, J_lo: int, J_hi: int) -> tuple[Labyrinth, float]:
         raise ValueError("cannot truncate a labyrinth without a schedule")
     if not (1 <= J_lo <= J_hi <= lab.schedule.J):
         raise ValueError("truncation range must satisfy 1 <= J_lo <= J_hi <= J")
-    kept = [fb for fb in lab.components if J_lo <= fb.level[0] <= J_hi]
-    sched = schedule_from_radii(lab.schedule.radius_below(J_lo),
-                                lab.schedule.s[J_lo - 1:J_hi],
-                                lab.schedule.m, lab.schedule.t, lab.schedule.c)
-    # Keep the original tangent radii: the kept discs were built with them.
-    sched = replace(sched, a=lab.schedule.a,
-                    tangent_radii=lab.schedule.tangent_radii[J_lo - 1:J_hi])
+    old = lab.schedule
+    # shell j of the parent is shell j - J_lo + 1 of the kept schedule
+    kept = [replace(fb, level=(fb.level[0] - J_lo + 1, *fb.level[1:]))
+            for fb in lab.components if J_lo <= fb.level[0] <= J_hi]
+    # the kept discs were built with the parent's tangent radii
+    sched = ShellSchedule(s0=old.radius_below(J_lo), s=old.s[J_lo - 1:J_hi],
+                          m=old.m, t=old.t, c=old.c, a=old.a,
+                          tangent_radii=old.tangent_radii[J_lo - 1:J_hi])
+    sched.validate()
     new = Labyrinth(dim=lab.dim, domain=dict(lab.domain), components=kept,
                     schedule=sched, nets=lab.nets[J_lo - 1:J_hi],
                     seed=lab.seed, scale=lab.scale, kind=lab.kind)
-    clearance = lab.scale * lab.schedule.radius_below(J_lo)
+    clearance = lab.scale * sched.s0
     return new, clearance
 
 

@@ -423,6 +423,9 @@ class EscapePath:
 
     def __post_init__(self):
         self.polyline = np.asarray(self.polyline, dtype=float)
+        # NaN fails every comparison below, so it must be rejected first
+        if not (np.all(np.isfinite(self.polyline)) and np.isfinite(self.length)):
+            raise ValueError("path points and length must be finite")
         steps = np.linalg.norm(np.diff(self.polyline, axis=0), axis=1)
         if np.any(steps == 0.0):
             raise ValueError("consecutive path points must differ")
@@ -687,8 +690,8 @@ def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None) -> dict:
         add("tangency", tang_err <= 1e-9 and level_err <= 1e-9,
             tangency_error=tang_err, sublevel_error=level_err)
         # s_(j,k+1), with s_(j,m+1) = s_j, against each disc's farthest rim
-        above = np.column_stack([sched.sublevels, sched.s])[j - 1, k]
-        margin = lab.scale * above - np.linalg.norm(rims, axis=2).max(axis=1)
+        margin = (lab.scale * sched.above[j - 1, k - 1]
+                  - np.linalg.norm(rims, axis=2).max(axis=1))
         worst = int(np.argmin(margin))
         add("next-sublevel-clearance", margin[worst] > 1e-9,
             min_margin=float(margin[worst]), worst_component=comps[worst].level)

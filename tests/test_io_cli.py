@@ -252,6 +252,17 @@ USAGE_ERRORS = [
                   "--out", "{tmp}/g.json"], "--eta", id="eta-too-large"),
     pytest.param(["generate", "--domain", "ellipse", "--M", "1.0", "--eta", "-1",
                   "--out", "{tmp}/g.json"], "--eta", id="eta-negative"),
+    pytest.param(["generate", "--domain", "ellipse", "--M", "1.0",
+                  "--patch-radius", "0", "--out", "{tmp}/g.json"],
+                 "--patch-radius", id="patch-radius-zero"),
+    pytest.param(["generate", "--domain", "ellipse", "--M", "1.0",
+                  "--patch-radius", "-1", "--out", "{tmp}/g.json"],
+                 "--patch-radius", id="patch-radius-negative"),
+    pytest.param(["generate", "--domain", "ellipse", "--M", "1.0",
+                  "--patch-radius", "nan", "--out", "{tmp}/g.json"],
+                 "--patch-radius", id="patch-radius-nan"),
+    pytest.param(["generate", "--m", "-1", "--out", "{tmp}/g.json"], "--m",
+                 id="sublevels-negative"),
 ]
 
 
@@ -575,3 +586,6 @@ def test_report_and_export_survive_one_changed_field(j1_doc, where, value):
                        str(Path(tmp) / "report.json")) in (0, 1, 2)
         assert run_cli("export", str(bad), "--svg", str(Path(tmp) / "o.svg"),
                        "--csv", str(Path(tmp) / "o.csv")) in (0, 1, 2)
+        assert run_cli("verify", str(bad), "--M", "0.1", "--seeds", "1",
+                       "--nodes", "300", "--report-out",
+                       str(Path(tmp) / "verify.json")) in (0, 1, 2)

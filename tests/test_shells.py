@@ -11,6 +11,7 @@ from labyrinths.shells import (
     annulus_labyrinth,
     build_labyrinth,
     build_shell,
+    check_constants,
     compute_tangent_radius_constant,
     empty_labyrinth,
     make_schedule,
@@ -34,6 +35,30 @@ def test_schedule_rejects_tc_constraint():
         make_schedule(0.5, 2, 2, t=0.9, c=0.4)  # t must exceed 1
     with pytest.raises(ValueError):
         make_schedule(1.2, 2, 2)
+
+
+@pytest.mark.parametrize("s0, t, c, rule", [
+    (0.0, 1.05, 0.45, "s0"), (0.5, 1.0, 0.45, "slack factor t"),
+    (0.5, float("nan"), 0.45, "slack factor t"),
+    (0.5, 1.05, 0.5, "covering fraction c"), (0.5, 1.2, 0.45, "t\\*c"),
+])
+def test_check_constants_names_the_rule(s0, t, c, rule):
+    with pytest.raises(ValueError, match=rule):
+        check_constants(s0, t, c)
+    sched = make_schedule(0.5, 2, 2)
+    sched.s0, sched.t, sched.c = s0, t, c
+    with pytest.raises(ValueError, match=rule):
+        sched.validate()
+
+
+def test_validate_names_the_first_disc_that_reaches_the_next_sublevel():
+    sched = make_schedule(0.5, 3, 2)
+    sched.tangent_radii = sched.tangent_radii * np.array([1.0, 3.0, 3.0])
+    with pytest.raises(ValueError, match="shell 2 sublevel 1 reaches"):
+        sched.validate()
+    sched.tangent_radii = sched.tangent_radii[:2]
+    with pytest.raises(ValueError, match="one tangent radius per shell"):
+        sched.validate()
 
 
 def test_partial_sums_frozen_values():
@@ -73,7 +98,9 @@ def test_schedule_disc_reach_invariant(s0, J, m):
         r_j = sched.tangent_radii[j - 1]
         for k in range(1, m + 1):
             s_jk = sched.sublevels[j - 1, k - 1]
-            assert s_jk ** 2 + r_j ** 2 < sched.sublevel_above(j, k) ** 2
+            nxt = sched.sublevels[j - 1, k] if k < m else sched.s[j - 1]
+            assert sched.above[j - 1, k - 1] == nxt
+            assert s_jk ** 2 + r_j ** 2 < nxt ** 2
 
 
 def test_build_shell_tangency_and_separation():
@@ -151,6 +178,22 @@ def test_truncate_identity_and_clearance():
         truncate(lab, 0, 2)
     with pytest.raises(ValueError):
         truncate(lab, 3, 2)
+
+
+def test_truncated_tail_audits_and_round_trips(tmp_path):
+    from labyrinths.io import load_labyrinth, save_labyrinth
+    from labyrinths.verifier import audit_labyrinth
+
+    lab = build_labyrinth(make_schedule(0.5, 3, 4), dim=2, seed=1)
+    tail, _ = truncate(lab, 2, 3)
+    # parent shells 2 and 3 are shells 1 and 2 of the kept schedule
+    assert sorted({fb.level[0] for fb in tail.components}) == [1, 2]
+    assert np.array_equal(tail.schedule.sublevels, lab.schedule.sublevels[1:])
+    assert audit_labyrinth(tail)["passed"]
+    first, again = tmp_path / "tail.json", tmp_path / "again.json"
+    save_labyrinth(tail, str(first))
+    save_labyrinth(load_labyrinth(str(first)), str(again))
+    assert first.read_bytes() == again.read_bytes()
 
 
 def test_truncate_tail_separates_from_inner_ball():

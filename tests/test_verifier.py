@@ -10,7 +10,13 @@ from labyrinths.geometry import (
     pairs_point_disc_distance,
     point_flatball_distance,
 )
-from labyrinths.shells import Labyrinth, build_labyrinth, empty_labyrinth, make_schedule
+from labyrinths.shells import (
+    Labyrinth,
+    annulus_labyrinth,
+    build_labyrinth,
+    empty_labyrinth,
+    make_schedule,
+)
 from labyrinths.verifier import (
     NEIGHBORS,
     EffortBudget,
@@ -294,6 +300,20 @@ def test_escape_path_bookkeeping():
     with pytest.raises(ValueError):
         EscapePath(polyline=np.array([[0.0, 0.0], [0.0, 0.0]]), length=0.0,
                    clearance=0.0)
+
+
+def test_escape_path_rejects_non_finite_points_and_length():
+    # the contact test reads NaN as no contact, so verify_path would pass it
+    lab = annulus_labyrinth(0.5, 1.0, J=1)
+    radial = np.array([[0.5, 0.0], [1.0, 0.0]])
+    assert not verify_path(EscapePath(polyline=radial, length=0.5,
+                                      clearance=0.0), lab)
+    nan_path = np.array([[0.5, 0.0], [np.nan, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        EscapePath(polyline=nan_path, length=path_length(nan_path),
+                   clearance=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        EscapePath(polyline=radial, length=np.nan, clearance=0.0)
 
 
 def test_path_endpoints_lie_on_sets():
