@@ -42,7 +42,13 @@ from .shells import (
     exhaustion_labyrinth,
     make_schedule,
 )
-from .verifier import EffortBudget, audit_labyrinth, min_escape_length
+from .verifier import (
+    MAX_NODE_BUDGET,
+    MIN_NODE_BUDGET,
+    EffortBudget,
+    audit_labyrinth,
+    min_escape_length,
+)
 
 
 class UsageError(ValueError):
@@ -101,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--M", type=float, required=True)
     ver.add_argument("--seeds", type=int, default=4)
     ver.add_argument("--nodes", type=_float_list, default=None,
-                     help="node budgets (each >= 100), comma separated")
+                     help=f"node budgets (whole numbers in [{MIN_NODE_BUDGET}, "
+                     f"{MAX_NODE_BUDGET}]), comma separated")
     ver.add_argument("--source", type=float, default=None,
                      help="source sphere radius (defaults from the domain)")
     ver.add_argument("--target", type=float, default=None)
@@ -269,10 +276,13 @@ def cmd_verify(args) -> int:
     else:
         raise UsageError("no --source/--target given and none derivable "
                          "from the domain")
-    budgets = tuple(int(v) for v in args.nodes or ()) \
-        or EffortBudget.default(lab.dim).node_budgets
-    if min(budgets) < 100:
-        raise UsageError("--nodes: node budgets must be at least 100")
+    budgets = args.nodes or EffortBudget.default(lab.dim).node_budgets
+    if any(v != int(v) for v in budgets):
+        raise UsageError("--nodes: node budgets must be whole numbers")
+    if not all(MIN_NODE_BUDGET <= v <= MAX_NODE_BUDGET for v in budgets):
+        raise UsageError(f"--nodes: node budgets must lie in "
+                         f"[{MIN_NODE_BUDGET}, {MAX_NODE_BUDGET}]")
+    budgets = tuple(int(v) for v in budgets)
     if args.seeds < 1:
         raise UsageError("--seeds: at least one search attempt is needed")
     effort = EffortBudget(seeds=tuple(range(args.seeds)), node_budgets=budgets)

@@ -15,9 +15,10 @@ exact at the default clearance 0: a segment touches a closed disc iff it
 crosses the disc's hyperplane, or lies in it, within the radius of the
 centre.  Grazes at the rounding level (about 1e-17, e.g. a rim-ring node on
 a disc's plane) fall either way; a small positive clearance makes them
-robust.  The roadmap edges and boundary links are culled by a KD query on a
-cover of each planar disc by small balls, as fine as the segments are
-short, and on bounding spheres beyond the plane (:func:`_segments_collide`);
+robust.  The roadmap edges, boundary links and free samples are culled by a
+KD query on a cover of each planar disc by small balls, as fine as the
+segments are short, and on bounding spheres beyond the plane
+(:func:`_segments_collide`, :func:`_drop_blocked`);
 :func:`shortcut` and :func:`verify_path` test every segment against every
 disc (:func:`_touches_any`).  Per-disc quantities come from one table of
 disc rows per call (:class:`_CompArrays`), never one disc at a time.
@@ -63,6 +64,11 @@ _COLLIDE_CHUNK = 1 << 15
 # times the mean node spacing (measure / nodes)^(1/d)
 NEIGHBORS = 10
 CONNECT_FACTOR = 2.2
+
+# node budgets of one roadmap; peak memory grows about linearly with the
+# budget (about 0.2 GB for 80 000 planar nodes), so the cap bounds it
+MIN_NODE_BUDGET = 100
+MAX_NODE_BUDGET = 1_000_000
 
 # structural audit: the lex-witness LPs run only up to this many components;
 # net covering radii are estimated from this many sphere samples
@@ -149,7 +155,7 @@ class _CompArrays:
 
 
 def _cover_level(comp: _CompArrays, length: float) -> int:
-    """Cover level k for segments of typical `length`.
+    """Cover level k for segments of typical `length` (points: their reach).
 
     In the plane, the largest disc radius over the length, rounded down to
     a power of two and at most 16: finer covers stop paying once a
@@ -177,18 +183,31 @@ def _near_pairs(pts: np.ndarray, reach, comp: _CompArrays, k: int) -> tuple:
     """
     owner, tree, rho = comp.cover(k)
     reach = np.broadcast_to(reach, (len(pts),)) + rho
-    m = cKDTree(pts).sparse_distance_matrix(tree, float(reach.max()),
-                                            output_type="ndarray")
+    # built once and queried once: an unbalanced, non-compact tree builds
+    # faster and finds the same pairs
+    query = cKDTree(pts, balanced_tree=False, compact_nodes=False)
+    m = query.sparse_distance_matrix(tree, float(reach.max()),
+                                     output_type="ndarray")
     keep = m["v"] <= reach[m["i"]]
     return m["i"][keep], owner[m["j"][keep]]
 
 
 def _drop_blocked(pts: np.ndarray, comp: _CompArrays,
                   clearance: float) -> np.ndarray:
-    """The points farther than `clearance` from every component."""
+    """The points farther than `clearance` from every component.
+
+    Culled like :func:`_segments_collide`, with a point as a segment of
+    length 0: a point within `clearance` of a disc point lies within
+    clearance + rho (+ 1e-12) of one of that disc's sub-balls, at the
+    cover level :func:`_cover_level` gives for that reach, which is the
+    finest planar level at clearance 0.  The surviving rows go through the
+    exact point/disc distance, so the level changes the work, never the
+    result.
+    """
     if len(pts) == 0 or len(comp) == 0:
         return pts
-    idx, cidx = _near_pairs(pts, clearance + 1e-12, comp, 1)
+    reach = clearance + 1e-12
+    idx, cidx = _near_pairs(pts, reach, comp, _cover_level(comp, reach))
     dist = pairs_point_disc_distance(pts[idx], comp.centers[cidx],
                                      comp.normals[cidx], comp.radii[cidx])
     bad = np.zeros(len(pts), dtype=bool)
@@ -311,10 +330,13 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
     component rim point additionally gets a small ring of nodes at offset
     clearance + RIM_STEP, which is where taut escape paths turn.  Edges are
     the union of radius-neighbour and k-nearest pairs whose segments clear
-    all components at the given clearance.
+    all components at the given clearance; the k-NN query runs only for
+    the nodes with fewer than NEIGHBORS radius neighbours, which changes
+    no edge (:func:`_candidate_pairs`).
     """
-    if node_budget < 100:
-        raise ValueError("node budget must be at least 100")
+    if not MIN_NODE_BUDGET <= node_budget <= MAX_NODE_BUDGET:
+        raise ValueError(f"node budget must lie in [{MIN_NODE_BUDGET}, "
+                         f"{MAX_NODE_BUDGET}]")
     dim = lab.dim
     comp = _CompArrays.from_components(lab.components)
 
@@ -362,15 +384,25 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
 
 def _candidate_pairs(nodes: np.ndarray, connect_radius: float,
                      neighbors: int) -> np.ndarray:
-    """Radius-neighbour and k-nearest pairs (i <= j), duplicates included."""
+    """Radius-neighbour and k-nearest pairs (i <= j), duplicates included.
+
+    The k-NN query runs only for nodes with fewer than `neighbors` radius
+    neighbours.  Any other node has that many nodes within
+    `connect_radius`, so its `neighbors` nearest lie within it too and
+    `query_pairs` already holds their pairs.  After :func:`_unique_pairs`
+    the set is the one an all-node k-NN query gives: the query uses the
+    same tree, so exactly tied neighbours are chosen the same way.
+    """
     tree = cKDTree(nodes)
     pairs = tree.query_pairs(connect_radius, output_type="ndarray")
     k = min(neighbors + 1, len(nodes))
-    _, nbr = tree.query(nodes, k=k)
-    ii = np.repeat(np.arange(len(nodes)), k - 1)
+    short = np.flatnonzero(
+        np.bincount(pairs.ravel(), minlength=len(nodes)) < k - 1)
+    _, nbr = tree.query(nodes[short], k=k)
+    ii = np.repeat(short, k - 1)
     jj = nbr[:, 1:].ravel()
     knn_pairs = np.column_stack([np.minimum(ii, jj), np.maximum(ii, jj)])
-    return np.vstack([pairs, knn_pairs]) if len(pairs) else knn_pairs
+    return np.vstack([pairs, knn_pairs])
 
 
 def _unique_pairs(pairs: np.ndarray, n: int) -> np.ndarray:

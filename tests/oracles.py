@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import cKDTree
 
 from labyrinths.geometry import pairs_segment_disc_touch
 
@@ -143,6 +144,28 @@ def brute_segments_collide(A, B, centers, normals, radii,
             A, B, np.broadcast_to(c, A.shape), np.broadcast_to(n, A.shape),
             np.full(len(A), r), clearance)
     return out
+
+
+def all_node_candidate_pairs(nodes, connect_radius: float,
+                             neighbors: int) -> np.ndarray:
+    """Distinct roadmap candidate pairs i < j, in lexicographic order.
+
+    The plain rule: every pair within `connect_radius`, plus each node with
+    its `neighbors` nearest from one k-NN query over all nodes, then
+    ``np.unique`` without the self-pairs.  The tree is built with the
+    defaults, as the library builds its node tree, so exactly tied
+    neighbours are picked the same way.
+    """
+    nodes = np.asarray(nodes, float)
+    tree = cKDTree(nodes)
+    pairs = tree.query_pairs(connect_radius, output_type="ndarray")
+    k = min(neighbors + 1, len(nodes))
+    _, nbr = tree.query(nodes, k=k)
+    ii = np.repeat(np.arange(len(nodes)), k - 1)
+    jj = nbr[:, 1:].ravel()
+    knn = np.column_stack([np.minimum(ii, jj), np.maximum(ii, jj)])
+    out = np.unique(np.vstack([pairs, knn]), axis=0)
+    return out[out[:, 0] != out[:, 1]]
 
 
 def segment_segment_distance_2d(P1, P2, Q1, Q2) -> np.ndarray:

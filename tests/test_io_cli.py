@@ -173,6 +173,25 @@ def test_cli_verify_fails_when_no_path_is_found(tmp_path, lab, monkeypatch):
     assert "no escape path" in report["reason"]
 
 
+# single bad budgets are USAGE_ERRORS cases; these show the check runs
+# before any sampling, at the cap's edge and in a list whose first is valid
+@pytest.mark.parametrize("nodes", ["1000001", "2000,1e6,4000.25"])
+def test_cli_verify_rejects_node_budgets_before_sampling(tmp_path, lab,
+                                                         monkeypatch, capsys,
+                                                         nodes):
+    import labyrinths.verifier as verifier
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a roadmap was built")
+
+    monkeypatch.setattr(verifier, "build_roadmap", no_sampling)
+    lab_file = tmp_path / "lab.json"
+    save_labyrinth(lab, str(lab_file))
+    assert run_cli("verify", str(lab_file), "--M", "0.1", "--seeds", "1",
+                   "--nodes", nodes) == 1
+    assert "--nodes" in capsys.readouterr().err
+
+
 def test_cli_verify_holds_ellipsoid_budget_in_the_ball_frame(tmp_path):
     # semi-axes 0.5, 0.4: T = diag(2, 2.5) maps the ellipse onto the ball,
     # so a ball-frame best of about 0.607 certifies only 0.607 / 2.5 in it
@@ -221,6 +240,10 @@ USAGE_ERRORS = [
                  "--nodes", id="nodes-not-a-number"),
     pytest.param(["verify", "{lab}", "--M", "0.1", "--nodes", "50"],
                  "--nodes", id="nodes-below-100"),
+    pytest.param(["verify", "{lab}", "--M", "0.1", "--nodes", "1e12"],
+                 "--nodes", id="nodes-huge"),
+    pytest.param(["verify", "{lab}", "--M", "0.1", "--nodes", "150.5"],
+                 "--nodes", id="nodes-not-integer"),
     pytest.param(["verify", "{lab}", "--M", "0.1", "--seeds", "0"],
                  "--seeds", id="seeds-zero"),
     pytest.param(["verify", "{lab}", "--M", "0.1", "--seeds", "-1"],

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.spatial import cKDTree
 
 from labyrinths.geometry import (
     FlatBall,
@@ -41,7 +42,11 @@ from labyrinths.verifier import (
     verify_path,
 )
 
-from oracles import brute_segments_collide, grid_shortest_path
+from oracles import (
+    all_node_candidate_pairs,
+    brute_segments_collide,
+    grid_shortest_path,
+)
 
 ANNULUS = {"kind": "annulus", "inner": 0.5, "outer": 1.0}
 SPHERE_IN = {"kind": "sphere", "radius": 0.5}
@@ -114,6 +119,50 @@ def test_edge_key_dedupe_matches_np_unique():
     expect = expect[expect[:, 0] != expect[:, 1]]
     assert len(expect) < len(raw)  # the candidate set has duplicates
     assert np.array_equal(_unique_pairs(raw, len(rm.nodes)), expect)
+
+
+def _tied_rings() -> tuple[np.ndarray, float]:
+    """Nodes whose k-NN query meets exact ties, and a connect radius.
+
+    Sixteen hubs each get the twelve points of Z^2 at distance 5 around
+    them, every one of them 11 times, so a hub's 10th neighbour is one of
+    132 exactly tied ring nodes, none of which has the hub among its own
+    nearest; every other hub is doubled.  A dense lattice block drawn with
+    replacement adds more repeats.  Coordinates are integers over 64, so
+    every distance is computed exactly.
+    """
+    ring = np.array([(5, 0), (-5, 0), (0, 5), (0, -5), (3, 4), (3, -4),
+                     (-3, 4), (-3, -4), (4, 3), (4, -3), (-4, 3), (-4, -3)])
+    hubs = 20 * np.array([(i, j) for i in range(4) for j in range(4)])
+    dense = 100 + np.random.default_rng(2).integers(0, 12, (300, 2))
+    rings = np.repeat((hubs[:, None] + ring).reshape(-1, 2), 11, axis=0)
+    nodes = np.vstack([hubs, hubs[::2], rings, dense]) / 64.0
+    return nodes, 4.9 / 64.0
+
+
+def _roadmap_nodes(d: int) -> tuple[np.ndarray, float]:
+    lab = annulus_labyrinth(0.5, 1.0, J=2 if d == 2 else 1, m=2, dim=d,
+                            seed=0)
+    rm = build_roadmap(ANNULUS, lab, 6000 if d == 2 else 3000, 0.0, seed=3)
+    return rm.nodes, rm.connect_radius
+
+
+@pytest.mark.parametrize("case", ["annulus-2d", "annulus-3d", "tied-rings"])
+def test_candidate_pairs_match_the_all_node_knn_rule(case):
+    nodes, radius = _tied_rings() if case == "tied-rings" \
+        else _roadmap_nodes(2 if case == "annulus-2d" else 3)
+    want = all_node_candidate_pairs(nodes, radius, NEIGHBORS)
+    got = _unique_pairs(_candidate_pairs(nodes, radius, NEIGHBORS), len(nodes))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # both branches run: some nodes skip the k-NN query, some need it
+    pairs = cKDTree(nodes).query_pairs(radius, output_type="ndarray")
+    degree = np.bincount(pairs.ravel(), minlength=len(nodes))
+    assert (degree >= NEIGHBORS).any() and (degree < NEIGHBORS).any()
+    if case == "tied-rings":
+        # a hub's 10 nearest, doubled or not, end inside a tie of ring nodes
+        for hub in nodes[:2]:
+            d = np.sort(np.linalg.norm(nodes - hub, axis=1))
+            assert d[NEIGHBORS] == d[NEIGHBORS + 1] == 5 / 64.0
 
 
 @pytest.mark.parametrize("d, unit_ball", [
@@ -199,6 +248,30 @@ def test_drop_blocked_matches_all_pairs_distance(seed, d, discs, clearance):
     assert np.array_equal(_drop_blocked(pts, comp, clearance), want)
 
 
+@pytest.mark.parametrize("clearance", [0.0, 1e-3])
+def test_drop_blocked_fine_cover_matches_all_pairs_on_discs(clearance):
+    rng = np.random.default_rng(11)
+    comp = _CompArrays.from_components(_random_discs(rng, 2, 30))
+    t = np.column_stack([-comp.normals[:, 1], comp.normals[:, 0]])
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    # each disc's endpoints, centre and interior chord points, then the
+    # same points moved by up to twice the larger clearance
+    s = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 6)])
+    on = (comp.centers[:, None]
+          + (comp.radii[:, None] * s)[..., None] * t[:, None]).reshape(-1, 2)
+    pts = np.vstack([on, on + rng.uniform(-2e-3, 2e-3, on.shape),
+                     rng.uniform(-1.2, 1.2, (2000, 2))])
+    dist = pairs_point_disc_distance(pts[:, None, :], comp.centers[None],
+                                     comp.normals[None], comp.radii[None])
+    keep = dist.min(axis=1) > clearance
+    got = _drop_blocked(pts, comp, clearance)
+    assert list(comp.covers) == [16]  # culled on the finest planar cover
+    assert np.array_equal(got, pts[keep])
+    assert not keep[:len(on)][2::len(s)].any()  # centres lie on their discs
+    moved = keep[len(on):2 * len(on)]
+    assert moved.any() and (clearance == 0.0 or not moved.all())
+
+
 @pytest.mark.parametrize("d, length, level", [
     (2, 0.068 / 15.3, 8), (2, 0.068 / 2.0, 2), (2, 0.068 / 1.99, 1),
     (2, 1.0, 1), (2, 0.0, 16), (2, 1e-9, 16), (3, 0.068 / 15.3, 1),
@@ -240,9 +313,7 @@ def test_roadmap_edges_match_all_pairs_collision_mask():
 
     lab = annulus_labyrinth(0.5, 1.0, J=2, m=2, dim=2, seed=0)
     rm = build_roadmap(ANNULUS, lab, 6000, 0.0, seed=3)
-    pairs = _unique_pairs(_candidate_pairs(rm.nodes, rm.connect_radius,
-                                           NEIGHBORS),
-                          len(rm.nodes))
+    pairs = all_node_candidate_pairs(rm.nodes, rm.connect_radius, NEIGHBORS)
     A, B = rm.nodes[pairs[:, 0]], rm.nodes[pairs[:, 1]]
     assert _cover_level(rm.comp, float(np.median(
         np.linalg.norm(B - A, axis=1)))) > 1
