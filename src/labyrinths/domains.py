@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 from .config import DEFAULT_C, DEFAULT_T
-from .geometry import FlatBall, disc_rows, tangent_basis, unit_vector
-from .shells import Labyrinth, build_shell, schedule_from_radii
+from .geometry import FlatBall, disc_rows, row_dots, tangent_basis
+from .shells import Labyrinth, schedule_from_radii, shell_discs
 
 
 # patch covers: boundary samples, and ring samples per patch for the gap
@@ -35,6 +34,10 @@ PATCH_RING_SAMPLES = 1024
 # chart validity: tangent directions (beyond the plane) and radii tried
 VALIDITY_DIRECTIONS = 16
 VALIDITY_STEPS = 24
+# radial root finding: brentq's absolute and relative tolerances, iteration cap
+BRENT_XTOL = 1e-14
+BRENT_RTOL = 4.0 * np.finfo(float).eps
+BRENT_MAXITER = 100
 # patch assembly: one shell per step, placed in the band [0.88, 0.97] of the
 # collar depth, with a chart deviation of 15% of the band's inner edge
 SHELLS_PER_STEP = 1
@@ -180,18 +183,113 @@ def resolve_domain(descriptor: dict, dim: int) -> ConvexDomain:
     return dom
 
 
+def brentq_rows(f, a, b) -> np.ndarray:
+    """Roots of f in the brackets [a_i, b_i], one per row (Brent 1973).
+
+    `f(x, rows)` returns, for each row index in `rows`, the function of
+    that row at the matching entry of x.  This is scipy's ``brentq``
+    (brentq.c) run on all rows at once, step for step: the same bracket
+    swaps, inverse quadratic extrapolation and secant interpolation tests,
+    bisection fallbacks and stopping rule, with xtol = BRENT_XTOL and rtol
+    = BRENT_RTOL, so each root is bit for bit what ``brentq`` returns for
+    its row.  Raises ValueError when a function value is NaN or a bracket
+    has ends of one sign, and RuntimeError when a row has not converged
+    after BRENT_MAXITER steps, as ``brentq`` does.
+    """
+    def values(x, rows):
+        fx = np.asarray(f(x, rows), dtype=float)
+        bad = np.flatnonzero(np.isnan(fx))
+        if len(bad):
+            raise ValueError(f"The function value at x={float(x[bad[0]])} "
+                             "is NaN; solver cannot continue.")
+        return fx
+
+    xpre = np.array(a, dtype=float)
+    xcur = np.array(b, dtype=float)
+    rows = np.arange(len(xpre))
+    fpre, fcur = values(xpre, rows), values(xcur, rows)
+    root = np.where(fpre == 0.0, xpre, xcur)
+    live = (fpre != 0.0) & (fcur != 0.0)
+    if np.any(live & (np.signbit(fpre) == np.signbit(fcur))):
+        raise ValueError("f(a) and f(b) must have different signs")
+    rows, xpre, xcur, fpre, fcur = (v[live] for v in (rows, xpre, xcur,
+                                                      fpre, fcur))
+    if not len(rows):
+        return root
+    xblk, fblk, spre, scur = (np.zeros(len(rows)) for _ in range(4))
+    for _ in range(BRENT_MAXITER):
+        # keep the root bracketed by [xcur, xblk]
+        flip = (fpre != 0.0) & (fcur != 0.0) \
+            & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        step = xcur - xpre
+        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+        # xcur is the better end
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre),
+                            np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre),
+                            np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (BRENT_XTOL + BRENT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            root[rows[done]] = xcur[done]
+            if done.all():
+                return root
+            rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, \
+                sbis = (v[~done] for v in (rows, xpre, xcur, xblk, fpre, fcur,
+                                          fblk, spre, scur, delta, sbis))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) \
+                / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) \
+            & (2 * np.abs(stry) < np.minimum(np.abs(spre),
+                                             3 * np.abs(sbis) - delta))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = np.where(np.abs(scur) > delta, xcur + scur,
+                        xcur + np.where(sbis > 0, delta, -delta))
+        fcur = values(xcur, rows)
+    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations, "
+                       f"value is {float(xcur[0]):f}")
+
+
+def boundary_points(dom: ConvexDomain, directions: np.ndarray) -> np.ndarray:
+    """Boundary points along rays from the origin, one per direction row.
+
+    Quadrics use the closed form u/sqrt(u'Au); other domains double each
+    row's bracket [0, hi] until rho(hi u) >= 0 and find all roots of
+    rho(s u) in one :func:`brentq_rows` call.
+    """
+    D = np.atleast_2d(np.asarray(directions, dtype=float))
+    norms = np.sqrt(row_dots(D, D))
+    if np.any(norms == 0.0):
+        raise ValueError("cannot normalise the zero vector")
+    U = D / norms[:, None]
+    if dom.matrix is not None:
+        return np.vstack([u / np.sqrt(float(u @ dom.matrix @ u)) for u in U])
+    hi = np.ones(len(U))
+    grow = np.asarray(dom.rho(U)) < 0.0
+    while grow.any():
+        hi[grow] *= 2.0
+        if hi.max() > 1e9:
+            raise ValueError("domain appears unbounded along a ray")
+        grow[grow] = np.asarray(dom.rho(hi[grow, None] * U[grow])) < 0.0
+    t = brentq_rows(lambda s, rows: dom.rho(s[:, None] * U[rows]),
+                    np.zeros(len(U)), hi)
+    return t[:, None] * U
+
+
 def boundary_point(dom: ConvexDomain, direction: np.ndarray) -> np.ndarray:
     """Boundary point along a ray from the origin."""
-    u = unit_vector(direction)
-    if dom.matrix is not None:
-        return u / np.sqrt(float(u @ dom.matrix @ u))
-    hi = 1.0
-    while dom.rho(hi * u) < 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ValueError("domain appears unbounded along a ray")
-    t = brentq(lambda s: dom.rho(s * u), 0.0, hi, xtol=1e-14)
-    return t * u
+    return boundary_points(dom, np.asarray(direction, dtype=float)[None, :])[0]
 
 
 def boundary_samples(dom: ConvexDomain, count: int) -> np.ndarray:
@@ -203,7 +301,7 @@ def boundary_samples(dom: ConvexDomain, count: int) -> np.ndarray:
     else:
         theta = 2.0 * np.pi * np.arange(count) / count
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-    return np.vstack([boundary_point(dom, u) for u in dirs])
+    return boundary_points(dom, dirs)
 
 
 def boundary_distance(dom: ConvexDomain, pts: np.ndarray) -> np.ndarray:
@@ -388,16 +486,15 @@ def _measure_validity(dom, x, n_out, B, L, chart_deviation) -> float:
         ang = 2.0 * np.pi * np.arange(n) / n
         tangents = [np.cos(a) * B[:, 0] + np.sin(a) * B[:, 1] for a in ang]
     radii = 2.0 * domain_extent(dom) * np.geomspace(1e-3, 0.5, VALIDITY_STEPS)
+    # every (radius, tangent) root in one batch; the scan stops at the
+    # first radius that fails, and the roots past it go unread
+    ends = x + radii[:, None, None] * np.asarray(tangents)[None]
+    near = _boundary_near_rows(dom, ends.reshape(-1, dom.dim), n_out)
     good = 0.0
-    for r in radii:
-        worst = 0.0
-        for tau in tangents:
-            b = _boundary_near(dom, x + r * tau, n_out)
-            if b is None:
-                worst = np.inf
-                break
-            z = L @ (b - x) + e1
-            worst = max(worst, abs(np.linalg.norm(z) - 1.0))
+    for r, row in zip(radii, near.reshape(ends.shape)):
+        if np.isnan(row).any():
+            break
+        worst = max(abs(np.linalg.norm(L @ (b - x) + e1) - 1.0) for b in row)
         if worst <= chart_deviation:
             good = r
         else:
@@ -407,21 +504,37 @@ def _measure_validity(dom, x, n_out, B, L, chart_deviation) -> float:
     return float(good)
 
 
+def _boundary_near_rows(dom, Y, n_out) -> np.ndarray:
+    """Boundary points reached from the rows of Y along the normal direction.
+
+    Each row's bracket [lo, hi] starts at [-0.5, 0.5] and doubles until rho
+    changes sign along the line, at most 20 times; a row that finds none
+    comes back as NaN.
+    """
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    f = lambda s, rows: np.asarray(dom.rho(Y[rows] + s[:, None] * n_out))
+    lo, hi = np.full(len(Y), -0.5), np.full(len(Y), 0.5)
+    rows = np.arange(len(Y))
+    same = f(lo, rows) * f(hi, rows) > 0.0
+    for _ in range(20):
+        rows = np.flatnonzero(same)
+        if not len(rows):
+            break
+        lo[rows] *= 2.0
+        hi[rows] *= 2.0
+        same[rows] = f(lo[rows], rows) * f(hi[rows], rows) > 0.0
+    found = np.flatnonzero(~same)
+    s = brentq_rows(lambda s, rows: f(s, found[rows]), lo[found], hi[found])
+    out = np.full(Y.shape, np.nan)
+    out[found] = Y[found] + s[:, None] * n_out
+    return out
+
+
 def _boundary_near(dom, y, n_out):
-    """Boundary point reached from y along the normal direction."""
-    f = lambda s: float(dom.rho(y + s * n_out))
-    lo, hi = -0.5, 0.5
-    flo, fhi = f(lo), f(hi)
-    tries = 0
-    while flo * fhi > 0.0:
-        lo *= 2.0
-        hi *= 2.0
-        flo, fhi = f(lo), f(hi)
-        tries += 1
-        if tries > 20:
-            return None
-    s = brentq(f, lo, hi, xtol=1e-14)
-    return y + s * n_out
+    """Boundary point reached from y along the normal direction (None when
+    no bracket is found): one row of :func:`_boundary_near_rows`."""
+    b = _boundary_near_rows(dom, y, n_out)[0]
+    return None if np.isnan(b).any() else b
 
 
 def rho_values(dom: ConvexDomain, pts: np.ndarray) -> np.ndarray:
@@ -434,8 +547,7 @@ def domain_extent(dom: ConvexDomain) -> float:
     a quadric, 1/sqrt(lambda_min(A)), the largest over all directions."""
     if dom.matrix is not None:
         return float(1.0 / np.sqrt(np.linalg.eigvalsh(dom.matrix).min()))
-    return max(np.linalg.norm(boundary_point(dom, u))
-               for u in np.eye(dom.dim))
+    return max(np.linalg.norm(b) for b in boundary_points(dom, np.eye(dom.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -619,13 +731,15 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
 
 
 def _local_patch_discs(schedule, dim, seed, window) -> list[FlatBall]:
-    """Shell discs restricted to the chart window around e1."""
+    """Shell discs restricted to the chart window around e1: the discs with
+    |centre - e1| + radius <= window, the only ones made into flat balls."""
     e1 = np.zeros(dim)
     e1[0] = 1.0
     out = []
     for j in range(1, schedule.J + 1):
-        balls, _ = build_shell(schedule, j, dim, seed=seed)
-        for fb in balls:
-            if np.linalg.norm(fb.center - e1) + fb.radius <= window:
-                out.append(fb)
+        centers, normals, r_j, levels, _ = shell_discs(schedule, j, dim, seed)
+        off = centers - e1
+        keep = np.flatnonzero(np.sqrt(row_dots(off, off)) + r_j <= window)
+        out.extend(FlatBall(center=centers[i], normal=normals[i], radius=r_j,
+                            level=tuple(levels[i].tolist())) for i in keep)
     return out

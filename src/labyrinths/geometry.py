@@ -38,14 +38,6 @@ INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 LP_ROWS_PER_SIDE = 256
 
 
-def unit_vector(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("cannot normalise the zero vector")
-    return v / n
-
-
 def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Dot products of the rows of X and Y, each summed as the 1-D `x @ y`
     sums it, so a batch reproduces one-row values (and ``np.linalg.norm``
@@ -437,10 +429,13 @@ def disc_rim_points(C, N, R, count: int) -> np.ndarray:
         return C[:, None] + Rc * np.concatenate([-B[:, None, :, 0],
                                                  B[:, None, :, 0]], axis=1)
     if d == 3:
+        # in place, so at most two (n, count, 3) arrays are alive at once
         ang = 2.0 * np.pi * np.arange(count) / count
-        circ = np.cos(ang)[:, None] * B[:, None, :, 0] \
-            + np.sin(ang)[:, None] * B[:, None, :, 1]
-        return C[:, None] + Rc * circ
+        rim = np.cos(ang)[:, None] * B[:, None, :, 0]
+        rim += np.sin(ang)[:, None] * B[:, None, :, 1]
+        rim *= Rc
+        rim += C[:, None]
+        return rim
     from .sampling import farthest_point_order, sphere_candidates
 
     cand = sphere_candidates(d - 1, max(64, 8 * count))

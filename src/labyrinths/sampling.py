@@ -56,8 +56,9 @@ def sphere_samples(d: int, n: int, seed: int = 0) -> np.ndarray:
         return np.column_stack([np.cos(theta), np.sin(theta)])
     sob = qmc.Sobol(d, scramble=True, seed=seed)
     draw = 1 << int(np.ceil(np.log2(int(n * 1.05) + 8)))
-    u = sob.random(draw)
-    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    # in place, so one (draw, d) array is alive here instead of three
+    g = sob.random(draw)
+    ndtri(np.clip(g, 1e-12, 1.0 - 1e-12, out=g), out=g)
     norms = np.linalg.norm(g, axis=1)
     g = g[norms > 1e-9][:n]
     return g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -108,6 +109,7 @@ def farthest_point_order(
     chosen = [start]
     diff = points - points[start]
     d2 = np.einsum("ij,ij->i", diff, diff)
+    del diff  # n rows that need not stay alive while the kd-tree is built
     limit = n if stop_count is None else min(stop_count, n)
     thresh2 = None if stop_dist is None else float(stop_dist) ** 2
     order = cKDTree(points, leafsize=_BLOCK).indices

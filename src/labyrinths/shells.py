@@ -58,7 +58,9 @@ def _sublevel_grid(s0: float, s: np.ndarray, m: int):
     beside it s_{j,k+1} with the convention s_{j,m+1} = s_j."""
     lower = np.concatenate([[s0], s[:-1]])
     ks = np.arange(1, m + 1)
-    sublevels = lower[:, None] + ks[None, :] * (s - lower)[:, None] / (m + 1)
+    # radii near the float limit give inf, which the callers reject
+    with np.errstate(over="ignore"):
+        sublevels = lower[:, None] + ks[None, :] * (s - lower)[:, None] / (m + 1)
     above = np.concatenate([sublevels[:, 1:], s[:, None]], axis=1)
     return sublevels, above
 
@@ -113,8 +115,10 @@ class ShellSchedule:
             raise ValueError("shell radii must increase strictly and stay below 1")
         if self.tangent_radii.shape != (self.J,):
             raise ValueError("need one tangent radius per shell")
-        reach = (self.sublevels ** 2 + self.tangent_radii[:, None] ** 2
-                 >= self.above ** 2)
+        # a huge radius squares to inf, which still reaches: no warning
+        with np.errstate(over="ignore"):
+            reach = (self.sublevels ** 2 + self.tangent_radii[:, None] ** 2
+                     >= self.above ** 2)
         if reach.any():
             j, k = np.argwhere(reach)[0] + 1
             raise ValueError(f"tangent disc at shell {j} sublevel {k} reaches "
@@ -212,34 +216,47 @@ def shell_net_separation(schedule: ShellSchedule, j: int) -> float:
     return 2.0 * schedule.t * r_j / schedule.radius_below(j)
 
 
-def build_shell(schedule: ShellSchedule, j: int, dim: int,
-                seed: int = 0) -> tuple[list[FlatBall], SeparatedNet]:
-    """Discs of shell j: class k tangent to the sublevel-k sphere.
+def shell_discs(schedule: ShellSchedule, j: int, dim: int, seed: int = 0):
+    """Discs of shell j as rows: class k tangent to the sublevel-k sphere.
 
-    Each emitted disc is tangent to its sphere (normal = centre direction,
-    centre norm = s_{j,k}) with radius r_j, and is tagged (j, k, p) by its
-    class and position.
+    Returns (centres, normals, radius, levels, net): the disc of class point
+    `direction` on sublevel k has centre s_{j,k}*direction, normal
+    `direction` and the shell's tangent radius r_j, and levels holds its
+    (j, k, p) tag by class and position in the class.
     """
     if not (1 <= j <= schedule.J):
         raise ValueError(f"shell index {j} outside 1..{schedule.J}")
     net = build_separated_families(dim, shell_net_separation(schedule, j),
                                    schedule.c, seed=seed,
                                    target_m=schedule.m)
+    classes = net.classes[:schedule.m]
+    sizes = [len(cls) for cls in classes]
+    normals = np.vstack(classes)
+    k = np.repeat(np.arange(1, len(classes) + 1), sizes)
+    p = np.concatenate([np.arange(n) for n in sizes])
+    levels = np.column_stack([np.full(len(k), j), k, p])
+    s_jk = schedule.sublevels[j - 1, k - 1]
     r_j = float(schedule.tangent_radii[j - 1])
-    balls = []
-    for k, cls in enumerate(net.classes, start=1):
-        if k > schedule.m:
-            break
-        s_jk = float(schedule.sublevels[j - 1, k - 1])
-        for p, direction in enumerate(cls):
-            balls.append(FlatBall(center=s_jk * direction, normal=direction,
-                                  radius=r_j, level=(j, k, p)))
+    return s_jk[:, None] * normals, normals, r_j, levels, net
+
+
+def build_shell(schedule: ShellSchedule, j: int, dim: int,
+                seed: int = 0) -> tuple[list[FlatBall], SeparatedNet]:
+    """Discs of shell j (see :func:`shell_discs`) as tagged flat balls."""
+    centers, normals, r_j, levels, net = shell_discs(schedule, j, dim, seed)
+    balls = [FlatBall(center=c, normal=n, radius=r_j, level=tuple(lv))
+             for c, n, lv in zip(centers, normals, levels.tolist())]
     return balls, net
 
 
 def build_labyrinth(schedule: ShellSchedule | None, dim: int, seed: int = 0,
                     domain: dict | None = None, scale: float = 1.0) -> Labyrinth:
     """All shells of the schedule, concatenated in lexicographic order.
+
+    The shells are built finest net first (ascending net separation, ties
+    in shell order), so the first net runs the one farthest-point sweep and
+    every coarser net is cut from it (see :mod:`labyrinths.nets`); the
+    components and nets are then assembled in shell order.
 
     When the colouring of some shell needs more classes than the schedule
     has sublevels, the schedule is rebuilt with the larger class count and
@@ -250,14 +267,12 @@ def build_labyrinth(schedule: ShellSchedule | None, dim: int, seed: int = 0,
     if schedule is None or schedule.J == 0:
         return empty_labyrinth(dim, domain)
     for _ in range(4):
-        components: list[FlatBall] = []
-        nets: list[SeparatedNet] = []
-        needed = schedule.m
-        for j in range(1, schedule.J + 1):
-            balls, net = build_shell(schedule, j, dim, seed=seed)
-            needed = max(needed, net.m)
-            components.extend(balls)
-            nets.append(net)
+        js = range(1, schedule.J + 1)
+        shells = {j: build_shell(schedule, j, dim, seed=seed) for j in
+                  sorted(js, key=lambda j: shell_net_separation(schedule, j))}
+        components = [fb for j in js for fb in shells[j][0]]
+        nets = [shells[j][1] for j in js]
+        needed = max([schedule.m] + [net.m for net in nets])
         if needed == schedule.m:
             break
         schedule = schedule_from_radii(schedule.s0, schedule.s, needed,

@@ -708,9 +708,10 @@ def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None) -> dict:
     add("components-well-formed", norm_err <= 1e-9 and bool(np.all(R > 0.0)),
         max_normal_error=norm_err)
 
-    rims = disc_rim_points(C, N, R, 64 * lab.dim)
     # the LP and containment samples: each disc's rim points, then its centre
-    samples = np.concatenate([rims, C[:, None]], axis=1)
+    samples = np.concatenate([disc_rim_points(C, N, R, 64 * lab.dim),
+                              C[:, None]], axis=1)
+    rims = samples[:, :-1]
 
     if lab.kind == "shell" and lab.schedule is not None:
         sched = lab.schedule

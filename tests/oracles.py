@@ -3,13 +3,17 @@
 Deliberately dumber than the library: dense parameter grids, dense grid
 graphs, elementary formulas, all pairs where the library culls.  Nothing
 here imports search or construction internals beyond plain data types and
-the row-wise geometric predicates.
+the row-wise geometric predicates, except the reference builds at the end:
+they replay a construction the plain way (a cold sweep per shell, scipy's
+``brentq`` one row at a time, every disc made before it is filtered), so a
+faster path can be held to it bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import brentq
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
@@ -245,3 +249,78 @@ def full_lp_margin(first, second) -> float:
     w = res.x[:d] - res.x[d:2 * d]
     w = w / np.linalg.norm(w)
     return 0.5 * float(np.min(first @ w) - np.max(second @ w))
+
+
+def cold_shell_build(schedule, dim: int, seed: int = 0, scale: float = 1.0):
+    """Components and nets of a shell labyrinth, every net from a cold sweep.
+
+    Shells in order j = 1..J, the net cache cleared before each, and each
+    disc placed class by class: (centre, normal, radius, level) tuples,
+    centres and radii times `scale`.
+    """
+    from labyrinths import nets as netmod
+    from labyrinths.shells import shell_net_separation
+
+    comps, shell_nets = [], []
+    for j in range(1, schedule.J + 1):
+        netmod._NET_CACHE.clear()
+        net = netmod.build_separated_families(
+            dim, shell_net_separation(schedule, j), schedule.c, seed=seed,
+            target_m=schedule.m)
+        r_j = float(schedule.tangent_radii[j - 1])
+        for k, cls in enumerate(net.classes[:schedule.m], start=1):
+            s_jk = float(schedule.sublevels[j - 1, k - 1])
+            for p, direction in enumerate(cls):
+                comps.append((scale * (s_jk * direction), direction,
+                              scale * r_j, (j, k, p)))
+        shell_nets.append(net)
+    return comps, shell_nets
+
+
+def filtered_patch_discs(schedule, dim: int, seed: int, window: float):
+    """Every shell disc made first, then those with |centre - e1| + radius
+    <= window kept: (centre, normal, radius, level) tuples."""
+    from labyrinths.nets import build_separated_families
+    from labyrinths.shells import shell_net_separation
+
+    e1 = np.zeros(dim)
+    e1[0] = 1.0
+    out = []
+    for j in range(1, schedule.J + 1):
+        net = build_separated_families(
+            dim, shell_net_separation(schedule, j), schedule.c, seed=seed,
+            target_m=schedule.m)
+        r_j = float(schedule.tangent_radii[j - 1])
+        for k, cls in enumerate(net.classes[:schedule.m], start=1):
+            s_jk = float(schedule.sublevels[j - 1, k - 1])
+            for p, direction in enumerate(cls):
+                center = s_jk * direction
+                if np.linalg.norm(center - e1) + r_j <= window:
+                    out.append((center, direction, r_j, (j, k, p)))
+    return out
+
+
+def scipy_boundary_samples(dom, count: int) -> np.ndarray:
+    """Radial boundary points at `count` angles (d = 2), one scipy
+    ``brentq`` per direction after doubling its bracket [0, hi]."""
+    theta = 2.0 * np.pi * np.arange(count) / count
+    out = []
+    for v in np.column_stack([np.cos(theta), np.sin(theta)]):
+        u = v / np.linalg.norm(v)
+        hi = 1.0
+        while dom.rho(hi * u) < 0.0:
+            hi *= 2.0
+        out.append(brentq(lambda s: dom.rho(s * u), 0.0, hi, xtol=1e-14) * u)
+    return np.vstack(out)
+
+
+def scipy_boundary_near(dom, y, n_out):
+    """Boundary point from y along n_out by scipy ``brentq`` on a bracket
+    [-0.5, 0.5] doubled at most 20 times; None when none is found."""
+    f = lambda s: float(dom.rho(y + s * n_out))
+    lo, hi = -0.5, 0.5
+    for _ in range(21):
+        if f(lo) * f(hi) <= 0.0:
+            return y + brentq(f, lo, hi, xtol=1e-14) * n_out
+        lo, hi = 2.0 * lo, 2.0 * hi
+    return None

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from labyrinths.domains import (
     CollarCollapseError,
     ConvexDomain,
+    _boundary_near,
+    _local_patch_discs,
     assemble_patch_labyrinth,
     ball_domain,
     boundary_distance,
     boundary_point,
     boundary_samples,
+    brentq_rows,
     ellipse_preset,
     ellipsoid_domain,
     ellipsoid_labyrinth,
@@ -27,6 +31,7 @@ from labyrinths.domains import (
 from labyrinths.geometry import FlatBall
 from labyrinths.shells import make_schedule
 from labyrinths.verifier import audit_labyrinth
+from oracles import filtered_patch_discs, scipy_boundary_near, scipy_boundary_samples
 
 
 def test_normalize_identity():
@@ -262,3 +267,95 @@ def test_resolve_domain_takes_the_dimension():
         assert rho_values(dom, np.eye(dim) * 0.5).max() == pytest.approx(-0.75)
     with pytest.raises(ValueError, match="not 3-dimensional"):
         resolve_domain({"kind": "smooth", "preset": "ellipse"}, 3)
+
+
+@pytest.mark.parametrize("preset", [ellipse_preset, superellipse_preset])
+@pytest.mark.parametrize("count", [257, 2048])
+def test_batched_boundary_roots_equal_scipy_brentq_bit_for_bit(preset, count):
+    dom = preset()
+    assert np.array_equal(boundary_samples(dom, count),
+                          scipy_boundary_samples(dom, count))
+
+
+def test_boundary_near_equals_scipy_brentq_bit_for_bit():
+    dom = ellipse_preset()
+    rng = np.random.default_rng(5)
+    for th in rng.uniform(0.0, 2.0 * np.pi, 12):
+        x = boundary_point(dom, np.array([np.cos(th), np.sin(th)]))
+        n_out = dom.grad(x) / np.linalg.norm(dom.grad(x))
+        tau = np.array([-n_out[1], n_out[0]])
+        for r in (1e-3, 0.1, 0.7, 1.9):
+            got = _boundary_near(dom, x + r * tau, n_out)
+            ref = scipy_boundary_near(dom, x + r * tau, n_out)
+            assert (got is None) == (ref is None)
+            assert got is None or np.array_equal(got, ref)
+    # a line that misses the domain finds no bracket
+    far = np.array([10.0, 10.0])
+    assert _boundary_near(dom, far, np.array([1.0, 0.0])) is None
+    assert scipy_boundary_near(dom, far, np.array([1.0, 0.0])) is None
+
+
+def test_batched_brent_equals_brentq_row_by_row():
+    # cubics with plain products only, so rows and scalars round alike
+    rng = np.random.default_rng(2)
+    root, k, w = rng.uniform(-1, 1, 40), rng.uniform(0.1, 5, 40), rng.uniform(0, 3, 40)
+    cubic = lambda x, i: k[i] * (x - root[i]) * (x * x * w[i] + 1.0)
+    a, b = np.full(40, -1.5), rng.uniform(1.0, 4.0, 40)
+    got = brentq_rows(lambda x, rows: cubic(x, rows), a, b)
+    ref = [brentq(lambda x: cubic(x, i), a[i], b[i], xtol=1e-14)
+           for i in range(40)]
+    assert np.array_equal(got, ref)
+
+
+def test_batched_brent_raises_as_brentq_does():
+    line = lambda x, rows: x - 0.3
+    with pytest.raises(ValueError, match="different signs"):
+        brentq_rows(line, [0.0, 0.5], [1.0, 1.0])
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x - 0.3, 0.5, 1.0, xtol=1e-14)
+    nan_at = lambda x: np.where(x > 0.6, np.nan, x - 0.3)
+    with pytest.raises(ValueError, match="NaN"):
+        brentq_rows(lambda x, rows: nan_at(x), [0.0], [1.0])
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: float(nan_at(x)), 0.0, 1.0, xtol=1e-14)
+    # a jump met by bisection alone, from a bracket 1e300 wide, needs about
+    # a thousand halvings: neither converges within 100 iterations
+    step = lambda x: np.where(x < 0.3, -1.0, 1.0)
+    with pytest.raises(RuntimeError, match="Failed to converge after 100"):
+        brentq_rows(lambda x, rows: step(x), [-1e300, 0.0], [1e300, 1.0])
+    with pytest.raises(RuntimeError, match="Failed to converge after 100"):
+        brentq(lambda x: float(step(x)), -1e300, 1e300, xtol=1e-14)
+
+
+def _recorded_patch_steps(monkeypatch):
+    """The (schedule, dim, seed, window) of each step of a short ellipse
+    patch labyrinth, recorded as the assembly calls them."""
+    from labyrinths import domains
+
+    steps = []
+    real = domains._local_patch_discs
+
+    def record(schedule, dim, seed, window):
+        steps.append((schedule, dim, seed, window))
+        return real(schedule, dim, seed, window)
+
+    monkeypatch.setattr(domains, "_local_patch_discs", record)
+    dom = ellipse_preset()
+    assemble_patch_labyrinth(dom, patch_cover(dom, 0.9, 0.08), 0.02, seed=3)
+    return steps
+
+
+def test_patch_step_makes_only_the_discs_it_keeps(monkeypatch):
+    steps = _recorded_patch_steps(monkeypatch)
+    assert len(steps) >= 3
+    schedule, dim, seed, window = steps[0]
+    steps.append((schedule, dim, seed, 0.0))  # an empty window
+    for schedule, dim, seed, window in steps:
+        got = _local_patch_discs(schedule, dim, seed, window)
+        ref = filtered_patch_discs(schedule, dim, seed, window)
+        assert len(got) == len(ref)
+        for fb, (center, normal, radius, level) in zip(got, ref):
+            assert np.array_equal(fb.center, center)
+            assert np.array_equal(fb.normal, normal)
+            assert fb.radius == radius and fb.level == level
+    assert _local_patch_discs(*steps[-1]) == []

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -549,6 +550,21 @@ def test_loader_rejects_components_of_mixed_shape(j1_doc, tmp_path):
         bad = tmp_path / "bad.json"
         write_with(j1_doc, where, value, bad)
         with pytest.raises(MalformedFileError, match=r"components\[0\] invalid"):
+            load_labyrinth(str(bad))
+
+
+@pytest.mark.parametrize("where, value, named", [
+    (("schedule", "tangent_radii", 0), 1e200,
+     "reaches the next sublevel sphere"),
+    (("schedule", "s", 0), 1e308, "radii must be finite numbers"),
+])
+def test_loader_rejects_huge_schedule_radii_without_a_warning(
+        j1_doc, tmp_path, where, value, named):
+    bad = tmp_path / "bad.json"
+    write_with(j1_doc, where, value, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedFileError, match=named):
             load_labyrinth(str(bad))
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labyrinths import nets
 from labyrinths.geometry import flatball_pair_distance, flatball_rim_points
 from labyrinths.shells import (
     DegenerateScheduleError,
@@ -16,9 +17,11 @@ from labyrinths.shells import (
     empty_labyrinth,
     make_schedule,
     schedule_from_radii,
+    shell_net_separation,
     sqrt_gap_partial_sums,
     truncate,
 )
+from oracles import cold_shell_build
 
 
 def test_schedule_values_j1_m2():
@@ -285,3 +288,48 @@ def test_exhaustion_nontrivial_budget_forces_extra_shells():
                                    shortcut_rounds=150))
     assert out[0]["shells"] >= 2
     assert out[0]["report"]["best_length"] > 0.4
+
+
+def _assert_matches_cold_build(lab, dim, seed, scale=1.0):
+    comps, nets = cold_shell_build(lab.schedule, dim, seed, scale)
+    assert len(lab.components) == len(comps)
+    for fb, (center, normal, radius, level) in zip(lab.components, comps):
+        assert np.array_equal(fb.center, center)
+        assert np.array_equal(fb.normal, normal)
+        assert fb.radius == radius and fb.level == level
+    assert len(lab.nets) == len(nets)
+    for got, ref in zip(lab.nets, nets):
+        assert (got.r, got.c, got.m) == (ref.r, ref.c, ref.m)
+        assert len(got.classes) == len(ref.classes)
+        assert all(np.array_equal(a, b) for a, b in zip(got.classes, ref.classes))
+
+
+def _counting_sweeps(monkeypatch):
+    """Cold net caches, and a counter on the sweep the nets run."""
+    monkeypatch.setattr(nets, "_NET_CACHE", {})
+    monkeypatch.setattr(nets, "_CALIBRATION_CACHE", {})
+    calls = []
+    sweep = nets.farthest_point_order
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("stop_dist"))
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(nets, "farthest_point_order", counted)
+    return calls
+
+
+def test_annulus_build_sweeps_once_finest_net_first(monkeypatch):
+    calls = _counting_sweeps(monkeypatch)
+    lab = annulus_labyrinth(0.75, 0.875, J=10, m=2)
+    assert len(calls) == 1
+    seps = [shell_net_separation(lab.schedule, j) for j in range(1, 11)]
+    assert calls[0] == lab.schedule.c * min(seps) * (1.0 - 1e-12)
+    _assert_matches_cold_build(lab, 2, 0, scale=0.875)
+
+
+@pytest.mark.parametrize("dim, J", [(2, 3), (3, 2)])
+def test_ball_build_matches_shell_by_shell_cold_build(monkeypatch, dim, J):
+    _counting_sweeps(monkeypatch)
+    lab = build_labyrinth(make_schedule(0.5, J, 2), dim=dim, seed=1)
+    _assert_matches_cold_build(lab, dim, 1)
