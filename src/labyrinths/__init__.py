@@ -9,16 +9,7 @@ escape paths, reported as explicit upper bounds.
 """
 
 from .config import TOL, Tolerances
-from .geometry import (
-    FlatBall,
-    Hyperplane,
-    Segment,
-    flatball_extremal_points,
-    flatball_pair_distance,
-    point_flatball_distance,
-    segment_flatball_intersect,
-    separating_hyperplane,
-)
+from .geometry import FlatBall, Hyperplane, separating_hyperplane
 from .nets import (
     SeparatedNet,
     build_separated_families,
@@ -54,11 +45,6 @@ __all__ = [
     "Tolerances",
     "FlatBall",
     "Hyperplane",
-    "Segment",
-    "flatball_extremal_points",
-    "flatball_pair_distance",
-    "point_flatball_distance",
-    "segment_flatball_intersect",
     "separating_hyperplane",
     "SeparatedNet",
     "build_separated_families",

@@ -24,8 +24,10 @@ from .domains import (
     ellipsoid_labyrinth,
     normalize_ellipsoid,
     patch_cover,
+    patch_schedule,
 )
 from .io import (
+    MAX_COORDINATE,
     MalformedFileError,
     export_csv,
     export_svg,
@@ -33,7 +35,7 @@ from .io import (
     save_labyrinth,
     save_report,
 )
-from .nets import calibrated_class_count
+from .nets import NetBudgetError, calibrated_class_count
 from .shells import (
     ExhaustionPlan,
     ShellBudgetError,
@@ -158,7 +160,7 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 
 def _check_generate_args(args) -> None:
-    """Every constraint on the generate flags, checked before any work."""
+    """Every constraint on the generate flags but --M, before any work."""
     if args.dim < 2:
         raise UsageError("constraint violated: --dim >= 2")
     try:
@@ -169,8 +171,6 @@ def _check_generate_args(args) -> None:
         raise UsageError("constraint violated: J >= 1")
     if args.m < 0:
         raise UsageError("constraint violated: --m >= 0")
-    if args.M is not None and not 0.0 <= args.M < np.inf:
-        raise UsageError("constraint violated: --M finite and >= 0")
     if not 0.0 < args.patch_radius < np.inf:
         raise UsageError("constraint violated: --patch-radius finite and > 0")
     if args.domain == "ellipsoid":
@@ -193,17 +193,45 @@ def _check_generate_args(args) -> None:
 def cmd_generate(args) -> int:
     _check_generate_args(args)
     seed = args.seed
-    if args.annuli:
-        rho = list(args.annuli)
-        budgets = list(args.Mn) if args.Mn else \
-            [args.M if args.M is not None else 0.0] * (len(rho) - 1)
-        plan = ExhaustionPlan(rho=np.array(rho), budgets=np.array(budgets))
-        try:
+    try:
+        if args.annuli:
+            rho = list(args.annuli)
+            budgets = list(args.Mn) if args.Mn else \
+                [args.M if args.M is not None else 0.0] * (len(rho) - 1)
+            plan = ExhaustionPlan(rho=np.array(rho), budgets=np.array(budgets))
             results = exhaustion_labyrinth(plan, dim=args.dim, t=args.t,
                                            c=args.c, seed=seed)
-        except ShellBudgetError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        elif args.domain in ("ball", "ellipsoid"):
+            m = args.m or calibrated_class_count(args.dim, args.c, seed)
+            sched = make_schedule(args.s0, args.J, m, args.t, args.c)
+            if args.domain == "ball":
+                lab = build_labyrinth(sched, args.dim, seed=seed)
+            else:
+                dom = ellipsoid_domain(np.diag([1.0 / a ** 2 for a in args.axes]))
+                lab = ellipsoid_labyrinth(dom, sched, seed=seed)
+        else:
+            if args.dim != 2:
+                raise UsageError("smooth presets are planar (dim 2)")
+            if args.M is None:
+                raise UsageError("--M is required for smooth domains")
+            dom = PRESETS[args.domain]()
+            try:
+                cover = patch_cover(dom, args.patch_radius, args.eta)
+            except ValueError as exc:  # the collar width check
+                raise UsageError(f"constraint violated: --eta: {exc}") from exc
+            try:
+                patch_schedule(cover, args.M)
+            except ValueError as exc:  # the step bound, before any step
+                raise UsageError(f"constraint violated: --M: {exc}") from exc
+            lab = assemble_patch_labyrinth(dom, cover, args.M, t=args.t,
+                                           c=args.c, seed=seed)
+    except NetBudgetError as exc:
+        raise UsageError(f"constraint violated: --dim and --c need a net finer "
+                         f"than the candidate cap allows: {exc}") from exc
+    except (ShellBudgetError, CoverageError, CollarCollapseError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.annuli:
         all_pass = True
         for i, rec in enumerate(results):
             out = _sibling(args.out, f"-n{i}.json")
@@ -218,34 +246,6 @@ def cmd_generate(args) -> int:
             save_report({"audit": audit, "verification": rec["report"]},
                         audit_out)
         return 0 if all_pass else 2
-
-    if args.domain in ("ball", "ellipsoid"):
-        m = args.m or calibrated_class_count(args.dim, args.c, seed)
-        sched = make_schedule(args.s0, args.J, m, args.t, args.c)
-        if args.domain == "ball":
-            lab = build_labyrinth(sched, args.dim, seed=seed)
-        else:
-            dom = ellipsoid_domain(np.diag([1.0 / a ** 2 for a in args.axes]))
-            lab = ellipsoid_labyrinth(dom, sched, seed=seed)
-    else:
-        if args.dim != 2:
-            raise UsageError("smooth presets are planar (dim 2)")
-        if args.M is None:
-            raise UsageError("--M is required for smooth domains")
-        dom = PRESETS[args.domain]()
-        try:
-            cover = patch_cover(dom, args.patch_radius, args.eta)
-        except ValueError as exc:  # the collar width check
-            raise UsageError(f"constraint violated: --eta: {exc}") from exc
-        except CoverageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            lab = assemble_patch_labyrinth(dom, cover, args.M, t=args.t,
-                                           c=args.c, seed=seed)
-        except CollarCollapseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     save_labyrinth(lab, args.out)
     audit = audit_labyrinth(lab)
     audit_out = args.audit_out or _sibling(args.out, ".audit.json")
@@ -260,9 +260,15 @@ def _sibling(path: str, suffix: str) -> str:
 
 
 def cmd_verify(args) -> int:
+    spheres = (args.source, args.target)
+    if spheres != (None, None) and (None in spheres or spheres[0] == spheres[1]
+                                    or not all(0.0 <= r <= MAX_COORDINATE
+                                               for r in spheres)):
+        raise UsageError(f"constraint violated: --source and --target both or "
+                         f"neither, distinct, in [0, {MAX_COORDINATE:g}]")
     lab = _load(args.file)
     dom = lab.domain
-    if args.source is not None and args.target is not None:
+    if args.source is not None:
         source = {"kind": "sphere", "radius": args.source}
         target = {"kind": "sphere", "radius": args.target}
     elif dom.get("kind") == "annulus":
@@ -385,6 +391,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
+        if getattr(args, "M", None) is not None and not 0.0 <= args.M < np.inf:
+            raise UsageError("constraint violated: --M finite and >= 0")
         if args.command == "generate":
             return cmd_generate(args)
         if args.command == "verify":

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .config import DEFAULT_C, DEFAULT_T
-from .geometry import FlatBall, disc_rows, row_dots, tangent_basis
+from .geometry import FlatBall, row_dots, tangent_basis
 from .shells import Labyrinth, schedule_from_radii, shell_discs
 
 
@@ -43,6 +43,9 @@ BRENT_MAXITER = 100
 SHELLS_PER_STEP = 1
 COLLAR_BAND = (0.88, 0.97)
 DEVIATION_FRACTION = 0.15
+# most patch steps a schedule may hold: each step narrows the collar by 7 to
+# 16% on the ellipse, so ten thousand would take it below 1e-300
+MAX_PATCH_STEPS = 10_000
 
 
 class CoverageError(RuntimeError):
@@ -287,11 +290,6 @@ def boundary_points(dom: ConvexDomain, directions: np.ndarray) -> np.ndarray:
     return t[:, None] * U
 
 
-def boundary_point(dom: ConvexDomain, direction: np.ndarray) -> np.ndarray:
-    """Boundary point along a ray from the origin."""
-    return boundary_points(dom, np.asarray(direction, dtype=float)[None, :])[0]
-
-
 def boundary_samples(dom: ConvexDomain, count: int) -> np.ndarray:
     """Dense boundary sampling by radial root finding (d = 2: angles)."""
     if dom.dim != 2:
@@ -376,22 +374,17 @@ def ellipsoid_labyrinth(dom: ConvexDomain, schedule, seed: int = 0) -> Labyrinth
     return lab
 
 
-def map_flatball_2d(fb: FlatBall, linear: np.ndarray,
-                    offset: np.ndarray) -> FlatBall:
-    """Exact affine image of a planar flat ball (segments map to segments).
-
-    The image normal is only defined up to sign; the sign pointing away
-    from the origin is chosen so tangency reads the same as in the shell
-    construction.
-    """
-    u = np.array([-fb.normal[1], fb.normal[0]])
-    c = linear @ fb.center + offset
-    v = linear @ (fb.radius * u)
-    r = float(np.linalg.norm(v))
-    n = np.array([-v[1], v[0]]) / r
-    if n @ c < 0.0:
-        n = -n
-    return FlatBall(center=c, normal=n, radius=r, level=fb.level)
+def _map_disc_rows_2d(linear: np.ndarray, offset: np.ndarray, C, N, R) -> tuple:
+    """Exact images (C, N, R) of planar disc rows under x -> linear x +
+    offset, segments to segments; each image normal takes the sign pointing
+    away from the origin, so tangency reads as in the shell construction."""
+    U = np.column_stack([-N[:, 1], N[:, 0]])
+    Cm = (linear @ C[:, :, None])[:, :, 0] + offset
+    V = (linear @ (R[:, None] * U)[:, :, None])[:, :, 0]
+    Rm = np.sqrt(row_dots(V, V))
+    Nm = np.column_stack([-V[:, 1], V[:, 0]]) / Rm[:, None]
+    Nm[row_dots(Nm, Cm) < 0.0] *= -1.0
+    return Cm, Nm, Rm
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +397,8 @@ class OsculatingMap:
 
     Under z = linear @ (y - base) + e1 the defining function agrees with
     |z|^2 - 1 to second order at the base point; `validity_radius` bounds
-    the chart domain so that |(|z| - 1)| <= deviation_bound on the boundary
-    within it.
+    the chart domain so that |(|z| - 1)| stays within the deviation it was
+    measured at (:func:`osculating_map`) on the boundary within it.
     """
 
     base: np.ndarray
@@ -413,24 +406,15 @@ class OsculatingMap:
     linear: np.ndarray
     inverse: np.ndarray
     validity_radius: float
-    deviation_bound: float
     normal_scale: float
 
     def to_ball(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        e1 = np.zeros(self.linear.shape[0])
-        e1[0] = 1.0
-        if y.ndim == 1:
-            return self.linear @ (y - self.base) + e1
-        return (y - self.base) @ self.linear.T + e1
+        e1 = np.eye(self.linear.shape[0])[0]
+        return (np.asarray(y, dtype=float) - self.base) @ self.linear.T + e1
 
     def to_domain(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        e1 = np.zeros(self.linear.shape[0])
-        e1[0] = 1.0
-        if z.ndim == 1:
-            return self.inverse @ (z - e1) + self.base
-        return (z - e1) @ self.inverse.T + self.base
+        e1 = np.eye(self.linear.shape[0])[0]
+        return (np.asarray(z, dtype=float) - e1) @ self.inverse.T + self.base
 
 
 def osculating_map(dom: ConvexDomain, x: np.ndarray,
@@ -463,22 +447,19 @@ def osculating_map(dom: ConvexDomain, x: np.ndarray,
     # absorb the anisotropy so the second-order match is exact regardless
     s_n = float(lam.mean()) / ng
     Bscale = np.sqrt(s_n * lam / ng)
-    e1 = np.zeros(dom.dim)
-    e1[0] = 1.0
+    e1 = np.eye(dom.dim)[0]
     L = np.outer(e1, s_n * n_out) \
         + np.vstack([np.zeros(dom.dim), (Bscale[:, None] * U.T) @ B.T])
     Li = np.linalg.inv(L)
 
     validity = _measure_validity(dom, x, n_out, B, L, s_n * deviation_bound)
     return OsculatingMap(base=x, outward=n_out, linear=L, inverse=Li,
-                         validity_radius=validity,
-                         deviation_bound=deviation_bound, normal_scale=s_n)
+                         validity_radius=validity, normal_scale=s_n)
 
 
 def _measure_validity(dom, x, n_out, B, L, chart_deviation) -> float:
     """Largest sampled chart radius keeping |(|z|-1)| within chart_deviation."""
-    e1 = np.zeros(dom.dim)
-    e1[0] = 1.0
+    e1 = np.eye(dom.dim)[0]
     if dom.dim == 2:
         tangents = [B[:, 0], -B[:, 0]]
     else:
@@ -528,13 +509,6 @@ def _boundary_near_rows(dom, Y, n_out) -> np.ndarray:
     out = np.full(Y.shape, np.nan)
     out[found] = Y[found] + s[:, None] * n_out
     return out
-
-
-def _boundary_near(dom, y, n_out):
-    """Boundary point reached from y along the normal direction (None when
-    no bracket is found): one row of :func:`_boundary_near_rows`."""
-    b = _boundary_near_rows(dom, y, n_out)[0]
-    return None if np.isnan(b).any() else b
 
 
 def rho_values(dom: ConvexDomain, pts: np.ndarray) -> np.ndarray:
@@ -665,8 +639,10 @@ def patch_schedule(cover: PatchCover, M: float) -> list[int]:
     """Round-robin patch sequence: each patch exactly n times, n delta > M."""
     if cover.delta <= 0.0:
         raise ValueError("cover gap delta must be positive")
-    n = int(np.floor(M / cover.delta)) + 1
-    return list(range(cover.k)) * n
+    n = np.floor(M / cover.delta) + 1
+    if n * cover.k > MAX_PATCH_STEPS:
+        raise ValueError(f"{n * cover.k:.6g} patch steps exceed {MAX_PATCH_STEPS}")
+    return list(range(cover.k)) * int(n)
 
 
 def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
@@ -695,28 +671,27 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
             raise CollarCollapseError(
                 f"collar width {eta:.3g} fell below {collar_floor} at step "
                 f"{step} of {len(schedule)}")
-        center = cover.centers[pidx]
         dev = min(0.05, DEVIATION_FRACTION * alpha * eta)
-        osc = osculating_map(dom, center, deviation_bound=dev)
+        osc = osculating_map(dom, cover.centers[pidx], deviation_bound=dev)
         h = osc.normal_scale * eta
         s_lo, s_hi = 1.0 - beta * h, 1.0 - alpha * h
         js = np.arange(1, SHELLS_PER_STEP + 1)
         radii = s_lo + js * (s_hi - s_lo) / (SHELLS_PER_STEP + 1)
         local = schedule_from_radii(s_lo, radii, 2, t, c)
-        window = min(osc.validity_radius * np.linalg.norm(osc.linear, 2),
-                     cover.radius * 0.9 * np.linalg.norm(osc.linear, 2))
-        built = _local_patch_discs(local, dom.dim, seed + 101 * step, window)
-        if not built:
+        window = min(osc.validity_radius, cover.radius * 0.9) \
+            * np.linalg.norm(osc.linear, 2)
+        C, N, R, levels = _local_patch_discs(local, dom.dim, seed + 101 * step,
+                                             window)
+        if not len(C):
             raise CollarCollapseError(
                 f"chart window at step {step} admitted no discs; enlarge the "
                 "patch radius or the deviation budget")
-        for fb in built:
-            mapped = map_flatball_2d(fb, osc.inverse, osc.base - osc.inverse @
-                                     np.array([1.0, 0.0]))
-            mapped.level = (step + 1, fb.level[1], fb.level[2])
-            components.append(mapped)
+        C, N, R = _map_disc_rows_2d(osc.inverse, osc.base - osc.inverse @
+                                    np.array([1.0, 0.0]), C, N, R)
+        components.extend(
+            FlatBall(center=c, normal=n, radius=r, level=(step + 1, k, p))
+            for c, n, r, (_, k, p) in zip(C, N, R, levels.tolist()))
         # nine points along each new segment, its ends included
-        C, N, R = disc_rows(components[-len(built):])
         U = R[:, None] * np.column_stack([-N[:, 1], N[:, 0]])
         pts = (C[:, None] + np.linspace(-1.0, 1.0, 9)[:, None] * U[:, None]
                ).reshape(-1, 2)
@@ -730,16 +705,15 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
                      kind="patch", collar_widths=collar_widths)
 
 
-def _local_patch_discs(schedule, dim, seed, window) -> list[FlatBall]:
-    """Shell discs restricted to the chart window around e1: the discs with
-    |centre - e1| + radius <= window, the only ones made into flat balls."""
-    e1 = np.zeros(dim)
-    e1[0] = 1.0
-    out = []
+def _local_patch_discs(schedule, dim, seed, window) -> tuple:
+    """Shell disc rows (C, N, R, levels) in the chart window around e1: the
+    discs with |centre - e1| + radius <= window."""
+    e1 = np.eye(dim)[0]
+    rows = []
     for j in range(1, schedule.J + 1):
         centers, normals, r_j, levels, _ = shell_discs(schedule, j, dim, seed)
         off = centers - e1
-        keep = np.flatnonzero(np.sqrt(row_dots(off, off)) + r_j <= window)
-        out.extend(FlatBall(center=centers[i], normal=normals[i], radius=r_j,
-                            level=tuple(levels[i].tolist())) for i in keep)
-    return out
+        keep = np.sqrt(row_dots(off, off)) + r_j <= window
+        rows.append((centers[keep], normals[keep],
+                     np.full(np.count_nonzero(keep), r_j), levels[keep]))
+    return tuple(np.concatenate(col) for col in zip(*rows))

@@ -7,7 +7,7 @@ from :mod:`labyrinths.config`.
 
 The ``pairs_*`` functions work on aligned rows (segment or point i against
 disc i) in any dimension, as do the rims and tangent bases of disc rows;
-the scalar functions are one-row calls of them.
+a single disc is a table of one row (:func:`disc_rows`).
 At clearance 0 the segment/disc test is exact and needs no iteration: with
 signed plane heights ha, hb of its endpoints, a segment touches the closed
 disc iff it crosses the plane (sign(ha) * sign(hb) <= 0, not both zero) at
@@ -112,18 +112,6 @@ class FlatBall:
         return self.center.shape[0]
 
 
-@dataclass(eq=False)
-class Segment:
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        if np.array_equal(self.a, self.b):
-            raise ValueError("segment endpoints must differ")
-
-
 def pairs_point_disc_distance(P, C, N, R) -> np.ndarray:
     """Distances from points P to closed discs (C, N, R), row by row.
 
@@ -133,16 +121,6 @@ def pairs_point_disc_distance(P, C, N, R) -> np.ndarray:
     h = np.sum(v * N, axis=-1)
     rho = np.linalg.norm(v - h[..., None] * N, axis=-1)
     return np.hypot(h, np.maximum(rho - R, 0.0))
-
-
-def point_flatball_distance(x: np.ndarray, fb: FlatBall) -> float:
-    """Euclidean distance from `x` to the closed flat ball (0 iff inside)."""
-    return float(pairs_point_disc_distance(x, fb.center, fb.normal, fb.radius))
-
-
-def points_flatball_distance(xs: np.ndarray, fb: FlatBall) -> np.ndarray:
-    """Vectorised :func:`point_flatball_distance` over rows of `xs`."""
-    return pairs_point_disc_distance(xs, fb.center, fb.normal, fb.radius)
 
 
 def pairs_segment_disc_contact(A, B, C, N, R) -> np.ndarray:
@@ -212,26 +190,6 @@ def disc_rows(balls) -> tuple:
     return (np.array([fb.center for fb in balls]),
             np.array([fb.normal for fb in balls]),
             np.array([fb.radius for fb in balls]))
-
-
-def _segment_row(a, b, fb: FlatBall) -> tuple:
-    return (np.atleast_2d(np.asarray(a, dtype=float)),
-            np.atleast_2d(np.asarray(b, dtype=float)), *disc_rows([fb]))
-
-
-def segment_flatball_distance(a, b, fb: FlatBall) -> float:
-    """Distance between the segment [a, b] and the flat ball (one row of
-    :func:`pairs_segment_disc_distance`)."""
-    return float(pairs_segment_disc_distance(*_segment_row(a, b, fb))[0])
-
-
-def segment_flatball_intersect(seg, fb: FlatBall, clearance: float = 0.0) -> bool:
-    """True iff the segment comes within `clearance` of the flat ball (one
-    row of :func:`pairs_segment_disc_touch`)."""
-    if clearance < 0.0:
-        raise ValueError("clearance must be nonnegative")
-    a, b = (seg.a, seg.b) if isinstance(seg, Segment) else seg
-    return bool(pairs_segment_disc_touch(*_segment_row(a, b, fb), clearance)[0])
 
 
 def _pairs_segseg_distance_2d(P1, P2, Q1, Q2) -> np.ndarray:
@@ -309,12 +267,6 @@ def pairs_disc_disc_distance(C1, N1, R1, C2, N2, R2) -> np.ndarray:
     gap = (np.einsum("ij,ij->i", C1, w) - reach(C1, N1, R1)) \
         - (np.einsum("ij,ij->i", C2, w) + reach(C2, N2, R2))
     return np.maximum(np.minimum(d, gap), 0.0)
-
-
-def flatball_pair_distance(f1: FlatBall, f2: FlatBall) -> float:
-    """Certified lower bound on the distance between two flat balls (one
-    row of :func:`pairs_disc_disc_distance`)."""
-    return float(pairs_disc_disc_distance(*disc_rows([f1]), *disc_rows([f2]))[0])
 
 
 def _max_margin_lp(first: np.ndarray, second: np.ndarray):
@@ -441,22 +393,3 @@ def disc_rim_points(C, N, R, count: int) -> np.ndarray:
     cand = sphere_candidates(d - 1, max(64, 8 * count))
     idx = farthest_point_order(cand, start=0, stop_count=count)
     return C[:, None] + Rc * (cand[idx] @ B.transpose(0, 2, 1))
-
-
-def flatball_rim_points(fb: FlatBall, count: int) -> np.ndarray:
-    """Rim points of one flat ball (one row of :func:`disc_rim_points`)."""
-    return disc_rim_points(*disc_rows([fb]), count)[0]
-
-
-def flatball_extremal_points(fb: FlatBall, count: int) -> np.ndarray:
-    """Rim points plus the centre, the LP sampling of a flat ball.
-
-    Requires count >= 2 in d = 2 (the rim is just the two endpoints) and
-    count >= 2d otherwise.
-    """
-    d = fb.dim
-    min_count = 2 if d == 2 else 2 * d
-    if count < min_count:
-        raise ValueError(f"count must be at least {min_count} in dimension {d}")
-    rim = flatball_rim_points(fb, count)
-    return np.vstack([rim, fb.center])

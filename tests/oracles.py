@@ -5,8 +5,9 @@ graphs, elementary formulas, all pairs where the library culls.  Nothing
 here imports search or construction internals beyond plain data types and
 the row-wise geometric predicates, except the reference builds at the end:
 they replay a construction the plain way (a cold sweep per shell, scipy's
-``brentq`` one row at a time, every disc made before it is filtered), so a
-faster path can be held to it bit for bit.
+``brentq`` one row at a time, every disc made before it is filtered, each
+disc mapped through a chart on its own), so a faster path can be held to
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy.optimize import brentq
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from labyrinths.geometry import pairs_segment_disc_touch
+from labyrinths.geometry import FlatBall, pairs_segment_disc_touch
 
 
 def grid_point_disc_distance(x, center, normal, radius) -> float:
@@ -275,6 +276,25 @@ def cold_shell_build(schedule, dim: int, seed: int = 0, scale: float = 1.0):
                               scale * r_j, (j, k, p)))
         shell_nets.append(net)
     return comps, shell_nets
+
+
+def map_flatball_2d(fb: FlatBall, linear: np.ndarray,
+                    offset: np.ndarray) -> FlatBall:
+    """Exact affine image of a planar flat ball (segments map to segments).
+
+    The image normal is only defined up to sign; the sign pointing away
+    from the origin is chosen so tangency reads the same as in the shell
+    construction.  The one-disc chart map the patch steps used before they
+    mapped disc rows, kept as their reference.
+    """
+    u = np.array([-fb.normal[1], fb.normal[0]])
+    c = linear @ fb.center + offset
+    v = linear @ (fb.radius * u)
+    r = float(np.linalg.norm(v))
+    n = np.array([-v[1], v[0]]) / r
+    if n @ c < 0.0:
+        n = -n
+    return FlatBall(center=c, normal=n, radius=r, level=fb.level)
 
 
 def filtered_patch_discs(schedule, dim: int, seed: int, window: float):

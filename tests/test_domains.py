@@ -5,20 +5,22 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from labyrinths.domains import (
+    MAX_PATCH_STEPS,
     CollarCollapseError,
     ConvexDomain,
-    _boundary_near,
+    PatchCover,
+    _boundary_near_rows,
     _local_patch_discs,
+    _map_disc_rows_2d,
     assemble_patch_labyrinth,
     ball_domain,
     boundary_distance,
-    boundary_point,
+    boundary_points,
     boundary_samples,
     brentq_rows,
     ellipse_preset,
     ellipsoid_domain,
     ellipsoid_labyrinth,
-    map_flatball_2d,
     measure_delta,
     normalize_ellipsoid,
     osculating_map,
@@ -28,10 +30,15 @@ from labyrinths.domains import (
     rho_values,
     superellipse_preset,
 )
-from labyrinths.geometry import FlatBall
+from labyrinths.geometry import FlatBall, disc_rows
 from labyrinths.shells import make_schedule
 from labyrinths.verifier import audit_labyrinth
-from oracles import filtered_patch_discs, scipy_boundary_near, scipy_boundary_samples
+from oracles import (
+    filtered_patch_discs,
+    map_flatball_2d,
+    scipy_boundary_near,
+    scipy_boundary_samples,
+)
 
 
 def test_normalize_identity():
@@ -59,7 +66,8 @@ def test_pullback_of_segment_is_segment():
     em = normalize_ellipsoid(np.diag([4.0, 1.0]))
     fb = FlatBall(center=np.array([0.5, 0.0]), normal=np.array([1.0, 0.0]),
                   radius=0.2, level=(1, 1, 0))
-    mapped = map_flatball_2d(fb, em.to_domain, np.zeros(2))
+    C, N, R = _map_disc_rows_2d(em.to_domain, np.zeros(2), *disc_rows([fb]))
+    mapped = FlatBall(center=C[0], normal=N[0], radius=R[0])
     # the image is again a planar flat ball; its endpoints are the images
     u = np.array([-fb.normal[1], fb.normal[0]])
     for sign in (-1.0, 1.0):
@@ -131,21 +139,18 @@ def test_osculating_ellipse_frozen_map():
 
 def test_osculating_deviation_within_validity_radius():
     dom = ellipse_preset()
-    x = boundary_point(dom, np.array([1.0, 0.7]))
+    x = boundary_points(dom, np.array([[1.0, 0.7]]))[0]
     osc = osculating_map(dom, x, deviation_bound=0.05)
     assert osc.validity_radius > 0.05
     # domain-space deviation: in chart units the sphere defect divides by
     # the normal scale
-    for s in np.linspace(-1, 1, 41):
-        r = abs(s) * osc.validity_radius
-        tau = np.sign(s) if s != 0 else 1.0
-        B = np.array([-osc.outward[1], osc.outward[0]])
-        from labyrinths.domains import _boundary_near
-
-        b = _boundary_near(dom, x + r * tau * B, osc.outward)
-        assert b is not None
-        defect = abs(np.linalg.norm(osc.to_ball(b)) - 1.0) / osc.normal_scale
-        assert defect <= 0.05 + 1e-9
+    s = np.linspace(-1, 1, 41) * osc.validity_radius
+    B = np.array([-osc.outward[1], osc.outward[0]])
+    b = _boundary_near_rows(dom, x + s[:, None] * B, osc.outward)
+    assert not np.isnan(b).any()
+    defect = np.abs(np.linalg.norm(osc.to_ball(b), axis=1) - 1.0) \
+        / osc.normal_scale
+    assert np.all(defect <= 0.05 + 1e-9)
 
 
 def test_osculating_rejects_off_boundary_and_degenerate():
@@ -163,8 +168,8 @@ def test_osculating_rejects_off_boundary_and_degenerate():
 
 def test_superellipse_preset_validates():
     dom = superellipse_preset()
-    x = boundary_point(dom, np.array([1.0, 1.0]))
-    assert abs(float(rho_values(dom, x[None])[0])) < 1e-12
+    x = boundary_points(dom, np.array([[1.0, 1.0]]))
+    assert abs(float(rho_values(dom, x)[0])) < 1e-12
 
 
 def test_patch_cover_circle():
@@ -250,9 +255,9 @@ def test_assemble_collar_floor_trips():
 
 def test_boundary_distance_accuracy():
     # the smooth preset and the quadric of the same ellipse x^2/4 + y^2 < 1
+    th = np.linspace(0, 2 * np.pi, 17)
     for dom in (ellipse_preset(), ellipsoid_domain(np.diag([0.25, 1.0]))):
-        for th in np.linspace(0, 2 * np.pi, 17):
-            b = boundary_point(dom, np.array([np.cos(th), np.sin(th)]))
+        for b in boundary_points(dom, np.column_stack([np.cos(th), np.sin(th)])):
             inward = -np.array([0.5 * b[0], 2.0 * b[1]])
             inward /= np.linalg.norm(inward)
             for eps in (1e-3, 1e-5):
@@ -281,17 +286,17 @@ def test_boundary_near_equals_scipy_brentq_bit_for_bit():
     dom = ellipse_preset()
     rng = np.random.default_rng(5)
     for th in rng.uniform(0.0, 2.0 * np.pi, 12):
-        x = boundary_point(dom, np.array([np.cos(th), np.sin(th)]))
+        x = boundary_points(dom, np.array([[np.cos(th), np.sin(th)]]))[0]
         n_out = dom.grad(x) / np.linalg.norm(dom.grad(x))
         tau = np.array([-n_out[1], n_out[0]])
-        for r in (1e-3, 0.1, 0.7, 1.9):
-            got = _boundary_near(dom, x + r * tau, n_out)
-            ref = scipy_boundary_near(dom, x + r * tau, n_out)
-            assert (got is None) == (ref is None)
-            assert got is None or np.array_equal(got, ref)
+        Y = x + np.array([1e-3, 0.1, 0.7, 1.9])[:, None] * tau
+        for y, got in zip(Y, _boundary_near_rows(dom, Y, n_out)):
+            ref = scipy_boundary_near(dom, y, n_out)
+            # NaN marks a row that found no bracket
+            assert np.isnan(got).all() if ref is None else np.array_equal(got, ref)
     # a line that misses the domain finds no bracket
     far = np.array([10.0, 10.0])
-    assert _boundary_near(dom, far, np.array([1.0, 0.0])) is None
+    assert np.isnan(_boundary_near_rows(dom, far, np.array([1.0, 0.0]))).all()
     assert scipy_boundary_near(dom, far, np.array([1.0, 0.0])) is None
 
 
@@ -328,34 +333,96 @@ def test_batched_brent_raises_as_brentq_does():
 
 
 def _recorded_patch_steps(monkeypatch):
-    """The (schedule, dim, seed, window) of each step of a short ellipse
-    patch labyrinth, recorded as the assembly calls them."""
+    """Each step of a short ellipse patch labyrinth, recorded as the
+    assembly calls it: the (schedule, dim, seed, window) of its chart
+    window, the (linear, offset, C, N, R) of its chart map, and the
+    labyrinth."""
     from labyrinths import domains
 
-    steps = []
-    real = domains._local_patch_discs
+    steps, charts = [], []
+    real_discs, real_map = domains._local_patch_discs, domains._map_disc_rows_2d
 
-    def record(schedule, dim, seed, window):
+    def record_discs(schedule, dim, seed, window):
         steps.append((schedule, dim, seed, window))
-        return real(schedule, dim, seed, window)
+        return real_discs(schedule, dim, seed, window)
 
-    monkeypatch.setattr(domains, "_local_patch_discs", record)
+    def record_map(*args):
+        charts.append(args)
+        return real_map(*args)
+
+    monkeypatch.setattr(domains, "_local_patch_discs", record_discs)
+    monkeypatch.setattr(domains, "_map_disc_rows_2d", record_map)
     dom = ellipse_preset()
-    assemble_patch_labyrinth(dom, patch_cover(dom, 0.9, 0.08), 0.02, seed=3)
-    return steps
+    lab = assemble_patch_labyrinth(dom, patch_cover(dom, 0.9, 0.08), 0.02,
+                                   seed=3)
+    return steps, charts, lab
 
 
 def test_patch_step_makes_only_the_discs_it_keeps(monkeypatch):
-    steps = _recorded_patch_steps(monkeypatch)
+    steps = _recorded_patch_steps(monkeypatch)[0]
     assert len(steps) >= 3
     schedule, dim, seed, window = steps[0]
     steps.append((schedule, dim, seed, 0.0))  # an empty window
     for schedule, dim, seed, window in steps:
-        got = _local_patch_discs(schedule, dim, seed, window)
+        C, N, R, levels = _local_patch_discs(schedule, dim, seed, window)
         ref = filtered_patch_discs(schedule, dim, seed, window)
-        assert len(got) == len(ref)
-        for fb, (center, normal, radius, level) in zip(got, ref):
-            assert np.array_equal(fb.center, center)
-            assert np.array_equal(fb.normal, normal)
-            assert fb.radius == radius and fb.level == level
-    assert _local_patch_discs(*steps[-1]) == []
+        assert len(C) == len(N) == len(R) == len(levels) == len(ref)
+        for c, n, r, level, (center, normal, radius, lv) in zip(
+                C, N, R, levels.tolist(), ref):
+            assert np.array_equal(c, center) and np.array_equal(n, normal)
+            assert r == radius and tuple(level) == lv
+    assert len(_local_patch_discs(*steps[-1])[0]) == 0
+
+
+def _assert_rows_map_as_one_disc_maps(linear, offset, C, N, R):
+    """Each row of the chart map equals the one-disc reference, bit for bit."""
+    got = _map_disc_rows_2d(linear, offset, C, N, R)
+    for i, (c, n, r) in enumerate(zip(*got)):
+        ref = map_flatball_2d(FlatBall(center=C[i], normal=N[i], radius=R[i]),
+                              linear, offset)
+        assert np.array_equal(c, ref.center) and np.array_equal(n, ref.normal)
+        assert r == ref.radius
+    return got
+
+
+def test_chart_row_map_equals_one_disc_map_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(13)
+    for _ in range(20):  # random segments under random affine maps
+        N = rng.standard_normal((30, 2))
+        N /= np.linalg.norm(N, axis=1, keepdims=True)
+        _assert_rows_map_as_one_disc_maps(
+            rng.standard_normal((2, 2)), rng.standard_normal(2),
+            rng.uniform(-2.0, 2.0, (30, 2)), N, rng.uniform(0.01, 1.0, 30))
+    # tangent discs (normal along the centre): under the identity every
+    # image normal already points away from the origin, under the point
+    # reflection every one points towards it and is flipped
+    N = rng.standard_normal((30, 2))
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    C, R = rng.uniform(0.5, 1.0, (30, 1)) * N, rng.uniform(0.01, 0.1, 30)
+    same = _assert_rows_map_as_one_disc_maps(np.eye(2), np.zeros(2), C, N, R)
+    assert np.all(np.einsum("ij,ij->i", same[1], N) > 0.99)
+    flipped = _assert_rows_map_as_one_disc_maps(-np.eye(2), np.zeros(2), C, N, R)
+    assert np.array_equal(flipped[0], -C)
+    assert np.all(np.einsum("ij,ij->i", flipped[1], N) < -0.99)
+    # the window rows of the steps of an ellipse patch labyrinth, and the
+    # flat balls the assembly made of them
+    charts, lab = _recorded_patch_steps(monkeypatch)[1:]
+    assert len(charts) >= 3
+    made = 0
+    for chart in charts:
+        C, N, R = _assert_rows_map_as_one_disc_maps(*chart)
+        for c, n, r, fb in zip(C, N, R, lab.components[made:]):
+            assert np.array_equal(c, fb.center) and np.array_equal(n, fb.normal)
+            assert r == fb.radius
+        made += len(C)
+    assert made == len(lab.components)
+
+
+def test_patch_schedule_holds_at_most_max_patch_steps():
+    cover = PatchCover(domain=ball_domain(2), centers=np.zeros((7, 2)),
+                       radius=1.0, eta=0.08, delta=1.0)
+    rounds = MAX_PATCH_STEPS // cover.k  # M = rounds - 1 asks for `rounds`
+    assert len(patch_schedule(cover, rounds - 1.0)) == rounds * cover.k
+    for M in (float(rounds), 1e9, 1e300):
+        with pytest.raises(ValueError, match="patch steps exceed"):
+            patch_schedule(cover, M)

@@ -6,18 +6,13 @@ from hypothesis import strategies as st
 from labyrinths import geometry
 from labyrinths.geometry import (
     FlatBall,
-    Segment,
     disc_rim_points,
-    flatball_extremal_points,
-    flatball_pair_distance,
-    flatball_rim_points,
+    disc_rows,
     pairs_disc_disc_distance,
+    pairs_point_disc_distance,
     pairs_segment_disc_contact,
     pairs_segment_disc_distance,
-    point_flatball_distance,
-    points_flatball_distance,
-    segment_flatball_distance,
-    segment_flatball_intersect,
+    pairs_segment_disc_touch,
     separating_hyperplane,
     tangent_basis,
 )
@@ -34,13 +29,14 @@ DISC = FlatBall(center=np.array([0.5, 0.0]), normal=np.array([1.0, 0.0]),
 
 
 def test_segment_through_disc_center_intersects():
-    seg = (DISC.center - DISC.normal, DISC.center + DISC.normal)
-    assert segment_flatball_intersect(seg, DISC, 0.0)
+    A, B = DISC.center - DISC.normal, DISC.center + DISC.normal
+    assert pairs_segment_disc_touch(A[None], B[None], *disc_rows([DISC]))[0]
 
 
 def test_axis_segment_crosses_disc():
-    assert segment_flatball_intersect(
-        (np.array([0.0, 0.0]), np.array([1.0, 0.0])), DISC, 0.0)
+    assert pairs_segment_disc_touch(np.array([[0.0, 0.0]]),
+                                    np.array([[1.0, 0.0]]),
+                                    *disc_rows([DISC]))[0]
 
 
 def test_offset_segment_distance_matches_brute_force():
@@ -48,15 +44,17 @@ def test_offset_segment_distance_matches_brute_force():
     brute = brute_segment_disc_distance(a, b, DISC.center, DISC.normal,
                                         DISC.radius, grid=20001)
     assert brute == pytest.approx(0.1, abs=1e-6)
-    assert segment_flatball_distance(a, b, DISC) == pytest.approx(0.1, abs=1e-9)
-    assert not segment_flatball_intersect((a, b), DISC, 0.0)
-    assert segment_flatball_intersect((a, b), DISC, 0.15)
+    row = (a[None], b[None], *disc_rows([DISC]))
+    assert pairs_segment_disc_distance(*row)[0] == pytest.approx(0.1, abs=1e-9)
+    assert not pairs_segment_disc_touch(*row, 0.0)[0]
+    assert pairs_segment_disc_touch(*row, 0.15)[0]
 
 
 def test_point_distances():
-    assert point_flatball_distance(DISC.center, DISC) == 0.0
-    assert point_flatball_distance(DISC.center + DISC.normal, DISC) == pytest.approx(1.0)
-    assert point_flatball_distance(np.array([0.5, 0.5]), DISC) == pytest.approx(0.3)
+    P = np.array([DISC.center, DISC.center + DISC.normal, [0.5, 0.5]])
+    got = pairs_point_disc_distance(P, DISC.center, DISC.normal, DISC.radius)
+    assert got[0] == 0.0
+    assert got[1:] == pytest.approx([1.0, 0.3])
 
 
 @pytest.mark.parametrize("field,value", [
@@ -98,16 +96,17 @@ def test_contact_kernel_degenerate_rows(d):
     assert np.array_equal(pairs_segment_disc_contact(A, B, C, N, R), expect)
     assert np.array_equal(pairs_segment_disc_distance(A, B, C, N, R) == 0.0,
                           expect)
-    for (a, b, touches) in rows:
-        assert segment_flatball_intersect((np.array(a), np.array(b)), fb,
-                                          0.0) == touches
+    # each row alone gives the batch's answer
+    for i in range(n):
+        assert pairs_segment_disc_touch(A[i:i + 1], B[i:i + 1],
+                                        *disc_rows([fb]))[0] == expect[i]
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from([2, 3, 4]), st.integers(0, 10 ** 9))
 def test_contact_kernel_rows_agree_with_scalar_and_oracle(d, seed):
-    """Row-for-row agreement of the vectorised kernel with the one-row
-    predicate and, away from the grid oracle's grey zone, with the oracle.
+    """Row-for-row agreement of the vectorised kernel with each row run
+    alone and, away from the grid oracle's grey zone, with the oracle.
 
     Half the segments are aimed through the disc's plane near the rim, so
     contacts and near misses are both common.
@@ -132,18 +131,14 @@ def test_contact_kernel_rows_agree_with_scalar_and_oracle(d, seed):
     assert np.array_equal(dist == 0.0, contact)
     for i in range(n):
         fb = FlatBall(center=C[i], normal=N[i], radius=R[i])
-        assert segment_flatball_intersect((A[i], B[i]), fb, 0.0) == contact[i]
+        assert pairs_segment_disc_touch(A[i:i + 1], B[i:i + 1],
+                                        *disc_rows([fb]))[0] == contact[i]
         grid_min = brute_segment_disc_distance(A[i], B[i], C[i], N[i], R[i],
                                                grid=200)
         assert dist[i] <= grid_min + 1e-9
         thresh = np.linalg.norm(B[i] - A[i]) / 398.0 + 1e-9
         if contact[i] or grid_min > 2.0 * thresh:
             assert contact[i] == (grid_min <= thresh)
-
-
-def test_segment_requires_distinct_endpoints():
-    with pytest.raises(ValueError):
-        Segment(np.zeros(2), np.zeros(2))
 
 
 def test_separating_hyperplane_axis_separated():
@@ -227,8 +222,9 @@ def test_separating_hyperplane_tangent_discs_on_circle():
     for a in angles:
         n = np.array([np.cos(a), np.sin(a)])
         discs.append(FlatBall(center=0.8 * n, normal=n, radius=0.1))
-    s1 = flatball_extremal_points(discs[0], 2)
-    s2 = flatball_extremal_points(discs[1], 2)
+    # the LP sampling of each disc: its rim points and its centre
+    C, N, R = disc_rows(discs)
+    s1, s2 = np.concatenate([disc_rim_points(C, N, R, 2), C[:, None]], axis=1)
     h = separating_hyperplane(s1, s2, margin=1e-6)
     assert h is not None
     # re-check on a 10x denser sampling of both discs
@@ -241,7 +237,7 @@ def test_separating_hyperplane_tangent_discs_on_circle():
 
 
 def test_extremal_points_d2():
-    pts = flatball_extremal_points(DISC, 2)
+    pts = np.vstack([disc_rim_points(*disc_rows([DISC]), 2)[0], DISC.center])
     assert pts.shape == (3, 2)
     expect = {(0.5, -0.2), (0.5, 0.2), (0.5, 0.0)}
     got = {tuple(np.round(p, 12)) for p in pts}
@@ -251,7 +247,7 @@ def test_extremal_points_d2():
 def test_extremal_points_d3_gap():
     fb = FlatBall(center=np.zeros(3), normal=np.array([0.0, 0.0, 1.0]),
                   radius=1.0)
-    rim = flatball_rim_points(fb, 8)
+    rim = disc_rim_points(*disc_rows([fb]), 8)[0]
     assert rim.shape == (8, 3)
     ang = np.sort(np.arctan2(rim[:, 1], rim[:, 0]))
     gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
@@ -289,10 +285,11 @@ def test_batched_rims_equal_per_disc_rims_bit_for_bit(d):
     discs = [FlatBall(center=c, normal=n, radius=r) for c, n, r in zip(
         rng.uniform(-1.0, 1.0, (40, d)), N, rng.uniform(0.01, 0.5, 40))]
     for count in (2, 12, 64 * d):
-        got = disc_rim_points(*_disc_rows(discs), count)
+        got = disc_rim_points(*disc_rows(discs), count)
         assert got.shape == (40, 2 if d == 2 else count, d)
         for rim, fb in zip(got, discs):
-            assert np.array_equal(rim, flatball_rim_points(fb, count))
+            assert np.array_equal(rim, disc_rim_points(*disc_rows([fb]),
+                                                       count)[0])
             assert np.array_equal(rim, _rim_one_disc(fb, count))
             # each rim point sits on the disc's rim sphere
             v = rim - fb.center
@@ -307,16 +304,10 @@ def test_extremal_points_on_the_set():
         n = rng.normal(size=d)
         fb = FlatBall(center=rng.normal(size=d), normal=n / np.linalg.norm(n),
                       radius=0.7)
-        pts = flatball_extremal_points(fb, max(2, 2 * d))
-        dists = points_flatball_distance(pts, fb)
+        pts = np.vstack([disc_rim_points(*disc_rows([fb]), max(2, 2 * d))[0],
+                         fb.center])
+        dists = pairs_point_disc_distance(pts, fb.center, fb.normal, fb.radius)
         assert np.max(dists) <= 1e-12
-
-
-def test_extremal_points_count_validation():
-    fb = FlatBall(center=np.zeros(3), normal=np.array([0.0, 0.0, 1.0]),
-                  radius=1.0)
-    with pytest.raises(ValueError):
-        flatball_extremal_points(fb, 3)
 
 
 def _random_instance(seed):
@@ -350,7 +341,7 @@ def test_intersect_predicate_agrees_with_grid_oracle(seed):
     thresh = seg_len / 398.0 + 1e-9
     grid_min = brute_segment_disc_distance(a, b, fb.center, fb.normal,
                                            fb.radius, grid=200)
-    pred = segment_flatball_intersect((a, b), fb, 0.0)
+    pred = pairs_segment_disc_touch(a[None], b[None], *disc_rows([fb]))[0]
     assume(pred or grid_min > 2.0 * thresh)
     assert pred == (grid_min <= thresh)
 
@@ -369,8 +360,9 @@ def test_point_distance_rotation_invariance(seed):
     fb_rot = FlatBall(center=Q @ fb.center,
                       normal=(Q @ fb.normal) / np.linalg.norm(Q @ fb.normal),
                       radius=fb.radius)
-    d0 = point_flatball_distance(x, fb)
-    d1 = point_flatball_distance(Q @ x, fb_rot)
+    d0 = pairs_point_disc_distance(x, fb.center, fb.normal, fb.radius)
+    d1 = pairs_point_disc_distance(Q @ x, fb_rot.center, fb_rot.normal,
+                                   fb_rot.radius)
     assert d0 == pytest.approx(d1, abs=1e-9)
 
 
@@ -402,7 +394,7 @@ def test_pair_distance_matches_dense_sampling():
                                  normal=n / np.linalg.norm(n),
                                  radius=float(rng.uniform(0.1, 0.6))))
         f1, f2 = inst
-        got = flatball_pair_distance(f1, f2)
+        got = pairs_disc_disc_distance(*disc_rows([f1]), *disc_rows([f2]))[0]
         B = tangent_basis(f2.normal)
         if d == 2:
             ts = np.linspace(-1, 1, 2001)
@@ -412,17 +404,12 @@ def test_pair_distance_matches_dense_sampling():
             grid = np.stack(np.meshgrid(ts, ts), axis=-1).reshape(-1, 2)
             grid = grid[np.linalg.norm(grid, axis=1) <= 1.0]
             pts = f2.center + (grid * f2.radius) @ B.T
-        brute = min(point_flatball_distance(p, f1) for p in pts)
+        brute = pairs_point_disc_distance(pts, f1.center, f1.normal,
+                                          f1.radius).min()
         # distance from f1 to sampled points of f2 upper-bounds the truth
         assert got <= brute + 1e-6
         if got > 1e-6:
             assert brute >= got * 0.5
-
-
-def _disc_rows(discs: list[FlatBall]) -> tuple:
-    return (np.array([f.center for f in discs]),
-            np.array([f.normal for f in discs]),
-            np.array([f.radius for f in discs]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -436,11 +423,11 @@ def test_disc_distance_is_a_certified_lower_bound(seed, d, rows, spread):
         rng.uniform(-spread, spread, (2 * rows, d)), normals,
         rng.uniform(0.1, 0.8, 2 * rows))]
     first, second = discs[0::2], discs[1::2]
-    got = pairs_disc_disc_distance(*_disc_rows(first), *_disc_rows(second))
+    got = pairs_disc_disc_distance(*disc_rows(first), *disc_rows(second))
     for k, (f1, f2) in enumerate(zip(first, second)):
         least, res = brute_disc_disc_distance(
             f1, f2, {2: 2001, 3: 201, 4: 41}[d])
-        one = flatball_pair_distance(f1, f2)
+        one = pairs_disc_disc_distance(*disc_rows([f1]), *disc_rows([f2]))[0]
         # the true distance lies in [least - res, least]; a certified lower
         # bound may not exceed it beyond rounding
         for value in (got[k], one):
@@ -461,9 +448,9 @@ def test_intersecting_discs_in_space_give_zero():
     shallow = FlatBall(center=np.array([0.0, 0.5 * np.cos(th), 0.5 * np.sin(th)]),
                        normal=np.array([0.0, -np.sin(th), np.cos(th)]),
                        radius=0.6)
-    for other in (steep, shallow):
-        assert flatball_pair_distance(flat, other) == 0.0
-        assert flatball_pair_distance(other, flat) == 0.0
+    got = pairs_disc_disc_distance(*disc_rows([flat, flat, steep, shallow]),
+                                   *disc_rows([steep, shallow, flat, flat]))
+    assert np.array_equal(got, np.zeros(4))
 
 
 def test_planar_disc_distances_are_the_segment_formula():
@@ -472,7 +459,7 @@ def test_planar_disc_distances_are_the_segment_formula():
     from labyrinths.shells import build_labyrinth, make_schedule
 
     lab = build_labyrinth(make_schedule(0.5, 3, 5), dim=2, seed=0)
-    C, N, R = _disc_rows(lab.components)
+    C, N, R = disc_rows(lab.components)
     i, j = cKDTree(C).query_pairs(2.0 * R.max() + 0.05,
                                   output_type="ndarray").T
     U = np.column_stack([-N[:, 1], N[:, 0]])

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -287,6 +288,26 @@ USAGE_ERRORS = [
                  "--patch-radius", id="patch-radius-nan"),
     pytest.param(["generate", "--m", "-1", "--out", "{tmp}/g.json"], "--m",
                  id="sublevels-negative"),
+    pytest.param(["verify", "{lab}", "--M", "-1"], "--M",
+                 id="verify-budget-negative"),
+    pytest.param(["verify", "{lab}", "--M", "nan"], "--M",
+                 id="verify-budget-nan"),
+    pytest.param(["verify", "{lab}", "--M", "inf"], "--M",
+                 id="verify-budget-inf"),
+    pytest.param(["verify", "{lab}", "--M", "0.1", "--source", "0.6"],
+                 "--target", id="source-without-target"),
+    pytest.param(["verify", "{lab}", "--M", "0.1", "--source", "nan",
+                  "--target", "1"], "--source", id="source-nan"),
+    pytest.param(["verify", "{lab}", "--M", "0.1", "--source", "0.7",
+                  "--target", "0.7"], "--source", id="source-equals-target"),
+    pytest.param(["verify", "{lab}", "--M", "0.1", "--source", "0.5",
+                  "--target", "1e300"], "--target", id="target-huge"),
+    pytest.param(["verify", "{lab}", "--M", "0.1", "--source", "-0.5",
+                  "--target", "1"], "--source", id="source-negative"),
+    pytest.param(["generate", "--dim", "12", "--J", "1", "--out", "{tmp}/g.json"],
+                 "--dim", id="net-beyond-candidate-cap-dim"),
+    pytest.param(["generate", "--c", "1e-9", "--J", "1", "--out", "{tmp}/g.json"],
+                 "--c", id="net-beyond-candidate-cap-c"),
 ]
 
 
@@ -302,6 +323,36 @@ def test_cli_usage_errors_exit_1_naming_the_flag(tmp_path, lab, capsys, argv,
     with pytest.raises(SystemExit) as done:
         run_cli(argv[0], "--help")
     assert done.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dim", "12", "--J", "1"], ["--c", "1e-9", "--J", "1"],
+    ["--annuli", "0.5,0.75", "--dim", "12"],
+    ["--domain", "ellipsoid", "--axes", "2,1", "--c", "1e-9"],
+    ["--domain", "ellipse", "--M", "1.0", "--c", "1e-9"]])
+def test_cli_generate_names_a_net_beyond_the_candidate_cap_before_any_sweep(
+        tmp_path, monkeypatch, capsys, argv):
+    import labyrinths.nets as nets
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a net was swept")
+
+    monkeypatch.setattr(nets, "farthest_point_order", no_sweep)
+    assert run_cli("generate", *argv, "--out", str(tmp_path / "g.json")) == 1
+    err = capsys.readouterr().err
+    assert "--dim and --c" in err and "candidate budget" in err
+    assert "Traceback" not in err
+
+
+def test_cli_generate_names_M_for_a_patch_schedule_too_long_to_hold(
+        tmp_path, capsys):
+    start = time.perf_counter()
+    assert run_cli("generate", "--domain", "ellipse", "--M", "1e9",
+                   "--out", str(tmp_path / "g.json")) == 1
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert "--M" in err and "patch steps" in err and "Traceback" not in err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_cli_report_names_non_finite_radius(tmp_path, lab, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labyrinths import nets
-from labyrinths.geometry import flatball_pair_distance, flatball_rim_points
+from labyrinths.geometry import disc_rim_points, disc_rows, pairs_disc_disc_distance
 from labyrinths.shells import (
     DegenerateScheduleError,
     ExhaustionPlan,
@@ -126,7 +126,8 @@ def test_build_shell_tangency_and_separation():
             for jdx in range(i):
                 gap = np.linalg.norm(group[i].center - group[jdx].center)
                 assert gap >= s_jk * 2 * t * r_1 - 1e-12
-                assert flatball_pair_distance(group[i], group[jdx]) > 0
+                assert pairs_disc_disc_distance(*disc_rows([group[i]]),
+                                                *disc_rows([group[jdx]]))[0] > 0
 
 
 def test_build_shell_scaled_covering():
@@ -200,16 +201,17 @@ def test_truncated_tail_audits_and_round_trips(tmp_path):
 
 
 def test_truncate_tail_separates_from_inner_ball():
-    from labyrinths.geometry import flatball_extremal_points, separating_hyperplane
+    from labyrinths.geometry import separating_hyperplane
 
     lab = build_labyrinth(make_schedule(0.5, 3, 4), dim=2, seed=1)
     tail, clear = truncate(lab, 2, 3)
     theta = 2 * np.pi * np.arange(24) / 24
     ball_samples = 0.5 * np.column_stack([np.cos(theta), np.sin(theta)])
     ball_samples = np.vstack([ball_samples, np.zeros(2)])
-    for fb in tail.components[:10]:
-        h = separating_hyperplane(flatball_extremal_points(fb, 2),
-                                  ball_samples, margin=1e-6)
+    # the LP sampling of each disc: its rim points and its centre
+    C, N, R = disc_rows(tail.components[:10])
+    for own in np.concatenate([disc_rim_points(C, N, R, 2), C[:, None]], axis=1):
+        h = separating_hyperplane(own, ball_samples, margin=1e-6)
         assert h is not None
 
 
@@ -217,9 +219,8 @@ def test_truncate_near_boundary_containment():
     lab = build_labyrinth(make_schedule(0.5, 4, 3), dim=2, seed=0)
     tail, clear = truncate(lab, 4, 4)
     eps = 1.0 - lab.schedule.s[2]
-    for fb in tail.components:
-        rim = flatball_rim_points(fb, 2)
-        assert np.linalg.norm(rim, axis=1).min() >= 1.0 - eps - 1e-12
+    rims = disc_rim_points(*disc_rows(tail.components), 2)
+    assert np.linalg.norm(rims, axis=2).min() >= 1.0 - eps - 1e-12
 
 
 def test_divergence_lower_bound_pure_arithmetic():
@@ -256,10 +257,10 @@ def test_exhaustion_zero_budget_single_shell():
 
 def test_annulus_labyrinth_containment():
     lab = annulus_labyrinth(0.6, 0.9, 3, 2, dim=2, seed=0)
-    for fb in lab.components:
-        rim = flatball_rim_points(fb, 2)
-        r = np.linalg.norm(np.vstack([rim, fb.center[None]]), axis=1)
-        assert np.all(r > 0.6) and np.all(r < 0.9)
+    C, N, R = disc_rows(lab.components)
+    r = np.linalg.norm(np.concatenate([disc_rim_points(C, N, R, 2),
+                                       C[:, None]], axis=1), axis=2)
+    assert np.all(r > 0.6) and np.all(r < 0.9)
 
 
 def test_d3_shell_audit_with_witnesses():

@@ -8,8 +8,9 @@ from scipy.spatial import cKDTree
 from labyrinths.geometry import (
     FlatBall,
     disc_rim_points,
+    disc_rows,
     pairs_point_disc_distance,
-    point_flatball_distance,
+    pairs_segment_disc_touch,
 )
 from labyrinths.shells import (
     Labyrinth,
@@ -88,7 +89,8 @@ def test_roadmap_rejection_law():
     clearance = 0.05
     rm = build_roadmap(SINGLE_LAB.domain, SINGLE_LAB, 2000,
                        clearance=clearance, seed=0)
-    dists = np.array([point_flatball_distance(p, SINGLE) for p in rm.nodes])
+    dists = pairs_point_disc_distance(rm.nodes, SINGLE.center, SINGLE.normal,
+                                      SINGLE.radius)
     assert dists.min() > clearance
 
 
@@ -104,11 +106,9 @@ def test_roadmap_edges_avoid_components():
     g = rm.graph.tocoo()
     rng = np.random.default_rng(0)
     take = rng.choice(len(g.row), size=min(300, len(g.row)), replace=False)
-    from labyrinths.geometry import segment_flatball_intersect
-
-    for idx in take:
-        a, b = rm.nodes[g.row[idx]], rm.nodes[g.col[idx]]
-        assert not segment_flatball_intersect((a, b), SINGLE, 0.0)
+    C, N, R = disc_rows([SINGLE] * len(take))
+    assert not pairs_segment_disc_touch(rm.nodes[g.row[take]],
+                                        rm.nodes[g.col[take]], C, N, R).any()
 
 
 def test_edge_key_dedupe_matches_np_unique():
