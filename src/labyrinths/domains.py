@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .config import DEFAULT_C, DEFAULT_T
-from .geometry import FlatBall, row_dots, tangent_basis
+from .geometry import FlatBall, row_dots, tangent_bases
 from .shells import Labyrinth, schedule_from_radii, shell_discs
 
 
@@ -112,17 +112,19 @@ def _smooth_domain(name: str, dim: int, rho, grad, hess,
                        name=name)
     if rho(np.zeros(dim)) >= 0.0:
         raise ValueError("smooth domain must contain the origin")
-    for x in boundary_samples(dom, validation_samples):
-        g = grad(x)
-        ng = np.linalg.norm(g)
-        if ng < 1e-12:
-            raise ValueError("defining function has vanishing gradient on "
-                             "the boundary")
-        B = tangent_basis(g / ng)
-        Ht = B.T @ hess(x) @ B
-        if np.linalg.eigvalsh(0.5 * (Ht + Ht.T)).min() <= 1e-10:
-            raise ValueError(f"domain {name!r} is not strictly convex at "
-                             f"boundary point {x}")
+    X = boundary_samples(dom, validation_samples)
+    G = np.asarray(grad(X), dtype=float)
+    ng = np.sqrt(row_dots(G, G))
+    if np.any(ng < 1e-12):
+        raise ValueError("defining function has vanishing gradient on "
+                         "the boundary")
+    B = tangent_bases(G / ng[:, None])
+    Ht = B.transpose(0, 2, 1) @ np.stack([hess(x) for x in X]) @ B
+    low = np.linalg.eigvalsh(0.5 * (Ht + Ht.transpose(0, 2, 1))).min(axis=1)
+    bad = np.flatnonzero(low <= 1e-10)
+    if len(bad):
+        raise ValueError(f"domain {name!r} is not strictly convex at "
+                         f"boundary point {X[bad[0]]}")
     return dom
 
 
@@ -402,19 +404,10 @@ class OsculatingMap:
     """
 
     base: np.ndarray
-    outward: np.ndarray
     linear: np.ndarray
     inverse: np.ndarray
     validity_radius: float
     normal_scale: float
-
-    def to_ball(self, y: np.ndarray) -> np.ndarray:
-        e1 = np.eye(self.linear.shape[0])[0]
-        return (np.asarray(y, dtype=float) - self.base) @ self.linear.T + e1
-
-    def to_domain(self, z: np.ndarray) -> np.ndarray:
-        e1 = np.eye(self.linear.shape[0])[0]
-        return (np.asarray(z, dtype=float) - e1) @ self.inverse.T + self.base
 
 
 def osculating_map(dom: ConvexDomain, x: np.ndarray,
@@ -434,13 +427,11 @@ def osculating_map(dom: ConvexDomain, x: np.ndarray,
     if abs(dom.rho(x)) > 1e-9:
         raise ValueError("base point must lie on the boundary")
     g = dom.grad(x)
-    H = dom.hess(x)
     ng = float(np.linalg.norm(g))
     n_out = g / ng
-    B = tangent_basis(n_out)
-    Ht = B.T @ H @ B
-    Ht = 0.5 * (Ht + Ht.T)
-    lam, U = np.linalg.eigh(Ht)
+    B = tangent_bases(n_out[None])[0]
+    Ht = B.T @ dom.hess(x) @ B
+    lam, U = np.linalg.eigh(0.5 * (Ht + Ht.T))
     if lam.min() <= 1e-12:
         raise ValueError("tangential Hessian is degenerate at the base point")
     # normal scale from the mean curvature eigenvalue; tangential scales
@@ -453,7 +444,7 @@ def osculating_map(dom: ConvexDomain, x: np.ndarray,
     Li = np.linalg.inv(L)
 
     validity = _measure_validity(dom, x, n_out, B, L, s_n * deviation_bound)
-    return OsculatingMap(base=x, outward=n_out, linear=L, inverse=Li,
+    return OsculatingMap(base=x, linear=L, inverse=Li,
                          validity_radius=validity, normal_scale=s_n)
 
 

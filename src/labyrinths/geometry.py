@@ -62,11 +62,6 @@ def tangent_bases(N: np.ndarray) -> np.ndarray:
     return H[:, :, 1:]
 
 
-def tangent_basis(normal: np.ndarray) -> np.ndarray:
-    """The (d, d-1) basis of normal^perp (one row of :func:`tangent_bases`)."""
-    return tangent_bases(np.asarray(normal, dtype=float)[None, :])[0]
-
-
 @dataclass(eq=False)
 class Hyperplane:
     """Oriented hyperplane {x : normal . x = offset} with |normal| = 1."""

@@ -18,34 +18,40 @@ GOLDEN_FRAC = (np.sqrt(5.0) - 1.0) / 2.0
 def sphere_candidates(d: int, count: int) -> np.ndarray:
     """Quasi-uniform candidate set of roughly `count` points on S^(d-1).
 
-    The returned set is exactly symmetric under x -> -x.  For d = 2 the
-    actual size is the next power of two >= max(count, 8).
+    The set is exactly symmetric under x -> -x: row i + n/2 is -row i.
+    For d = 2 the size n is the next power of two >= max(count, 8), and
+    row i lies at angle 2 pi i / n: the rows go round the circle in order.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
     count = max(int(count), 8)
     if d == 2:
         n = 1 << int(np.ceil(np.log2(count)))
-        theta = 2.0 * np.pi * np.arange(n // 2) / n
-        half = np.column_stack([np.cos(theta), np.sin(theta)])
+        k = n // 2
+        theta = 2.0 * np.pi * np.arange(k) / n
+        out = np.empty((n, 2))
+        out[:k, 0], out[:k, 1] = np.cos(theta), np.sin(theta)
     elif d == 3:
         k = (count + 1) // 2
         i = np.arange(k)
         z = (i + 0.5) / k  # upper hemisphere heights
         phi = 2.0 * np.pi * np.mod(i * GOLDEN_FRAC, 1.0)
         rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-        half = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+        out = np.empty((2 * k, 3))
+        out[:k, 0], out[:k, 1] = rho * np.cos(phi), rho * np.sin(phi)
+        out[:k, 2] = z
     else:
         k = (count + 1) // 2
         sob = qmc.Sobol(d, scramble=False)
         sob.fast_forward(1)  # skip the all-zero point
-        u = sob.random(2 * k)
-        g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-        norms = np.linalg.norm(g, axis=1)
-        keep = norms > 1e-9
-        g = g[keep][:k]
-        half = g / np.linalg.norm(g, axis=1, keepdims=True)
-    return np.vstack([half, -half])
+        g = ndtri(np.clip(sob.random(2 * k), 1e-12, 1.0 - 1e-12))
+        g = g[np.linalg.norm(g, axis=1) > 1e-9][:k]
+        k = len(g)
+        out = np.empty((2 * k, d))
+        np.divide(g, np.linalg.norm(g, axis=1, keepdims=True), out=out[:k])
+    # the antipodal half in place: one array, no stacked copies
+    np.negative(out[:k], out=out[k:])
+    return out
 
 
 def sphere_samples(d: int, n: int, seed: int = 0) -> np.ndarray:
@@ -84,58 +90,64 @@ def farthest_point_order(
     deterministic function of the inputs.
 
     Each pick updates only the candidates it can change.  The points are
-    cut into blocks of nearby points (kd-tree order), each with a bounding
-    box and the largest squared distance d2 held in it.  A pick p lowers
-    d2[x] only if |x - p|^2 < d2[x] <= the block's largest, so a block
-    whose box lies that far from p, with a margin for rounding, is skipped
-    whole.  The other blocks get the same row-wise squared distance and
-    `np.minimum` as a full update, so every d2 value is bitwise the plain
-    O(n k) loop's; the pick is the smallest index holding the largest d2,
-    as `np.argmax` over all of d2 would give, so the output is that loop's
-    too.  Per pick the cost is a test of n / _BLOCK boxes plus the rows of
-    the blocks near p, roughly the new point's Voronoi cell, for about
-    n log k row updates in all on a quasi-uniform set.
+    cut into blocks of _BLOCK, each with a bounding box and the largest
+    squared distance d2 held in it.  A pick p lowers d2[x] only if
+    |x - p|^2 < d2[x] <= the block's largest, so a block whose box lies
+    that far from p, with a margin for rounding, is skipped whole.  The
+    other blocks get the same row-wise squared distance and `np.minimum` as
+    a full update, so every d2 value, and the pick, the smallest index
+    holding the largest d2, are bitwise the plain O(n k) loop's, however
+    the blocks are drawn.  With nearby points in each block, about
+    n log k rows are updated in all.  In space the blocks are kd-tree
+    leaves; in the plane they are the rows in order, which on the circle
+    of `sphere_candidates`, listed by angle, are short arcs (rows in
+    another order give the same picks, only slower).
 
-    The blocks are laid out as one (blocks, _BLOCK) array, the last one
-    padded with copies of its last point, so a pick updates its blocks with
-    one `einsum` and takes their tops with one `max` along the rows.  A pad
-    row keeps d2 = -1, below every real value, so it is never picked and
-    its point leaves the box unchanged.
+    The blocks are one (blocks, _BLOCK) array, a reshape of planar `points`
+    when _BLOCK divides n; else the last is padded with copies of its last
+    point, whose d2 = -1 is never picked and leaves the box unchanged.
     """
-    n = len(points)
+    n, d = points.shape
     if n == 0:
         return np.empty(0, dtype=np.intp)
     start = int(start) % n
     chosen = [start]
     diff = points - points[start]
     d2 = np.einsum("ij,ij->i", diff, diff)
-    del diff  # n rows that need not stay alive while the kd-tree is built
+    del diff  # n rows that need not stay alive while the blocks are made
     limit = n if stop_count is None else min(stop_count, n)
     thresh2 = None if stop_dist is None else float(stop_dist) ** 2
-    order = cKDTree(points, leafsize=_BLOCK).indices
     pad = -n % _BLOCK
-    order = np.append(order, np.full(pad, order[-1])).reshape(-1, _BLOCK)
-    pts, d2 = points[order], d2[order]
-    d2[-1, _BLOCK - pad:] = -1.0
+    pts = points
+    order = cKDTree(points, leafsize=_BLOCK).indices if d != 2 \
+        else np.arange(n) if pad else None
+    if order is not None:
+        order = np.append(order, np.full(pad, order[-1]))
+        pts, d2 = points[order], d2[order]
+        d2[n:] = -1.0
     # the boxes from the flat rows: a min along axis 1 of the 3-D array
     # runs about ten times slower
-    flat = pts.reshape(n + pad, -1)
     first = np.arange(0, n + pad, _BLOCK)
-    lo = np.minimum.reduceat(flat, first)
-    hi = np.maximum.reduceat(flat, first)
+    lo = np.minimum.reduceat(pts, first)
+    hi = np.maximum.reduceat(pts, first)
+    pts, d2 = pts.reshape(-1, _BLOCK, d), d2.reshape(-1, _BLOCK)
     top = d2.max(axis=1)
     while len(chosen) < limit:
         m = top.max()
         if thresh2 is not None and m < thresh2:
             break
         tied = (top == m).nonzero()[0]
-        i = int(order[tied][d2[tied] == m].min())
+        at = np.flatnonzero(d2[tied] == m)  # in ascending layout positions
+        at = tied[at // _BLOCK] * _BLOCK + at % _BLOCK
+        i = int(at[0] if order is None else order[at].min())
         chosen.append(i)
         p = points[i]
         gap = np.minimum(np.maximum(p, lo), hi) - p
         hit = (np.einsum("ij,ij->i", gap, gap) * (1.0 - 1e-9) < top).nonzero()[0]
-        diff = pts[hit] - p
-        new = np.minimum(d2[hit], np.einsum("bij,bij->bi", diff, diff))
-        d2[hit] = new
+        diff = pts[hit]
+        diff -= p  # in place, as the first picks reach nearly every block
+        new = np.einsum("bij,bij->bi", diff, diff)
+        del diff
+        d2[hit] = np.minimum(d2[hit], new, out=new)
         top[hit] = new.max(axis=1)
     return np.asarray(chosen, dtype=np.intp)

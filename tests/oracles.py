@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from labyrinths.geometry import FlatBall, pairs_segment_disc_touch
+from labyrinths.geometry import FlatBall, pairs_segment_disc_touch, tangent_bases
 
 
 def grid_point_disc_distance(x, center, normal, radius) -> float:
@@ -131,6 +131,25 @@ def brute_farthest_point_order(points, start: int = 0,
         diff = points - points[i]
         np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
     return np.asarray(chosen, dtype=np.intp)
+
+
+def stacked_sphere_candidates(d: int, count: int) -> np.ndarray:
+    """`sampling.sphere_candidates` as first written: the half set built by
+    ``np.column_stack``, then ``np.vstack([half, -half])`` (d = 2, 3)."""
+    count = max(int(count), 8)
+    if d == 2:
+        n = 1 << int(np.ceil(np.log2(count)))
+        theta = 2.0 * np.pi * np.arange(n // 2) / n
+        half = np.column_stack([np.cos(theta), np.sin(theta)])
+    else:
+        k = (count + 1) // 2
+        i = np.arange(k)
+        z = (i + 0.5) / k
+        golden = (np.sqrt(5.0) - 1.0) / 2.0
+        phi = 2.0 * np.pi * np.mod(i * golden, 1.0)
+        rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+        half = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    return np.vstack([half, -half])
 
 
 def brute_segments_collide(A, B, centers, normals, radii,
@@ -295,6 +314,36 @@ def map_flatball_2d(fb: FlatBall, linear: np.ndarray,
     if n @ c < 0.0:
         n = -n
     return FlatBall(center=c, normal=n, radius=r, level=fb.level)
+
+
+def per_sample_convexity_gate(dom, count: int = 257):
+    """The strict-convexity gate run one boundary sample at a time: the
+    first sample, as (index, point), whose gradient vanishes or whose
+    tangential Hessian has an eigenvalue <= 1e-10; None when none fails."""
+    from labyrinths.domains import boundary_samples
+
+    for i, x in enumerate(boundary_samples(dom, count)):
+        g = dom.grad(x)
+        ng = np.linalg.norm(g)
+        if ng < 1e-12:
+            return i, x
+        B = tangent_bases((g / ng)[None])[0]
+        Ht = B.T @ dom.hess(x) @ B
+        if np.linalg.eigvalsh(0.5 * (Ht + Ht.T)).min() <= 1e-10:
+            return i, x
+    return None
+
+
+def chart_to_ball(osc, y) -> np.ndarray:
+    """Rows y of the domain in the chart of `osc`: z = linear (y - base) + e1."""
+    e1 = np.eye(osc.linear.shape[0])[0]
+    return (np.asarray(y, dtype=float) - osc.base) @ osc.linear.T + e1
+
+
+def chart_to_domain(osc, z) -> np.ndarray:
+    """Chart rows z back in the domain: y = inverse (z - e1) + base."""
+    e1 = np.eye(osc.linear.shape[0])[0]
+    return (np.asarray(z, dtype=float) - e1) @ osc.inverse.T + osc.base
 
 
 def filtered_patch_discs(schedule, dim: int, seed: int, window: float):

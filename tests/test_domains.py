@@ -12,6 +12,7 @@ from labyrinths.domains import (
     _boundary_near_rows,
     _local_patch_discs,
     _map_disc_rows_2d,
+    _smooth_domain,
     assemble_patch_labyrinth,
     ball_domain,
     boundary_distance,
@@ -34,8 +35,11 @@ from labyrinths.geometry import FlatBall, disc_rows
 from labyrinths.shells import make_schedule
 from labyrinths.verifier import audit_labyrinth
 from oracles import (
+    chart_to_ball,
+    chart_to_domain,
     filtered_patch_discs,
     map_flatball_2d,
+    per_sample_convexity_gate,
     scipy_boundary_near,
     scipy_boundary_samples,
 )
@@ -116,7 +120,7 @@ def test_osculating_ball_is_isometry():
     assert np.allclose(osc.linear @ osc.linear.T, np.eye(2), atol=1e-12)
     for th in np.linspace(0.6, 0.8, 7):
         b = np.array([np.cos(th), np.sin(th)])
-        assert abs(np.linalg.norm(osc.to_ball(b)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(chart_to_ball(osc, b)) - 1.0) < 1e-12
 
 
 def test_osculating_ellipse_frozen_map():
@@ -124,16 +128,16 @@ def test_osculating_ellipse_frozen_map():
     osc = osculating_map(dom, np.array([2.0, 0.0]))
     assert np.allclose(osc.linear, np.diag([2.0, 2.0]), atol=1e-12)
     assert osc.normal_scale == pytest.approx(2.0)
-    assert np.allclose(osc.to_ball(np.array([2.0, 0.0])), [1.0, 0.0])
+    assert np.allclose(chart_to_ball(osc, np.array([2.0, 0.0])), [1.0, 0.0])
     # mapped boundary points satisfy the sphere equation to second order:
     # within a small chart radius the defect is far below the global bound
     for th in (-0.02, 0.02):
         b = np.array([2.0 * np.cos(th), np.sin(th)])
-        assert abs(np.linalg.norm(osc.to_ball(b)) - 1.0) < 1e-6
+        assert abs(np.linalg.norm(chart_to_ball(osc, b)) - 1.0) < 1e-6
     # round trip is exact
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.3, 0.3, size=(20, 2)) + np.array([1.8, 0.0])
-    back = osc.to_domain(osc.to_ball(pts))
+    back = chart_to_domain(osc, chart_to_ball(osc, pts))
     assert np.max(np.abs(back - pts)) < 1e-12
 
 
@@ -145,10 +149,11 @@ def test_osculating_deviation_within_validity_radius():
     # domain-space deviation: in chart units the sphere defect divides by
     # the normal scale
     s = np.linspace(-1, 1, 41) * osc.validity_radius
-    B = np.array([-osc.outward[1], osc.outward[0]])
-    b = _boundary_near_rows(dom, x + s[:, None] * B, osc.outward)
+    n_out = dom.grad(x) / np.linalg.norm(dom.grad(x))
+    B = np.array([-n_out[1], n_out[0]])
+    b = _boundary_near_rows(dom, x + s[:, None] * B, n_out)
     assert not np.isnan(b).any()
-    defect = np.abs(np.linalg.norm(osc.to_ball(b), axis=1) - 1.0) \
+    defect = np.abs(np.linalg.norm(chart_to_ball(osc, b), axis=1) - 1.0) \
         / osc.normal_scale
     assert np.all(defect <= 0.05 + 1e-9)
 
@@ -170,6 +175,52 @@ def test_superellipse_preset_validates():
     dom = superellipse_preset()
     x = boundary_points(dom, np.array([[1.0, 1.0]]))
     assert abs(float(rho_values(dom, x)[0])) < 1e-12
+
+
+def turned_quartic(turn: int):
+    """The pure quartic x^4 + y^4 < 1 (the superellipse with lambda = 0),
+    turned so that its flat axis point x = (1, 0) moves to boundary sample
+    `turn` of 257."""
+    a = 2.0 * np.pi * turn / 257
+    Q = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    rho = lambda x: np.sum((np.asarray(x, dtype=float) @ Q) ** 4, axis=-1) - 1.0
+    grad = lambda x: (4.0 * (np.asarray(x, dtype=float) @ Q) ** 3) @ Q.T
+    hess = lambda x: Q @ np.diag(12.0 * (np.asarray(x, dtype=float) @ Q) ** 2) @ Q.T
+    return rho, grad, hess
+
+
+@pytest.mark.parametrize("turn", [0, 5, 130])
+def test_convexity_gate_names_the_first_flat_sample(turn):
+    rho, grad, hess = turned_quartic(turn)
+    dom = ConvexDomain(kind="smooth", dim=2, rho=rho, grad=grad, hess=hess,
+                       name="quartic")
+    index, point = per_sample_convexity_gate(dom)
+    assert index == turn
+    with pytest.raises(ValueError) as err:
+        _smooth_domain("quartic", 2, rho, grad, hess)
+    assert str(err.value) == ("domain 'quartic' is not strictly convex at "
+                              f"boundary point {point}")
+
+
+def test_convexity_gate_names_the_first_of_many_failing_samples():
+    # a circle whose Hessian is reported as 0 on the upper half: samples
+    # 1 to 128 all fail, and the error names sample 1
+    rho = lambda x: np.sum(np.asarray(x, dtype=float) ** 2, axis=-1) - 1.0
+    grad = lambda x: 2.0 * np.asarray(x, dtype=float)
+    hess = lambda x: np.zeros((2, 2)) if x[1] > 0.0 else 2.0 * np.eye(2)
+    dom = ConvexDomain(kind="smooth", dim=2, rho=rho, grad=grad, hess=hess,
+                       name="half")
+    index, point = per_sample_convexity_gate(dom)
+    assert index == 1
+    with pytest.raises(ValueError, match="not strictly convex") as err:
+        _smooth_domain("half", 2, rho, grad, hess)
+    assert str(err.value).endswith(f"boundary point {point}")
+
+
+def test_convexity_gate_passes_the_presets():
+    for preset in (ellipse_preset, superellipse_preset):
+        assert per_sample_convexity_gate(preset()) is None
+        assert preset().kind == "smooth"
 
 
 def test_patch_cover_circle():

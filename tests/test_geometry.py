@@ -14,7 +14,7 @@ from labyrinths.geometry import (
     pairs_segment_disc_distance,
     pairs_segment_disc_touch,
     separating_hyperplane,
-    tangent_basis,
+    tangent_bases,
 )
 
 from oracles import (
@@ -395,7 +395,7 @@ def test_pair_distance_matches_dense_sampling():
                                  radius=float(rng.uniform(0.1, 0.6))))
         f1, f2 = inst
         got = pairs_disc_disc_distance(*disc_rows([f1]), *disc_rows([f2]))[0]
-        B = tangent_basis(f2.normal)
+        B = tangent_bases(f2.normal[None])[0]
         if d == 2:
             ts = np.linspace(-1, 1, 2001)
             pts = f2.center + np.outer(ts, f2.radius * B[:, 0])

@@ -69,6 +69,23 @@ def test_greedy_net_validation_and_budget():
         greedy_net(6, 0.01)
 
 
+@pytest.mark.parametrize("delta, seed, size", [
+    # the nets of steps 0, 11 and 23 of generate --domain ellipse --M 1.0
+    (0.06424529998955918, 0, 64),
+    (0.011846363377469513, 1111, 512),
+    (0.007443665819274338, 2323, 512),
+])
+def test_greedy_net_matches_full_update_on_the_ellipse_patch_steps(
+        monkeypatch, delta, seed, size):
+    monkeypatch.setattr("labyrinths.nets._NET_CACHE", {})  # a cold sweep
+    cand = sphere_candidates(2, 131072)
+    want = cand[brute_farthest_point_order(
+        cand, start=seed, stop_dist=delta * (1.0 - 1e-12))]
+    got = greedy_net(2, delta, seed=seed)
+    assert len(got) == size
+    assert np.array_equal(got, want)
+
+
 def test_color_net_single_class_when_r_small():
     net = greedy_net(2, 0.5, seed=0)
     classes = color_net(net, min_pairwise(net) * 0.99)

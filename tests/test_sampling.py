@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from scipy.spatial import cKDTree
 
+from labyrinths import sampling
 from labyrinths.sampling import _BLOCK, farthest_point_order, sphere_candidates
-from oracles import brute_farthest_point_order
+from oracles import brute_farthest_point_order, stacked_sphere_candidates
 
 
 @pytest.mark.parametrize("d, count, start, stop_dist, stop_count", [
@@ -99,17 +100,73 @@ def test_traversal_at_block_boundaries(n, stop_dist, stop_count):
 
 
 def test_traversal_ties_in_the_padded_last_block():
-    # 300 rows over the 9 points of a 3 x 3 lattice: the 44 real rows of the
+    # 300 rows over the 3^d points of a lattice: the 44 real rows of the
     # padded last block are copies, tied with rows of the full block; past
-    # the 9 distinct points every d2 is 0 and stop_count keeps picking
-    pts = np.random.default_rng(4).integers(-1, 2, size=(300, 2)).astype(float)
-    last = cKDTree(pts, leafsize=_BLOCK).indices[_BLOCK:]
-    assert len(last) == 300 - _BLOCK
-    assert len(np.unique(pts[last], axis=0)) < len(last)
-    for start in (0, 7, 299):
-        for stop_count in (9, 20, 400):
-            got = farthest_point_order(pts, start=start, stop_count=stop_count)
-            want = brute_farthest_point_order(pts, start=start,
-                                              stop_count=stop_count)
-            assert np.array_equal(got, want)
-        assert len(farthest_point_order(pts, start=start, stop_dist=0.5)) == 9
+    # the 3^d distinct points every d2 is 0 and stop_count keeps picking.
+    # The plane blocks its rows as they come, higher dimensions by kd leaf.
+    for d in (2, 3):
+        pts = np.random.default_rng(4).integers(-1, 2, size=(300, d)).astype(float)
+        if d == 2:
+            last = np.arange(_BLOCK, 300)
+        else:
+            last = cKDTree(pts, leafsize=_BLOCK).indices[_BLOCK:]
+        assert len(last) == 300 - _BLOCK
+        assert len(np.unique(pts[last], axis=0)) < len(last)
+        distinct = 3 ** d
+        for start in (0, 7, 299):
+            for stop_count in (distinct, 20, 40, 400):
+                got = farthest_point_order(pts, start=start,
+                                           stop_count=stop_count)
+                want = brute_farthest_point_order(pts, start=start,
+                                                  stop_count=stop_count)
+                assert np.array_equal(got, want)
+            assert len(farthest_point_order(pts, start=start,
+                                            stop_dist=0.5)) == distinct
+
+
+@pytest.mark.parametrize("count", [8, 1000, 131072])
+def test_circle_candidates_run_round_the_circle_by_angle(count):
+    # the planar sweep's layout precondition: row blocks are short arcs
+    cand = sphere_candidates(2, count)
+    n = len(cand)
+    assert n >= count and n & (n - 1) == 0
+    angle = np.mod(np.arctan2(cand[:, 1], cand[:, 0]), 2.0 * np.pi)
+    assert angle[0] == 0.0 and np.all(np.diff(angle) > 0.0)
+    assert np.array_equal(cand[n // 2:], -cand[:n // 2])
+
+
+@pytest.mark.parametrize("d, count", [
+    (2, 8), (2, 100_000), (2, 131072), (3, 9), (3, 100_000), (3, 2048)])
+def test_candidates_equal_the_stacked_build_bit_for_bit(d, count):
+    got = sphere_candidates(d, count)
+    want = stacked_sphere_candidates(d, count)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_candidates_in_higher_dimensions_are_antipodal_unit_rows():
+    cand = sphere_candidates(5, 1000)
+    k = len(cand) // 2
+    assert cand.shape == (2 * k, 5) and k == 500
+    assert np.array_equal(cand[k:], -cand[:k])
+    assert np.allclose(np.linalg.norm(cand, axis=1), 1.0, atol=1e-15)
+
+
+def test_planar_sweep_builds_no_kd_tree(monkeypatch):
+    real = sampling.cKDTree
+
+    def tree(data, *args, **kwargs):
+        if np.shape(data)[1] == 2:
+            raise AssertionError("kd-tree built for a planar sweep")
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(sampling, "cKDTree", tree)
+    for pts in (sphere_candidates(2, 4096),
+                np.random.default_rng(1).standard_normal((700, 2))):
+        got = farthest_point_order(pts, start=5, stop_count=60)
+        assert np.array_equal(got, brute_farthest_point_order(
+            pts, start=5, stop_count=60))
+    # the kd path still runs in space
+    pts = sphere_candidates(3, 2048)
+    assert np.array_equal(farthest_point_order(pts, stop_count=60),
+                          brute_farthest_point_order(pts, stop_count=60))
