@@ -8,7 +8,6 @@ schedule.  Verification: structural audits plus a roadmap search for short
 escape paths, reported as explicit upper bounds.
 """
 
-from .config import TOL, Tolerances
 from .geometry import FlatBall, Hyperplane, separating_hyperplane
 from .nets import (
     SeparatedNet,
@@ -23,7 +22,6 @@ from .shells import (
     ShellSchedule,
     annulus_labyrinth,
     build_labyrinth,
-    build_shell,
     compute_tangent_radius_constant,
     exhaustion_labyrinth,
     make_schedule,
@@ -41,8 +39,6 @@ from .verifier import (
 )
 
 __all__ = [
-    "TOL",
-    "Tolerances",
     "FlatBall",
     "Hyperplane",
     "separating_hyperplane",
@@ -56,7 +52,6 @@ __all__ = [
     "ShellSchedule",
     "annulus_labyrinth",
     "build_labyrinth",
-    "build_shell",
     "compute_tangent_radius_constant",
     "exhaustion_labyrinth",
     "make_schedule",

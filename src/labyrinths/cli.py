@@ -48,6 +48,7 @@ from .verifier import (
     MAX_NODE_BUDGET,
     MIN_NODE_BUDGET,
     EffortBudget,
+    RoadmapBudgetError,
     audit_labyrinth,
     min_escape_length,
 )
@@ -159,8 +160,9 @@ def _apply_config(argv: list[str]) -> list[str]:
     return out
 
 
-def _check_generate_args(args) -> None:
-    """Every constraint on the generate flags but --M, before any work."""
+def _check_generate_args(args):
+    """Every constraint on the generate flags but --M, before any work;
+    returns the ellipsoid of --axes, or None for the other domains."""
     if args.dim < 2:
         raise UsageError("constraint violated: --dim >= 2")
     try:
@@ -173,11 +175,18 @@ def _check_generate_args(args) -> None:
         raise UsageError("constraint violated: --m >= 0")
     if not 0.0 < args.patch_radius < np.inf:
         raise UsageError("constraint violated: --patch-radius finite and > 0")
+    ellipsoid = None
     if args.domain == "ellipsoid":
         if not args.axes or len(args.axes) != args.dim \
                 or min(args.axes) <= 0.0:
-            raise UsageError("constraint violated: ellipsoid needs dim "
+            raise UsageError("constraint violated: --axes: ellipsoid needs dim "
                              "positive semi-axes (SPD shape matrix)")
+        try:
+            ellipsoid = ellipsoid_domain(np.diag([1.0 / a ** 2 for a in args.axes]))
+        except (ArithmeticError, ValueError) as exc:
+            raise UsageError(f"constraint violated: --axes "
+                             f"{','.join(map(repr, args.axes))}: "
+                             f"{type(exc).__name__}: {exc}") from exc
     if args.annuli is not None:
         if len(args.annuli) < 2 or any(
                 b <= a for a, b in zip(args.annuli, args.annuli[1:])) \
@@ -188,10 +197,11 @@ def _check_generate_args(args) -> None:
                 len(args.Mn) != len(args.annuli) - 1 or min(args.Mn) < 0.0):
             raise UsageError("constraint violated: --Mn needs one "
                              "budget >= 0 per consecutive --annuli pair")
+    return ellipsoid
 
 
 def cmd_generate(args) -> int:
-    _check_generate_args(args)
+    ellipsoid = _check_generate_args(args)
     seed = args.seed
     try:
         if args.annuli:
@@ -207,8 +217,7 @@ def cmd_generate(args) -> int:
             if args.domain == "ball":
                 lab = build_labyrinth(sched, args.dim, seed=seed)
             else:
-                dom = ellipsoid_domain(np.diag([1.0 / a ** 2 for a in args.axes]))
-                lab = ellipsoid_labyrinth(dom, sched, seed=seed)
+                lab = ellipsoid_labyrinth(ellipsoid, sched, seed=seed)
         else:
             if args.dim != 2:
                 raise UsageError("smooth presets are planar (dim 2)")
@@ -228,6 +237,8 @@ def cmd_generate(args) -> int:
     except NetBudgetError as exc:
         raise UsageError(f"constraint violated: --dim and --c need a net finer "
                          f"than the candidate cap allows: {exc}") from exc
+    except RoadmapBudgetError as exc:  # only the --annuli search builds one
+        raise UsageError(f"constraint violated: --annuli: {exc}") from exc
     except (ShellBudgetError, CoverageError, CollarCollapseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -269,19 +280,19 @@ def cmd_verify(args) -> int:
     lab = _load(args.file)
     dom = lab.domain
     if args.source is not None:
-        source = {"kind": "sphere", "radius": args.source}
-        target = {"kind": "sphere", "radius": args.target}
+        radii, origin = spheres, "--source/--target"
     elif dom.get("kind") == "annulus":
-        source = {"kind": "sphere", "radius": dom["inner"]}
-        target = {"kind": "sphere", "radius": dom["outer"]}
+        radii, origin = (dom["inner"], dom["outer"]), \
+            "the file's domain.inner/domain.outer"
     elif dom.get("kind") in ("ball", "ellipsoid") and lab.schedule is not None:
         # ellipsoid labyrinths are stored in ball coordinates and the escape
         # search runs there; see the budget transfer below
-        source = {"kind": "sphere", "radius": lab.scale * lab.schedule.s0}
-        target = {"kind": "sphere", "radius": lab.scale}
+        radii, origin = (lab.scale * lab.schedule.s0, lab.scale), \
+            "the file's schedule.s0 and scale"
     else:
         raise UsageError("no --source/--target given and none derivable "
                          "from the domain")
+    source, target = ({"kind": "sphere", "radius": r} for r in radii)
     budgets = args.nodes or EffortBudget.default(lab.dim).node_budgets
     if any(v != int(v) for v in budgets):
         raise UsageError("--nodes: node budgets must be whole numbers")
@@ -292,7 +303,12 @@ def cmd_verify(args) -> int:
     if args.seeds < 1:
         raise UsageError("--seeds: at least one search attempt is needed")
     effort = EffortBudget(seeds=tuple(range(args.seeds)), node_budgets=budgets)
-    report = min_escape_length(lab, source, target, effort)
+    try:
+        report = min_escape_length(lab, source, target, effort)
+    except RoadmapBudgetError as exc:
+        raise UsageError(f"constraint violated: {origin} give the search "
+                         f"annulus between radii {radii[0]!r} and "
+                         f"{radii[1]!r}: {exc}") from exc
     audit = audit_labyrinth(lab)
     best = report["best_length"]
     out = {"budget_M": args.M}

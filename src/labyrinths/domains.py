@@ -17,7 +17,7 @@ or it pays delta per patch transition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,12 +25,14 @@ from scipy.spatial import cKDTree
 
 from .config import DEFAULT_C, DEFAULT_T
 from .geometry import FlatBall, row_dots, tangent_bases
-from .shells import Labyrinth, schedule_from_radii, shell_discs
+from .shells import Labyrinth, build_labyrinth, schedule_from_radii, shell_discs
 
 
 # patch covers: boundary samples, and ring samples per patch for the gap
 PATCH_BOUNDARY_SAMPLES = 2048
 PATCH_RING_SAMPLES = 1024
+# boundary samples of the strict-convexity gate of smooth domains
+VALIDATION_SAMPLES = 257
 # chart validity: tangent directions (beyond the plane) and radii tried
 VALIDITY_DIRECTIONS = 16
 VALIDITY_STEPS = 24
@@ -46,6 +48,8 @@ DEVIATION_FRACTION = 0.15
 # most patch steps a schedule may hold: each step narrows the collar by 7 to
 # 16% on the ellipse, so ten thousand would take it below 1e-300
 MAX_PATCH_STEPS = 10_000
+# smallest collar width a patch step may start from
+COLLAR_FLOOR = 1e-6
 
 
 class CoverageError(RuntimeError):
@@ -99,6 +103,8 @@ def ball_domain(dim: int = 2) -> ConvexDomain:
 def ellipsoid_domain(matrix) -> ConvexDomain:
     """Domain {x : x' A x < 1}; A must be symmetric positive definite."""
     A = np.asarray(matrix, dtype=float)
+    if not np.all(np.isfinite(A)):
+        raise ValueError("shape matrix must be finite")
     if A.shape[0] != A.shape[1] or not np.allclose(A, A.T, atol=1e-12):
         raise ValueError("shape matrix must be symmetric")
     if np.linalg.eigvalsh(A).min() <= 1e-10:
@@ -106,13 +112,12 @@ def ellipsoid_domain(matrix) -> ConvexDomain:
     return _quadric_domain("ellipsoid", A)
 
 
-def _smooth_domain(name: str, dim: int, rho, grad, hess,
-                   validation_samples: int = 257) -> ConvexDomain:
+def _smooth_domain(name: str, dim: int, rho, grad, hess) -> ConvexDomain:
     dom = ConvexDomain(kind="smooth", dim=dim, rho=rho, grad=grad, hess=hess,
                        name=name)
     if rho(np.zeros(dim)) >= 0.0:
         raise ValueError("smooth domain must contain the origin")
-    X = boundary_samples(dom, validation_samples)
+    X = boundary_samples(dom, VALIDATION_SAMPLES)
     G = np.asarray(grad(X), dtype=float)
     ng = np.sqrt(row_dots(G, G))
     if np.any(ng < 1e-12):
@@ -334,7 +339,6 @@ class EllipsoidMap:
     """Linear change of coordinates T with T(domain) = unit ball."""
 
     to_ball: np.ndarray
-    to_domain: np.ndarray
     norm_to_ball: float
     norm_to_domain: float
 
@@ -351,8 +355,7 @@ def normalize_ellipsoid(matrix) -> EllipsoidMap:
     if w.min() <= 1e-10:
         raise ValueError("shape matrix must be positive definite")
     T = V @ np.diag(np.sqrt(w)) @ V.T
-    Ti = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
-    return EllipsoidMap(to_ball=T, to_domain=Ti,
+    return EllipsoidMap(to_ball=T,
                         norm_to_ball=float(np.sqrt(w.max())),
                         norm_to_domain=float(1.0 / np.sqrt(w.min())))
 
@@ -365,8 +368,6 @@ def ellipsoid_labyrinth(dom: ConvexDomain, schedule, seed: int = 0) -> Labyrinth
     exact (verification runs in ball coordinates and transfers through the
     operator-norm bounds).
     """
-    from .shells import build_labyrinth
-
     emap = normalize_ellipsoid(dom.matrix)
     lab = build_labyrinth(schedule, dom.dim, seed=seed)
     lab.domain = {"kind": "ellipsoid", "matrix": dom.matrix.tolist(),
@@ -502,11 +503,6 @@ def _boundary_near_rows(dom, Y, n_out) -> np.ndarray:
     return out
 
 
-def rho_values(dom: ConvexDomain, pts: np.ndarray) -> np.ndarray:
-    """Defining-function values on many points."""
-    return np.asarray(dom.rho(np.atleast_2d(np.asarray(pts, dtype=float))))
-
-
 def domain_extent(dom: ConvexDomain) -> float:
     """Largest distance from the origin to the boundary along an axis; for
     a quadric, 1/sqrt(lambda_min(A)), the largest over all directions."""
@@ -533,7 +529,6 @@ class PatchCover:
     radius: float
     eta: float
     delta: float
-    boundary: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     @property
     def k(self) -> int:
@@ -576,7 +571,7 @@ def patch_cover(dom: ConvexDomain, patch_radius: float,
         raise CoverageError("no radius in range yields a positive collar gap")
     f, delta = best
     return PatchCover(domain=dom, centers=centers, radius=f * patch_radius,
-                      eta=eta, delta=delta, boundary=bnd)
+                      eta=eta, delta=delta)
 
 
 def measure_delta(cover: PatchCover, sample_factor: int = 1) -> float | None:
@@ -603,7 +598,7 @@ def _measure_delta(dom, centers, radius, eta, samples) -> float | None:
     in_collar, only = [], []
     for i, c in enumerate(centers):
         ring = c + radius * circle
-        ring = ring[(rho_values(dom, ring) <= 0.0)
+        ring = ring[(dom.rho(ring) <= 0.0)
                     & (boundary_distance(dom, ring) <= eta)]
         inside = np.linalg.norm(ring[:, None] - centers, axis=2) \
             < radius * (1.0 - 1e-12)
@@ -638,8 +633,7 @@ def patch_schedule(cover: PatchCover, M: float) -> list[int]:
 
 def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
                              t: float = DEFAULT_T, c: float = DEFAULT_C,
-                             seed: int = 0,
-                             collar_floor: float = 1e-6) -> Labyrinth:
+                             seed: int = 0) -> Labyrinth:
     """Iterate the patch schedule, stacking disc layers in shrinking collars.
 
     Step j builds a local shell stack inside patch U_(sigma j), placed in
@@ -648,7 +642,7 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
     plane).  The collar width eta_(j+1) is re-measured as the distance from
     the boundary to everything built so far, and must decrease strictly;
     the loop aborts with :class:`CollarCollapseError` if it falls below
-    `collar_floor` before the schedule completes.
+    COLLAR_FLOOR before the schedule completes.
     """
     if dom.dim != 2:
         raise NotImplementedError("patch assembly is implemented for d = 2")
@@ -658,9 +652,9 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
     components: list[FlatBall] = []
     alpha, beta = COLLAR_BAND
     for step, pidx in enumerate(schedule):
-        if eta < collar_floor:
+        if eta < COLLAR_FLOOR:
             raise CollarCollapseError(
-                f"collar width {eta:.3g} fell below {collar_floor} at step "
+                f"collar width {eta:.3g} fell below {COLLAR_FLOOR} at step "
                 f"{step} of {len(schedule)}")
         dev = min(0.05, DEVIATION_FRACTION * alpha * eta)
         osc = osculating_map(dom, cover.centers[pidx], deviation_bound=dev)

@@ -2,8 +2,7 @@
 
 A *flat ball* is a closed (d-1)-dimensional disc sitting in an affine
 hyperplane of R^d: {center + v : v . normal = 0, |v| <= radius}.  In d = 2
-it degenerates to a segment.  All functions here are pure; tolerances come
-from :mod:`labyrinths.config`.
+it degenerates to a segment.  All functions here are pure.
 
 The ``pairs_*`` functions work on aligned rows (segment or point i against
 disc i) in any dimension, as do the rims and tangent bases of disc rows;
@@ -29,13 +28,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .config import TOL
-
 INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# golden-section steps of the segment/disc distance
+GOLDEN_ITERS = 48
+
+# allowed deviation of a hyperplane normal from unit norm
+UNIT_NORM_TOL = 1e-12
 
 # row-generated separation LP: points per side in the first working set,
 # and the most rows a side adds per round
 LP_ROWS_PER_SIDE = 256
+# smallest separation margin a hyperplane witness is accepted at
+LP_MARGIN_FLOOR = 1e-6
 
 
 def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -71,7 +75,7 @@ class Hyperplane:
 
     def __post_init__(self):
         self.normal = np.asarray(self.normal, dtype=float)
-        if abs(np.linalg.norm(self.normal) - 1.0) > TOL.unit_norm:
+        if abs(np.linalg.norm(self.normal) - 1.0) > UNIT_NORM_TOL:
             raise ValueError("hyperplane normal must have unit norm")
         self.offset = float(self.offset)
 
@@ -144,27 +148,35 @@ def pairs_segment_disc_contact(A, B, C, N, R) -> np.ndarray:
     return hit
 
 
-def pairs_segment_disc_distance(A, B, C, N, R, iters: int = 48) -> np.ndarray:
+def pairs_segment_disc_distance(A, B, C, N, R) -> np.ndarray:
     """Segment-to-disc distances for aligned rows, any dimension.
 
-    Exactly 0.0 on contact; otherwise golden-section search on the convex
-    distance of a + t (b - a) to the disc, down to a parameter interval of
-    0.618**iters.
+    Exactly 0.0 on contact.  A row with A == B is a point and takes the
+    point/disc distance; every other row runs golden-section search on the
+    convex distance of a + t (b - a) to the disc, down to a parameter
+    interval of 0.618**GOLDEN_ITERS.
     """
-    def g(t):
-        return pairs_point_disc_distance(A + t[:, None] * (B - A), C, N, R)
+    point = np.all(A == B, axis=1)
+    best = np.empty(len(A))
+    best[point] = pairs_point_disc_distance(A[point], C[point], N[point],
+                                            R[point])
+    seg = ~point
+    a, b, c, n, r = A[seg], B[seg], C[seg], N[seg], R[seg]
 
-    lo, hi = np.zeros(len(A)), np.ones(len(A))
+    def g(t):
+        return pairs_point_disc_distance(a + t[:, None] * (b - a), c, n, r)
+
+    lo, hi = np.zeros(len(a)), np.ones(len(a))
     x1, x2 = hi - INV_GOLDEN, lo + INV_GOLDEN
     g1, g2 = g(x1), g(x2)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         left = g1 <= g2
         hi = np.where(left, x2, hi)
         lo = np.where(left, lo, x1)
         x1 = hi - INV_GOLDEN * (hi - lo)
         x2 = lo + INV_GOLDEN * (hi - lo)
         g1, g2 = g(x1), g(x2)
-    best = np.minimum.reduce([g(lo), g(hi), g1, g2])
+    best[seg] = np.minimum.reduce([g(lo), g(hi), g1, g2])
     best[pairs_segment_disc_contact(A, B, C, N, R)] = 0.0
     return best
 
@@ -298,8 +310,8 @@ def _top_rows(score: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     return idx
 
 
-def separating_hyperplane(first, second, margin: float = 0.0,
-                          floor: float | None = None) -> Hyperplane | None:
+def separating_hyperplane(first, second,
+                          margin: float = 0.0) -> Hyperplane | None:
     """Hyperplane with first on the high side and second on the low side.
 
     Solves the max-margin feasibility LP (with an L1 cap on the normal so
@@ -315,15 +327,13 @@ def separating_hyperplane(first, second, margin: float = 0.0,
     The witness is rescaled to unit norm and `w.x >= b + margin` /
     `w.x <= b - margin` are re-checked against every input point, so the
     plane is a certificate whichever rows the LP saw.  Returns None when no
-    witness achieving max(margin, floor) was found; that is not a proof of
-    inseparability.
+    witness achieving max(margin, LP_MARGIN_FLOOR) was found; that is not a
+    proof of inseparability.
     """
     first = np.atleast_2d(np.asarray(first, dtype=float))
     second = np.atleast_2d(np.asarray(second, dtype=float))
     if first.size == 0 or second.size == 0:
         raise ValueError("both point sets must be nonempty")
-    if floor is None:
-        floor = TOL.lp_margin_floor
     g = first.mean(axis=0) - second.mean(axis=0)
     in_first = np.zeros(len(first), dtype=bool)
     in_second = np.zeros(len(second), dtype=bool)
@@ -351,7 +361,7 @@ def separating_hyperplane(first, second, margin: float = 0.0,
     hi = float(np.max(second @ w))
     b = 0.5 * (lo + hi)
     achieved = 0.5 * (lo - hi)
-    required = max(margin, floor)
+    required = max(margin, LP_MARGIN_FLOOR)
     if achieved < required:
         return None
     if np.min(first @ w) < b + margin or np.max(second @ w) > b - margin:

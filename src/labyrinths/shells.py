@@ -18,8 +18,10 @@ from .config import DEFAULT_C, DEFAULT_T, RADIUS_SAFETY
 from .geometry import FlatBall
 from .nets import SeparatedNet, build_separated_families
 
-# sublevels per shell of the exhaustion's annulus labyrinths
+# sublevels per shell of the exhaustion's annulus labyrinths, and the most
+# shells one of them may grow to
 ANNULUS_SUBLEVELS = 2
+SHELL_CAP = 32
 
 
 class DegenerateScheduleError(ValueError):
@@ -28,10 +30,6 @@ class DegenerateScheduleError(ValueError):
 
 class ShellBudgetError(RuntimeError):
     """Verifier-in-the-loop shell growth hit its cap before meeting budget."""
-
-    def __init__(self, message, best_length=None):
-        super().__init__(message)
-        self.best_length = best_length
 
 
 class IntegrityError(RuntimeError):
@@ -240,15 +238,6 @@ def shell_discs(schedule: ShellSchedule, j: int, dim: int, seed: int = 0):
     return s_jk[:, None] * normals, normals, r_j, levels, net
 
 
-def build_shell(schedule: ShellSchedule, j: int, dim: int,
-                seed: int = 0) -> tuple[list[FlatBall], SeparatedNet]:
-    """Discs of shell j (see :func:`shell_discs`) as tagged flat balls."""
-    centers, normals, r_j, levels, net = shell_discs(schedule, j, dim, seed)
-    balls = [FlatBall(center=c, normal=n, radius=r_j, level=tuple(lv))
-             for c, n, lv in zip(centers, normals, levels.tolist())]
-    return balls, net
-
-
 def build_labyrinth(schedule: ShellSchedule | None, dim: int, seed: int = 0,
                     domain: dict | None = None, scale: float = 1.0) -> Labyrinth:
     """All shells of the schedule, concatenated in lexicographic order.
@@ -268,10 +257,9 @@ def build_labyrinth(schedule: ShellSchedule | None, dim: int, seed: int = 0,
         return empty_labyrinth(dim, domain)
     for _ in range(4):
         js = range(1, schedule.J + 1)
-        shells = {j: build_shell(schedule, j, dim, seed=seed) for j in
+        shells = {j: shell_discs(schedule, j, dim, seed=seed) for j in
                   sorted(js, key=lambda j: shell_net_separation(schedule, j))}
-        components = [fb for j in js for fb in shells[j][0]]
-        nets = [shells[j][1] for j in js]
+        nets = [shells[j][4] for j in js]
         needed = max([schedule.m] + [net.m for net in nets])
         if needed == schedule.m:
             break
@@ -279,6 +267,11 @@ def build_labyrinth(schedule: ShellSchedule | None, dim: int, seed: int = 0,
                                        schedule.t, schedule.c)
     else:
         raise RuntimeError("class count failed to stabilise across rebuilds")
+    components = []
+    for j in js:
+        centers, normals, r_j, levels, _ = shells[j]
+        components += [FlatBall(center=c, normal=n, radius=r_j, level=tuple(lv))
+                       for c, n, lv in zip(centers, normals, levels.tolist())]
     _integrity_check(components, schedule)
     if scale != 1.0:
         components = [replace(fb, center=scale * fb.center,
@@ -378,8 +371,8 @@ def annulus_labyrinth(rho_in: float, rho_out: float, J: int, m: int = 2,
 
 def exhaustion_labyrinth(plan: ExhaustionPlan, dim: int = 2,
                          t: float = DEFAULT_T, c: float = DEFAULT_C,
-                         seed: int = 0, shell_cap: int = 32,
-                         effort=None, search_effort=None) -> list[dict]:
+                         seed: int = 0, effort=None,
+                         search_effort=None) -> list[dict]:
     """One labyrinth per annulus, each verified to exceed its budget.
 
     Verifier-in-the-loop replaces the non-constructive "large enough" shell
@@ -389,9 +382,9 @@ def exhaustion_labyrinth(plan: ExhaustionPlan, dim: int = 2,
     full-effort search actually finds a shortest escape path measuring
     above the budget.  A disconnected roadmap (no path found at all) is
     recorded in the history but never accepted as success, since it says
-    nothing about path lengths.  Raises :class:`ShellBudgetError` with the
-    best length achieved if the cap is hit.  Returns a list of {labyrinth,
-    report, budget, shells, search_history} records.
+    nothing about path lengths.  Raises :class:`ShellBudgetError`, naming
+    the best length achieved, if SHELL_CAP is hit.  Returns a list of
+    {labyrinth, report, budget, shells, search_history} records.
     """
     from .verifier import EffortBudget, min_escape_length
 
@@ -424,18 +417,17 @@ def exhaustion_labyrinth(plan: ExhaustionPlan, dim: int = 2,
                     best_report = report
                     break
                 found = report["best_length"]
-            if J >= shell_cap:
+            if J >= SHELL_CAP:
                 best = max((r.get("confirmed_length") or r["probe_length"] or 0.0
                             for r in tried), default=None)
                 raise ShellBudgetError(
-                    f"annulus ({rho_in}, {rho_out}): shell cap {shell_cap} "
-                    f"reached with best escape length {best} <= budget {budget}",
-                    best_length=best)
+                    f"annulus ({rho_in}, {rho_out}): shell cap {SHELL_CAP} "
+                    f"reached with best escape length {best} <= budget {budget}")
             if found is not None and found > 0.0:
                 guess = int(np.ceil(J * (budget / found) ** 2 * 1.1))
             else:
                 guess = J + max(3, J // 2)
-            J = int(np.clip(guess, J + 1, min(shell_cap, max(J + 3, 2 * J))))
+            J = int(np.clip(guess, J + 1, min(SHELL_CAP, max(J + 3, 2 * J))))
         results.append({"labyrinth": lab, "report": best_report,
                         "budget": budget, "shells": J,
                         "search_history": tried})

@@ -15,10 +15,10 @@ exact at the default clearance 0: a segment touches a closed disc iff it
 crosses the disc's hyperplane, or lies in it, within the radius of the
 centre.  Grazes at the rounding level (about 1e-17, e.g. a rim-ring node on
 a disc's plane) fall either way; a small positive clearance makes them
-robust.  The roadmap edges, boundary links and free samples are culled by a
-KD query on a cover of each planar disc by small balls, as fine as the
-segments are short, and on bounding spheres beyond the plane
-(:func:`_segments_collide`, :func:`_drop_blocked`);
+robust.  The roadmap edges, boundary links and free samples (each point a
+segment of length 0) are culled by a KD query on a cover of each planar
+disc by small balls, as fine as the segments are short, and on bounding
+spheres beyond the plane (:func:`_segments_collide`);
 :func:`shortcut` and :func:`verify_path` test every segment against every
 disc (:func:`_touches_any`).  Per-disc quantities come from one table of
 disc rows per call (:class:`_CompArrays`), never one disc at a time.
@@ -40,14 +40,14 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
-from .config import RIM_STEP, TOL
-from .domains import resolve_domain, rho_values
+from .config import RIM_STEP
+from .domains import resolve_domain
 from .geometry import (
+    LP_MARGIN_FLOOR,
     FlatBall,
     disc_rim_points,
     disc_rows,
     pairs_disc_disc_distance,
-    pairs_point_disc_distance,
     pairs_segment_disc_touch,
     row_dots,
     separating_hyperplane,
@@ -77,7 +77,7 @@ AUDIT_COVER_SAMPLES = 20_000
 
 
 class RoadmapBudgetError(RuntimeError):
-    """Free-space sampling rejected nearly everything."""
+    """Free-space sampling kept fewer than one draw in 1000."""
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ class _CompArrays:
 
 
 def _cover_level(comp: _CompArrays, length: float) -> int:
-    """Cover level k for segments of typical `length` (points: their reach).
+    """Cover level k for segments of typical `length` (points: length 0).
 
     In the plane, the largest disc radius over the length, rounded down to
     a power of two and at most 16: finer covers stop paying once a
@@ -190,29 +190,6 @@ def _near_pairs(pts: np.ndarray, reach, comp: _CompArrays, k: int) -> tuple:
                                      output_type="ndarray")
     keep = m["v"] <= reach[m["i"]]
     return m["i"][keep], owner[m["j"][keep]]
-
-
-def _drop_blocked(pts: np.ndarray, comp: _CompArrays,
-                  clearance: float) -> np.ndarray:
-    """The points farther than `clearance` from every component.
-
-    Culled like :func:`_segments_collide`, with a point as a segment of
-    length 0: a point within `clearance` of a disc point lies within
-    clearance + rho (+ 1e-12) of one of that disc's sub-balls, at the
-    cover level :func:`_cover_level` gives for that reach, which is the
-    finest planar level at clearance 0.  The surviving rows go through the
-    exact point/disc distance, so the level changes the work, never the
-    result.
-    """
-    if len(pts) == 0 or len(comp) == 0:
-        return pts
-    reach = clearance + 1e-12
-    idx, cidx = _near_pairs(pts, reach, comp, _cover_level(comp, reach))
-    dist = pairs_point_disc_distance(pts[idx], comp.centers[cidx],
-                                     comp.normals[cidx], comp.radii[cidx])
-    bad = np.zeros(len(pts), dtype=bool)
-    bad[idx[dist <= clearance]] = True
-    return pts[~bad]
 
 
 def _segments_collide(A: np.ndarray, B: np.ndarray, comp: _CompArrays,
@@ -347,19 +324,20 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
     lo, hi = _region_box(region, dim)
     sob = qmc.Sobol(dim, scramble=True, seed=seed)
     accepted = []
-    got = 0
-    drawn = 0
+    got = drawn = in_region = 0
     while got < free_target:
         chunk = sob.random(16384) * (hi - lo) + lo
         drawn += len(chunk)
-        pts = _drop_blocked(chunk[_region_contains(region, chunk)], comp,
-                            clearance)
+        pts = chunk[_region_contains(region, chunk)]
+        in_region += len(pts)
+        pts = pts[~_segments_collide(pts, pts, comp, clearance)]
         accepted.append(pts)
         got += len(pts)
         if drawn >= 1000 * node_budget:
             raise RoadmapBudgetError(
-                "rejection rate above 99.9%: region nearly filled by the "
-                "clearance zone")
+                f"the search region holds {in_region} of {drawn} draws "
+                f"({in_region / drawn:.3g} of its sampling box) and {got} "
+                f"of them clear the discs, fewer than one in 1000")
     nodes = np.vstack([np.vstack(accepted)[:free_target], rim_nodes])
 
     measure = _region_measure(region, dim)
@@ -438,7 +416,8 @@ def _rim_offset_nodes(lab: Labyrinth, comp: _CompArrays, clearance: float,
     pts = (rims[:, :, None] + offset * (
         np.cos(ang)[:, None] * U[:, :, None]
         + np.sin(ang)[:, None] * comp.normals[:, None, None])).reshape(-1, lab.dim)
-    return _drop_blocked(pts[_region_contains(region, pts)], comp, clearance)
+    pts = pts[_region_contains(region, pts)]
+    return pts[~_segments_collide(pts, pts, comp, clearance)]
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +659,7 @@ def _pairwise_min_distance(comp: _CompArrays) -> float:
                                               C[j], N[j], R[j]).min()), slack)
 
 
-def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None) -> dict:
+def audit_labyrinth(lab: Labyrinth) -> dict:
     """Run every structural check and report pass/fail with measurements.
 
     Included checks: component well-formedness, tangency to the recorded
@@ -691,8 +670,6 @@ def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None) -> dict:
     checks with collar monotonicity and defining-function containment.
     Failures are report entries, never exceptions.
     """
-    if lex_margin is None:
-        lex_margin = TOL.lp_margin_floor
     if lab.is_empty:
         return {"empty": True, "passed": True, "checks": [],
                 "note": "empty labyrinth: all checks hold vacuously"}
@@ -772,7 +749,7 @@ def audit_labyrinth(lab: Labyrinth, lex_margin: float | None = None) -> dict:
         failed_at = None
         for i in range(1, len(comps)):
             own, earlier = samples[i], samples[:i].reshape(-1, lab.dim)
-            h = separating_hyperplane(own, earlier, margin=lex_margin)
+            h = separating_hyperplane(own, earlier, margin=LP_MARGIN_FLOOR)
             if h is None:
                 failed_at = comps[i].level
                 break
@@ -806,6 +783,6 @@ def add_containment_check(lab: Labyrinth, samples: np.ndarray, add) -> None:
     except (KeyError, TypeError, ValueError) as exc:
         add("containment", False, error=str(exc))
         return
-    vals = rho_values(dom, pts / lab.scale)
+    vals = dom.rho(pts / lab.scale)
     add("containment", float(vals.max()) < 0.0,
         max_defining_value=float(vals.max()))

@@ -65,7 +65,7 @@ def test_criterion_1_separated_families_suite():
 def test_criterion_2_shell_construction_suite():
     t0 = time.time()
     lab = build_labyrinth(make_schedule(0.5, 3, 5), dim=2, seed=0)
-    rep = audit_labyrinth(lab, lex_margin=1e-6)
+    rep = audit_labyrinth(lab)
     by_name = {c["name"]: c for c in rep["checks"]}
     clearance = by_name["next-sublevel-clearance"]
     disjoint = by_name["pairwise-disjoint"]

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from labyrinths import domains
 from labyrinths.domains import (
     MAX_PATCH_STEPS,
+    PATCH_BOUNDARY_SAMPLES,
     CollarCollapseError,
     ConvexDomain,
     PatchCover,
@@ -28,7 +30,6 @@ from labyrinths.domains import (
     patch_cover,
     patch_schedule,
     resolve_domain,
-    rho_values,
     superellipse_preset,
 )
 from labyrinths.geometry import FlatBall, disc_rows
@@ -54,7 +55,7 @@ def test_normalize_identity():
 def test_normalize_diag():
     em = normalize_ellipsoid(np.diag([4.0, 1.0]))
     assert np.allclose(em.to_ball, np.diag([2.0, 1.0]))
-    assert np.allclose(em.to_domain, np.diag([0.5, 1.0]))
+    assert np.allclose(np.linalg.inv(em.to_ball), np.diag([0.5, 1.0]))
     assert em.norm_to_ball == pytest.approx(2.0)
     assert em.norm_to_domain == pytest.approx(1.0)
 
@@ -70,13 +71,14 @@ def test_pullback_of_segment_is_segment():
     em = normalize_ellipsoid(np.diag([4.0, 1.0]))
     fb = FlatBall(center=np.array([0.5, 0.0]), normal=np.array([1.0, 0.0]),
                   radius=0.2, level=(1, 1, 0))
-    C, N, R = _map_disc_rows_2d(em.to_domain, np.zeros(2), *disc_rows([fb]))
+    to_domain = np.linalg.inv(em.to_ball)
+    C, N, R = _map_disc_rows_2d(to_domain, np.zeros(2), *disc_rows([fb]))
     mapped = FlatBall(center=C[0], normal=N[0], radius=R[0])
     # the image is again a planar flat ball; its endpoints are the images
     u = np.array([-fb.normal[1], fb.normal[0]])
     for sign in (-1.0, 1.0):
         src = fb.center + sign * fb.radius * u
-        img = em.to_domain @ src
+        img = to_domain @ src
         mu = np.array([-mapped.normal[1], mapped.normal[0]])
         ok = min(np.linalg.norm(img - (mapped.center + s * mapped.radius * mu))
                  for s in (-1.0, 1.0))
@@ -100,7 +102,7 @@ def test_ellipsoid_pullback_roundtrip():
     em = normalize_ellipsoid(np.diag([4.0, 1.0]))
     rng = np.random.default_rng(1)
     pts = rng.uniform(-1, 1, size=(50, 2))
-    back = (pts @ em.to_ball.T) @ em.to_domain.T
+    back = (pts @ em.to_ball.T) @ np.linalg.inv(em.to_ball).T
     assert np.max(np.abs(back - pts)) < 1e-9
 
 
@@ -174,7 +176,7 @@ def test_osculating_rejects_off_boundary_and_degenerate():
 def test_superellipse_preset_validates():
     dom = superellipse_preset()
     x = boundary_points(dom, np.array([[1.0, 1.0]]))
-    assert abs(float(rho_values(dom, x)[0])) < 1e-12
+    assert abs(float(dom.rho(x)[0])) < 1e-12
 
 
 def turned_quartic(turn: int):
@@ -229,7 +231,8 @@ def test_patch_cover_circle():
     assert cover.k <= 7
     assert cover.delta > 0.0
     # coverage invariant: every boundary sample strictly inside some patch
-    d = np.min(np.linalg.norm(cover.boundary[:, None, :]
+    bnd = boundary_samples(dom, PATCH_BOUNDARY_SAMPLES)
+    d = np.min(np.linalg.norm(bnd[:, None, :]
                               - cover.centers[None, :, :], axis=2), axis=1)
     assert np.all(d < cover.radius)
 
@@ -275,7 +278,7 @@ def test_assemble_single_round_on_ellipse():
     assert all(x > 0 for x in w)
     # every component strictly inside the domain and inside the collar
     pts = np.vstack([[fb.center for fb in lab.components]])
-    assert np.all(rho_values(dom, pts) < 0.0)
+    assert np.all(dom.rho(pts) < 0.0)
     assert np.all(boundary_distance(dom, pts) <= cover.eta)
     rep = audit_labyrinth(lab)
     assert rep["passed"]
@@ -296,12 +299,12 @@ def test_assemble_single_round_on_ball_is_shell_like():
     assert rep["passed"]
 
 
-def test_assemble_collar_floor_trips():
+def test_assemble_collar_floor_trips(monkeypatch):
     dom = ellipse_preset()
     cover = patch_cover(dom, 0.9, 0.08)
+    monkeypatch.setattr(domains, "COLLAR_FLOOR", 1.0)
     with pytest.raises(CollarCollapseError):
-        assemble_patch_labyrinth(dom, cover, 0.2 * cover.delta, seed=0,
-                                 collar_floor=1.0)
+        assemble_patch_labyrinth(dom, cover, 0.2 * cover.delta, seed=0)
 
 
 def test_boundary_distance_accuracy():
@@ -320,7 +323,7 @@ def test_resolve_domain_takes_the_dimension():
     for dim in (2, 3, 4):
         dom = resolve_domain({"kind": "ball"}, dim)
         assert dom.dim == dim
-        assert rho_values(dom, np.eye(dim) * 0.5).max() == pytest.approx(-0.75)
+        assert dom.rho(np.eye(dim) * 0.5).max() == pytest.approx(-0.75)
     with pytest.raises(ValueError, match="not 3-dimensional"):
         resolve_domain({"kind": "smooth", "preset": "ellipse"}, 3)
 

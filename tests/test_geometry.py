@@ -50,6 +50,29 @@ def test_offset_segment_distance_matches_brute_force():
     assert pairs_segment_disc_touch(*row, 0.15)[0]
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_zero_length_rows_take_the_point_distance(d):
+    rng = np.random.default_rng(d)
+    n = 40
+    N = rng.normal(size=(n, d))
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    C = rng.uniform(-1.0, 1.0, size=(n, d))
+    R = rng.uniform(0.1, 0.8, size=n)
+    A = rng.uniform(-1.5, 1.5, size=(n, d))
+    A[:4] = C[:4]  # exact contacts: two points and two segments from a centre
+    B = A.copy()
+    B[1::2] = rng.uniform(-1.5, 1.5, size=(n // 2, d))  # odd rows: segments
+    point = np.arange(n) % 2 == 0
+    dist = pairs_segment_disc_distance(A, B, C, N, R)
+    assert np.array_equal(dist[point], pairs_point_disc_distance(
+        A[point], C[point], N[point], R[point]))
+    assert np.all(dist[:4] == 0.0)
+    # each row alone gives the mixed batch's value
+    for i in range(n):
+        rows = (X[i:i + 1] for X in (A, B, C, N, R))
+        assert pairs_segment_disc_distance(*rows)[0] == dist[i]
+
+
 def test_point_distances():
     P = np.array([DISC.center, DISC.center + DISC.normal, [0.5, 0.5]])
     got = pairs_point_disc_distance(P, DISC.center, DISC.normal, DISC.radius)

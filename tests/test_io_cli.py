@@ -23,7 +23,7 @@ from labyrinths.io import (
     load_labyrinth,
     save_labyrinth,
 )
-from labyrinths.shells import build_labyrinth, make_schedule
+from labyrinths.shells import annulus_labyrinth, build_labyrinth, make_schedule
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +304,22 @@ USAGE_ERRORS = [
                   "--target", "1e300"], "--target", id="target-huge"),
     pytest.param(["verify", "{lab}", "--M", "0.1", "--source", "-0.5",
                   "--target", "1"], "--source", id="source-negative"),
+    # search annuli that fill almost none of their sampling box
+    pytest.param(["verify", "{lab}", "--M", "0.1", "--source", "0.9999999",
+                  "--target", "1.0", "--seeds", "1", "--nodes", "100"],
+                 "--source/--target", id="search-annulus-too-thin"),
+    pytest.param(["verify", "{lab}", "--M", "0.1", "--source", "0",
+                  "--target", "1e-300", "--seeds", "1", "--nodes", "100"],
+                 "--source/--target", id="search-annulus-underflows"),
+    pytest.param(["generate", "--annuli", "0.5,0.5001", "--Mn", "0.001",
+                  "--out", "{tmp}/g.json"], "--annuli",
+                 id="exhaustion-annulus-too-thin"),
+    # semi-axes whose shape matrix diag(1/a^2) is singular or not finite
+    *(pytest.param(["generate", "--domain", "ellipsoid", "--axes", axes,
+                    "--J", "1", "--out", "{tmp}/g.json"], "--axes",
+                   id=f"axes-{axes}")
+      for axes in ("1e5,1", "1e6,1", "1e160,1", "1e200,1", "1e-200,1",
+                   "1e-160,1")),
     pytest.param(["generate", "--dim", "12", "--J", "1", "--out", "{tmp}/g.json"],
                  "--dim", id="net-beyond-candidate-cap-dim"),
     pytest.param(["generate", "--c", "1e-9", "--J", "1", "--out", "{tmp}/g.json"],
@@ -323,6 +339,17 @@ def test_cli_usage_errors_exit_1_naming_the_flag(tmp_path, lab, capsys, argv,
     with pytest.raises(SystemExit) as done:
         run_cli(argv[0], "--help")
     assert done.value.code == 0
+
+
+def test_cli_verify_names_the_file_radii_of_a_search_annulus_too_thin(
+        tmp_path, capsys):
+    lab_file = tmp_path / "thin.json"
+    save_labyrinth(annulus_labyrinth(0.9999, 1.0, J=1), str(lab_file))
+    assert run_cli("verify", str(lab_file), "--M", "0.1", "--seeds", "1",
+                   "--nodes", "100") == 1
+    err = capsys.readouterr().err
+    assert "the file's domain.inner/domain.outer" in err
+    assert "of its sampling box" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

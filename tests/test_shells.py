@@ -11,12 +11,12 @@ from labyrinths.shells import (
     Labyrinth,
     annulus_labyrinth,
     build_labyrinth,
-    build_shell,
     check_constants,
     compute_tangent_radius_constant,
     empty_labyrinth,
     make_schedule,
     schedule_from_radii,
+    shell_discs,
     shell_net_separation,
     sqrt_gap_partial_sums,
     truncate,
@@ -108,31 +108,27 @@ def test_schedule_disc_reach_invariant(s0, J, m):
 
 def test_build_shell_tangency_and_separation():
     sched = make_schedule(0.5, 2, 4)
-    balls, net = build_shell(sched, 1, dim=2, seed=0)
-    t = sched.t
-    for fb in balls:
-        j, k, p = fb.level
-        assert j == 1
+    C, N, r_1, levels, _ = shell_discs(sched, 1, dim=2, seed=0)
+    assert r_1 == sched.tangent_radii[0]
+    assert np.all(levels[:, 0] == 1)
+    for c, n, k in zip(C, N, levels[:, 1]):
         s_jk = sched.sublevels[0, k - 1]
-        assert fb.center @ fb.normal == pytest.approx(s_jk, abs=1e-12)
-        assert np.linalg.norm(fb.center) == pytest.approx(s_jk, abs=1e-12)
-    r_1 = sched.tangent_radii[0]
-    by_level = {}
-    for fb in balls:
-        by_level.setdefault(fb.level[1], []).append(fb)
-    for k, group in by_level.items():
-        s_jk = sched.sublevels[0, k - 1]
-        for i in range(len(group)):
-            for jdx in range(i):
-                gap = np.linalg.norm(group[i].center - group[jdx].center)
-                assert gap >= s_jk * 2 * t * r_1 - 1e-12
-                assert pairs_disc_disc_distance(*disc_rows([group[i]]),
-                                                *disc_rows([group[jdx]]))[0] > 0
+        assert c @ n == pytest.approx(s_jk, abs=1e-12)
+        assert np.linalg.norm(c) == pytest.approx(s_jk, abs=1e-12)
+    R = np.full(len(C), r_1)
+    for k in np.unique(levels[:, 1]):
+        group = np.flatnonzero(levels[:, 1] == k)
+        i, j = group[np.array(np.triu_indices(len(group), 1))]
+        gap = np.linalg.norm(C[i] - C[j], axis=1)
+        assert np.all(gap >= sched.sublevels[0, k - 1] * 2 * sched.t * r_1
+                      - 1e-12)
+        assert np.all(pairs_disc_disc_distance(C[i], N[i], R[i],
+                                               C[j], N[j], R[j]) > 0)
 
 
 def test_build_shell_scaled_covering():
     sched = make_schedule(0.5, 2, 4)
-    balls, net = build_shell(sched, 1, dim=2, seed=0)
+    *_, net = shell_discs(sched, 1, dim=2, seed=0)
     # the scaled union inherits the covering property of the unit net
     from labyrinths.nets import covering_radius
 

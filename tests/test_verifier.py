@@ -25,7 +25,6 @@ from labyrinths.verifier import (
     _candidate_pairs,
     _CompArrays,
     _cover_level,
-    _drop_blocked,
     _near_pairs,
     _project_to_set,
     _region_measure,
@@ -245,7 +244,9 @@ def test_drop_blocked_matches_all_pairs_distance(seed, d, discs, clearance):
     dist = pairs_point_disc_distance(pts[:, None, :], comp.centers[None],
                                      comp.normals[None], comp.radii[None])
     want = pts[dist.min(axis=1) > clearance]
-    assert np.array_equal(_drop_blocked(pts, comp, clearance), want)
+    # the point cull: each point a segment of length 0
+    got = pts[~_segments_collide(pts, pts, comp, clearance)]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("clearance", [0.0, 1e-3])
@@ -264,7 +265,7 @@ def test_drop_blocked_fine_cover_matches_all_pairs_on_discs(clearance):
     dist = pairs_point_disc_distance(pts[:, None, :], comp.centers[None],
                                      comp.normals[None], comp.radii[None])
     keep = dist.min(axis=1) > clearance
-    got = _drop_blocked(pts, comp, clearance)
+    got = pts[~_segments_collide(pts, pts, comp, clearance)]
     assert list(comp.covers) == [16]  # culled on the finest planar cover
     assert np.array_equal(got, pts[keep])
     assert not keep[:len(on)][2::len(s)].any()  # centres lie on their discs
