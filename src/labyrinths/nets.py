@@ -1,14 +1,17 @@
 """Separated point families on the unit sphere.
 
-A maximal delta-separated net is built by a farthest-point sweep over a
-dense deterministic candidate set; greedy colouring of its proximity graph
-at threshold r then splits it into classes that are each r-separated while
-the union keeps covering radius <= delta = c*r.  The sweep skips the blocks
-of nearby candidates that a new point provably cannot bring closer, and
-picks exactly the points the plain all-candidate update would.
+A maximal delta-separated net is the farthest-point traversal of a dense
+deterministic candidate set, stopped at delta; greedy colouring of its
+proximity graph at threshold r then splits it into classes that are each
+r-separated while the union keeps covering radius <= delta = c*r.
 
-Nets at different scales nest.  The sweep picks its points in an order
-that does not depend on where it stops, and the distance from each pick to
+On the circle's power-of-two grid the traversal has a closed form: from
+the start on it takes whole dyadic levels (the first is the antipode), the
+midpoints of the gaps between the picks, each level in order of (-d2 to
+the two neighbouring picks, index).  A pick changes no other midpoint's
+d2, and any other candidate lies nearer a pick.  In d >= 3 the sweep of
+`farthest_point_order` finds the traversal.  The sweep's picks do not
+depend on where it stops, and the distance from each pick to
 the earlier ones never grows along it, so the net at a coarser delta' is
 the prefix of the net at a finer delta that ends before the first pick
 closer than delta' to the earlier picks (Gonzalez 1985).  One sweep is
@@ -25,7 +28,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .config import DEFAULT_C
-from .sampling import farthest_point_order, sphere_candidates, sphere_samples
+from .sampling import (circle_rows, farthest_point_order, sphere_candidates,
+                       sphere_samples)
 
 COVER_SAMPLES = 100_000
 CANDIDATE_CAP = 3_000_000
@@ -71,6 +75,24 @@ class SeparatedNet:
         return sum(len(c) for c in self.classes)
 
 
+def _circle_net(n: int, start: int, thresh2: float) -> np.ndarray:
+    """The traversal of the n-row circle grid from row `start` to the first
+    d2 below `thresh2`, with each d2 formed as the plain loop forms it."""
+    grid = circle_rows(np.array([start]), n)  # the picks, h apart
+    net = [grid]
+    for h in n >> np.arange(int(np.log2(n))):  # h = n, n/2, ..., 2
+        idx = (start + h // 2 + h * np.arange(n // h)) % n
+        mid = circle_rows(idx, n)
+        diff = mid - np.stack([grid, np.roll(grid, -1, axis=0)])
+        d2 = np.einsum("bij,bij->bi", diff, diff).min(axis=0)
+        keep = np.lexsort((idx, -d2))[:np.count_nonzero(d2 >= thresh2)]
+        net.append(mid[keep])
+        if len(keep) < len(idx):
+            break
+        grid = np.stack([grid, mid], axis=1).reshape(-1, 2)
+    return np.concatenate(net)
+
+
 # (dim, candidate count, seed) -> (delta, net): the finest sweep run so far
 _NET_CACHE: dict[tuple, tuple[float, np.ndarray]] = {}
 
@@ -111,10 +133,11 @@ def greedy_net(d: int, delta: float, seed: int = 0) -> np.ndarray:
     delta plus the candidate resolution.  Deterministic given (d, delta,
     seed); the seed only moves the starting point.
 
-    A call whose candidate set and start were swept before, to a delta no
-    larger, returns the exact prefix of that sweep at which a sweep to this
-    delta stops (see the module docstring), without sweeping again.  The
-    returned array is read-only and may be a view of the cached net.
+    Planar nets come from the closed form and are not cached.  In d >= 3
+    a call whose candidate set and start were swept before, to a delta no
+    larger, returns the exact prefix of that sweep at which a sweep to
+    this delta stops (module docstring), as a read-only view of the cached
+    net; a new sweep's net is read-only too.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -126,8 +149,11 @@ def greedy_net(d: int, delta: float, seed: int = 0) -> np.ndarray:
         raise NetBudgetError(
             f"candidate budget {need} exceeds cap {CANDIDATE_CAP} "
             f"(d={d}, delta={delta})")
-    key = (d, need, int(seed))
     stop_dist = delta * (1.0 - 1e-12)
+    if d == 2:  # n: the size of sphere_candidates(2, need)
+        n = 1 << int(np.ceil(np.log2(max(need, 8))))
+        return _circle_net(n, int(seed) % n, float(stop_dist) ** 2)
+    key = (d, need, int(seed))
     cached = _NET_CACHE.get(key)
     if cached is not None and delta >= cached[0]:
         return _stop_prefix(cached[1], float(stop_dist) ** 2)

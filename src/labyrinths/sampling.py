@@ -1,8 +1,7 @@
 """Deterministic point generators on unit spheres.
 
 Candidate sets are antipodally symmetric (built as +/- of a half set) so
-that exact antipodes exist, and the d=2 grid size is a power of two so that
-farthest-point passes refine the circle dyadically.
+that exact antipodes exist; the d=2 set is a power-of-two circle grid.
 """
 
 from __future__ import annotations
@@ -27,11 +26,8 @@ def sphere_candidates(d: int, count: int) -> np.ndarray:
     count = max(int(count), 8)
     if d == 2:
         n = 1 << int(np.ceil(np.log2(count)))
-        k = n // 2
-        theta = 2.0 * np.pi * np.arange(k) / n
-        out = np.empty((n, 2))
-        out[:k, 0], out[:k, 1] = np.cos(theta), np.sin(theta)
-    elif d == 3:
+        return circle_rows(np.arange(n), n)
+    if d == 3:
         k = (count + 1) // 2
         i = np.arange(k)
         z = (i + 0.5) / k  # upper hemisphere heights
@@ -52,6 +48,15 @@ def sphere_candidates(d: int, count: int) -> np.ndarray:
     # the antipodal half in place: one array, no stacked copies
     np.negative(out[:k], out=out[k:])
     return out
+
+
+def circle_rows(idx: np.ndarray, n: int) -> np.ndarray:
+    """Rows `idx` of `sphere_candidates(2, n)`, each computed alone."""
+    k = n // 2
+    theta = 2.0 * np.pi * (idx % k) / n
+    rows = np.column_stack([np.cos(theta), np.sin(theta)])
+    np.negative(rows, out=rows, where=(idx >= k)[:, None])
+    return rows
 
 
 def sphere_samples(d: int, n: int, seed: int = 0) -> np.ndarray:
@@ -97,15 +102,10 @@ def farthest_point_order(
     other blocks get the same row-wise squared distance and `np.minimum` as
     a full update, so every d2 value, and the pick, the smallest index
     holding the largest d2, are bitwise the plain O(n k) loop's, however
-    the blocks are drawn.  With nearby points in each block, about
-    n log k rows are updated in all.  In space the blocks are kd-tree
-    leaves; in the plane they are the rows in order, which on the circle
-    of `sphere_candidates`, listed by angle, are short arcs (rows in
-    another order give the same picks, only slower).
-
-    The blocks are one (blocks, _BLOCK) array, a reshape of planar `points`
-    when _BLOCK divides n; else the last is padded with copies of its last
-    point, whose d2 = -1 is never picked and leaves the box unchanged.
+    the blocks are drawn.  The blocks are runs of kd-tree leaves, so they
+    hold nearby points and about n log k rows are updated in all.  They
+    are one (blocks, _BLOCK) array: the last is padded with copies of its
+    last point, whose d2 = -1 is never picked and leaves the box unchanged.
     """
     n, d = points.shape
     if n == 0:
@@ -118,13 +118,9 @@ def farthest_point_order(
     limit = n if stop_count is None else min(stop_count, n)
     thresh2 = None if stop_dist is None else float(stop_dist) ** 2
     pad = -n % _BLOCK
-    pts = points
-    order = cKDTree(points, leafsize=_BLOCK).indices if d != 2 \
-        else np.arange(n) if pad else None
-    if order is not None:
-        order = np.append(order, np.full(pad, order[-1]))
-        pts, d2 = points[order], d2[order]
-        d2[n:] = -1.0
+    order = np.pad(cKDTree(points, leafsize=_BLOCK).indices, (0, pad), "edge")
+    pts, d2 = points[order], d2[order]
+    d2[n:] = -1.0
     # the boxes from the flat rows: a min along axis 1 of the 3-D array
     # runs about ten times slower
     first = np.arange(0, n + pad, _BLOCK)
@@ -139,7 +135,7 @@ def farthest_point_order(
         tied = (top == m).nonzero()[0]
         at = np.flatnonzero(d2[tied] == m)  # in ascending layout positions
         at = tied[at // _BLOCK] * _BLOCK + at % _BLOCK
-        i = int(at[0] if order is None else order[at].min())
+        i = int(order[at].min())
         chosen.append(i)
         p = points[i]
         gap = np.minimum(np.maximum(p, lo), hi) - p

@@ -243,9 +243,9 @@ def build_labyrinth(schedule: ShellSchedule | None, dim: int, seed: int = 0,
     """All shells of the schedule, concatenated in lexicographic order.
 
     The shells are built finest net first (ascending net separation, ties
-    in shell order), so the first net runs the one farthest-point sweep and
-    every coarser net is cut from it (see :mod:`labyrinths.nets`); the
-    components and nets are then assembled in shell order.
+    in shell order), so in d >= 3 the first net runs the one sweep and every
+    coarser net is cut from it (:mod:`labyrinths.nets`; planar nets need no
+    sweep); the components and nets are then assembled in shell order.
 
     When the colouring of some shell needs more classes than the schedule
     has sublevels, the schedule is rebuilt with the larger class count and

@@ -77,7 +77,7 @@ AUDIT_COVER_SAMPLES = 20_000
 
 
 class RoadmapBudgetError(RuntimeError):
-    """Free-space sampling kept fewer than one draw in 1000."""
+    """Under one draw in 1000 lands in the search region, clear of discs."""
 
 
 @dataclass(frozen=True)
@@ -315,13 +315,17 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
         raise ValueError(f"node budget must lie in [{MIN_NODE_BUDGET}, "
                          f"{MAX_NODE_BUDGET}]")
     dim = lab.dim
+    lo, hi = _region_box(region, dim)
+    measure, box = _region_measure(region, dim), float(np.prod(hi - lo))
+    if measure < 1e-3 * box:  # known before any draw: reject it unsampled
+        raise RoadmapBudgetError(f"the search region fills {measure / box:.3g}"
+                                 " of its sampling box, fewer than one in 1000")
     comp = _CompArrays.from_components(lab.components)
 
     rim_nodes = _rim_offset_nodes(lab, comp, clearance, region, node_budget)
     rim_nodes = rim_nodes[:node_budget // 2]
     free_target = node_budget - len(rim_nodes)
 
-    lo, hi = _region_box(region, dim)
     sob = qmc.Sobol(dim, scramble=True, seed=seed)
     accepted = []
     got = drawn = in_region = 0
@@ -340,7 +344,6 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
                 f"of them clear the discs, fewer than one in 1000")
     nodes = np.vstack([np.vstack(accepted)[:free_target], rim_nodes])
 
-    measure = _region_measure(region, dim)
     connect_radius = CONNECT_FACTOR * (measure / max(len(nodes), 1)) ** (1.0 / dim)
     all_pairs = _unique_pairs(
         _candidate_pairs(nodes, connect_radius, NEIGHBORS), len(nodes))

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from labyrinths import nets
+from labyrinths.config import DEFAULT_C
 from labyrinths.nets import (
     _NET_CACHE,
+    CALIBRATION_LADDER,
     COVER_SAMPLES,
     NetBudgetError,
     build_separated_families,
@@ -17,8 +20,8 @@ from labyrinths.nets import (
     greedy_net,
     sampling_slack,
 )
-from labyrinths.sampling import sphere_candidates
-from oracles import brute_farthest_point_order
+from labyrinths.sampling import circle_rows, sphere_candidates
+from oracles import brute_farthest_point_order, stacked_sphere_candidates
 
 
 def min_pairwise(points):
@@ -76,8 +79,7 @@ def test_greedy_net_validation_and_budget():
     (0.007443665819274338, 2323, 512),
 ])
 def test_greedy_net_matches_full_update_on_the_ellipse_patch_steps(
-        monkeypatch, delta, seed, size):
-    monkeypatch.setattr("labyrinths.nets._NET_CACHE", {})  # a cold sweep
+        delta, seed, size):
     cand = sphere_candidates(2, 131072)
     want = cand[brute_farthest_point_order(
         cand, start=seed, stop_dist=delta * (1.0 - 1e-12))]
@@ -209,6 +211,17 @@ def oracle_net(d, delta, seed):
                                            stop_dist=stop_dist(delta))]
 
 
+def delta_stopping_at(d2):
+    """A delta whose squared stop distance is exactly `d2`, else None."""
+    delta = np.sqrt(d2) / (1.0 - 1e-12)
+    for _ in range(12):
+        got = float(stop_dist(delta)) ** 2
+        if got == d2:
+            return float(delta)
+        delta = np.nextafter(delta, np.inf if got < d2 else -np.inf)
+    return None
+
+
 @functools.lru_cache(maxsize=None)
 def delta_pool(d, seed):
     """NESTED_DELTAS plus up to three deltas whose squared stop distance
@@ -218,15 +231,9 @@ def delta_pool(d, seed):
     ties = []
     for k in range(1, len(net)):
         diff = net[k] - net[:k]
-        mk = np.einsum("ij,ij->i", diff, diff).min()
-        delta = np.sqrt(mk) / (1.0 - 1e-12)
-        for _ in range(12):
-            if float(stop_dist(delta)) ** 2 == mk:
-                if delta <= 2.0 and float(delta) not in ties:
-                    ties.append(float(delta))
-                break
-            delta = np.nextafter(delta, np.inf if stop_dist(delta) ** 2 < mk
-                                 else -np.inf)
+        delta = delta_stopping_at(np.einsum("ij,ij->i", diff, diff).min())
+        if delta is not None and delta <= 2.0 and delta not in ties:
+            ties.append(delta)
         if len(ties) == 3:
             break
     assert ties, "no delta found that ties a pick distance"
@@ -251,14 +258,86 @@ def test_coarser_nets_are_exact_prefixes_of_the_cached_sweep(data):
 
 def test_coarser_net_is_cut_from_the_finer_sweep():
     _NET_CACHE.clear()
-    fine = greedy_net(2, 0.04, seed=3)
-    coarse = greedy_net(2, 0.2, seed=3)
+    fine = greedy_net(3, 0.3, seed=3)
+    coarse = greedy_net(3, 0.6, seed=3)
     assert len(_NET_CACHE) == 1
     assert 1 < len(coarse) < len(fine)
     assert np.shares_memory(coarse, fine)
     assert np.array_equal(coarse, fine[:len(coarse)])
     assert not coarse.flags.writeable
-    finer = greedy_net(2, 0.02, seed=3)  # a new sweep replaces the entry
+    finer = greedy_net(3, 0.2, seed=3)  # a new sweep replaces the entry
     assert len(_NET_CACHE) == 1 and len(finer) > len(fine)
-    assert np.array_equal(greedy_net(2, 0.04, seed=3), fine)
+    assert np.array_equal(greedy_net(3, 0.3, seed=3), fine)
     _NET_CACHE.clear()
+
+
+# The planar closed form against the plain traversal of the circle grid:
+# the deltas the nets are asked for (the calibration ladder, as given and
+# times the default covering fraction, and the ellipse patch steps) and
+# the two coarsest nets, each from three random starts.
+PLANAR_DELTAS = (2.0, np.sqrt(2.0), *CALIBRATION_LADDER,
+                 *(DEFAULT_C * r for r in CALIBRATION_LADDER),
+                 0.06424529998955918, 0.011846363377469513,
+                 0.007443665819274338)
+PLANAR_STARTS = tuple(int(s) for s in
+                      np.random.default_rng(16).integers(0, 10 ** 7, size=3))
+
+
+@pytest.mark.parametrize("delta", PLANAR_DELTAS)
+def test_planar_net_is_the_traversal_of_the_circle_grid(delta):
+    for seed in PLANAR_STARTS:
+        assert np.array_equal(greedy_net(2, delta, seed=seed),
+                              oracle_net(2, delta, seed))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 77])
+def test_planar_net_cut_in_the_middle_of_a_level(seed):
+    # Picks 2^a .. 2^(a+1) - 1 are level a.  Their squared distances to the
+    # earlier picks differ only by rounding; a stop distance between two of
+    # them keeps the level's larger ones and cuts the rest.
+    fine = oracle_net(2, 0.02, seed)
+    d2 = np.array([np.einsum("ij,ij->i", fine[k] - fine[:k],
+                             fine[k] - fine[:k]).min()
+                   for k in range(1, len(fine))])
+    for a in range(2, 8):
+        level = d2[2 ** a - 1:2 ** (a + 1) - 1]
+        for cut in np.unique(level)[1:]:
+            delta = delta_stopping_at(cut)
+            if delta is None:
+                continue
+            net = greedy_net(2, delta, seed=seed)
+            assert len(net) == 2 ** a + np.count_nonzero(level >= cut)
+            assert len(net) & (len(net) - 1)  # not a whole number of levels
+            assert np.array_equal(net, oracle_net(2, delta, seed))
+            return
+    pytest.fail("no delta cuts a level of the net in the middle")
+
+
+@pytest.mark.parametrize("count", [100_000, 800_000])
+def test_circle_rows_alone_are_the_full_builds_rows(count):
+    # what the closed form rests on, at the sizes greedy_net(2, .) asks for,
+    # held to the grid as first built: a power-of-two grid, row i + n/2 =
+    # -row i, and every row made alone, or all at once, is the built row
+    cand = stacked_sphere_candidates(2, count)
+    n, k = len(cand), len(cand) // 2
+    assert n & (n - 1) == 0
+    bits = cand.view(np.uint64)
+    assert np.array_equal(bits[k:], (-cand[:k]).view(np.uint64))
+    assert np.array_equal(circle_rows(np.arange(n), n).view(np.uint64), bits)
+    rng = np.random.default_rng(count)
+    for i in [0, k - 1, k, n - 1, *rng.integers(0, n, size=200)]:
+        assert np.array_equal(circle_rows(np.array([i]), n).view(np.uint64),
+                              bits[i:i + 1])
+
+
+def test_planar_nets_build_no_candidates_and_run_no_sweep(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a planar net built candidates or swept them")
+
+    monkeypatch.setattr(nets, "sphere_candidates", refuse)
+    monkeypatch.setattr(nets, "farthest_point_order", refuse)
+    monkeypatch.setattr(nets, "_NET_CACHE", {})
+    assert len(greedy_net(2, 2.0, seed=1)) == 2
+    assert len(greedy_net(2, np.sqrt(2.0), seed=1)) == 4
+    assert len(greedy_net(2, 0.007443665819274338, seed=1)) == 512
+    assert nets._NET_CACHE == {}

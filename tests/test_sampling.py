@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from scipy.spatial import cKDTree
 
-from labyrinths import sampling
 from labyrinths.sampling import _BLOCK, farthest_point_order, sphere_candidates
 from oracles import brute_farthest_point_order, stacked_sphere_candidates
 
@@ -101,15 +100,12 @@ def test_traversal_at_block_boundaries(n, stop_dist, stop_count):
 
 def test_traversal_ties_in_the_padded_last_block():
     # 300 rows over the 3^d points of a lattice: the 44 real rows of the
-    # padded last block are copies, tied with rows of the full block; past
-    # the 3^d distinct points every d2 is 0 and stop_count keeps picking.
-    # The plane blocks its rows as they come, higher dimensions by kd leaf.
+    # padded last block (blocks run along the kd-tree leaves) are copies,
+    # tied with rows of the full block; past the 3^d distinct points every
+    # d2 is 0 and stop_count keeps picking.
     for d in (2, 3):
         pts = np.random.default_rng(4).integers(-1, 2, size=(300, d)).astype(float)
-        if d == 2:
-            last = np.arange(_BLOCK, 300)
-        else:
-            last = cKDTree(pts, leafsize=_BLOCK).indices[_BLOCK:]
+        last = cKDTree(pts, leafsize=_BLOCK).indices[_BLOCK:]
         assert len(last) == 300 - _BLOCK
         assert len(np.unique(pts[last], axis=0)) < len(last)
         distinct = 3 ** d
@@ -126,7 +122,8 @@ def test_traversal_ties_in_the_padded_last_block():
 
 @pytest.mark.parametrize("count", [8, 1000, 131072])
 def test_circle_candidates_run_round_the_circle_by_angle(count):
-    # the planar sweep's layout precondition: row blocks are short arcs
+    # the grid the closed-form planar nets walk: a power of two of rows in
+    # angle order, with exact antipodes half a turn on
     cand = sphere_candidates(2, count)
     n = len(cand)
     assert n >= count and n & (n - 1) == 0
@@ -150,23 +147,3 @@ def test_candidates_in_higher_dimensions_are_antipodal_unit_rows():
     assert cand.shape == (2 * k, 5) and k == 500
     assert np.array_equal(cand[k:], -cand[:k])
     assert np.allclose(np.linalg.norm(cand, axis=1), 1.0, atol=1e-15)
-
-
-def test_planar_sweep_builds_no_kd_tree(monkeypatch):
-    real = sampling.cKDTree
-
-    def tree(data, *args, **kwargs):
-        if np.shape(data)[1] == 2:
-            raise AssertionError("kd-tree built for a planar sweep")
-        return real(data, *args, **kwargs)
-
-    monkeypatch.setattr(sampling, "cKDTree", tree)
-    for pts in (sphere_candidates(2, 4096),
-                np.random.default_rng(1).standard_normal((700, 2))):
-        got = farthest_point_order(pts, start=5, stop_count=60)
-        assert np.array_equal(got, brute_farthest_point_order(
-            pts, start=5, stop_count=60))
-    # the kd path still runs in space
-    pts = sphere_candidates(3, 2048)
-    assert np.array_equal(farthest_point_order(pts, stop_count=60),
-                          brute_farthest_point_order(pts, stop_count=60))

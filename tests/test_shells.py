@@ -318,11 +318,16 @@ def _counting_sweeps(monkeypatch):
 
 def test_annulus_build_sweeps_once_finest_net_first(monkeypatch):
     calls = _counting_sweeps(monkeypatch)
-    lab = annulus_labyrinth(0.75, 0.875, J=10, m=2)
+    lab = annulus_labyrinth(0.5, 1.0, J=3, m=8, dim=3)  # m: no rebuild
     assert len(calls) == 1
-    seps = [shell_net_separation(lab.schedule, j) for j in range(1, 11)]
+    seps = [shell_net_separation(lab.schedule, j) for j in range(1, 4)]
     assert calls[0] == lab.schedule.c * min(seps) * (1.0 - 1e-12)
+    _assert_matches_cold_build(lab, 3, 0)
+    # planar nets come from the closed form: no sweep at all
+    calls.clear()
+    lab = annulus_labyrinth(0.75, 0.875, J=10, m=2)
     _assert_matches_cold_build(lab, 2, 0, scale=0.875)
+    assert calls == []
 
 
 @pytest.mark.parametrize("dim, J", [(2, 3), (3, 2)])

@@ -19,9 +19,11 @@ from labyrinths.shells import (
     empty_labyrinth,
     make_schedule,
 )
+from labyrinths import verifier
 from labyrinths.verifier import (
     NEIGHBORS,
     EffortBudget,
+    RoadmapBudgetError,
     _candidate_pairs,
     _CompArrays,
     _cover_level,
@@ -361,6 +363,17 @@ def test_set_projection_rows_match_one_at_a_time(d):
 def test_roadmap_budget_validation():
     with pytest.raises(ValueError):
         build_roadmap(ANNULUS, empty_labyrinth(2, ANNULUS), 50, 0.0, 0)
+
+
+def test_roadmap_rejects_a_thin_region_before_any_draw(monkeypatch):
+    # the annulus of `generate --annuli 0.5,0.5001`: 3.1e-4 of its box
+    def no_draw(*args, **kwargs):
+        raise AssertionError("Sobol points were drawn for the thin region")
+
+    monkeypatch.setattr(verifier.qmc, "Sobol", no_draw)
+    thin = {"kind": "annulus", "inner": 0.5, "outer": 0.5001}
+    with pytest.raises(RoadmapBudgetError, match="0.000314 of its sampling box"):
+        build_roadmap(thin, empty_labyrinth(2, thin), 20_000)
 
 
 def test_escape_path_bookkeeping():
