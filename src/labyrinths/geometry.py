@@ -243,9 +243,9 @@ def pairs_disc_disc_distance(C1, N1, R1, C2, N2, R2) -> np.ndarray:
     row stops after 400 rounds or once it gains less than 1e-10, so its
     value does not depend on the other rows of the batch.  Along
     w = (x-y)/|x-y|, disc 1 lies where p.w >= c1.w - r1 sqrt(1-(n1.w)^2)
-    and disc 2 where p.w <= c2.w + r2 sqrt(1-(n2.w)^2); the gap between
-    these bounds the distance from below.  The result is min(|x-y|, gap),
-    clipped at 0.
+    and disc 2 where p.w <= c2.w + r2 sqrt(1-(n2.w)^2) (their supports,
+    :func:`disc_support`); the gap between these bounds the distance from
+    below.  The result is min(|x-y|, gap), clipped at 0.
     """
     if C1.shape[1] == 2:
         U1 = np.column_stack([-N1[:, 1], N1[:, 0]])
@@ -266,14 +266,16 @@ def pairs_disc_disc_distance(C1, N1, R1, C2, N2, R2) -> np.ndarray:
         d[live] = new
         live = live[gain >= 1e-10]
     w = (x - y) / np.where(d > 0.0, d, 1.0)[:, None]
-
-    def reach(C, N, R):  # largest |p.w - c.w| over the disc
-        nw = np.einsum("ij,ij->i", N, w)
-        return R * np.sqrt(np.maximum(1.0 - nw * nw, 0.0))
-
-    gap = (np.einsum("ij,ij->i", C1, w) - reach(C1, N1, R1)) \
-        - (np.einsum("ij,ij->i", C2, w) + reach(C2, N2, R2))
+    gap = -disc_support(C1, N1, R1, -w) - disc_support(C2, N2, R2, w)
     return np.maximum(np.minimum(d, gap), 0.0)
+
+
+def disc_support(C, N, R, W) -> np.ndarray:
+    """Exact support max p.w of the closed discs (C, N, R) along unit W,
+    c.w + r sqrt(1 - (n.w)^2); the rows broadcast."""
+    nw = np.einsum("...j,...j->...", N, W)
+    return np.einsum("...j,...j->...", C, W) \
+        + R * np.sqrt(np.maximum(1.0 - nw * nw, 0.0))
 
 
 def _max_margin_lp(first: np.ndarray, second: np.ndarray):

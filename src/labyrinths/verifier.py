@@ -47,6 +47,7 @@ from .geometry import (
     FlatBall,
     disc_rim_points,
     disc_rows,
+    disc_support,
     pairs_disc_disc_distance,
     pairs_segment_disc_touch,
     row_dots,
@@ -70,9 +71,12 @@ CONNECT_FACTOR = 2.2
 MIN_NODE_BUDGET = 100
 MAX_NODE_BUDGET = 1_000_000
 
-# structural audit: the lex-witness LPs run only up to this many components;
-# net covering radii are estimated from this many sphere samples
+# structural audit: the d = 3 lex-witness LPs run only up to this many
+# components; the planar half-gaps are taken this many disc pairs at a time
+# (0.13 MB a float array); net covering radii are estimated from this many
+# sphere samples
 LEX_COMPONENT_CAP = 400
+_LEX_CHUNK = 1 << 14
 AUDIT_COVER_SAMPLES = 20_000
 
 
@@ -662,13 +666,28 @@ def _pairwise_min_distance(comp: _CompArrays) -> float:
                                               C[j], N[j], R[j]).min()), slack)
 
 
+def _lex_half_gaps(C, N, R) -> np.ndarray:
+    """Half of each disc's gap along its own normal n_i: its level c_i.n_i
+    less the largest exact support of an earlier disc (inf for the first)."""
+    n = len(C)
+    top = np.full(n, -np.inf)
+    rows = max(1, _LEX_CHUNK // n)
+    for lo in range(1, n, rows):
+        hi = min(lo + rows, n)
+        sup = disc_support(C[:hi - 1], N[:hi - 1], R[:hi - 1], N[lo:hi, None])
+        sup[np.arange(hi - 1) >= np.arange(lo, hi)[:, None]] = -np.inf
+        top[lo:hi] = sup.max(axis=1)
+    return 0.5 * (row_dots(C, N) - top)
+
+
 def audit_labyrinth(lab: Labyrinth) -> dict:
     """Run every structural check and report pass/fail with measurements.
 
     Included checks: component well-formedness, tangency to the recorded
     sublevel spheres, strict clearance below the next sublevel sphere,
-    pairwise disjointness, lexicographic hyperplane witnesses (desk-scale
-    runs only), domain containment, schedule divergence, and per-shell net
+    pairwise disjointness, lexicographic hyperplane witnesses (every planar
+    shell labyrinth; in d = 3 up to J = 4 shells and LEX_COMPONENT_CAP
+    discs), domain containment, schedule divergence, and per-shell net
     separation/covering.  Patch-assembled labyrinths replace the shell
     checks with collar monotonicity and defining-function containment.
     Failures are report entries, never exceptions.
@@ -742,25 +761,30 @@ def audit_labyrinth(lab: Labyrinth) -> dict:
         add("collar-nesting", mono and (not widths or widths[-1] > 0.0),
             widths=[float(w) for w in widths])
 
-    if lab.kind == "shell" and lab.dim <= 3 \
-            and (lab.schedule is None or lab.schedule.J <= 4) \
-            and len(comps) <= LEX_COMPONENT_CAP:
-        # LP samples are the rims plus centres: exact in the plane (a
-        # segment's hull is its endpoints), 64 points per dimension on the
-        # rim otherwise
-        worst_margin = np.inf
+    lp_sized = lab.dim == 3 and len(comps) <= LEX_COMPONENT_CAP \
+        and (lab.schedule is None or lab.schedule.J <= 4)
+    if lab.kind == "shell" and (lab.dim == 2 or lp_sized):
+        # a planar disc's own normal is its witness when its half-gap clears
+        # the floor; the LP, on the rims plus centres (exact in the plane,
+        # 64 points per dimension otherwise), serves the rest and every d = 3
+        # disc, and its plane is measured on the exact supports
+        margins = _lex_half_gaps(C, N, R) if lab.dim == 2 \
+            else np.full(len(comps), -np.inf)
         failed_at = None
-        for i in range(1, len(comps)):
-            own, earlier = samples[i], samples[:i].reshape(-1, lab.dim)
-            h = separating_hyperplane(own, earlier, margin=LP_MARGIN_FLOOR)
-            if h is None:
+        for i in np.flatnonzero(margins[1:] < LP_MARGIN_FLOOR) + 1:
+            h = separating_hyperplane(samples[i],
+                                      samples[:i].reshape(-1, lab.dim),
+                                      margin=LP_MARGIN_FLOOR)
+            if h is not None:
+                w, b = h.normal, h.offset
+                margins[i] = min(-disc_support(C[i], N[i], R[i], -w) - b,
+                                 b - disc_support(C[:i], N[:i], R[:i], w).max())
+            if h is None or margins[i] < LP_MARGIN_FLOOR:
                 failed_at = comps[i].level
                 break
-            m = min(float(np.min(own @ h.normal) - h.offset),
-                    float(h.offset - np.max(earlier @ h.normal)))
-            worst_margin = min(worst_margin, m)
+        worst = float(margins[1:].min(initial=np.inf))
         add("lex-hyperplane-witnesses", failed_at is None,
-            worst_margin=None if failed_at else float(worst_margin),
+            worst_margin=None if failed_at else worst,
             failed_component=failed_at)
 
     return {"empty": False, "passed": all(c["passed"] for c in checks),

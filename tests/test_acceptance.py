@@ -75,7 +75,7 @@ def test_criterion_2_shell_construction_suite():
         and lex["passed"] and lex["worst_margin"] >= 1e-6
     detail = (f"{len(lab)} components, clearance {clearance['min_margin']:.2e}, "
               f"min pair distance {disjoint['min_distance']:.2e}, "
-              f"worst LP margin {lex['worst_margin']:.2e}")
+              f"worst lex margin {lex['worst_margin']:.2e}")
     report("criterion-2 shell-construction", ok, detail, time.time() - t0, 120.0)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,18 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.spatial import cKDTree
 
+from labyrinths.config import DEFAULT_C
+from labyrinths.domains import ellipsoid_domain, ellipsoid_labyrinth
 from labyrinths.geometry import (
+    LP_MARGIN_FLOOR,
     FlatBall,
     disc_rim_points,
     disc_rows,
     pairs_point_disc_distance,
     pairs_segment_disc_touch,
+    separating_hyperplane,
 )
+from labyrinths.nets import calibrated_class_count
 from labyrinths.shells import (
     Labyrinth,
     annulus_labyrinth,
@@ -27,6 +34,7 @@ from labyrinths.verifier import (
     _candidate_pairs,
     _CompArrays,
     _cover_level,
+    _lex_half_gaps,
     _near_pairs,
     _project_to_set,
     _region_measure,
@@ -481,6 +489,123 @@ def test_audit_fails_on_intersecting_discs_in_space():
                     if c["name"] == "pairwise-disjoint")
     assert not disjoint["passed"] and disjoint["min_distance"] == 0.0
     assert not rep["passed"]
+
+
+def _lex(rep: dict) -> dict:
+    return next(c for c in rep["checks"]
+                if c["name"] == "lex-hyperplane-witnesses")
+
+
+def _ball2(seed: int) -> Labyrinth:
+    """`generate --dim 2 --domain ball --J 3 --seed <seed>`'s labyrinth."""
+    m = calibrated_class_count(2, DEFAULT_C, seed)
+    return build_labyrinth(make_schedule(0.5, 3, m), 2, seed=seed)
+
+
+def _lp_lex_worst_margin(lab: Labyrinth) -> float:
+    """The LP witness loop on the segment endpoints plus centres, each
+    plane's margin read off those samples (exact in the plane)."""
+    C, N, R = disc_rows(lab.components)
+    samples = np.concatenate([disc_rim_points(C, N, R, 2), C[:, None]], axis=1)
+    worst = np.inf
+    for i in range(1, len(C)):
+        own, earlier = samples[i], samples[:i].reshape(-1, 2)
+        h = separating_hyperplane(own, earlier, margin=LP_MARGIN_FLOOR)
+        worst = min(worst, np.min(own @ h.normal) - h.offset,
+                    h.offset - np.max(earlier @ h.normal))
+    return float(worst)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _ball2(0),
+    lambda: _ball2(3),
+    lambda: ellipsoid_labyrinth(ellipsoid_domain(np.diag([0.25, 1.0])),
+                                make_schedule(0.5, 2, calibrated_class_count(
+                                    2, DEFAULT_C, 0)), seed=0),
+    lambda: build_labyrinth(make_schedule(0.5, 3, 5), dim=2, seed=0),
+], ids=["ball2-seed0", "ball2-seed3", "ellipsoid", "criterion-2"])
+def test_planar_lex_closed_form_matches_the_lp(make):
+    lab = make()
+    lex = _lex(audit_labyrinth(lab))
+    assert lex["passed"]
+    assert abs(lex["worst_margin"] - _lp_lex_worst_margin(lab)) <= 1e-12
+
+
+def test_planar_lex_runs_no_lp_at_any_size(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the planar lex check called the LP")
+
+    monkeypatch.setattr(verifier, "separating_hyperplane", no_lp)
+    # verify-plane's instance: J = 10, 640 discs, above the d = 3 LP gates
+    for lab in (_ball2(0), annulus_labyrinth(0.75, 0.875, J=10, m=2)):
+        rep = audit_labyrinth(lab)
+        assert rep["passed"] and _lex(rep)["worst_margin"] >= LP_MARGIN_FLOOR
+
+
+def test_planar_lex_falls_back_to_the_lp_on_an_outer_first_pair():
+    lab = build_labyrinth(make_schedule(0.5, 2, 4), dim=2, seed=0)
+    pair = replace(lab, components=[lab.components[-1], lab.components[0]])
+    C, N, R = disc_rows(pair.components)
+    # the inner disc's own normal puts the outer disc on its high side
+    assert _lex_half_gaps(C, N, R)[1] < LP_MARGIN_FLOOR
+    lex = _lex(audit_labyrinth(pair))
+    assert lex["passed"]
+    assert lex["worst_margin"] == pytest.approx(0.19699870191887975, abs=1e-15)
+
+
+def test_planar_lex_failures_are_unchanged():
+    lab = build_labyrinth(make_schedule(0.5, 2, 4), dim=2, seed=0)
+    reversed_order = replace(lab, components=lab.components[::-1])
+    lex = _lex(audit_labyrinth(reversed_order))
+    assert not lex["passed"] and lex["failed_component"] == (2, 3, 6)
+    shells_swapped = replace(lab, components=sorted(
+        lab.components, key=lambda fb: -fb.level[0]))
+    lex = _lex(audit_labyrinth(shells_swapped))
+    assert not lex["passed"] and lex["failed_component"] == (1, 1, 0)
+
+
+def _record_lp_planes(monkeypatch) -> list:
+    planes = []
+
+    def recorded(*args, **kwargs):
+        h = separating_hyperplane(*args, **kwargs)
+        planes.append(h)
+        return h
+
+    monkeypatch.setattr(verifier, "separating_hyperplane", recorded)
+    return planes
+
+
+def test_space_lex_keeps_one_lp_per_disc(monkeypatch):
+    planes = _record_lp_planes(monkeypatch)
+    # verify-space's instance
+    lab = annulus_labyrinth(0.5, 1.0, J=1, m=2, dim=3, seed=0)
+    assert _lex(audit_labyrinth(lab))["passed"]
+    assert len(lab) == 60 and len(planes) == 59
+
+
+def test_space_lex_margin_is_measured_on_the_exact_supports(monkeypatch):
+    planes = _record_lp_planes(monkeypatch)
+    lab = build_labyrinth(make_schedule(0.55, 1, 2), dim=3, seed=0)
+    lex = _lex(audit_labyrinth(lab))
+    assert lex["passed"] and len(planes) == len(lab) - 1
+    C, N, R = disc_rows(lab.components)
+    samples = np.concatenate([disc_rim_points(C, N, R, 64 * 3), C[:, None]],
+                             axis=1)
+
+    def support(i, w):  # max p.w over disc i: centre plus radius times |w_t|
+        tangential = w - (N[i] @ w)[..., None] * N[i]
+        return C[i] @ w + R[i] * np.linalg.norm(tangential, axis=-1)
+
+    exact, sampled = np.inf, np.inf
+    for i, h in enumerate(planes, start=1):
+        w, b = h.normal, h.offset
+        earlier = np.arange(i)
+        exact = min(exact, -support(i, -w) - b, b - support(earlier, w).max())
+        sampled = min(sampled, np.min(samples[i] @ w) - b,
+                      b - np.max(samples[:i] @ w))
+    assert lex["worst_margin"] <= exact + 1e-15
+    assert sampled > exact  # the rim samples overstate the margin here
 
 
 def _containment(lab: Labyrinth) -> dict:
