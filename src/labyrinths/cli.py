@@ -35,7 +35,7 @@ from .io import (
     save_labyrinth,
     save_report,
 )
-from .nets import NetBudgetError, calibrated_class_count
+from .nets import NetBudgetError
 from .shells import (
     ExhaustionPlan,
     ShellBudgetError,
@@ -212,8 +212,8 @@ def cmd_generate(args) -> int:
             results = exhaustion_labyrinth(plan, dim=args.dim, t=args.t,
                                            c=args.c, seed=seed)
         elif args.domain in ("ball", "ellipsoid"):
-            m = args.m or calibrated_class_count(args.dim, args.c, seed)
-            sched = make_schedule(args.s0, args.J, m, args.t, args.c)
+            # from m = 2 build_labyrinth raises m to what the shells' nets need
+            sched = make_schedule(args.s0, args.J, args.m or 2, args.t, args.c)
             if args.domain == "ball":
                 lab = build_labyrinth(sched, args.dim, seed=seed)
             else:

@@ -11,13 +11,14 @@ midpoints of the gaps between the picks, each level in order of (-d2 to
 the two neighbouring picks, index).  A pick changes no other midpoint's
 d2, and any other candidate lies nearer a pick.  In d >= 3 the sweep of
 `farthest_point_order` finds the traversal.  The sweep's picks do not
-depend on where it stops, and the distance from each pick to
-the earlier ones never grows along it, so the net at a coarser delta' is
-the prefix of the net at a finer delta that ends before the first pick
-closer than delta' to the earlier picks (Gonzalez 1985).  One sweep is
-therefore kept per candidate set and start, keyed by (dim, candidate
-count, seed), together with the finest delta it was run to; a coarser
-request is cut from it, a finer one runs a new sweep and replaces it.
+depend on where it stops, and the distance from each pick to the earlier
+ones never grows along it, so the net at a coarser delta' is the prefix of
+the net at a finer delta that ends before the first pick closer than
+delta' to the earlier picks (Gonzalez 1985).  One net is therefore kept
+per candidate set and start, keyed by (dim, candidate count, seed), with
+the finest delta it was swept to; a coarser request is cut from it, and a
+finer one goes on with the sweep, which the newest entry keeps parked
+(`sampling.ParkedSweep`), or sweeps again from the start in an older one.
 """
 
 from __future__ import annotations
@@ -28,19 +29,11 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .config import DEFAULT_C
-from .sampling import (circle_rows, farthest_point_order, sphere_candidates,
-                       sphere_samples)
+from .sampling import (ParkedSweep, circle_rows, farthest_point_order,
+                       sphere_candidates, sphere_samples)
 
 COVER_SAMPLES = 100_000
 CANDIDATE_CAP = 3_000_000
-
-# Scale ladder over which the class count of the colouring is calibrated:
-# the ceiling is the max greedy count over these separations, and nets at
-# any scale are padded (by class splitting) up to it, so the reported class
-# count depends only on (dim, c, seed policy), not on r, across the desk
-# range.  Extreme scales whose colouring needs more classes report that
-# larger count instead.
-CALIBRATION_LADDER = (0.1, 0.2, 0.4)
 
 
 class NetBudgetError(RuntimeError):
@@ -93,8 +86,9 @@ def _circle_net(n: int, start: int, thresh2: float) -> np.ndarray:
     return np.concatenate(net)
 
 
-# (dim, candidate count, seed) -> (delta, net): the finest sweep run so far
-_NET_CACHE: dict[tuple, tuple[float, np.ndarray]] = {}
+# (dim, candidate count, seed) -> (delta, net, sweep): the finest net swept
+# so far, and the sweep parked where it stopped (None but in the newest entry)
+_NET_CACHE: dict[tuple, tuple[float, np.ndarray, ParkedSweep | None]] = {}
 
 
 def _stop_prefix(net: np.ndarray, thresh2: float) -> np.ndarray:
@@ -137,7 +131,7 @@ def greedy_net(d: int, delta: float, seed: int = 0) -> np.ndarray:
     a call whose candidate set and start were swept before, to a delta no
     larger, returns the exact prefix of that sweep at which a sweep to
     this delta stops (module docstring), as a read-only view of the cached
-    net; a new sweep's net is read-only too.
+    net; a finer call resumes the sweep, and that net is read-only too.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -158,13 +152,14 @@ def greedy_net(d: int, delta: float, seed: int = 0) -> np.ndarray:
     if cached is not None and delta >= cached[0]:
         return _stop_prefix(cached[1], float(stop_dist) ** 2)
     cand = sphere_candidates(d, need)
-    idx = farthest_point_order(cand, start=seed % len(cand),
-                               stop_dist=stop_dist)
-    net = cand[idx]
+    sweep = (cached and cached[2]) or ParkedSweep([seed % len(cand)])
+    net = cand[farthest_point_order(cand, start=sweep, stop_dist=stop_dist)]
     net.setflags(write=False)  # callers share the cached array
     if len(_NET_CACHE) > 64:
         _NET_CACHE.clear()
-    _NET_CACHE[key] = (float(delta), net)
+    for other, (other_delta, other_net, _) in _NET_CACHE.items():
+        _NET_CACHE[other] = (other_delta, other_net, None)  # park one sweep
+    _NET_CACHE[key] = (float(delta), net, sweep)
     return net
 
 
@@ -236,44 +231,21 @@ def _split_classes(classes: list[np.ndarray], target: int) -> list[np.ndarray]:
     return classes
 
 
-_CALIBRATION_CACHE: dict[tuple, int] = {}
-
-
-def calibrated_class_count(d: int, c: float, seed: int = 0) -> int:
-    """Class-count ceiling over the calibration ladder.
-
-    Computed once per (d, c, seed) and reused so that the reported class
-    count is scale-free: nets built at any r are padded up to it by class
-    splitting.
-    """
-    key = (d, round(c, 12), seed)
-    if key not in _CALIBRATION_CACHE:
-        counts = []
-        for r_cal in CALIBRATION_LADDER:
-            pts = greedy_net(d, c * r_cal, seed=seed)
-            counts.append(len(color_net(pts, r_cal)))
-        _CALIBRATION_CACHE[key] = max(counts)
-    return _CALIBRATION_CACHE[key]
-
-
 def build_separated_families(d: int, r: float, c: float = DEFAULT_C,
-                             seed: int = 0,
-                             target_m: int | None = None) -> SeparatedNet:
+                             seed: int = 0, target_m: int = 0) -> SeparatedNet:
     """Separated families at separation r with covering fraction c.
 
     Runs :func:`greedy_net` at delta = c*r, colours at threshold r, then
-    pads the class list (splitting, which preserves separation) up to the
-    calibrated per-(d, c, seed) count so the class count does not depend
-    on r.  Guarantees: within-class pairwise distances >= r exactly, and
-    the union covers the sphere within c*r up to candidate resolution.
+    pads the class list up to `target_m` (if it is shorter) by splitting
+    classes, which keeps them separated, so nets at several scales can
+    share one class count.
+    Guarantees: within-class pairwise distances >= r exactly, and the
+    union covers the sphere within c*r up to candidate resolution.
     """
     if not (0.0 < c < 0.5):
         raise ValueError("covering fraction c must lie in (0, 1/2)")
     if r <= 0.0 or c * r > 2.0:
         raise ValueError("need r > 0 and c*r <= 2")
-    pts = greedy_net(d, c * r, seed=seed)
-    classes = color_net(pts, r)
-    target = target_m if target_m is not None else calibrated_class_count(d, c, seed)
-    if len(classes) < target:
-        classes = _split_classes(classes, target)
-    return SeparatedNet(dim=d, r=r, c=c, classes=classes, m=len(classes))
+    classes = color_net(greedy_net(d, c * r, seed=seed), r)
+    return SeparatedNet(dim=d, r=r, c=c,
+                        classes=_split_classes(classes, target_m))

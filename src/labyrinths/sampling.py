@@ -6,6 +6,8 @@ that exact antipodes exist; the d=2 set is a power-of-two circle grid.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import ndtri
@@ -81,9 +83,21 @@ def sphere_samples(d: int, n: int, seed: int = 0) -> np.ndarray:
 _BLOCK = 256
 
 
+@dataclass(eq=False)
+class ParkedSweep:
+    """A farthest-point traversal stopped between two picks: the picks so
+    far, and the block layout's row `order` with each position's squared
+    distance `d2` to the picks (None until a call lays the sweep out from
+    its start pick).  The rows, boxes and tops are made again from these."""
+
+    picks: list[int]
+    order: np.ndarray | None = None
+    d2: np.ndarray | None = None
+
+
 def farthest_point_order(
     points: np.ndarray,
-    start: int = 0,
+    start: int | ParkedSweep = 0,
     stop_dist: float | None = None,
     stop_count: int | None = None,
 ) -> np.ndarray:
@@ -93,6 +107,11 @@ def farthest_point_order(
     `stop_dist` to the selected set, or once `stop_count` points are chosen.
     Ties are broken by the smallest candidate index, so the output is a
     deterministic function of the inputs.
+
+    `start` is the first pick, or a sweep of these points parked by an
+    earlier call, which goes on where it stopped and is parked again where
+    this call stops; the result holds all its picks, bitwise those of one
+    sweep run straight to this stop.
 
     Each pick updates only the candidates it can change.  The points are
     cut into blocks of _BLOCK, each with a bounding box and the largest
@@ -110,23 +129,27 @@ def farthest_point_order(
     n, d = points.shape
     if n == 0:
         return np.empty(0, dtype=np.intp)
-    start = int(start) % n
-    chosen = [start]
-    diff = points - points[start]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    del diff  # n rows that need not stay alive while the blocks are made
+    sweep = start if isinstance(start, ParkedSweep) \
+        else ParkedSweep([int(start) % n])
+    if sweep.order is None:  # lay the sweep out from its start pick
+        diff = points - points[sweep.picks[0]]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        del diff  # n rows that need not stay alive while the blocks are made
+        sweep.order = np.pad(cKDTree(points, leafsize=_BLOCK).indices,
+                             (0, -n % _BLOCK), "edge")
+        d2 = d2[sweep.order]
+        d2[n:] = -1.0
+        sweep.d2 = d2.reshape(-1, _BLOCK)
+    chosen, order, d2 = sweep.picks, sweep.order, sweep.d2
     limit = n if stop_count is None else min(stop_count, n)
     thresh2 = None if stop_dist is None else float(stop_dist) ** 2
-    pad = -n % _BLOCK
-    order = np.pad(cKDTree(points, leafsize=_BLOCK).indices, (0, pad), "edge")
-    pts, d2 = points[order], d2[order]
-    d2[n:] = -1.0
+    pts = points[order]
     # the boxes from the flat rows: a min along axis 1 of the 3-D array
     # runs about ten times slower
-    first = np.arange(0, n + pad, _BLOCK)
+    first = np.arange(0, len(order), _BLOCK)
     lo = np.minimum.reduceat(pts, first)
     hi = np.maximum.reduceat(pts, first)
-    pts, d2 = pts.reshape(-1, _BLOCK, d), d2.reshape(-1, _BLOCK)
+    pts = pts.reshape(-1, _BLOCK, d)
     top = d2.max(axis=1)
     while len(chosen) < limit:
         m = top.max()

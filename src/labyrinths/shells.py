@@ -22,6 +22,8 @@ from .nets import SeparatedNet, build_separated_families
 # shells one of them may grow to
 ANNULUS_SUBLEVELS = 2
 SHELL_CAP = 32
+# schedule passes build_labyrinth makes while the nets raise the class count
+REBUILD_ROUNDS = 4
 
 
 class DegenerateScheduleError(ValueError):
@@ -29,7 +31,7 @@ class DegenerateScheduleError(ValueError):
 
 
 class ShellBudgetError(RuntimeError):
-    """Verifier-in-the-loop shell growth hit its cap before meeting budget."""
+    """Shell growth, or the class count's rebuilds, hit a cap."""
 
 
 class IntegrityError(RuntimeError):
@@ -249,13 +251,13 @@ def build_labyrinth(schedule: ShellSchedule | None, dim: int, seed: int = 0,
 
     When the colouring of some shell needs more classes than the schedule
     has sublevels, the schedule is rebuilt with the larger class count and
-    the construction restarts (at most a few rounds; normally the class
-    count is scale-free and the first pass stands).
+    the construction restarts; if the count still grows after
+    REBUILD_ROUNDS passes, :class:`ShellBudgetError` is raised.
     """
     domain = domain or {"kind": "ball"}
     if schedule is None or schedule.J == 0:
         return empty_labyrinth(dim, domain)
-    for _ in range(4):
+    for _ in range(REBUILD_ROUNDS):
         js = range(1, schedule.J + 1)
         shells = {j: shell_discs(schedule, j, dim, seed=seed) for j in
                   sorted(js, key=lambda j: shell_net_separation(schedule, j))}
@@ -266,7 +268,9 @@ def build_labyrinth(schedule: ShellSchedule | None, dim: int, seed: int = 0,
         schedule = schedule_from_radii(schedule.s0, schedule.s, needed,
                                        schedule.t, schedule.c)
     else:
-        raise RuntimeError("class count failed to stabilise across rebuilds")
+        raise ShellBudgetError(
+            f"class count still growing after {REBUILD_ROUNDS} rebuilds; "
+            f"set --m to at least {schedule.m}, or raise --c")
     components = []
     for j in js:
         centers, normals, r_j, levels, _ = shells[j]

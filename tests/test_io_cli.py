@@ -371,6 +371,24 @@ def test_cli_generate_names_a_net_beyond_the_candidate_cap_before_any_sweep(
     assert "Traceback" not in err
 
 
+def test_cli_generate_names_m_and_c_when_the_class_count_keeps_growing(
+        tmp_path, monkeypatch, capsys):
+    import labyrinths.nets as nets
+
+    classes = iter(range(3, 100))  # every pass needs one class more
+
+    def one_more(points, r):
+        k = next(classes)
+        return [points[i::k] for i in range(k)]
+
+    monkeypatch.setattr(nets, "color_net", one_more)
+    assert run_cli("generate", "--J", "1", "--out",
+                   str(tmp_path / "g.json")) == 2
+    err = capsys.readouterr().err
+    assert "--m" in err and "--c" in err and "Traceback" not in err
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_cli_generate_names_M_for_a_patch_schedule_too_long_to_hold(
         tmp_path, capsys):
     start = time.perf_counter()

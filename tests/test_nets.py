@@ -10,17 +10,15 @@ from labyrinths import nets
 from labyrinths.config import DEFAULT_C
 from labyrinths.nets import (
     _NET_CACHE,
-    CALIBRATION_LADDER,
     COVER_SAMPLES,
     NetBudgetError,
     build_separated_families,
-    calibrated_class_count,
     color_net,
     covering_radius,
     greedy_net,
     sampling_slack,
 )
-from labyrinths.sampling import circle_rows, sphere_candidates
+from labyrinths.sampling import ParkedSweep, circle_rows, sphere_candidates
 from oracles import brute_farthest_point_order, stacked_sphere_candidates
 
 
@@ -138,10 +136,20 @@ def test_covering_radius_validation():
 
 
 def test_families_class_count_free_of_scale():
+    # one class count serves every scale: padded to the largest count the
+    # colourings need, the nets at all scales have it, and padding only
+    # splits classes, so each stays r-separated and the union is the net
+    scales = (0.1, 0.2, 0.4)
     for d in (2, 3):
-        ms = [build_separated_families(d, r, 0.45, seed=0).m
-              for r in (0.1, 0.2, 0.4)]
-        assert len(set(ms)) == 1, f"class count varies with r in d={d}: {ms}"
+        own = [build_separated_families(d, r, 0.45, seed=0) for r in scales]
+        m = max(net.m for net in own)
+        for r, net in zip(scales, own):
+            padded = build_separated_families(d, r, 0.45, seed=0, target_m=m)
+            assert padded.m == len(padded.classes) == m
+            assert np.array_equal(np.unique(padded.points, axis=0),
+                                  np.unique(net.points, axis=0))
+            for cls in padded.classes:
+                assert min_pairwise(cls) >= r
 
 
 def test_families_separation_exact_and_covering():
@@ -162,11 +170,8 @@ def test_families_class_count_bound():
 
 
 def test_families_bitwise_determinism():
-    from labyrinths.nets import _CALIBRATION_CACHE, _NET_CACHE
-
     a = build_separated_families(2, 0.25, 0.45, seed=9)
     _NET_CACHE.clear()  # force a genuine rebuild, not a cache hit
-    _CALIBRATION_CACHE.clear()
     b = build_separated_families(2, 0.25, 0.45, seed=9)
     assert a.m == b.m
     for x, y in zip(a.classes, b.classes):
@@ -178,12 +183,6 @@ def test_families_validation():
         build_separated_families(2, 0.2, 0.6)
     with pytest.raises(ValueError):
         build_separated_families(2, -1.0, 0.45)
-
-
-def test_calibrated_count_matches_family_output():
-    target = calibrated_class_count(2, 0.45, seed=0)
-    net = build_separated_families(2, 0.17, 0.45, seed=0)
-    assert net.m == target
 
 
 def test_net_example_sizes_d2():
@@ -240,6 +239,40 @@ def delta_pool(d, seed):
     return NESTED_DELTAS[d] + tuple(ties)
 
 
+def counting_picks(monkeypatch):
+    """A list that gets, per sweep the nets run, the picks it computed and
+    whether it started cold."""
+    calls = []
+    sweep = nets.farthest_point_order
+
+    def counted(points, start=0, **kwargs):
+        cold = not isinstance(start, ParkedSweep) or start.d2 is None
+        before = 0 if cold else len(start.picks)
+        idx = sweep(points, start=start, **kwargs)
+        calls.append((len(idx) - before, cold))
+        return idx
+
+    monkeypatch.setattr(nets, "farthest_point_order", counted)
+    return calls
+
+
+def assert_warm_nets_are_cold_nets(d, seed, deltas):
+    """Nets asked in the order of `deltas` from one cache are bitwise the
+    nets of cold sweeps, and no pick is computed twice."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_picks(mp)
+        _NET_CACHE.clear()
+        warm = [greedy_net(d, delta, seed=seed) for delta in deltas]
+    finest = warm[int(np.argmin(deltas))]
+    assert sum(picks for picks, _ in calls) == (len(finest) if d > 2 else 0)
+    assert [cold for _, cold in calls][:1] == ([True] if d > 2 else [])
+    for delta, net in zip(deltas, warm):
+        _NET_CACHE.clear()
+        assert np.array_equal(net, greedy_net(d, delta, seed=seed))
+        assert np.array_equal(net, oracle_net(d, delta, seed))
+    _NET_CACHE.clear()
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_coarser_nets_are_exact_prefixes_of_the_cached_sweep(data):
@@ -247,12 +280,32 @@ def test_coarser_nets_are_exact_prefixes_of_the_cached_sweep(data):
     seed = data.draw(st.sampled_from(NESTED_SEEDS))
     deltas = data.draw(st.lists(st.sampled_from(delta_pool(d, seed)),
                                 min_size=3, max_size=5, unique=True))
+    assert_warm_nets_are_cold_nets(d, seed, deltas)
+
+
+@pytest.mark.parametrize("seed", NESTED_SEEDS)
+def test_a_finer_net_resumes_the_parked_sweep(seed):
+    # coarse, then fine (a resume), then finer still, then coarser again
+    assert_warm_nets_are_cold_nets(3, seed, (0.9, 0.42, 0.3, 0.6))
+
+
+def test_a_cleared_cache_sweeps_cold_from_the_start(monkeypatch):
+    calls = counting_picks(monkeypatch)
     _NET_CACHE.clear()
-    warm = [greedy_net(d, delta, seed=seed) for delta in deltas]
-    for delta, net in zip(deltas, warm):
-        _NET_CACHE.clear()
-        assert np.array_equal(net, greedy_net(d, delta, seed=seed))
-        assert np.array_equal(net, oracle_net(d, delta, seed))
+    greedy_net(3, 0.6, seed=11)
+    _NET_CACHE.clear()
+    net = greedy_net(3, 0.3, seed=11)
+    assert calls[-1] == (len(net), True)
+    assert np.array_equal(net, oracle_net(3, 0.3, 11))
+    _NET_CACHE.clear()
+
+
+def test_only_the_newest_sweep_stays_parked():
+    _NET_CACHE.clear()
+    greedy_net(3, 0.6, seed=0)
+    greedy_net(3, 0.6, seed=3)
+    assert [sweep is not None for *_, sweep in _NET_CACHE.values()] \
+        == [False, True]
     _NET_CACHE.clear()
 
 
@@ -265,18 +318,18 @@ def test_coarser_net_is_cut_from_the_finer_sweep():
     assert np.shares_memory(coarse, fine)
     assert np.array_equal(coarse, fine[:len(coarse)])
     assert not coarse.flags.writeable
-    finer = greedy_net(3, 0.2, seed=3)  # a new sweep replaces the entry
+    finer = greedy_net(3, 0.2, seed=3)  # the parked sweep goes on
     assert len(_NET_CACHE) == 1 and len(finer) > len(fine)
     assert np.array_equal(greedy_net(3, 0.3, seed=3), fine)
     _NET_CACHE.clear()
 
 
 # The planar closed form against the plain traversal of the circle grid:
-# the deltas the nets are asked for (the calibration ladder, as given and
-# times the default covering fraction, and the ellipse patch steps) and
-# the two coarsest nets, each from three random starts.
-PLANAR_DELTAS = (2.0, np.sqrt(2.0), *CALIBRATION_LADDER,
-                 *(DEFAULT_C * r for r in CALIBRATION_LADDER),
+# the two coarsest nets, a ladder of separations, as given and times the
+# default covering fraction, and the deltas of the ellipse patch steps,
+# each from three random starts.
+PLANAR_DELTAS = (2.0, np.sqrt(2.0), 0.1, 0.2, 0.4,
+                 *(DEFAULT_C * r for r in (0.1, 0.2, 0.4)),
                  0.06424529998955918, 0.011846363377469513,
                  0.007443665819274338)
 PLANAR_STARTS = tuple(int(s) for s in

@@ -304,7 +304,6 @@ def _assert_matches_cold_build(lab, dim, seed, scale=1.0):
 def _counting_sweeps(monkeypatch):
     """Cold net caches, and a counter on the sweep the nets run."""
     monkeypatch.setattr(nets, "_NET_CACHE", {})
-    monkeypatch.setattr(nets, "_CALIBRATION_CACHE", {})
     calls = []
     sweep = nets.farthest_point_order
 
@@ -328,6 +327,20 @@ def test_annulus_build_sweeps_once_finest_net_first(monkeypatch):
     lab = annulus_labyrinth(0.75, 0.875, J=10, m=2)
     _assert_matches_cold_build(lab, 2, 0, scale=0.875)
     assert calls == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dim, J", [(2, 3), (3, 2)])
+def test_the_shells_nets_decide_the_class_count(monkeypatch, dim, J, seed):
+    # generate's ball schedule from m = 2: the rebuilds stop where no
+    # shell's own colouring needs more classes than the schedule has
+    _counting_sweeps(monkeypatch)
+    lab = build_labyrinth(make_schedule(0.5, J, 2), dim=dim, seed=seed)
+    assert lab.schedule.m == max(net.m for net in lab.nets)
+    own = [nets.build_separated_families(
+        dim, shell_net_separation(lab.schedule, j), lab.schedule.c,
+        seed=seed).m for j in range(1, J + 1)]
+    assert max(own) <= lab.schedule.m
 
 
 @pytest.mark.parametrize("dim, J", [(2, 3), (3, 2)])

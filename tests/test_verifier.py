@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.spatial import cKDTree
 
-from labyrinths.config import DEFAULT_C
 from labyrinths.domains import ellipsoid_domain, ellipsoid_labyrinth
 from labyrinths.geometry import (
     LP_MARGIN_FLOOR,
@@ -18,7 +17,6 @@ from labyrinths.geometry import (
     pairs_segment_disc_touch,
     separating_hyperplane,
 )
-from labyrinths.nets import calibrated_class_count
 from labyrinths.shells import (
     Labyrinth,
     annulus_labyrinth,
@@ -497,9 +495,9 @@ def _lex(rep: dict) -> dict:
 
 
 def _ball2(seed: int) -> Labyrinth:
-    """`generate --dim 2 --domain ball --J 3 --seed <seed>`'s labyrinth."""
-    m = calibrated_class_count(2, DEFAULT_C, seed)
-    return build_labyrinth(make_schedule(0.5, 3, m), 2, seed=seed)
+    """A planar ball labyrinth at m = 5, the class count of the shells' nets
+    at separations 0.1 to 0.4 for seeds 0 and 3."""
+    return build_labyrinth(make_schedule(0.5, 3, 5), 2, seed=seed)
 
 
 def _lp_lex_worst_margin(lab: Labyrinth) -> float:
@@ -520,8 +518,7 @@ def _lp_lex_worst_margin(lab: Labyrinth) -> float:
     lambda: _ball2(0),
     lambda: _ball2(3),
     lambda: ellipsoid_labyrinth(ellipsoid_domain(np.diag([0.25, 1.0])),
-                                make_schedule(0.5, 2, calibrated_class_count(
-                                    2, DEFAULT_C, 0)), seed=0),
+                                make_schedule(0.5, 2, 5), seed=0),
     lambda: build_labyrinth(make_schedule(0.5, 3, 5), dim=2, seed=0),
 ], ids=["ball2-seed0", "ball2-seed3", "ellipsoid", "criterion-2"])
 def test_planar_lex_closed_form_matches_the_lp(make):
