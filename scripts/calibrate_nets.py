@@ -3,8 +3,9 @@
 
 Useful when changing the candidate generator or the colouring policy: at
 every separation r of every dimension, each class must be r-separated
-(exactly, no tolerance) and the union must cover the sphere within c*r
-plus the covering estimate's sampling slack.  Exits 1 when some net fails
+(exactly, no tolerance) and the union's exact covering radius must be at
+most c*r plus the candidate resolution the net was built at, the bound
+`greedy_net` guarantees.  Exits 1 when some net fails
 either (FAIL), else 0.  The class count each scale's colouring needs is
 printed; it may differ between scales.  All scales of one dimension and
 seed share one farthest-point sweep through the net cache.
@@ -19,8 +20,8 @@ from scipy.spatial import cKDTree
 
 from labyrinths.nets import (
     build_separated_families,
+    candidate_resolution,
     covering_radius,
-    sampling_slack,
 )
 
 
@@ -38,7 +39,6 @@ def main():
     ap.add_argument("--separations", default="0.1,0.2,0.4")
     ap.add_argument("--c", type=float, default=0.45)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--samples", type=int, default=100_000)
     args = ap.parse_args()
 
     ok = True
@@ -48,14 +48,14 @@ def main():
             t0 = time.time()
             net = build_separated_families(d, r, args.c, seed=args.seed)
             sep = min(min_separation(cls) for cls in net.classes)
-            cov = covering_radius(net.points, d, args.samples, seed=1)
-            slack = sampling_slack(d, args.samples)
+            cov = covering_radius(net.points, d)
+            slack = candidate_resolution(d, args.c * r)
             good = sep >= r and cov <= args.c * r + slack
             ok &= good
             counts.append(net.m)
             print(f"d={d} r={r}: {net.size} points in {net.m} classes, "
                   f"separation {sep:.4f} >= {r:.4f}, "
-                  f"covering {cov:.4f} <= {args.c * r:.4f} + {slack:.4f} "
+                  f"covering {cov:.4f} <= {args.c * r:.4f} + {slack:.2g} "
                   f"[{'ok' if good else 'FAIL'}] ({time.time() - t0:.1f}s)")
         print(f"d={d}: class counts across scales {counts}")
     return 0 if ok else 1

@@ -122,6 +122,20 @@ def pairs_point_disc_distance(P, C, N, R) -> np.ndarray:
     return np.hypot(h, np.maximum(rho - R, 0.0))
 
 
+def disc_norm_range(C, N, R) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (nearest, farthest) distances of the disc rows from the origin.
+
+    The nearest is the point/disc distance of the origin; the farthest is
+    sqrt(|c|^2 + 2r|c - (c.n)n| + r^2), the rim point along the part of c
+    in the disc's plane.
+    """
+    near = pairs_point_disc_distance(np.zeros(C.shape[1]), C, N, R)
+    flat = C - row_dots(C, N)[:, None] * N
+    far = np.sqrt(row_dots(C, C) + 2.0 * R * np.sqrt(row_dots(flat, flat))
+                  + R * R)
+    return near, far
+
+
 def pairs_segment_disc_contact(A, B, C, N, R) -> np.ndarray:
     """Exact contact mask of segments [A, B] and closed discs (C, N, R).
 

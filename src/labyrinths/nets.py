@@ -19,6 +19,13 @@ per candidate set and start, keyed by (dim, candidate count, seed), with
 the finest delta it was swept to; a coarser request is cut from it, and a
 finer one goes on with the sweep, which the newest entry keeps parked
 (`sampling.ParkedSweep`), or sweeps again from the start in an older one.
+
+What is exact and what is bounded: each class is r-separated exactly (the
+colouring compares squared distances with no tolerance); the union covers
+the sphere within delta plus the candidate resolution
+(:func:`candidate_resolution`), a bound from the candidate set's spacing.
+:func:`covering_radius` measures the covering exactly, from the largest
+circular gap in the plane and from the convex hull of the points beyond it.
 """
 
 from __future__ import annotations
@@ -26,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .config import DEFAULT_C
 from .sampling import (ParkedSweep, circle_rows, farthest_point_order,
-                       sphere_candidates, sphere_samples)
+                       sphere_candidates)
 
 COVER_SAMPLES = 100_000
 CANDIDATE_CAP = 3_000_000
@@ -40,9 +47,19 @@ class NetBudgetError(RuntimeError):
     """Candidate budget exceeded: the dimension is too large for delta."""
 
 
+class HullCertificateError(ValueError):
+    """The convex hull of a point set does not certify its covering radius."""
+
+
 def sampling_slack(d: int, samples: int) -> float:
-    """Documented resolution bound of a `samples`-point covering estimate."""
+    """Documented resolution bound of `samples` quasi-uniform sphere points."""
     return 4.0 * samples ** (-1.0 / (d - 1))
+
+
+def candidate_resolution(d: int, delta: float) -> float:
+    """Spacing of the candidates :func:`greedy_net` draws a delta-net from:
+    the net covers S^(d-1) within delta plus this."""
+    return min(delta / 2.0, sampling_slack(d, COVER_SAMPLES))
 
 
 @dataclass(eq=False)
@@ -119,7 +136,7 @@ def greedy_net(d: int, delta: float, seed: int = 0) -> np.ndarray:
     """Maximal delta-separated subset of S^(d-1).
 
     Farthest-point selection over a quasi-uniform candidate set whose
-    resolution is min(delta/2, sampling_slack(d, 1e5)); candidate count
+    resolution is :func:`candidate_resolution`; candidate count
     grows like (4/resolution)^(d-1) and the call fails rather than degrade
     once it exceeds CANDIDATE_CAP.  The result is pairwise >= delta
     separated (up to a 1e-12 relative slack that admits exact ties) and
@@ -137,7 +154,7 @@ def greedy_net(d: int, delta: float, seed: int = 0) -> np.ndarray:
         raise ValueError("dimension must be >= 2")
     if not (0.0 < delta <= 2.0):
         raise ValueError("delta must lie in (0, 2]")
-    eps = min(delta / 2.0, sampling_slack(d, COVER_SAMPLES))
+    eps = candidate_resolution(d, delta)
     need = int(np.ceil((4.0 / eps) ** (d - 1)))
     if need > CANDIDATE_CAP:
         raise NetBudgetError(
@@ -197,23 +214,63 @@ def color_net(points: np.ndarray, r: float) -> list[np.ndarray]:
     return [points[color == k] for k in range(m)]
 
 
-def covering_radius(points: np.ndarray, d: int, samples: int = COVER_SAMPLES,
-                    seed: int = 0) -> float:
-    """Empirical covering radius of `points` over the unit sphere.
+def covering_radius(points: np.ndarray, d: int) -> float:
+    """Exact covering radius of unit vectors `points` over S^(d-1): the
+    largest distance from a sphere point to its nearest point of the set.
 
-    Maximum distance from `samples` quasi-uniform sphere points to the set;
-    a lower bound on the true covering radius that converges from below as
-    samples grows (resolution bound: sampling_slack(d, samples)).
+    In the plane the farthest sphere point bisects the largest gap g
+    between the sorted angles, at chord 2 sin(g/4).  Beyond it the farthest
+    point is a vertex of the spherical Voronoi diagram: the outer unit
+    normal u_f of a facet f of the convex hull (Qhull: Barber, Dobkin and
+    Huhdanpaa 1996), whose nearest points are f's own vertices, so the
+    radius is the largest |u_f - v_f|.  The hull is certified first
+    (:func:`_hull_covering`).  Qhull runs without its pre-merge of nearly
+    coplanar facets (option Q0, a third faster on the shells' nets), and
+    with it when that hull fails or is not certified; if neither is,
+    :class:`HullCertificateError` names what failed.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
         raise ValueError("points must be nonempty")
-    if samples < 1000:
-        raise ValueError("use at least 1000 samples")
-    probes = sphere_samples(d, samples, seed=seed)
-    tree = cKDTree(points)
-    dist, _ = tree.query(probes, k=1)
-    return float(dist.max())
+    if d == 2:
+        ang = np.sort(np.arctan2(points[:, 1], points[:, 0]))
+        gaps = np.diff(ang, append=ang[0] + 2.0 * np.pi)
+        return float(2.0 * np.sin(gaps.max() / 4.0))
+    for options in ("Q0", None):
+        try:
+            hull = ConvexHull(points, qhull_options=options)
+        except (QhullError, ValueError) as exc:
+            failure = HullCertificateError(f"qhull rejects the points: {exc}")
+            continue
+        try:
+            return _hull_covering(points, hull)
+        except HullCertificateError as exc:
+            failure = exc
+    raise failure
+
+
+def _hull_covering(points: np.ndarray, hull: ConvexHull) -> float:
+    """The largest |u_f - v_f| over the hull's facets, once the hull is
+    certified: every facet offset is < 0 (the origin is strictly inside),
+    every facet has d neighbours (the surface is closed), and a KD query
+    finds no point nearer to any u_f than f's vertices, to 1e-12 (each
+    circumcap is empty).  A closed surface of facets with empty circumcaps
+    is a Delaunay triangulation of the sphere, so its caps cover it and the
+    radius is exact whatever merging Qhull did.
+    """
+    U, offset = hull.equations[:, :-1], hull.equations[:, -1]
+    if not np.all(offset < 0.0):
+        raise HullCertificateError(
+            "a facet offset is >= 0: the origin is not strictly inside the "
+            "hull, so the points lie in a closed hemisphere")
+    if np.any(hull.neighbors < 0):
+        raise HullCertificateError("a facet has fewer than d neighbours")
+    own = np.linalg.norm(U - points[hull.simplices[:, 0]], axis=1)
+    nearest, _ = cKDTree(points).query(U, k=1)
+    if np.any(nearest < own - 1e-12):
+        raise HullCertificateError(
+            "a point lies nearer to a facet normal than the facet's vertices")
+    return float(own.max())
 
 
 def _split_classes(classes: list[np.ndarray], target: int) -> list[np.ndarray]:
@@ -240,7 +297,7 @@ def build_separated_families(d: int, r: float, c: float = DEFAULT_C,
     classes, which keeps them separated, so nets at several scales can
     share one class count.
     Guarantees: within-class pairwise distances >= r exactly, and the
-    union covers the sphere within c*r up to candidate resolution.
+    union covers the sphere within c*r plus candidate_resolution(d, c*r).
     """
     if not (0.0 < c < 0.5):
         raise ValueError("covering fraction c must lie in (0, 1/2)")

@@ -5,7 +5,10 @@ certified escape path it could find, which upper-bounds the true infimum.
 "Passing" a budget M therefore means "no path of length <= M was found at
 the configured effort", never a proof that none exists.  Structural
 invariants of a labyrinth (tangency, disjointness, separation witnesses,
-covering) are audited exactly or to stated tolerances; disjointness uses
+net separation and covering, containment) are audited from the discs,
+with no sampled estimate: exactly, to stated tolerances, or by a stated
+sufficient bound (:func:`audit_labyrinth` lists which); disjointness uses
+closed-form support gaps and
 :func:`labyrinths.geometry.pairs_disc_disc_distance`, so the reported
 ``min_distance`` is a certified lower bound, exact in the plane.
 
@@ -26,7 +29,7 @@ disc rows per call (:class:`_CompArrays`), never one disc at a time.
 The search region comes from the escape sets, not the domain: two spheres
 give the annulus between their radii, point sets a box around them.  The
 audit's ``containment`` check holds an annulus to its radii and any other
-domain to its defining function, reporting ``max_defining_value``.
+domain to its defining function (:func:`add_containment_check`).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .domains import resolve_domain
 from .geometry import (
     LP_MARGIN_FLOOR,
     FlatBall,
+    disc_norm_range,
     disc_rim_points,
     disc_rows,
     disc_support,
@@ -54,8 +58,8 @@ from .geometry import (
     separating_hyperplane,
     tangent_bases,
 )
-from .nets import covering_radius, sampling_slack
-from .shells import Labyrinth, sqrt_gap_partial_sums
+from .nets import candidate_resolution, covering_radius
+from .shells import Labyrinth, shell_net_separation, sqrt_gap_partial_sums
 
 # segments per collision batch; with the few candidate sub-balls a segment
 # meets in a dense planar annulus, the pair arrays stay within a few MB
@@ -73,11 +77,9 @@ MAX_NODE_BUDGET = 1_000_000
 
 # structural audit: the d = 3 lex-witness LPs run only up to this many
 # components; the planar half-gaps are taken this many disc pairs at a time
-# (0.13 MB a float array); net covering radii are estimated from this many
-# sphere samples
+# (0.13 MB a float array)
 LEX_COMPONENT_CAP = 400
 _LEX_CHUNK = 1 << 14
-AUDIT_COVER_SAMPLES = 20_000
 
 
 class RoadmapBudgetError(RuntimeError):
@@ -650,8 +652,11 @@ def _pairwise_min_distance(comp: _CompArrays) -> float:
 
     Candidate pairs come from a sound centre-distance cull: pairs beyond
     the cull radius are at least `slack` apart, so when no candidate pair
-    exists that slack is returned as a valid positive lower bound.  The
-    candidates go through :func:`pairs_disc_disc_distance` in one call.
+    exists that slack is returned as a valid positive lower bound.  In the
+    plane the candidates go through :func:`pairs_disc_disc_distance`, which
+    is exact there.  Beyond it a pair is first held to its closed-form gap
+    (:func:`_support_gaps`), and only the pairs that gap leaves uncertified
+    go through the kernel's alternating projection.
     """
     if len(comp) < 2:
         return np.inf
@@ -662,8 +667,35 @@ def _pairwise_min_distance(comp: _CompArrays) -> float:
         return slack
     i, j = pairs.T
     C, N, R = comp.centers, comp.normals, comp.radii
-    return min(float(pairs_disc_disc_distance(C[i], N[i], R[i],
-                                              C[j], N[j], R[j]).min()), slack)
+    if C.shape[1] == 2:
+        dist = pairs_disc_disc_distance(C[i], N[i], R[i], C[j], N[j], R[j])
+    else:
+        dist = _support_gaps(C[i], N[i], R[i], C[j], N[j], R[j])
+        k = np.flatnonzero(~(dist > 0.0))
+        i, j = i[k], j[k]
+        dist[k] = pairs_disc_disc_distance(C[i], N[i], R[i], C[j], N[j], R[j])
+    return min(float(dist.min()), slack)
+
+
+def _support_gaps(C1, N1, R1, C2, N2, R2) -> np.ndarray:
+    """The largest gap between the supports of aligned disc rows along the
+    centre line and the two normals, each turned to point from disc 2 to
+    disc 1: a lower bound on their distance wherever it is positive.
+
+    Two discs of one sublevel are mirror images in their bisector plane, so
+    the centre line gives their distance; discs of stacked sublevels are
+    nearly parallel, and a normal gives theirs.  On the shell labyrinths
+    the smallest gap equals the alternating projection's minimum to about
+    1e-16 (``ball3``, the d = 4 file).
+    """
+    V = C1 - C2
+    best = np.full(len(V), -np.inf)
+    for W in (V, N1, N2):
+        W = W / np.sqrt(row_dots(W, W))[:, None]
+        W = np.where((row_dots(V, W) < 0.0)[:, None], -W, W)
+        best = np.fmax(best, -disc_support(C1, N1, R1, -W)
+                       - disc_support(C2, N2, R2, W))
+    return best
 
 
 def _lex_half_gaps(C, N, R) -> np.ndarray:
@@ -683,14 +715,36 @@ def _lex_half_gaps(C, N, R) -> np.ndarray:
 def audit_labyrinth(lab: Labyrinth) -> dict:
     """Run every structural check and report pass/fail with measurements.
 
-    Included checks: component well-formedness, tangency to the recorded
-    sublevel spheres, strict clearance below the next sublevel sphere,
-    pairwise disjointness, lexicographic hyperplane witnesses (every planar
-    shell labyrinth; in d = 3 up to J = 4 shells and LEX_COMPONENT_CAP
-    discs), domain containment, schedule divergence, and per-shell net
-    separation/covering.  Patch-assembled labyrinths replace the shell
-    checks with collar monotonicity and defining-function containment.
-    Failures are report entries, never exceptions.
+    What each check certifies, exactly or by bound:
+
+    - components-well-formed: unit normals (to 1e-9) and positive radii;
+    - tangency: each centre on its recorded sublevel sphere along its
+      normal (to 1e-9);
+    - next-sublevel-clearance: each disc's exact farthest norm
+      (:func:`labyrinths.geometry.disc_norm_range`) below the next
+      sublevel sphere, by more than 1e-9;
+    - schedule-divergence: the partial sums of sqrt(gap) above the bound;
+    - net-separation: the normals of each (j, k) class pairwise at least
+      ``shell_net_separation(schedule, j)`` apart, exactly;
+    - net-covering: the normals of each shell cover the sphere within
+      c*r_j plus the net's candidate resolution, with the covering radius
+      computed exactly (:func:`labyrinths.nets.covering_radius`), read off
+      the discs and not the file's stored nets;
+    - pairwise-disjoint: a certified lower bound on the disc distances,
+      exact in the plane (:func:`_pairwise_min_distance`);
+    - containment: exact for an annulus, a ball, a `to_ball` file and a
+      planar disc, a sufficient bound for a d >= 3 ellipsoid in its own
+      frame (:func:`add_containment_check`);
+    - lex-hyperplane-witnesses: the discs in radial order (centre norm,
+      ties by index), each separated from the earlier ones by a plane
+      whose margin is measured on the exact supports; its own normal in
+      the plane, else an LP.  Run for every planar shell labyrinth, in
+      d = 3 up to J = 4 shells and LEX_COMPONENT_CAP discs.  A FAIL means
+      "not certified", not a proof that no witness order exists.
+
+    Patch-assembled labyrinths replace the shell checks with collar
+    monotonicity and containment.  Failures are report entries, never
+    exceptions.
     """
     if lab.is_empty:
         return {"empty": True, "passed": True, "checks": [],
@@ -706,24 +760,19 @@ def audit_labyrinth(lab: Labyrinth) -> dict:
     norm_err = float(np.abs(np.sqrt(row_dots(N, N)) - 1.0).max())
     add("components-well-formed", norm_err <= 1e-9 and bool(np.all(R > 0.0)),
         max_normal_error=norm_err)
-
-    # the LP and containment samples: each disc's rim points, then its centre
-    samples = np.concatenate([disc_rim_points(C, N, R, 64 * lab.dim),
-                              C[:, None]], axis=1)
-    rims = samples[:, :-1]
+    norms = np.sqrt(row_dots(C, C))
 
     if lab.kind == "shell" and lab.schedule is not None:
         sched = lab.schedule
         j, k = np.array([fb.level[:2] for fb in comps]).T
-        norms = np.sqrt(row_dots(C, C))
         tang_err = float(np.abs(row_dots(C, N) - norms).max())
         level_err = float(np.abs(
             norms - lab.scale * sched.sublevels[j - 1, k - 1]).max())
         add("tangency", tang_err <= 1e-9 and level_err <= 1e-9,
             tangency_error=tang_err, sublevel_error=level_err)
-        # s_(j,k+1), with s_(j,m+1) = s_j, against each disc's farthest rim
+        # s_(j,k+1), with s_(j,m+1) = s_j, against each disc's farthest point
         margin = (lab.scale * sched.above[j - 1, k - 1]
-                  - np.linalg.norm(rims, axis=2).max(axis=1))
+                  - disc_norm_range(C, N, R)[1])
         worst = int(np.argmin(margin))
         add("next-sublevel-clearance", margin[worst] > 1e-9,
             min_margin=float(margin[worst]), worst_component=comps[worst].level)
@@ -740,20 +789,13 @@ def audit_labyrinth(lab: Labyrinth) -> dict:
         add("schedule-divergence", bool(np.all(sums[held] > target[held])),
             law=law, partial_sums=[float(x) for x in sums])
 
-        cov_slack = sampling_slack(lab.dim, AUDIT_COVER_SAMPLES)
-        sep_ok = all(cKDTree(cls).query(cls, k=2)[0][:, 1].min() >= net.r
-                     for net in lab.nets for cls in net.classes if len(cls) > 1)
-        cov_ok = all(covering_radius(net.points, lab.dim, AUDIT_COVER_SAMPLES,
-                                     seed=7) <= net.c * net.r + cov_slack
-                     for net in lab.nets)
-        add("net-separation", sep_ok)
-        add("net-covering", cov_ok, slack=cov_slack)
+        _add_net_checks(lab, j, k, N, add)
 
     # min_distance is a certified lower bound, exact in the plane
     dmin = _pairwise_min_distance(comp)
     add("pairwise-disjoint", dmin > 0.0, min_distance=float(dmin))
 
-    add_containment_check(lab, samples, add)
+    add_containment_check(lab, C, N, R, add)
 
     if lab.kind == "patch":
         widths = lab.collar_widths
@@ -764,14 +806,21 @@ def audit_labyrinth(lab: Labyrinth) -> dict:
     lp_sized = lab.dim == 3 and len(comps) <= LEX_COMPONENT_CAP \
         and (lab.schedule is None or lab.schedule.J <= 4)
     if lab.kind == "shell" and (lab.dim == 2 or lp_sized):
+        # radial order, so the verdict does not depend on the file's order;
         # a planar disc's own normal is its witness when its half-gap clears
         # the floor; the LP, on the rims plus centres (exact in the plane,
         # 64 points per dimension otherwise), serves the rest and every d = 3
         # disc, and its plane is measured on the exact supports
+        order = np.argsort(norms, kind="stable")
+        C, N, R = C[order], N[order], R[order]
         margins = _lex_half_gaps(C, N, R) if lab.dim == 2 \
             else np.full(len(comps), -np.inf)
         failed_at = None
-        for i in np.flatnonzero(margins[1:] < LP_MARGIN_FLOOR) + 1:
+        lp_rows = np.flatnonzero(margins[1:] < LP_MARGIN_FLOOR) + 1
+        if len(lp_rows):
+            samples = np.concatenate([disc_rim_points(C, N, R, 64 * lab.dim),
+                                      C[:, None]], axis=1)
+        for i in lp_rows:
             h = separating_hyperplane(samples[i],
                                       samples[:i].reshape(-1, lab.dim),
                                       margin=LP_MARGIN_FLOOR)
@@ -780,7 +829,7 @@ def audit_labyrinth(lab: Labyrinth) -> dict:
                 margins[i] = min(-disc_support(C[i], N[i], R[i], -w) - b,
                                  b - disc_support(C[:i], N[:i], R[:i], w).max())
             if h is None or margins[i] < LP_MARGIN_FLOOR:
-                failed_at = comps[i].level
+                failed_at = comps[order[i]].level
                 break
         worst = float(margins[1:].min(initial=np.inf))
         add("lex-hyperplane-witnesses", failed_at is None,
@@ -791,18 +840,63 @@ def audit_labyrinth(lab: Labyrinth) -> dict:
             "checks": checks}
 
 
-def add_containment_check(lab: Labyrinth, samples: np.ndarray, add) -> None:
-    """Disc samples (rims and centres, any leading shape) inside the domain:
-    strictly between the radii of an annulus, else where the defining
-    function is negative, in units of the labyrinth's scale.  A file with
-    `to_ball` stores its discs in ball coordinates, where containment in
-    the ellipsoid is containment in the unit ball."""
-    pts = samples.reshape(-1, lab.dim)
+def _add_net_checks(lab: Labyrinth, j: np.ndarray, k: np.ndarray,
+                    N: np.ndarray, add) -> None:
+    """net-separation on the normals of each (j, k) class and net-covering
+    on those of each shell j, against the shell's unit-sphere separation
+    r_j = shell_net_separation(schedule, j); the covering is held to c*r_j
+    plus the candidate resolution greedy_net builds its nets at, and
+    reported per shell as a fraction of r_j."""
+    sched, d = lab.schedule, lab.dim
+    seps = np.array([shell_net_separation(sched, jj)
+                     for jj in range(1, sched.J + 1)])
+    key = j * (sched.m + 1) + k
+    order = np.argsort(key, kind="stable")
+    classes = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    add("net-separation", all(
+        cKDTree(N[c]).query(N[c], k=2)[0][:, 1].min() >= seps[j[c[0]] - 1]
+        for c in classes if len(c) > 1))
+
+    delta = sched.c * seps
+    limit = delta + np.array([candidate_resolution(d, x) for x in delta])
+    cover = np.full(sched.J, np.inf)
+    for jj in range(1, sched.J + 1):
+        try:
+            cover[jj - 1] = covering_radius(N[j == jj], d)
+        except ValueError as exc:  # no discs, or a hull not certified
+            add("net-covering", False, failed_shell=jj, error=str(exc))
+            return
+    # a file's zero tangent radius gives r_j = 0: its fractions are not finite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        worst = int(np.argmax(cover / limit))
+        add("net-covering", bool(np.all(cover <= limit)),
+            covering_fractions=[float(x) for x in cover / seps],
+            bound_fractions=[float(x) for x in limit / seps],
+            worst_shell=worst + 1)
+
+
+def add_containment_check(lab: Labyrinth, C, N, R, add) -> None:
+    """The disc rows (C, N, R) inside the domain, in units of the
+    labyrinth's scale.
+
+    An annulus holds each disc's exact nearest and farthest norms
+    (:func:`labyrinths.geometry.disc_norm_range`) strictly between its
+    radii.  A ball holds the farthest norm below 1 and reports the defining
+    value |x|^2 - 1 there; so does a file with `to_ball`, which stores its
+    discs in ball coordinates, where containment in the ellipsoid is
+    containment in the unit ball.  Any other planar domain is convex, so a
+    segment lies in it iff both endpoints do, and the defining function is
+    read there.  A d >= 3 ellipsoid {x'Ax < 1} in its own frame takes the
+    sufficient bound ||c||_A + r sqrt(lambda_max(B'AB)) < 1, with B the
+    disc's tangent basis, and reports the bound squared less 1, an upper
+    bound on the defining function (``upper_bound``).
+    """
     if lab.domain.get("kind") == "annulus":
-        r = np.linalg.norm(pts, axis=1)
+        near, far = disc_norm_range(C, N, R)
         add("containment",
-            float(r.min()) > lab.domain["inner"] and float(r.max()) < lab.domain["outer"],
-            min_norm=float(r.min()), max_norm=float(r.max()))
+            float(near.min()) > lab.domain["inner"]
+            and float(far.max()) < lab.domain["outer"],
+            min_norm=float(near.min()), max_norm=float(far.max()))
         return
     frame = {"kind": "ball"} if "to_ball" in lab.domain else lab.domain
     try:
@@ -810,6 +904,16 @@ def add_containment_check(lab: Labyrinth, samples: np.ndarray, add) -> None:
     except (KeyError, TypeError, ValueError) as exc:
         add("containment", False, error=str(exc))
         return
-    vals = dom.rho(pts / lab.scale)
-    add("containment", float(vals.max()) < 0.0,
-        max_defining_value=float(vals.max()))
+    C, R = C / lab.scale, R / lab.scale
+    bound = {}
+    if dom.kind == "ball":
+        worst = float(disc_norm_range(C, N, R)[1].max() ** 2 - 1.0)
+    elif lab.dim == 2:
+        worst = float(dom.rho(disc_rim_points(C, N, R, 2).reshape(-1, 2)).max())
+    else:
+        A = dom.matrix
+        B = tangent_bases(N)
+        lam = np.linalg.eigvalsh(B.transpose(0, 2, 1) @ A @ B)[:, -1]
+        reach = np.sqrt(row_dots(C @ A, C)) + R * np.sqrt(lam)
+        worst, bound = float(reach.max() ** 2 - 1.0), {"upper_bound": True}
+    add("containment", worst < 0.0, max_defining_value=worst, **bound)

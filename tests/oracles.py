@@ -133,6 +133,18 @@ def brute_farthest_point_order(points, start: int = 0,
     return np.asarray(chosen, dtype=np.intp)
 
 
+def sampled_covering_radius(points, d: int, samples: int = 100_000,
+                            seed: int = 0) -> float:
+    """Largest distance from `samples` quasi-uniform sphere points to the
+    set: a lower bound on the covering radius, within
+    ``nets.sampling_slack(d, samples)`` of it."""
+    from labyrinths.sampling import sphere_samples
+
+    dist, _ = cKDTree(np.atleast_2d(points)).query(
+        sphere_samples(d, samples, seed=seed), k=1)
+    return float(dist.max())
+
+
 def stacked_sphere_candidates(d: int, count: int) -> np.ndarray:
     """`sampling.sphere_candidates` as first written: the half set built by
     ``np.column_stack``, then ``np.vstack([half, -half])`` (d = 2, 3)."""

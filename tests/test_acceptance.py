@@ -13,8 +13,8 @@ from scipy.spatial import cKDTree
 from labyrinths.nets import (
     _NET_CACHE,
     build_separated_families,
+    candidate_resolution,
     covering_radius,
-    sampling_slack,
 )
 from labyrinths.shells import (
     ExhaustionPlan,
@@ -55,8 +55,8 @@ def test_criterion_1_separated_families_suite():
                 if len(cls) > 1:
                     dd, _ = cKDTree(cls).query(cls, k=2)
                     ok &= bool(dd[:, 1].min() >= r)  # exact separation
-            cov = covering_radius(net.points, d, 100_000, seed=5)
-            ok &= bool(cov <= c * r + sampling_slack(d, 100_000))
+            cov = covering_radius(net.points, d)
+            ok &= bool(cov <= c * r + candidate_resolution(d, c * r))
         ok &= bool(m <= (1 + 2 / c) ** (d - 1) * 3 ** d)
         details.append(f"d={d}: m={m} (own counts {own})")
     report("criterion-1 separated-families", ok, "; ".join(details),

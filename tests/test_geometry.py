@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from labyrinths import geometry
 from labyrinths.geometry import (
     FlatBall,
+    disc_norm_range,
     disc_rim_points,
     disc_rows,
     pairs_disc_disc_distance,
@@ -319,6 +320,34 @@ def test_batched_rims_equal_per_disc_rims_bit_for_bit(d):
             np.testing.assert_allclose(v @ fb.normal, 0.0, atol=1e-12)
             np.testing.assert_allclose(np.linalg.norm(v, axis=1), fb.radius,
                                        rtol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_disc_norm_range_matches_dense_rim_sampling_on_tilted_discs(d):
+    rng = np.random.default_rng(10 + d)
+    N = rng.standard_normal((30, d))
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    C = rng.uniform(-1.0, 1.0, (30, d))
+    R = rng.uniform(0.05, 0.8, 30)
+    C[0] = 0.0  # through the origin: nearest 0, farthest r
+    C[1] = 0.7 * N[1]  # tangent: farthest sqrt(|c|^2 + r^2)
+    near, far = disc_norm_range(C, N, R)
+    # the farthest point lies on the rim: sampled there from below
+    rims = disc_rim_points(C, N, R, 4096 if d == 3 else 512)
+    sampled = np.linalg.norm(rims, axis=2).max(axis=1)
+    assert np.all(sampled <= far + 1e-12)
+    np.testing.assert_allclose(sampled, far, atol=1e-6 if d == 3 else 1e-2)
+    if d == 2:  # the endpoints are the whole rim
+        np.testing.assert_allclose(sampled, far, rtol=1e-15)
+    # the nearest is attained: every sampled disc point is at least as far
+    B = tangent_bases(N)
+    v = rng.standard_normal((30, 2000, d - 1))
+    v *= (rng.random((30, 2000, 1)) ** (1.0 / (d - 1))
+          / np.linalg.norm(v, axis=2, keepdims=True))
+    inner = C[:, None] + R[:, None, None] * (v @ B.transpose(0, 2, 1))
+    assert np.all(np.linalg.norm(inner, axis=2).min(axis=1) >= near - 1e-12)
+    assert near[0] == 0.0 and far[0] == pytest.approx(R[0], rel=1e-15)
+    assert far[1] == pytest.approx(np.sqrt(0.49 + R[1] ** 2), rel=1e-15)
 
 
 def test_extremal_points_on_the_set():

@@ -544,6 +544,48 @@ def test_cli_export_and_report(tmp_path, lab):
     assert rc2 == 0
 
 
+def _checks(capsys) -> dict:
+    """The report's printed checks by name: (passed, details text)."""
+    lines = capsys.readouterr().out.splitlines()
+    return {ln.split()[1]: (ln.startswith("PASS"), ln)
+            for ln in lines if ln.startswith(("PASS ", "FAIL "))}
+
+
+def test_cli_report_fails_net_covering_on_a_file_with_discs_removed(
+        tmp_path, capsys):
+    out = tmp_path / "ball2.json"
+    assert run_cli("generate", "--dim", "2", "--J", "3", "--seed", "0",
+                   "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    # delete the half of shell 3 with x > 0; the stored nets stay whole
+    doc["components"] = [c for c in doc["components"]
+                         if c["level"]["j"] != 3 or c["normal"][0] <= 0.0]
+    cut = tmp_path / "cut.json"
+    cut.write_text(dumps_canonical(doc))
+    capsys.readouterr()
+    assert run_cli("report", str(out)) == 0
+    assert _checks(capsys)["net-covering"][0]
+    assert run_cli("report", str(cut)) == 2
+    checks = _checks(capsys)
+    passed, line = checks["net-covering"]
+    assert not passed and "'worst_shell': 3" in line
+    assert checks["net-separation"][0] and checks["pairwise-disjoint"][0]
+
+
+def test_cli_report_prints_the_covering_fraction_of_a_d4_file(
+        tmp_path, capsys):
+    out = tmp_path / "d4.json"
+    assert run_cli("generate", "--dim", "4", "--J", "1", "--out",
+                   str(out)) == 0
+    audit = json.loads((tmp_path / "d4.audit.json").read_text())
+    cover = next(c for c in audit["checks"] if c["name"] == "net-covering")
+    assert cover["passed"] and audit["passed"]
+    assert cover["covering_fractions"] == [pytest.approx(0.5111, abs=5e-5)]
+    capsys.readouterr()
+    assert run_cli("report", str(out)) == 0
+    assert "covering_fractions" in _checks(capsys)["net-covering"][1]
+
+
 def test_cli_config_file_flags_win(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"J": 1, "seed": 5, "s0": 0.5}))

@@ -4,22 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 
 from labyrinths import nets
 from labyrinths.config import DEFAULT_C
 from labyrinths.nets import (
     _NET_CACHE,
     COVER_SAMPLES,
+    HullCertificateError,
     NetBudgetError,
     build_separated_families,
+    candidate_resolution,
     color_net,
     covering_radius,
     greedy_net,
     sampling_slack,
 )
 from labyrinths.sampling import ParkedSweep, circle_rows, sphere_candidates
-from oracles import brute_farthest_point_order, stacked_sphere_candidates
+from oracles import (
+    brute_farthest_point_order,
+    sampled_covering_radius,
+    stacked_sphere_candidates,
+)
 
 
 def min_pairwise(points):
@@ -58,7 +64,7 @@ def test_sphere_delta_one_net():
     net = greedy_net(3, 1.0, seed=0)
     assert len(net) == 6
     assert min_pairwise(net) >= 1.0
-    assert covering_radius(net, 3, 100_000, seed=1) <= 1.0
+    assert covering_radius(net, 3) <= 1.0
 
 
 def test_greedy_net_validation_and_budget():
@@ -121,18 +127,59 @@ def test_color_net_partition_and_separation(seed, r):
 
 def test_covering_radius_examples():
     p = np.array([[1.0, 0.0]])
-    assert covering_radius(p, 2, 100_000, seed=0) == pytest.approx(2.0, abs=1e-3)
+    assert covering_radius(p, 2) == pytest.approx(2.0, abs=1e-15)
     pair = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    assert covering_radius(pair, 2, 100_000, seed=0) == pytest.approx(
-        np.sqrt(2.0), abs=1e-3)
+    assert covering_radius(pair, 2) == pytest.approx(np.sqrt(2.0), abs=1e-15)
     square = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    assert covering_radius(square, 2, 100_000, seed=0) == pytest.approx(
-        2 * np.sin(np.pi / 8), abs=1e-3)
+    assert covering_radius(square, 2) == pytest.approx(
+        2 * np.sin(np.pi / 8), abs=1e-15)
+    # the octahedron: the farthest points are the face centres
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])
+    assert covering_radius(octahedron, 3) == pytest.approx(
+        np.sqrt(2.0 - 2.0 / np.sqrt(3.0)), abs=1e-15)
 
 
 def test_covering_radius_validation():
     with pytest.raises(ValueError):
-        covering_radius(np.array([[1.0, 0.0]]), 2, samples=10)
+        covering_radius(np.empty((0, 2)), 2)
+    with pytest.raises(HullCertificateError, match="qhull"):
+        covering_radius(np.eye(3), 3)  # three points span no 3-d hull
+
+
+@pytest.mark.parametrize("d, delta", [(2, 0.05), (2, 0.3), (3, 0.3),
+                                      (3, 0.6), (4, 0.9)])
+def test_exact_covering_lies_within_the_sampling_slack(d, delta):
+    net = greedy_net(d, delta, seed=1)
+    exact = covering_radius(net, d)
+    sampled = sampled_covering_radius(net, d, 100_000, seed=4)
+    assert sampled <= exact + 1e-12
+    assert exact <= sampled + sampling_slack(d, 100_000)
+    assert exact <= delta + candidate_resolution(d, delta)
+
+
+def test_covering_radius_merges_when_the_unmerged_hull_fails(monkeypatch):
+    net = greedy_net(3, 0.3, seed=0)
+    plain = covering_radius(net, 3)
+    calls = []
+
+    def hull(points, qhull_options=None):
+        calls.append(qhull_options)
+        if qhull_options == "Q0":
+            raise nets.QhullError("a precision error")
+        return ConvexHull(points, qhull_options=qhull_options)
+
+    monkeypatch.setattr(nets, "ConvexHull", hull)
+    assert covering_radius(net, 3) == pytest.approx(plain, abs=1e-15)
+    assert calls == ["Q0", None]
+
+
+def test_a_hemisphere_net_fails_the_hull_certificate():
+    net = greedy_net(3, 0.3, seed=0)
+    upper = net[net[:, 2] > 0.0]
+    with pytest.raises(HullCertificateError, match="offset"):
+        covering_radius(upper, 3)
+    # the full net passes the certificate
+    assert covering_radius(net, 3) <= 0.3 + candidate_resolution(3, 0.3)
 
 
 def test_families_class_count_free_of_scale():
@@ -158,8 +205,8 @@ def test_families_separation_exact_and_covering():
             net = build_separated_families(d, r, 0.45, seed=0)
             for cls in net.classes:
                 assert min_pairwise(cls) >= r  # exact, no tolerance
-            cov = covering_radius(net.points, d, 100_000, seed=3)
-            assert cov <= 0.45 * r + sampling_slack(d, 100_000)
+            cov = covering_radius(net.points, d)
+            assert cov <= 0.45 * r + candidate_resolution(d, 0.45 * r)
 
 
 def test_families_class_count_bound():

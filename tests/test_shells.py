@@ -130,12 +130,12 @@ def test_build_shell_scaled_covering():
     sched = make_schedule(0.5, 2, 4)
     *_, net = shell_discs(sched, 1, dim=2, seed=0)
     # the scaled union inherits the covering property of the unit net
-    from labyrinths.nets import covering_radius
+    from labyrinths.nets import candidate_resolution, covering_radius
 
     r_1 = float(sched.tangent_radii[0])
-    cov_unit = covering_radius(net.points, 2, 50_000, seed=2)
+    cov_unit = covering_radius(net.points, 2)
     bound = net.c * 2 * sched.t * r_1 / sched.radius_below(1)
-    assert cov_unit <= bound + 4.0 * 50_000 ** (-1.0)
+    assert cov_unit <= bound + candidate_resolution(2, bound)
 
 
 def test_build_labyrinth_desk_run():

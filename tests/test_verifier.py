@@ -13,8 +13,10 @@ from labyrinths.geometry import (
     FlatBall,
     disc_rim_points,
     disc_rows,
+    pairs_disc_disc_distance,
     pairs_point_disc_distance,
     pairs_segment_disc_touch,
+    row_dots,
     separating_hyperplane,
 )
 from labyrinths.shells import (
@@ -37,6 +39,7 @@ from labyrinths.verifier import (
     _project_to_set,
     _region_measure,
     _segments_collide,
+    _support_gaps,
     _touches_any,
     _unique_pairs,
     EscapePath,
@@ -489,6 +492,48 @@ def test_audit_fails_on_intersecting_discs_in_space():
     assert not rep["passed"]
 
 
+def _full_kernel_min_distance(lab: Labyrinth) -> float:
+    """The disjointness bound with every candidate pair through the
+    alternating projection of pairs_disc_disc_distance."""
+    comp = _CompArrays.from_components(lab.components)
+    i, j = comp.tree.query_pairs(2.0 * comp.radii.max() + 0.05,
+                                 output_type="ndarray").T
+    C, N, R = disc_rows(lab.components)
+    return float(pairs_disc_disc_distance(C[i], N[i], R[i],
+                                          C[j], N[j], R[j]).min())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_labyrinth(make_schedule(0.5, 2, 2), dim=3, seed=0),
+    lambda: annulus_labyrinth(0.5, 1.0, J=2, m=2, dim=3, seed=0),
+], ids=["ball3", "annulus-J2"])
+def test_space_disjointness_gap_matches_the_projection(make):
+    lab = make()
+    check = next(c for c in audit_labyrinth(lab)["checks"]
+                 if c["name"] == "pairwise-disjoint")
+    assert check["passed"]
+    assert check["min_distance"] == pytest.approx(
+        _full_kernel_min_distance(lab), abs=2e-9)
+
+
+def test_space_disjointness_falls_back_to_the_projection():
+    n = np.array([0.0269, -0.5013, -0.8649])
+    pair = [FlatBall(center=np.zeros(3), normal=np.array([0.0, 0.0, 1.0]),
+                     radius=1.0),
+            FlatBall(center=np.array([1.341, 0.447, 0.255]),
+                     normal=n / np.linalg.norm(n), radius=0.846)]
+    C, N, R = disc_rows(pair)
+    # no closed-form direction separates them, yet they are 0.027 apart
+    assert _support_gaps(C[:1], N[:1], R[:1], C[1:], N[1:], R[1:])[0] < 0.0
+    lab = Labyrinth(dim=3, domain={"kind": "ball"}, components=pair)
+    check = next(c for c in audit_labyrinth(lab)["checks"]
+                 if c["name"] == "pairwise-disjoint")
+    assert check["passed"]
+    assert check["min_distance"] == pytest.approx(
+        _full_kernel_min_distance(lab), abs=1e-15)
+    assert check["min_distance"] == pytest.approx(0.027, abs=1e-3)
+
+
 def _lex(rep: dict) -> dict:
     return next(c for c in rep["checks"]
                 if c["name"] == "lex-hyperplane-witnesses")
@@ -539,26 +584,50 @@ def test_planar_lex_runs_no_lp_at_any_size(monkeypatch):
         assert rep["passed"] and _lex(rep)["worst_margin"] >= LP_MARGIN_FLOOR
 
 
-def test_planar_lex_falls_back_to_the_lp_on_an_outer_first_pair():
-    lab = build_labyrinth(make_schedule(0.5, 2, 4), dim=2, seed=0)
-    pair = replace(lab, components=[lab.components[-1], lab.components[0]])
-    C, N, R = disc_rows(pair.components)
-    # the inner disc's own normal puts the outer disc on its high side
+def _inward_pair(dy: float) -> Labyrinth:
+    """The segment x = 0.5, |y| <= 0.1, then, listed first, the segment
+    y = dy, 0.5 <= x <= 0.7 with its normal pointing at the origin's side."""
+    return Labyrinth(dim=2, domain={"kind": "ball"}, components=[
+        FlatBall(center=np.array([0.6, dy]), normal=np.array([0.0, -1.0]),
+                 radius=0.1, level=(1, 2, 0)),
+        FlatBall(center=np.array([0.5, 0.0]), normal=np.array([1.0, 0.0]),
+                 radius=0.1, level=(1, 1, 0))])
+
+
+def test_planar_lex_falls_back_to_the_lp_on_an_inward_normal():
+    pair = _inward_pair(0.3)
+    C, N, R = disc_rows(pair.components[::-1])  # the radial order
+    # the outer disc's own normal puts the inner disc on its high side
     assert _lex_half_gaps(C, N, R)[1] < LP_MARGIN_FLOOR
     lex = _lex(audit_labyrinth(pair))
     assert lex["passed"]
-    assert lex["worst_margin"] == pytest.approx(0.19699870191887975, abs=1e-15)
+    # half the gap between (0.5, 0.1) and (0.5, 0.3)
+    assert lex["worst_margin"] == pytest.approx(0.1, abs=1e-12)
+    # moved down to y = 0.05 the segments cross: no witness, and the
+    # outer disc in radial order is named
+    lex = _lex(audit_labyrinth(_inward_pair(0.05)))
+    assert not lex["passed"] and lex["failed_component"] == (1, 2, 0)
 
 
-def test_planar_lex_failures_are_unchanged():
-    lab = build_labyrinth(make_schedule(0.5, 2, 4), dim=2, seed=0)
-    reversed_order = replace(lab, components=lab.components[::-1])
-    lex = _lex(audit_labyrinth(reversed_order))
-    assert not lex["passed"] and lex["failed_component"] == (2, 3, 6)
-    shells_swapped = replace(lab, components=sorted(
-        lab.components, key=lambda fb: -fb.level[0]))
-    lex = _lex(audit_labyrinth(shells_swapped))
-    assert not lex["passed"] and lex["failed_component"] == (1, 1, 0)
+@pytest.mark.parametrize("make", [
+    lambda: _ball2(0),
+    lambda: build_labyrinth(make_schedule(0.5, 2, 4), dim=2, seed=0),
+    lambda: annulus_labyrinth(0.5, 1.0, J=1, m=2, dim=3, seed=0),
+], ids=["ball2", "criterion-2", "verify-space"])
+def test_lex_verdict_and_margin_do_not_depend_on_the_file_order(
+        make, tmp_path):
+    from labyrinths.io import load_labyrinth, save_labyrinth
+
+    lab = make()
+    built = _lex(audit_labyrinth(lab))
+    assert built["passed"]
+    perm = np.random.default_rng(5).permutation(len(lab))
+    for name, comps in (("reversed", lab.components[::-1]),
+                        ("shuffled", [lab.components[i] for i in perm])):
+        path = tmp_path / f"{name}.json"
+        save_labyrinth(replace(lab, components=comps), str(path))
+        lex = _lex(audit_labyrinth(load_labyrinth(str(path))))
+        assert lex == built, name
 
 
 def _record_lp_planes(monkeypatch) -> list:
@@ -587,6 +656,9 @@ def test_space_lex_margin_is_measured_on_the_exact_supports(monkeypatch):
     lex = _lex(audit_labyrinth(lab))
     assert lex["passed"] and len(planes) == len(lab) - 1
     C, N, R = disc_rows(lab.components)
+    # the audit's radial order: centre norm, ties by index
+    order = np.argsort(np.sqrt(row_dots(C, C)), kind="stable")
+    C, N, R = C[order], N[order], R[order]
     samples = np.concatenate([disc_rim_points(C, N, R, 64 * 3), C[:, None]],
                              axis=1)
 
@@ -608,11 +680,7 @@ def test_space_lex_margin_is_measured_on_the_exact_supports(monkeypatch):
 def _containment(lab: Labyrinth) -> dict:
     """The audit's containment entry, without the audit's other checks."""
     checks = []
-    comp = _CompArrays.from_components(lab.components)
-    rims = disc_rim_points(comp.centers, comp.normals, comp.radii,
-                           64 * lab.dim)
-    add_containment_check(lab, np.concatenate([rims, comp.centers[:, None]],
-                                              axis=1),
+    add_containment_check(lab, *disc_rows(lab.components),
                           lambda name, passed, **details:
                           checks.append(dict(details, passed=passed)))
     return checks[0]
@@ -660,6 +728,38 @@ def test_containment_holds_a_scaled_ball_labyrinth_to_its_scale():
     check = _containment(lab)
     assert not check["passed"]
     assert check["max_defining_value"] == pytest.approx(0.06)
+
+
+def test_containment_of_a_3d_ellipsoid_in_its_own_frame_is_a_bound():
+    # x^2/4 + y^2 + z^2 < 1 with the discs in its own frame, no to_ball
+    A = np.diag([0.25, 1.0, 1.0])
+    lab = build_labyrinth(make_schedule(0.5, 1, 2), dim=3, seed=0,
+                          domain={"kind": "ellipsoid", "matrix": A.tolist()})
+    check = _containment(lab)
+    assert check["passed"] and check["upper_bound"]
+    # the bound dominates the defining function on every rim point
+    C, N, R = disc_rows(lab.components)
+    rims = disc_rim_points(C, N, R, 256).reshape(-1, 3)
+    assert np.einsum("ij,jk,ik->i", rims, A, rims).max() - 1.0 \
+        <= check["max_defining_value"]
+    # a disc tangent at x = 1.9 with radius 0.5 along y and z: its centre
+    # is inside (A-norm 0.95) and its rim (1.9, 0.5, 0) is not
+    lab.components.append(FlatBall(center=np.array([1.9, 0.0, 0.0]),
+                                   normal=np.array([1.0, 0.0, 0.0]),
+                                   radius=0.5))
+    check = _containment(lab)
+    assert not check["passed"]
+    assert check["max_defining_value"] == pytest.approx(1.45 ** 2 - 1.0)
+
+
+def test_net_covering_names_a_failed_hull_certificate():
+    lab = build_labyrinth(make_schedule(0.5, 1, 2), dim=3, seed=0)
+    # keep the discs whose normals point into the upper half space
+    lab.components = [fb for fb in lab.components if fb.normal[2] > 0.0]
+    check = next(c for c in audit_labyrinth(lab)["checks"]
+                 if c["name"] == "net-covering")
+    assert not check["passed"] and check["failed_shell"] == 1
+    assert "offset" in check["error"]
 
 
 def _divergence(lab: Labyrinth) -> dict:
