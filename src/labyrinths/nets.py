@@ -41,6 +41,9 @@ from .sampling import (ParkedSweep, circle_rows, farthest_point_order,
 
 COVER_SAMPLES = 100_000
 CANDIDATE_CAP = 3_000_000
+# covering_radius builds convex hulls up to this dimension; generate's nets
+# reach d = 4 (`--dim 5` stops at CANDIDATE_CAP)
+HULL_MAX_DIM = 4
 
 
 class NetBudgetError(RuntimeError):
@@ -224,10 +227,11 @@ def covering_radius(points: np.ndarray, d: int) -> float:
     normal u_f of a facet f of the convex hull (Qhull: Barber, Dobkin and
     Huhdanpaa 1996), whose nearest points are f's own vertices, so the
     radius is the largest |u_f - v_f|.  The hull is certified first
-    (:func:`_hull_covering`).  Qhull runs without its pre-merge of nearly
-    coplanar facets (option Q0, a third faster on the shells' nets), and
-    with it when that hull fails or is not certified; if neither is,
-    :class:`HullCertificateError` names what failed.
+    (:func:`_hull_covering`); if it is not, :class:`HullCertificateError`
+    names what failed.  A hull of n points in d dimensions can have on the
+    order of n^(d/2) facets, so beyond HULL_MAX_DIM, past the dimensions
+    :func:`greedy_net` builds nets in, the radius is not computed and the
+    error says so.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
@@ -236,17 +240,15 @@ def covering_radius(points: np.ndarray, d: int) -> float:
         ang = np.sort(np.arctan2(points[:, 1], points[:, 0]))
         gaps = np.diff(ang, append=ang[0] + 2.0 * np.pi)
         return float(2.0 * np.sin(gaps.max() / 4.0))
-    for options in ("Q0", None):
-        try:
-            hull = ConvexHull(points, qhull_options=options)
-        except (QhullError, ValueError) as exc:
-            failure = HullCertificateError(f"qhull rejects the points: {exc}")
-            continue
-        try:
-            return _hull_covering(points, hull)
-        except HullCertificateError as exc:
-            failure = exc
-    raise failure
+    if d > HULL_MAX_DIM:
+        raise HullCertificateError(
+            f"no exact covering radius in d = {d} > {HULL_MAX_DIM}: the "
+            "convex hull can have on the order of n^(d/2) facets")
+    try:
+        hull = ConvexHull(points)
+    except (QhullError, ValueError) as exc:
+        raise HullCertificateError(f"qhull rejects the points: {exc}") from exc
+    return _hull_covering(points, hull)
 
 
 def _hull_covering(points: np.ndarray, hull: ConvexHull) -> float:

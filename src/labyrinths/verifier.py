@@ -8,7 +8,6 @@ invariants of a labyrinth (tangency, disjointness, separation witnesses,
 net separation and covering, containment) are audited from the discs,
 with no sampled estimate: exactly, to stated tolerances, or by a stated
 sufficient bound (:func:`audit_labyrinth` lists which); disjointness uses
-closed-form support gaps and
 :func:`labyrinths.geometry.pairs_disc_disc_distance`, so the reported
 ``min_distance`` is a certified lower bound, exact in the plane.
 
@@ -652,11 +651,8 @@ def _pairwise_min_distance(comp: _CompArrays) -> float:
 
     Candidate pairs come from a sound centre-distance cull: pairs beyond
     the cull radius are at least `slack` apart, so when no candidate pair
-    exists that slack is returned as a valid positive lower bound.  In the
-    plane the candidates go through :func:`pairs_disc_disc_distance`, which
-    is exact there.  Beyond it a pair is first held to its closed-form gap
-    (:func:`_support_gaps`), and only the pairs that gap leaves uncertified
-    go through the kernel's alternating projection.
+    exists that slack is returned as a valid positive lower bound.  The
+    candidates go through :func:`pairs_disc_disc_distance` in one call.
     """
     if len(comp) < 2:
         return np.inf
@@ -667,35 +663,8 @@ def _pairwise_min_distance(comp: _CompArrays) -> float:
         return slack
     i, j = pairs.T
     C, N, R = comp.centers, comp.normals, comp.radii
-    if C.shape[1] == 2:
-        dist = pairs_disc_disc_distance(C[i], N[i], R[i], C[j], N[j], R[j])
-    else:
-        dist = _support_gaps(C[i], N[i], R[i], C[j], N[j], R[j])
-        k = np.flatnonzero(~(dist > 0.0))
-        i, j = i[k], j[k]
-        dist[k] = pairs_disc_disc_distance(C[i], N[i], R[i], C[j], N[j], R[j])
-    return min(float(dist.min()), slack)
-
-
-def _support_gaps(C1, N1, R1, C2, N2, R2) -> np.ndarray:
-    """The largest gap between the supports of aligned disc rows along the
-    centre line and the two normals, each turned to point from disc 2 to
-    disc 1: a lower bound on their distance wherever it is positive.
-
-    Two discs of one sublevel are mirror images in their bisector plane, so
-    the centre line gives their distance; discs of stacked sublevels are
-    nearly parallel, and a normal gives theirs.  On the shell labyrinths
-    the smallest gap equals the alternating projection's minimum to about
-    1e-16 (``ball3``, the d = 4 file).
-    """
-    V = C1 - C2
-    best = np.full(len(V), -np.inf)
-    for W in (V, N1, N2):
-        W = W / np.sqrt(row_dots(W, W))[:, None]
-        W = np.where((row_dots(V, W) < 0.0)[:, None], -W, W)
-        best = np.fmax(best, -disc_support(C1, N1, R1, -W)
-                       - disc_support(C2, N2, R2, W))
-    return best
+    return min(float(pairs_disc_disc_distance(C[i], N[i], R[i],
+                                              C[j], N[j], R[j]).min()), slack)
 
 
 def _lex_half_gaps(C, N, R) -> np.ndarray:

@@ -586,6 +586,32 @@ def test_cli_report_prints_the_covering_fraction_of_a_d4_file(
     assert "covering_fractions" in _checks(capsys)["net-covering"][1]
 
 
+def test_cli_report_names_the_hull_dimension_bound_on_a_d8_file(
+        tmp_path, capsys):
+    from labyrinths.geometry import FlatBall
+    from labyrinths.shells import Labyrinth
+
+    # 300 random normals in d = 8: their convex hull would have millions of
+    # facets, so net-covering must fail by name instead of building it
+    sched = make_schedule(0.5, 1, 2)
+    rng = np.random.default_rng(0)
+    U = rng.normal(size=(300, 8))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    r = float(sched.tangent_radii[0])
+    comps = [FlatBall(center=sched.sublevels[0, i % 2] * u, normal=u,
+                      radius=r, level=(1, i % 2 + 1, i // 2))
+             for i, u in enumerate(U)]
+    path = tmp_path / "d8.json"
+    save_labyrinth(Labyrinth(dim=8, domain={"kind": "ball"},
+                             components=comps, schedule=sched), str(path))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert run_cli("report", str(path)) == 2
+    assert time.perf_counter() - t0 < 10.0
+    passed, line = _checks(capsys)["net-covering"]
+    assert not passed and "d = 8 > 4" in line
+
+
 def test_cli_config_file_flags_win(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"J": 1, "seed": 5, "s0": 0.5}))

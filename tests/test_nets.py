@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import cKDTree
 
 from labyrinths import nets
 from labyrinths.config import DEFAULT_C
@@ -155,22 +155,6 @@ def test_exact_covering_lies_within_the_sampling_slack(d, delta):
     assert sampled <= exact + 1e-12
     assert exact <= sampled + sampling_slack(d, 100_000)
     assert exact <= delta + candidate_resolution(d, delta)
-
-
-def test_covering_radius_merges_when_the_unmerged_hull_fails(monkeypatch):
-    net = greedy_net(3, 0.3, seed=0)
-    plain = covering_radius(net, 3)
-    calls = []
-
-    def hull(points, qhull_options=None):
-        calls.append(qhull_options)
-        if qhull_options == "Q0":
-            raise nets.QhullError("a precision error")
-        return ConvexHull(points, qhull_options=qhull_options)
-
-    monkeypatch.setattr(nets, "ConvexHull", hull)
-    assert covering_radius(net, 3) == pytest.approx(plain, abs=1e-15)
-    assert calls == ["Q0", None]
 
 
 def test_a_hemisphere_net_fails_the_hull_certificate():

@@ -13,7 +13,6 @@ from labyrinths.geometry import (
     FlatBall,
     disc_rim_points,
     disc_rows,
-    pairs_disc_disc_distance,
     pairs_point_disc_distance,
     pairs_segment_disc_touch,
     row_dots,
@@ -39,7 +38,6 @@ from labyrinths.verifier import (
     _project_to_set,
     _region_measure,
     _segments_collide,
-    _support_gaps,
     _touches_any,
     _unique_pairs,
     EscapePath,
@@ -490,48 +488,6 @@ def test_audit_fails_on_intersecting_discs_in_space():
                     if c["name"] == "pairwise-disjoint")
     assert not disjoint["passed"] and disjoint["min_distance"] == 0.0
     assert not rep["passed"]
-
-
-def _full_kernel_min_distance(lab: Labyrinth) -> float:
-    """The disjointness bound with every candidate pair through the
-    alternating projection of pairs_disc_disc_distance."""
-    comp = _CompArrays.from_components(lab.components)
-    i, j = comp.tree.query_pairs(2.0 * comp.radii.max() + 0.05,
-                                 output_type="ndarray").T
-    C, N, R = disc_rows(lab.components)
-    return float(pairs_disc_disc_distance(C[i], N[i], R[i],
-                                          C[j], N[j], R[j]).min())
-
-
-@pytest.mark.parametrize("make", [
-    lambda: build_labyrinth(make_schedule(0.5, 2, 2), dim=3, seed=0),
-    lambda: annulus_labyrinth(0.5, 1.0, J=2, m=2, dim=3, seed=0),
-], ids=["ball3", "annulus-J2"])
-def test_space_disjointness_gap_matches_the_projection(make):
-    lab = make()
-    check = next(c for c in audit_labyrinth(lab)["checks"]
-                 if c["name"] == "pairwise-disjoint")
-    assert check["passed"]
-    assert check["min_distance"] == pytest.approx(
-        _full_kernel_min_distance(lab), abs=2e-9)
-
-
-def test_space_disjointness_falls_back_to_the_projection():
-    n = np.array([0.0269, -0.5013, -0.8649])
-    pair = [FlatBall(center=np.zeros(3), normal=np.array([0.0, 0.0, 1.0]),
-                     radius=1.0),
-            FlatBall(center=np.array([1.341, 0.447, 0.255]),
-                     normal=n / np.linalg.norm(n), radius=0.846)]
-    C, N, R = disc_rows(pair)
-    # no closed-form direction separates them, yet they are 0.027 apart
-    assert _support_gaps(C[:1], N[:1], R[:1], C[1:], N[1:], R[1:])[0] < 0.0
-    lab = Labyrinth(dim=3, domain={"kind": "ball"}, components=pair)
-    check = next(c for c in audit_labyrinth(lab)["checks"]
-                 if c["name"] == "pairwise-disjoint")
-    assert check["passed"]
-    assert check["min_distance"] == pytest.approx(
-        _full_kernel_min_distance(lab), abs=1e-15)
-    assert check["min_distance"] == pytest.approx(0.027, abs=1e-3)
 
 
 def _lex(rep: dict) -> dict:
