@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # golden-section steps of the segment/disc distance
@@ -296,6 +295,9 @@ def _max_margin_lp(first: np.ndarray, second: np.ndarray):
     """(w, b, gamma) maximising gamma subject to w.x >= b + gamma on
     `first`, w.x <= b - gamma on `second` and |w|_1 <= 1; None when HiGHS
     reports no solution."""
+    # deferred: scipy.optimize is slow to import and most runs solve no LP
+    from scipy.optimize import linprog
+
     d = first.shape[1]
     # variables: u (d), v (d), b, gamma with w = u - v, u, v >= 0
     nv = 2 * d + 2

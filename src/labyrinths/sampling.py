@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 GOLDEN_FRAC = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -39,6 +38,9 @@ def sphere_candidates(d: int, count: int) -> np.ndarray:
         out[:k, 0], out[:k, 1] = rho * np.cos(phi), rho * np.sin(phi)
         out[:k, 2] = z
     else:
+        # deferred: scipy.stats (with scipy.optimize) is slow to import
+        from scipy.stats import qmc
+
         k = (count + 1) // 2
         sob = qmc.Sobol(d, scramble=False)
         sob.fast_forward(1)  # skip the all-zero point
@@ -67,6 +69,9 @@ def sphere_samples(d: int, n: int, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
         theta = 2.0 * np.pi * (np.arange(n) + rng.random()) / n
         return np.column_stack([np.cos(theta), np.sin(theta)])
+    # deferred: scipy.stats (with scipy.optimize) is slow to import
+    from scipy.stats import qmc
+
     sob = qmc.Sobol(d, scramble=True, seed=seed)
     draw = 1 << int(np.ceil(np.log2(int(n * 1.05) + 8)))
     # in place, so one (draw, d) array is alive here instead of three

@@ -40,7 +40,6 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
-from scipy.stats import qmc
 
 from .config import RIM_STEP
 from .domains import resolve_domain
@@ -331,6 +330,9 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
     rim_nodes = rim_nodes[:node_budget // 2]
     free_target = node_budget - len(rim_nodes)
 
+    # deferred: scipy.stats (with scipy.optimize) is slow to import
+    from scipy.stats import qmc
+
     sob = qmc.Sobol(dim, scramble=True, seed=seed)
     accepted = []
     got = drawn = in_region = 0
@@ -519,7 +521,8 @@ def shortest_escape(rm: Roadmap, source: dict, target: dict) -> EscapePath | Non
         (np.concatenate([g.data, vals]),
          (np.concatenate([g.row, rows]), np.concatenate([g.col, cols]))),
         shape=(n + 2, n + 2))
-    dist, pred = dijkstra(big, directed=False, indices=S,
+    # every edge and link is stored both ways, so the directed run is exact
+    dist, pred = dijkstra(big, directed=True, indices=S,
                           return_predecessors=True)
     if not np.isfinite(dist[T]):
         return None

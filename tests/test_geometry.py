@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labyrinths import geometry
 from labyrinths.geometry import (
     FlatBall,
     disc_norm_range,
@@ -190,13 +190,13 @@ def _plane_margin(h, first, second) -> float:
 
 def _counting_linprog(monkeypatch) -> list:
     calls = []
-    solve = geometry.linprog
+    solve = scipy.optimize.linprog
 
     def counted(*args, **kwargs):
         calls.append(kwargs["A_ub"].shape[0])
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "linprog", counted)
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
     return calls
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import labyrinths
 from labyrinths.cli import main
 from labyrinths.io import (
     MalformedFileError,
@@ -633,6 +635,41 @@ def test_cli_entrypoint_subprocess(tmp_path):
          "--out", str(out)], capture_output=True, text=True)
     assert r.returncode == 0
     assert out.exists()
+
+
+# runs the commands in one fresh interpreter and prints which of the slow
+# scipy subpackages they loaded
+IMPORT_BUDGET_SCRIPT = """
+import sys
+from labyrinths.cli import main
+for argv in sys.argv[1:]:
+    rc = main(argv.split())
+    assert rc == 0, (argv, rc)
+print(" ".join(m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("commands, loads_stats", [
+    ([], False),
+    (["generate --J 1 --out a.json", "report a.json",
+      "export a.json --svg a.svg --csv a.csv"], False),
+    (["generate --dim 3 --J 2 --out b.json", "report b.json"], False),
+    (["generate --J 1 --out a.json",
+      "verify a.json --M 0.4 --seeds 1 --nodes 2000"], True),
+], ids=["import", "planar-generate-report-export", "ball3-generate-report",
+        "verify"])
+def test_cli_loads_scipy_stats_and_optimize_only_on_demand(tmp_path, commands,
+                                                          loads_stats):
+    env = dict(os.environ, PYTHONPATH=str(Path(labyrinths.__file__).parents[1]))
+    r = subprocess.run([sys.executable, "-c", IMPORT_BUDGET_SCRIPT, *commands],
+                       cwd=tmp_path, env=env, capture_output=True, text=True,
+                       timeout=300)
+    assert r.returncode == 0, r.stderr
+    loaded = r.stdout.splitlines()[-1].split()
+    if loads_stats:  # the Sobol roadmap's draw
+        assert "scipy.stats" in loaded
+    else:
+        assert loaded == []
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -377,7 +378,7 @@ def test_roadmap_rejects_a_thin_region_before_any_draw(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("Sobol points were drawn for the thin region")
 
-    monkeypatch.setattr(verifier.qmc, "Sobol", no_draw)
+    monkeypatch.setattr(scipy.stats.qmc, "Sobol", no_draw)
     thin = {"kind": "annulus", "inner": 0.5, "outer": 0.5001}
     with pytest.raises(RoadmapBudgetError, match="0.000314 of its sampling box"):
         build_roadmap(thin, empty_labyrinth(2, thin), 20_000)
@@ -416,6 +417,29 @@ def test_path_endpoints_lie_on_sets():
     assert abs(np.linalg.norm(path.polyline[0]) - 0.5) < 1e-9
     assert abs(np.linalg.norm(path.polyline[-1]) - 1.0) < 1e-9
     assert verify_path(path, lab, SPHERE_IN, SPHERE_OUT)
+
+
+@pytest.mark.parametrize("source", [
+    SPHERE_IN, {"kind": "point", "coords": [0.0, 0.75]}], ids=["sphere", "point"])
+def test_the_augmented_escape_graph_is_symmetric(monkeypatch, source):
+    # the directed Dijkstra run is exact only if every edge and every
+    # source/target link is stored both ways
+    graphs = []
+    run = verifier.dijkstra
+
+    def recorded(graph, **kwargs):
+        graphs.append(graph)
+        return run(graph, **kwargs)
+
+    monkeypatch.setattr(verifier, "dijkstra", recorded)
+    lab = annulus_labyrinth(0.5, 1.0, J=1)
+    rm = build_roadmap(ANNULUS, lab, 3000, 0.0, seed=2)
+    assert shortest_escape(rm, source, SPHERE_OUT) is not None
+    (big,) = graphs
+    assert (big != big.T).nnz == 0
+    S = len(rm.nodes)
+    directed = run(big, directed=True, indices=S)
+    assert np.array_equal(directed, run(big, directed=False, indices=S))
 
 
 def test_shortcut_straight_path_unchanged():
