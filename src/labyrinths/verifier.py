@@ -59,8 +59,8 @@ from .geometry import (
 from .nets import candidate_resolution, covering_radius
 from .shells import Labyrinth, shell_net_separation, sqrt_gap_partial_sums
 
-# segments per collision batch; with the few candidate sub-balls a segment
-# meets in a dense planar annulus, the pair arrays stay within a few MB
+# segments, and then (segment, disc) rows, per collision batch: the pair
+# arrays of a batch stay within a few MB
 _COLLIDE_CHUNK = 1 << 15
 
 # roadmap edges: k nearest neighbours plus every pair within CONNECT_FACTOR
@@ -68,8 +68,9 @@ _COLLIDE_CHUNK = 1 << 15
 NEIGHBORS = 10
 CONNECT_FACTOR = 2.2
 
-# node budgets of one roadmap; peak memory grows about linearly with the
-# budget (about 0.2 GB for 80 000 planar nodes), so the cap bounds it
+# node budgets of one roadmap; one attempt's working set grows about linearly
+# with the budget (a traced peak of 12.5 MB at 20 000 planar nodes, 31 MB at
+# 80 000, for build_roadmap plus shortest_escape), so the cap bounds it
 MIN_NODE_BUDGET = 100
 MAX_NODE_BUDGET = 1_000_000
 
@@ -211,7 +212,8 @@ def _segments_collide(A: np.ndarray, B: np.ndarray, comp: _CompArrays,
     sphere per disc for the short edges of a dense planar roadmap, the
     bounding sphere itself beyond the plane and for segments as long as
     the discs are wide.
-    Segments go in chunks, which bounds the size of the pair arrays.
+    Segments, and then their (segment, disc) rows, go in chunks, which
+    bounds the size of the pair arrays.
     """
     out = np.zeros(len(A), dtype=bool)
     if len(comp) == 0 or len(A) == 0:
@@ -223,10 +225,12 @@ def _segments_collide(A: np.ndarray, B: np.ndarray, comp: _CompArrays,
         idx, cidx = _near_pairs(0.5 * (a + b),
                                 half[s:s + _COLLIDE_CHUNK] + clearance + 1e-12,
                                 comp, k)
-        hit = pairs_segment_disc_touch(a[idx], b[idx], comp.centers[cidx],
-                                       comp.normals[cidx], comp.radii[cidx],
-                                       clearance)
-        out[s + idx[hit]] = True
+        for r in range(0, len(idx), _COLLIDE_CHUNK):
+            i, c = idx[r:r + _COLLIDE_CHUNK], cidx[r:r + _COLLIDE_CHUNK]
+            hit = pairs_segment_disc_touch(a[i], b[i], comp.centers[c],
+                                           comp.normals[c], comp.radii[c],
+                                           clearance)
+            out[s + i[hit]] = True
     return out
 
 
@@ -352,19 +356,19 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
     nodes = np.vstack([np.vstack(accepted)[:free_target], rim_nodes])
 
     connect_radius = CONNECT_FACTOR * (measure / max(len(nodes), 1)) ** (1.0 / dim)
-    all_pairs = _unique_pairs(
+    pairs = _unique_pairs(
         _candidate_pairs(nodes, connect_radius, NEIGHBORS), len(nodes))
 
-    A = nodes[all_pairs[:, 0]]
-    B = nodes[all_pairs[:, 1]]
-    collide = _segments_collide(A, B, comp, clearance)
-    ok = all_pairs[~collide]
-    w = np.linalg.norm(nodes[ok[:, 0]] - nodes[ok[:, 1]], axis=1)
-    n = len(nodes)
-    graph = sparse.csr_matrix(
-        (np.concatenate([w, w]),
-         (np.concatenate([ok[:, 0], ok[:, 1]]),
-          np.concatenate([ok[:, 1], ok[:, 0]]))), shape=(n, n))
+    # endpoints are gathered a chunk at a time, never for all edges at once
+    free, w = np.empty(len(pairs), dtype=bool), np.empty(len(pairs))
+    for s in range(0, len(pairs), _COLLIDE_CHUNK):
+        a, b = (nodes[p] for p in pairs[s:s + _COLLIDE_CHUNK].T)
+        free[s:s + len(a)] = ~_segments_collide(a, b, comp, clearance)
+        w[s:s + len(a)] = np.linalg.norm(a - b, axis=1)
+    pairs, w, n = pairs[free], w[free], len(nodes)
+    # lower entries (j, i) first: each row's columns come out sorted
+    graph = sparse.csr_matrix((np.concatenate([w, w]), (
+        np.concatenate(pairs.T[::-1]), np.concatenate(pairs.T))), shape=(n, n))
     return Roadmap(nodes=nodes, graph=graph, clearance=clearance,
                    connect_radius=connect_radius, comp=comp,
                    n_rim=len(rim_nodes))
@@ -394,15 +398,21 @@ def _candidate_pairs(nodes: np.ndarray, connect_radius: float,
 
 
 def _unique_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Distinct pairs i < j of nodes 0..n-1, in lexicographic order.
+    """Distinct pairs i < j of nodes 0..n-1, in lexicographic order, int32.
 
     Same rows and order as ``np.unique(pairs, axis=0)`` without the
-    self-pairs, from a sort of the 1-d key i*n + j.
+    self-pairs, from an in-place sort of the 1-d key i*n + j.  That key is
+    i*(n + 1) + (j - i), so the self-pairs are its multiples of n + 1.
     """
-    key = np.sort(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
-    key = key[np.concatenate([[True], key[1:] != key[:-1]])]
-    out = np.column_stack(np.divmod(key, n))
-    return out[out[:, 0] != out[:, 1]]
+    key = pairs[:, 0].astype(np.int64) * n
+    key += pairs[:, 1]
+    key.sort()
+    keep = key % (n + 1) != 0
+    keep[1:] &= key[1:] != key[:-1]
+    key = key[keep]
+    out = np.empty((len(key), 2), dtype=np.int32)
+    np.divmod(key, n, out=(out[:, 0], out[:, 1]))
+    return out
 
 
 def _rim_offset_nodes(lab: Labyrinth, comp: _CompArrays, clearance: float,
@@ -511,16 +521,19 @@ def shortest_escape(rm: Roadmap, source: dict, target: dict) -> EscapePath | Non
         links.append((near[ok], np.maximum(moved, 1e-300)))
     (src_i, src_w), (tgt_i, tgt_w) = links
     S, T = n, n + 1
-    rows = np.concatenate([np.full(len(src_i), S), src_i,
-                           np.full(len(tgt_i), T), tgt_i])
-    cols = np.concatenate([src_i, np.full(len(src_i), S),
-                           tgt_i, np.full(len(tgt_i), T)])
-    vals = np.concatenate([src_w, src_w, tgt_w, tgt_w])
-    g = rm.graph.tocoo()
-    big = sparse.csr_matrix(
-        (np.concatenate([g.data, vals]),
-         (np.concatenate([g.row, rows]), np.concatenate([g.col, cols]))),
-        shape=(n + 2, n + 2))
+    # S and T are the largest columns: a node's links end its row, S before
+    # T, and rows S and T end the matrix.  The links go in by node, since
+    # empty rows share an insertion point.
+    g = rm.graph
+    ends, w = np.concatenate([src_i, tgt_i]), np.concatenate([src_w, tgt_w])
+    o = np.argsort(ends, kind="stable")
+    at = np.concatenate([g.indptr[ends[o] + 1], np.full(len(ends), g.nnz)])
+    cols = np.concatenate([np.repeat([S, T], [len(src_i), len(tgt_i)])[o], ends])
+    counts = np.diff(g.indptr) + np.bincount(ends, minlength=n)
+    indptr = np.cumsum(np.concatenate([[0], counts, [len(src_i), len(tgt_i)]]))
+    big = sparse.csr_matrix((np.insert(g.data, at, np.concatenate([w[o], w])),
+                             np.insert(g.indices, at, cols), indptr),
+                            shape=(n + 2, n + 2))
     # every edge and link is stored both ways, so the directed run is exact
     dist, pred = dijkstra(big, directed=True, indices=S,
                           return_predecessors=True)
@@ -620,9 +633,10 @@ def min_escape_length(lab: Labyrinth, source: dict, target: dict,
     attempts = []
     for budget in effort.node_budgets:
         for seed in effort.seeds:
-            rm = build_roadmap(region, lab, budget, effort.clearance,
-                               seed=seed * 1_000_003 + budget)
-            path = shortest_escape(rm, source, target)
+            # no name holds the roadmap, so it is freed before the next build
+            path = shortest_escape(
+                build_roadmap(region, lab, budget, effort.clearance,
+                              seed=seed * 1_000_003 + budget), source, target)
             if path is not None:
                 path = shortcut(path, lab, rounds=effort.shortcut_rounds,
                                 seed=seed)

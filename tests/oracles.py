@@ -6,8 +6,9 @@ here imports search or construction internals beyond plain data types and
 the row-wise geometric predicates, except the reference builds at the end:
 they replay a construction the plain way (a cold sweep per shell, scipy's
 ``brentq`` one row at a time, every disc made before it is filtered, each
-disc mapped through a chart on its own), so a faster path can be held to
-it bit for bit.
+disc mapped through a chart on its own, a roadmap's edges collided all at
+once and its escape graph built through COO), so a faster path can be held
+to it bit for bit.
 """
 
 from __future__ import annotations
@@ -405,3 +406,56 @@ def scipy_boundary_near(dom, y, n_out):
             return y + brentq(f, lo, hi, xtol=1e-14) * n_out
         lo, hi = 2.0 * lo, 2.0 * hi
     return None
+
+
+def reference_roadmap_graph(rm):
+    """The roadmap's graph rebuilt from its nodes with every edge at once.
+
+    The distinct candidate pairs come from ``np.unique`` (int64 rows), the
+    endpoints of every edge are gathered into two full arrays for one
+    collision call, the weights are read from the surviving rows and the
+    symmetric CSR is built through COO, upper entries first.
+    """
+    from labyrinths.verifier import NEIGHBORS, _segments_collide
+
+    nodes, n = rm.nodes, len(rm.nodes)
+    pairs = all_node_candidate_pairs(nodes, rm.connect_radius, NEIGHBORS)
+    A, B = nodes[pairs[:, 0]], nodes[pairs[:, 1]]
+    ok = pairs[~_segments_collide(A, B, rm.comp, rm.clearance)]
+    w = np.linalg.norm(nodes[ok[:, 0]] - nodes[ok[:, 1]], axis=1)
+    return sparse.csr_matrix(
+        (np.concatenate([w, w]),
+         (np.concatenate([ok[:, 0], ok[:, 1]]),
+          np.concatenate([ok[:, 1], ok[:, 0]]))), shape=(n, n))
+
+
+def reference_escape_graph(rm, graph, source: dict, target: dict):
+    """The escape search's graph on n + 2 nodes, through COO.
+
+    Each escape set links its nearby nodes (every node within 1.5 connect
+    radii, and for a point set also its 24 nearest) to its projection when
+    that link clears the discs; the set's new node (n for the source, n + 1
+    for the target) gets those links both ways, appended after the
+    entries of `graph`.
+    """
+    from labyrinths.verifier import (_project_to_set, _segments_collide,
+                                     _set_distance)
+
+    nodes, n = rm.nodes, len(rm.nodes)
+    g = graph.tocoo()
+    rows, cols, vals = [g.row], [g.col], [g.data]
+    for end, descr in ((n, source), (n + 1, target)):
+        d = _set_distance(descr, nodes)
+        near = np.flatnonzero(d <= max(rm.connect_radius * 1.5, 1e-9))
+        if descr["kind"] == "point":
+            near = np.union1d(near, np.argsort(d)[:min(n, 24)])
+        proj = _project_to_set(descr, nodes[near])
+        ok = ~_segments_collide(nodes[near], proj, rm.comp, rm.clearance)
+        idx = near[ok]
+        w = np.maximum(np.linalg.norm(nodes[idx] - proj[ok], axis=1), 1e-300)
+        rows += [np.full(len(idx), end), idx]
+        cols += [idx, np.full(len(idx), end)]
+        vals += [w, w]
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n + 2, n + 2))

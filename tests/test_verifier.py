@@ -1,3 +1,5 @@
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +58,8 @@ from oracles import (
     all_node_candidate_pairs,
     brute_segments_collide,
     grid_shortest_path,
+    reference_escape_graph,
+    reference_roadmap_graph,
 )
 
 ANNULUS = {"kind": "annulus", "inner": 0.5, "outer": 1.0}
@@ -162,7 +166,7 @@ def test_candidate_pairs_match_the_all_node_knn_rule(case):
         else _roadmap_nodes(2 if case == "annulus-2d" else 3)
     want = all_node_candidate_pairs(nodes, radius, NEIGHBORS)
     got = _unique_pairs(_candidate_pairs(nodes, radius, NEIGHBORS), len(nodes))
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
     # both branches run: some nodes skip the k-NN query, some need it
     pairs = cKDTree(nodes).query_pairs(radius, output_type="ndarray")
     degree = np.bincount(pairs.ravel(), minlength=len(nodes))
@@ -440,6 +444,96 @@ def test_the_augmented_escape_graph_is_symmetric(monkeypatch, source):
     S = len(rm.nodes)
     directed = run(big, directed=True, indices=S)
     assert np.array_equal(directed, run(big, directed=False, indices=S))
+
+
+# the verify-plane instance: 640 discs in the annulus between its spheres
+PLANE_REGION = {"kind": "annulus", "inner": 0.75, "outer": 0.875}
+PLANE_SETS = ({"kind": "sphere", "radius": 0.75},
+              {"kind": "sphere", "radius": 0.875})
+
+
+def _plane_lab() -> Labyrinth:
+    return annulus_labyrinth(0.75, 0.875, J=10, m=2, dim=2, seed=0)
+
+
+def _same_csr(got, want) -> bool:
+    return got.shape == want.shape and all(
+        getattr(got, f).dtype == getattr(want, f).dtype
+        and np.array_equal(getattr(got, f), getattr(want, f))
+        for f in ("indptr", "indices", "data"))
+
+
+@pytest.mark.parametrize("case", ["plane-20k", "space-point"])
+def test_roadmap_and_escape_graphs_match_the_all_edges_reference(
+        monkeypatch, case):
+    # the plane case has nodes with no edge next to linked nodes, where
+    # links that share an insertion point must keep their rows apart
+    if case == "plane-20k":
+        lab, region, budget = _plane_lab(), PLANE_REGION, 20_000
+        source, target = PLANE_SETS
+    else:
+        lab, region, budget = annulus_labyrinth(0.5, 1.0, J=1, dim=3), \
+            ANNULUS, 4000
+        source, target = {"kind": "point", "coords": [0.0, 0.0, 0.75]}, \
+            SPHERE_OUT
+    graphs = []
+    run = verifier.dijkstra
+
+    def recorded(graph, **kwargs):
+        graphs.append(graph)
+        return run(graph, **kwargs)
+
+    monkeypatch.setattr(verifier, "dijkstra", recorded)
+    rm = build_roadmap(region, lab, budget, 0.0, seed=budget)
+    shortest_escape(rm, source, target)
+    want = reference_roadmap_graph(rm)
+    assert _same_csr(rm.graph, want)
+    (big,) = graphs
+    want_big = reference_escape_graph(rm, want, source, target)
+    assert _same_csr(big, want_big)
+    S = len(rm.nodes)
+    for got, ref in zip(run(big, directed=True, indices=S,
+                            return_predecessors=True),
+                        run(want_big, directed=True, indices=S,
+                            return_predecessors=True)):
+        assert np.array_equal(got, ref)
+
+
+def test_one_planar_attempt_keeps_its_working_set_small():
+    # build_roadmap plus shortest_escape at 20 000 nodes traces about
+    # 12.5 MB at its peak; with every edge's endpoints gathered at once, an
+    # unchunked predicate and the escape graph built through COO it was
+    # about 36 MB
+    lab = _plane_lab()
+    build_roadmap(PLANE_REGION, lab, 2000, 0.0, seed=0)  # imports come first
+    tracemalloc.start()
+    try:
+        rm = build_roadmap(PLANE_REGION, lab, 20_000, 0.0, seed=20_000)
+        shortest_escape(rm, *PLANE_SETS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_min_escape_length_frees_each_roadmap_before_the_next_build(
+        monkeypatch):
+    refs, alive = [], []
+    build = verifier.build_roadmap
+
+    def tracked(*args, **kwargs):
+        alive.append(sum(r() is not None for r in refs))
+        rm = build(*args, **kwargs)
+        refs.append(weakref.ref(rm))
+        return rm
+
+    monkeypatch.setattr(verifier, "build_roadmap", tracked)
+    rep = min_escape_length(annulus_labyrinth(0.5, 1.0, J=1), SPHERE_IN,
+                            SPHERE_OUT, EffortBudget(seeds=(0, 1),
+                                                     node_budgets=(1000, 2000),
+                                                     shortcut_rounds=20))
+    assert len(rep["attempts"]) == 4
+    assert alive == [0, 0, 0, 0]
 
 
 def test_shortcut_straight_path_unchanged():
