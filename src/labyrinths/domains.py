@@ -25,7 +25,8 @@ from scipy.spatial import cKDTree
 
 from .config import DEFAULT_C, DEFAULT_T
 from .geometry import FlatBall, row_dots, tangent_bases
-from .shells import Labyrinth, build_labyrinth, schedule_from_radii, shell_discs
+from .shells import (Labyrinth, build_labyrinth, schedule_discs,
+                     schedule_from_radii)
 
 
 # patch covers: boundary samples, and ring samples per patch for the gap
@@ -42,7 +43,6 @@ BRENT_RTOL = 4.0 * np.finfo(float).eps
 BRENT_MAXITER = 100
 # patch assembly: one shell per step, placed in the band [0.88, 0.97] of the
 # collar depth, with a chart deviation of 15% of the band's inner edge
-SHELLS_PER_STEP = 1
 COLLAR_BAND = (0.88, 0.97)
 DEVIATION_FRACTION = 0.15
 # most patch steps a schedule may hold: each step narrows the collar by 7 to
@@ -636,13 +636,13 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
                              seed: int = 0) -> Labyrinth:
     """Iterate the patch schedule, stacking disc layers in shrinking collars.
 
-    Step j builds a local shell stack inside patch U_(sigma j), placed in
-    the osculating chart within the band COLLAR_BAND * eta_j of current
-    collar depth, then maps it back (exactly, segments to segments in the
-    plane).  The collar width eta_(j+1) is re-measured as the distance from
-    the boundary to everything built so far, and must decrease strictly;
-    the loop aborts with :class:`CollarCollapseError` if it falls below
-    COLLAR_FLOOR before the schedule completes.
+    Step j builds one shell on the class count its nets decide (every
+    class placed, :func:`schedule_discs`) inside patch U_(sigma j), in the
+    osculating chart within the band COLLAR_BAND * eta_j of collar depth,
+    and maps it back (exactly, segments to segments in the plane).  The
+    re-measured collar width eta_(j+1), the distance from the boundary to
+    everything built so far, must decrease strictly; the loop aborts with
+    :class:`CollarCollapseError` if it falls below COLLAR_FLOOR first.
     """
     if dom.dim != 2:
         raise NotImplementedError("patch assembly is implemented for d = 2")
@@ -660,9 +660,7 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
         osc = osculating_map(dom, cover.centers[pidx], deviation_bound=dev)
         h = osc.normal_scale * eta
         s_lo, s_hi = 1.0 - beta * h, 1.0 - alpha * h
-        js = np.arange(1, SHELLS_PER_STEP + 1)
-        radii = s_lo + js * (s_hi - s_lo) / (SHELLS_PER_STEP + 1)
-        local = schedule_from_radii(s_lo, radii, 2, t, c)
+        local = schedule_from_radii(s_lo, [s_lo + (s_hi - s_lo) / 2], 2, t, c)
         window = min(osc.validity_radius, cover.radius * 0.9) \
             * np.linalg.norm(osc.linear, 2)
         C, N, R, levels = _local_patch_discs(local, dom.dim, seed + 101 * step,
@@ -691,14 +689,11 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
 
 
 def _local_patch_discs(schedule, dim, seed, window) -> tuple:
-    """Shell disc rows (C, N, R, levels) in the chart window around e1: the
-    discs with |centre - e1| + radius <= window."""
-    e1 = np.eye(dim)[0]
-    rows = []
-    for j in range(1, schedule.J + 1):
-        centers, normals, r_j, levels, _ = shell_discs(schedule, j, dim, seed)
-        off = centers - e1
-        keep = np.sqrt(row_dots(off, off)) + r_j <= window
-        rows.append((centers[keep], normals[keep],
-                     np.full(np.count_nonzero(keep), r_j), levels[keep]))
-    return tuple(np.concatenate(col) for col in zip(*rows))
+    """Disc rows (C, N, R, levels) of :func:`schedule_discs` in the chart
+    window around e1: the discs with |centre - e1| + radius <= window."""
+    rows = [(c, n, np.full(len(c), r), lv)
+            for c, n, r, lv, _ in schedule_discs(schedule, dim, seed)[1]]
+    C, N, R, levels = (np.concatenate(col) for col in zip(*rows))
+    off = C - np.eye(dim)[0]
+    keep = np.sqrt(row_dots(off, off)) + R <= window
+    return C[keep], N[keep], R[keep], levels[keep]

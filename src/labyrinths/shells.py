@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .config import DEFAULT_C, DEFAULT_T, RADIUS_SAFETY
 from .geometry import FlatBall
@@ -216,23 +217,32 @@ def shell_net_separation(schedule: ShellSchedule, j: int) -> float:
     return 2.0 * schedule.t * r_j / schedule.radius_below(j)
 
 
-def shell_discs(schedule: ShellSchedule, j: int, dim: int, seed: int = 0):
+def _shell_net(schedule: ShellSchedule, j: int, dim: int,
+               seed: int) -> SeparatedNet:
+    return build_separated_families(dim, shell_net_separation(schedule, j),
+                                    schedule.c, seed=seed, target_m=schedule.m)
+
+
+def shell_discs(schedule: ShellSchedule, j: int, dim: int, seed: int = 0,
+                net: SeparatedNet | None = None):
     """Discs of shell j as rows: class k tangent to the sublevel-k sphere.
 
     Returns (centres, normals, radius, levels, net): the disc of class point
     `direction` on sublevel k has centre s_{j,k}*direction, normal
     `direction` and the shell's tangent radius r_j, and levels holds its
-    (j, k, p) tag by class and position in the class.
+    (j, k, p) tag by class and position in the class.  `net` is the shell's
+    net if already built.  Every class is placed: a net with more classes
+    than the schedule's m raises :class:`IntegrityError`.
     """
     if not (1 <= j <= schedule.J):
         raise ValueError(f"shell index {j} outside 1..{schedule.J}")
-    net = build_separated_families(dim, shell_net_separation(schedule, j),
-                                   schedule.c, seed=seed,
-                                   target_m=schedule.m)
-    classes = net.classes[:schedule.m]
-    sizes = [len(cls) for cls in classes]
-    normals = np.vstack(classes)
-    k = np.repeat(np.arange(1, len(classes) + 1), sizes)
+    net = _shell_net(schedule, j, dim, seed) if net is None else net
+    if net.m > schedule.m:
+        raise IntegrityError(f"shell {j}: its net has {net.m} classes, more "
+                             f"than the schedule's m = {schedule.m}")
+    sizes = [len(cls) for cls in net.classes]
+    normals = np.vstack(net.classes)
+    k = np.repeat(np.arange(1, net.m + 1), sizes)
     p = np.concatenate([np.arange(n) for n in sizes])
     levels = np.column_stack([np.full(len(k), j), k, p])
     s_jk = schedule.sublevels[j - 1, k - 1]
@@ -240,73 +250,68 @@ def shell_discs(schedule: ShellSchedule, j: int, dim: int, seed: int = 0):
     return s_jk[:, None] * normals, normals, r_j, levels, net
 
 
+def schedule_discs(schedule: ShellSchedule, dim: int, seed: int = 0):
+    """(schedule, shells): the schedule with the class count m its nets
+    need, and each shell's :func:`shell_discs` rows on it, in shell order.
+
+    While some shell's colouring needs more classes than the schedule has
+    sublevels, the schedule is rebuilt with that m, at most REBUILD_ROUNDS
+    times (then :class:`ShellBudgetError`).  Nets are built finest first,
+    so in d >= 3 the first runs the one sweep and the coarser ones are cut
+    from it (:mod:`labyrinths.nets`; planar nets need no sweep).
+    """
+    js = range(1, schedule.J + 1)
+    for _ in range(REBUILD_ROUNDS):
+        nets = {j: _shell_net(schedule, j, dim, seed) for j in
+                sorted(js, key=lambda j: shell_net_separation(schedule, j))}
+        needed = max([schedule.m] + [net.m for net in nets.values()])
+        if needed == schedule.m:
+            shells = [shell_discs(schedule, j, dim, seed, nets[j]) for j in js]
+            _integrity_check(schedule, shells)
+            return schedule, shells
+        schedule = schedule_from_radii(schedule.s0, schedule.s, needed,
+                                       schedule.t, schedule.c)
+    raise ShellBudgetError(
+        f"class count still growing after {REBUILD_ROUNDS} rebuilds; "
+        f"set --m to at least {schedule.m}, or raise --c")
+
+
+def _integrity_check(schedule: ShellSchedule, shells: list) -> None:
+    """Bug trap: same-sublevel centres at least 2 t r_j apart, which puts
+    the perpendicular bisector strictly between any two same-sublevel discs
+    (the sublevel stacking that keeps the other pairs apart is part of
+    schedule validation).  Failure means a construction bug, not bad input.
+    """
+    for j, (centers, _, r_j, levels, _) in enumerate(shells, start=1):
+        for k in np.unique(levels[:, 1]):
+            arr = centers[levels[:, 1] == k]
+            # a lone centre has no neighbour: its distance comes back inf
+            dd, _ = cKDTree(arr).query(arr, k=2)
+            if dd[:, 1].min() < 2.0 * schedule.t * r_j * (1.0 - 1e-9):
+                raise IntegrityError(
+                    f"same-sublevel centres at shell {j} closer than 2*t*r_j")
+
+
 def build_labyrinth(schedule: ShellSchedule | None, dim: int, seed: int = 0,
                     domain: dict | None = None, scale: float = 1.0) -> Labyrinth:
     """All shells of the schedule, concatenated in lexicographic order.
 
-    The shells are built finest net first (ascending net separation, ties
-    in shell order), so in d >= 3 the first net runs the one sweep and every
-    coarser net is cut from it (:mod:`labyrinths.nets`; planar nets need no
-    sweep); the components and nets are then assembled in shell order.
-
-    When the colouring of some shell needs more classes than the schedule
-    has sublevels, the schedule is rebuilt with the larger class count and
-    the construction restarts; if the count still grows after
-    REBUILD_ROUNDS passes, :class:`ShellBudgetError` is raised.
+    Discs and class count come from :func:`schedule_discs`, which patch
+    steps share; the labyrinth keeps the schedule with the nets' m.
     """
     domain = domain or {"kind": "ball"}
     if schedule is None or schedule.J == 0:
         return empty_labyrinth(dim, domain)
-    for _ in range(REBUILD_ROUNDS):
-        js = range(1, schedule.J + 1)
-        shells = {j: shell_discs(schedule, j, dim, seed=seed) for j in
-                  sorted(js, key=lambda j: shell_net_separation(schedule, j))}
-        nets = [shells[j][4] for j in js]
-        needed = max([schedule.m] + [net.m for net in nets])
-        if needed == schedule.m:
-            break
-        schedule = schedule_from_radii(schedule.s0, schedule.s, needed,
-                                       schedule.t, schedule.c)
-    else:
-        raise ShellBudgetError(
-            f"class count still growing after {REBUILD_ROUNDS} rebuilds; "
-            f"set --m to at least {schedule.m}, or raise --c")
-    components = []
-    for j in js:
-        centers, normals, r_j, levels, _ = shells[j]
-        components += [FlatBall(center=c, normal=n, radius=r_j, level=tuple(lv))
-                       for c, n, lv in zip(centers, normals, levels.tolist())]
-    _integrity_check(components, schedule)
+    schedule, shells = schedule_discs(schedule, dim, seed)
+    components = [FlatBall(center=c, normal=n, radius=r_j, level=tuple(lv))
+                  for centers, normals, r_j, levels, _ in shells
+                  for c, n, lv in zip(centers, normals, levels.tolist())]
     if scale != 1.0:
         components = [replace(fb, center=scale * fb.center,
                               radius=scale * fb.radius) for fb in components]
     return Labyrinth(dim=dim, domain=domain, components=components,
-                     schedule=schedule, nets=nets, seed=seed, scale=scale)
-
-
-def _integrity_check(components: list[FlatBall], schedule: ShellSchedule) -> None:
-    """Bug trap: the two facts that make all components pairwise disjoint.
-
-    Sublevel stacking (disc never reaches the next sublevel sphere) is part
-    of schedule validation; here the same-sublevel centre separations are
-    re-checked, since scaled separation >= 2 t r_j puts the perpendicular
-    bisector hyperplane strictly between any two same-sublevel discs.
-    Failure means a construction bug, never bad input.
-    """
-    from scipy.spatial import cKDTree
-
-    groups: dict[tuple[int, int], list[np.ndarray]] = {}
-    for fb in components:
-        groups.setdefault(fb.level[:2], []).append(fb.center)
-    for (j, _k), centers in groups.items():
-        if len(centers) < 2:
-            continue
-        arr = np.asarray(centers)
-        dd, _ = cKDTree(arr).query(arr, k=2)
-        need = 2.0 * schedule.t * float(schedule.tangent_radii[j - 1])
-        if dd[:, 1].min() < need * (1.0 - 1e-9):
-            raise IntegrityError(
-                f"same-sublevel centres at shell {j} closer than 2*t*r_j")
+                     schedule=schedule, nets=[sh[4] for sh in shells],
+                     seed=seed, scale=scale)
 
 
 def truncate(lab: Labyrinth, J_lo: int, J_hi: int) -> tuple[Labyrinth, float]:

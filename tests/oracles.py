@@ -360,26 +360,17 @@ def chart_to_domain(osc, z) -> np.ndarray:
 
 
 def filtered_patch_discs(schedule, dim: int, seed: int, window: float):
-    """Every shell disc made first, then those with |centre - e1| + radius
-    <= window kept: (centre, normal, radius, level) tuples."""
-    from labyrinths.nets import build_separated_families
-    from labyrinths.shells import shell_net_separation
+    """Every disc of the shell labyrinth on the schedule made first, as a
+    `FlatBall` (its nets decide the class count), then those with
+    |centre - e1| + radius <= window kept: (centre, normal, radius, level)
+    tuples."""
+    from labyrinths.shells import build_labyrinth
 
     e1 = np.zeros(dim)
     e1[0] = 1.0
-    out = []
-    for j in range(1, schedule.J + 1):
-        net = build_separated_families(
-            dim, shell_net_separation(schedule, j), schedule.c, seed=seed,
-            target_m=schedule.m)
-        r_j = float(schedule.tangent_radii[j - 1])
-        for k, cls in enumerate(net.classes[:schedule.m], start=1):
-            s_jk = float(schedule.sublevels[j - 1, k - 1])
-            for p, direction in enumerate(cls):
-                center = s_jk * direction
-                if np.linalg.norm(center - e1) + r_j <= window:
-                    out.append((center, direction, r_j, (j, k, p)))
-    return out
+    return [(fb.center, fb.normal, fb.radius, fb.level)
+            for fb in build_labyrinth(schedule, dim, seed=seed).components
+            if np.linalg.norm(fb.center - e1) + fb.radius <= window]
 
 
 def scipy_boundary_samples(dom, count: int) -> np.ndarray:

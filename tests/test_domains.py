@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,8 @@ from labyrinths.domains import (
     superellipse_preset,
 )
 from labyrinths.geometry import FlatBall, disc_rows
-from labyrinths.shells import make_schedule
+from labyrinths.shells import (make_schedule, schedule_discs,
+                               schedule_from_radii)
 from labyrinths.verifier import audit_labyrinth
 from oracles import (
     chart_to_ball,
@@ -415,6 +418,11 @@ def _recorded_patch_steps(monkeypatch):
 def test_patch_step_makes_only_the_discs_it_keeps(monkeypatch):
     steps = _recorded_patch_steps(monkeypatch)[0]
     assert len(steps) >= 3
+    # a narrow step whose nets colour 5 classes, so its m rises from 2
+    narrow = schedule_from_radii(0.994, [0.9943], 2)
+    assert schedule_discs(narrow, 2)[0].m == 5
+    steps.append((narrow, 2, 0, 0.12))
+    assert _local_patch_discs(*steps[-1])[3][:, 1].max() == 5
     schedule, dim, seed, window = steps[0]
     steps.append((schedule, dim, seed, 0.0))  # an empty window
     for schedule, dim, seed, window in steps:
@@ -426,6 +434,46 @@ def test_patch_step_makes_only_the_discs_it_keeps(monkeypatch):
             assert np.array_equal(c, center) and np.array_equal(n, normal)
             assert r == radius and tuple(level) == lv
     assert len(_local_patch_discs(*steps[-1])[0]) == 0
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_every_patch_step_places_every_class(monkeypatch, tmp_path, seed):
+    """Each step's nets fit its schedule, every class gets rows, and the
+    file keeps each class that has a disc in the step's chart window (a
+    small window can miss a sparse class: at seed 0 step 15 holds none of
+    class 2's 64 directions)."""
+    from labyrinths.cli import main
+
+    steps, windows = [], []
+    real_discs, real_local = domains.schedule_discs, domains._local_patch_discs
+
+    def record_discs(schedule, dim, net_seed=0):
+        steps.append(real_discs(schedule, dim, net_seed))
+        return steps[-1]
+
+    def record_local(schedule, dim, seed, window):
+        windows.append(window)
+        return real_local(schedule, dim, seed, window)
+
+    monkeypatch.setattr(domains, "schedule_discs", record_discs)
+    monkeypatch.setattr(domains, "_local_patch_discs", record_local)
+    out = tmp_path / "e.json"
+    assert main(["generate", "--domain", "ellipse", "--M", "1.0", "--seed",
+                 str(seed), "--out", str(out)]) == 0
+    kept: dict[int, set] = {}
+    for comp in json.loads(out.read_text())["components"]:
+        kept.setdefault(comp["level"]["j"], set()).add(comp["level"]["k"])
+    assert sorted(kept) == list(range(1, len(steps) + 1))
+    assert len(windows) == len(steps)
+    for step, ((schedule, shells), window) in enumerate(zip(steps, windows),
+                                                        start=1):
+        (C, _, r, levels, net), = shells
+        m = len(net.classes)
+        assert m <= schedule.m
+        assert np.array_equal(np.unique(levels[:, 1]), np.arange(1, m + 1))
+        inside = np.linalg.norm(C - [1.0, 0.0], axis=1) + r <= window
+        assert kept[step] == set(levels[inside, 1].tolist())
+    assert max(max(ks) for ks in kept.values()) > 2
 
 
 def _assert_rows_map_as_one_disc_maps(linear, offset, C, N, R):

@@ -8,6 +8,7 @@ from labyrinths.geometry import disc_rim_points, disc_rows, pairs_disc_disc_dist
 from labyrinths.shells import (
     DegenerateScheduleError,
     ExhaustionPlan,
+    IntegrityError,
     Labyrinth,
     annulus_labyrinth,
     build_labyrinth,
@@ -124,6 +125,18 @@ def test_build_shell_tangency_and_separation():
                       - 1e-12)
         assert np.all(pairs_disc_disc_distance(C[i], N[i], R[i],
                                                C[j], N[j], R[j]) > 0)
+
+
+def test_shell_discs_refuses_a_net_with_more_classes_than_sublevels():
+    # a schedule with fewer sublevels than the shell's colouring has classes
+    # cannot place every class; truncating would leave the shell uncovered
+    sched = make_schedule(0.5, 2, 1)
+    net = nets.build_separated_families(2, shell_net_separation(sched, 2),
+                                        sched.c, seed=0, target_m=1)
+    assert net.m > sched.m
+    with pytest.raises(IntegrityError, match=r"^shell 2: its net has "
+                       rf"{net.m} classes"):
+        shell_discs(sched, 2, dim=2, seed=0)
 
 
 def test_build_shell_scaled_covering():
