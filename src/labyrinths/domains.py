@@ -298,15 +298,9 @@ def boundary_points(dom: ConvexDomain, directions: np.ndarray) -> np.ndarray:
 
 
 def boundary_samples(dom: ConvexDomain, count: int) -> np.ndarray:
-    """Dense boundary sampling by radial root finding (d = 2: angles)."""
-    if dom.dim != 2:
-        from .sampling import sphere_samples
-
-        dirs = sphere_samples(dom.dim, count, seed=11)
-    else:
-        theta = 2.0 * np.pi * np.arange(count) / count
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-    return boundary_points(dom, dirs)
+    """Boundary points of a planar domain at `count` equally spaced angles."""
+    theta = 2.0 * np.pi * np.arange(count) / count
+    return boundary_points(dom, np.column_stack([np.cos(theta), np.sin(theta)]))
 
 
 def boundary_distance(dom: ConvexDomain, pts: np.ndarray) -> np.ndarray:
@@ -340,11 +334,10 @@ class EllipsoidMap:
 
     to_ball: np.ndarray
     norm_to_ball: float
-    norm_to_domain: float
 
 
 def normalize_ellipsoid(matrix) -> EllipsoidMap:
-    """Principal square root of the shape matrix, with operator norms.
+    """Principal square root T of the shape matrix, with its operator norm.
 
     Escape lengths transform within the reported condition-number bounds:
     a path gamma in the ellipsoid maps to T gamma in the ball with
@@ -355,9 +348,7 @@ def normalize_ellipsoid(matrix) -> EllipsoidMap:
     if w.min() <= 1e-10:
         raise ValueError("shape matrix must be positive definite")
     T = V @ np.diag(np.sqrt(w)) @ V.T
-    return EllipsoidMap(to_ball=T,
-                        norm_to_ball=float(np.sqrt(w.max())),
-                        norm_to_domain=float(1.0 / np.sqrt(w.min())))
+    return EllipsoidMap(to_ball=T, norm_to_ball=float(np.sqrt(w.max())))
 
 
 def ellipsoid_labyrinth(dom: ConvexDomain, schedule, seed: int = 0) -> Labyrinth:
@@ -371,9 +362,7 @@ def ellipsoid_labyrinth(dom: ConvexDomain, schedule, seed: int = 0) -> Labyrinth
     emap = normalize_ellipsoid(dom.matrix)
     lab = build_labyrinth(schedule, dom.dim, seed=seed)
     lab.domain = {"kind": "ellipsoid", "matrix": dom.matrix.tolist(),
-                  "to_ball": emap.to_ball.tolist(),
-                  "norm_to_ball": emap.norm_to_ball,
-                  "norm_to_domain": emap.norm_to_domain}
+                  "to_ball": emap.to_ball.tolist()}
     return lab
 
 

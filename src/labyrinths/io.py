@@ -1,8 +1,9 @@
 """Interchange formats: versioned JSON labyrinth files, reports, SVG, CSV.
 
-Floats are serialised in decimal with 17 significant digits, which
-round-trips IEEE doubles exactly and keeps files byte-stable across runs,
-so regeneration with identical inputs produces identical bytes.
+Documents and SVG numbers are written by the standard library's ``json``
+encoder: a float as its shortest round-trip repr (exact, and stable across
+runs, so regenerating with identical inputs writes identical bytes), a
+negative zero as 0.0, and a NaN or infinity refused.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from .domains import boundary_samples, domain_extent, resolve_domain
 from .geometry import FlatBall, disc_rim_points, disc_rows
-from .nets import SeparatedNet
 from .shells import Labyrinth, ShellSchedule
 
 FORMAT_VERSION = 1
@@ -35,39 +35,23 @@ class MalformedFileError(ValueError):
     """Labyrinth file failed validation; the message names the first field."""
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (float, np.floating)):
-        if not np.isfinite(x):
-            raise ValueError("cannot serialise non-finite float")
-        if x == 0.0:  # canonicalise the sign of zero so reloads are stable
-            return "0"
-        return format(float(x), ".17g")
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if x is None:
-        return "null"
-    if isinstance(x, str):
-        return json.dumps(x)
-    if isinstance(x, np.ndarray):
-        x = x.tolist()
-    if isinstance(x, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in x) + "]"
-    if isinstance(x, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_fmt(v)}"
-                               for k, v in x.items()) + "}"
-    raise TypeError(f"cannot serialise {type(x)!r}")
+def _write_json(doc, path: str) -> None:
+    # streamed: the one-shot json.dumps keeps a string per number until it
+    # joins them, about 1 MB for a 142 kB file
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, allow_nan=False)
+        f.write("\n")
 
 
-def dumps_canonical(doc: dict) -> str:
-    return _fmt(doc) + "\n"
+def _floats(x) -> list:
+    """An array as nested lists of floats, each negative zero as 0.0."""
+    return (np.asarray(x, dtype=float) + 0.0).tolist()
 
 
 def labyrinth_to_doc(lab: Labyrinth) -> dict:
     comps = [{
-        "center": fb.center.tolist(),
-        "normal": fb.normal.tolist(),
+        "center": _floats(fb.center),
+        "normal": _floats(fb.normal),
         "radius": fb.radius,
         "level": {"j": fb.level[0], "k": fb.level[1], "p": fb.level[2]}
         if fb.level else None,
@@ -75,28 +59,23 @@ def labyrinth_to_doc(lab: Labyrinth) -> dict:
     sched = None
     if lab.schedule is not None:
         s = lab.schedule
-        sched = {"s0": s.s0, "s": s.s.tolist(), "m": s.m, "t": s.t, "c": s.c,
-                 "a": s.a, "tangent_radii": s.tangent_radii.tolist()}
-    nets = [{"r": n.r, "c": n.c, "m": n.m,
-             "classes": [cls.tolist() for cls in n.classes]}
-            for n in lab.nets]
+        sched = {"s0": s.s0, "s": _floats(s.s), "m": s.m, "t": s.t, "c": s.c,
+                 "a": s.a, "tangent_radii": _floats(s.tangent_radii)}
     return {
         "version": FORMAT_VERSION,
         "dim": lab.dim,
-        "domain": lab.domain,
+        "domain": _jsonable(lab.domain),
         "schedule": sched,
         "components": comps,
         "seed": lab.seed,
         "scale": lab.scale,
         "kind": lab.kind,
-        "nets": nets,
         "collar_widths": list(lab.collar_widths),
     }
 
 
 def save_labyrinth(lab: Labyrinth, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps_canonical(labyrinth_to_doc(lab)))
+    _write_json(labyrinth_to_doc(lab), path)
 
 
 def _field(doc: dict, name: str, types) -> object:
@@ -233,20 +212,6 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
                 raise MalformedFileError(
                     f"field 'components[{i}].level' must be integers (j, k, p)"
                     f" with 1 <= j <= {sched.J} and 1 <= k <= {sched.m}")
-    nets = []
-    for i, nd in enumerate(_optional(doc, "nets", list, [])):
-        try:
-            classes = [np.asarray(cls, dtype=float) for cls in nd["classes"]]
-            if not classes:
-                raise ValueError("a net needs at least one class")
-            if any(cls.ndim != 2 or cls.shape[1] != dim
-                   or not np.all(np.isfinite(cls)) for cls in classes):
-                raise ValueError("a class is not a list of finite dim-vectors")
-            nets.append(SeparatedNet(
-                dim=dim, r=float(nd["r"]), c=float(nd["c"]), m=int(nd["m"]),
-                classes=classes))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedFileError(f"nets[{i}] invalid: {exc}") from exc
     scale = _optional(doc, "scale", float, 1.0)
     # beyond these bounds the search box overflows or the norms of its
     # samples underflow
@@ -257,7 +222,7 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
     domain = _field(doc, "domain", dict)
     _check_domain(domain, dim)
     return Labyrinth(dim=dim, domain=domain, components=comps, schedule=sched,
-                     nets=nets, seed=_optional(doc, "seed", int, 0),
+                     seed=_optional(doc, "seed", int, 0),
                      scale=scale, kind=kind,
                      collar_widths=_optional(
                          doc, "collar_widths",
@@ -302,12 +267,12 @@ def save_report(report: dict, path: str) -> None:
     """Write a report; a number that overflowed or is undefined (an infinite
     or NaN value, say from a file whose scale is far from its discs') is
     written as null."""
-    clean = _jsonable(report)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps_canonical(clean))
+    _write_json(_jsonable(report), path)
 
 
 def _jsonable(obj):
+    """`obj` in the types ``json.dumps`` writes, with each negative zero as
+    0.0 and each NaN or infinity as None."""
     from .verifier import EscapePath
 
     if isinstance(obj, EscapePath):
@@ -321,7 +286,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if isinstance(obj, (float, np.floating)):
-        return float(obj) if math.isfinite(obj) else None
+        return float(obj) + 0.0 if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -343,56 +308,62 @@ def export_svg(lab: Labyrinth, path: str, escape_path=None,
     """
     if lab.dim != 2 and projection is None:
         raise ValueError("SVG export beyond the plane needs a projection pair")
-    axes = projection if projection is not None else (0, 1)
-    # a planar ellipsoid file stores ball coordinates; draw the domain's
+    axes = list(projection if projection is not None else (0, 1))
+    # an ellipsoid file stores ball coordinates; draw the domain's
     dom = lab.domain
     M = np.linalg.inv(np.asarray(dom["to_ball"], dtype=float)) \
-        if lab.dim == 2 and dom.get("kind") == "ellipsoid" and "to_ball" in dom \
+        if dom.get("kind") == "ellipsoid" and "to_ball" in dom \
         else np.eye(lab.dim)
 
-    def pt(x):
-        y = M @ x
-        return SVG_UNIT * y[axes[0]], -SVG_UNIT * y[axes[1]]
+    def draw(X):
+        """Drawing coordinates of the rows X: the projected domain point,
+        y pointing up."""
+        Y = SVG_UNIT * (np.asarray(X, dtype=float) @ M.T)[:, axes]
+        Y[:, 1] *= -1.0
+        return Y
 
-    bound = _domain_bound(lab)
-    half = SVG_UNIT * bound * 1.0
+    half = SVG_UNIT * _domain_bound(lab)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{_fmt(-half)} {_fmt(-half)} {_fmt(2 * half)} {_fmt(2 * half)}">',
+        f'viewBox="{_num(-half)} {_num(-half)} {_num(2 * half)} {_num(2 * half)}">',
     ]
-    lines.extend(_domain_outline_svg(lab, SVG_UNIT))
+    lines.extend(_domain_outline_svg(lab, axes))
     if lab.schedule is not None:
         for s_jk in lab.schedule.sublevels.ravel():
             r = SVG_UNIT * lab.scale * s_jk
             lines.append(
-                f'<circle cx="0" cy="0" r="{_fmt(r)}" fill="none" '
+                f'<circle cx="0" cy="0" r="{_num(r)}" fill="none" '
                 f'stroke="#dddddd" stroke-width="1"/>')
-    if lab.dim == 2:
-        for fb in lab.components:
-            u = np.array([-fb.normal[1], fb.normal[0]])
-            a = pt(fb.center - fb.radius * u)
-            b = pt(fb.center + fb.radius * u)
+    if lab.components and lab.dim == 2:
+        C, N, R = disc_rows(lab.components)
+        U = R[:, None] * np.column_stack([-N[:, 1], N[:, 0]])
+        for a, b in zip(draw(C - U), draw(C + U)):
             lines.append(
-                f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
-                f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" stroke="#000000" '
+                f'<line x1="{_num(a[0])}" y1="{_num(a[1])}" '
+                f'x2="{_num(b[0])}" y2="{_num(b[1])}" stroke="#000000" '
                 f'stroke-width="3" stroke-linecap="round" class="component"/>')
     elif lab.components:
-        for rim in disc_rim_points(*disc_rows(lab.components), 32):
-            pts = " ".join(f"{_fmt(px)},{_fmt(py)}"
-                           for px, py in (pt(x) for x in rim))
-            lines.append(f'<polygon points="{pts}" fill="none" '
+        rims = disc_rim_points(*disc_rows(lab.components), 32)
+        for rim in draw(rims.reshape(-1, lab.dim)).reshape(len(rims), -1, 2):
+            lines.append(f'<polygon points="{_points(rim)}" fill="none" '
                          f'stroke="#000000" stroke-width="2" class="component"/>')
     if escape_path is not None:
         poly = escape_path.polyline if hasattr(escape_path, "polyline") \
-            else np.asarray(escape_path, dtype=float)
-        pts = " ".join(f"{_fmt(px)},{_fmt(py)}"
-                       for px, py in (pt(x) for x in poly))
-        lines.append(f'<polyline points="{pts}" fill="none" stroke="#cc0000" '
-                     f'stroke-width="2"/>')
+            else escape_path
+        lines.append(f'<polyline points="{_points(draw(poly))}" fill="none" '
+                     f'stroke="#cc0000" stroke-width="2"/>')
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
     return {"strokes": len(lab.components), "viewbox_half": half}
+
+
+def _num(x) -> str:
+    return json.dumps(float(x) + 0.0, allow_nan=False)
+
+
+def _points(P) -> str:
+    return " ".join(f"{_num(x)},{_num(y)}" for x, y in P)
 
 
 def _domain_bound(lab: Labyrinth) -> float:
@@ -404,22 +375,30 @@ def _domain_bound(lab: Labyrinth) -> float:
     return max(1.0, lab.scale)
 
 
-def _domain_outline_svg(lab: Labyrinth, unit: float) -> list[str]:
+def _domain_outline_svg(lab: Labyrinth, axes: list[int]) -> list[str]:
     dom = lab.domain
     kind = dom.get("kind")
     style = 'fill="none" stroke="#555555" stroke-width="2"'
     if kind == "annulus":
         return [
-            f'<circle cx="0" cy="0" r="{_fmt(unit * dom["inner"])}" {style}/>',
-            f'<circle cx="0" cy="0" r="{_fmt(unit * dom["outer"])}" {style}/>',
+            f'<circle cx="0" cy="0" r="{_num(SVG_UNIT * dom["inner"])}" {style}/>',
+            f'<circle cx="0" cy="0" r="{_num(SVG_UNIT * dom["outer"])}" {style}/>',
         ]
     if kind == "ball":
-        return [f'<circle cx="0" cy="0" r="{_fmt(unit * max(1.0, lab.scale))}" {style}/>']
-    if kind in ("ellipsoid", "smooth"):
-        bnd = boundary_samples(resolve_domain(dom, lab.dim), 256)
-        pts = " ".join(f"{_fmt(unit * p[0])},{_fmt(-unit * p[1])}" for p in bnd)
-        return [f'<polygon points="{pts}" {style}/>']
-    return []
+        return [f'<circle cx="0" cy="0" r="{_num(SVG_UNIT * max(1.0, lab.scale))}" {style}/>']
+    if kind == "ellipsoid":
+        # the shadow of {x : x'Ax <= 1} on the axes is the ellipse with
+        # boundary S^1/2 (cos, sin), S the axes' block of A^-1
+        S = np.linalg.inv(np.asarray(dom["matrix"], dtype=float))
+        w, V = np.linalg.eigh(S[np.ix_(axes, axes)])
+        theta = 2.0 * np.pi * np.arange(256) / 256
+        bnd = np.column_stack([np.cos(theta), np.sin(theta)]) \
+            @ (V * np.sqrt(w)) @ V.T
+    elif kind == "smooth":  # the presets are planar
+        bnd = boundary_samples(resolve_domain(dom, lab.dim), 256)[:, axes]
+    else:
+        return []
+    return [f'<polygon points="{_points(SVG_UNIT * bnd * [1.0, -1.0])}" {style}/>']
 
 
 def export_csv(lab: Labyrinth, path: str) -> int:

@@ -63,25 +63,6 @@ def circle_rows(idx: np.ndarray, n: int) -> np.ndarray:
     return rows
 
 
-def sphere_samples(d: int, n: int, seed: int = 0) -> np.ndarray:
-    """n quasi-uniform test samples on S^(d-1) (scrambled Sobol, seeded)."""
-    if d == 2:
-        rng = np.random.default_rng(seed)
-        theta = 2.0 * np.pi * (np.arange(n) + rng.random()) / n
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    # deferred: scipy.stats (with scipy.optimize) is slow to import
-    from scipy.stats import qmc
-
-    sob = qmc.Sobol(d, scramble=True, seed=seed)
-    draw = 1 << int(np.ceil(np.log2(int(n * 1.05) + 8)))
-    # in place, so one (draw, d) array is alive here instead of three
-    g = sob.random(draw)
-    ndtri(np.clip(g, 1e-12, 1.0 - 1e-12, out=g), out=g)
-    norms = np.linalg.norm(g, axis=1)
-    g = g[norms > 1e-9][:n]
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
 # Rows per block of the traversal's spatial partition: blocks small enough
 # for tight bounding boxes, few enough that testing every box at each pick
 # costs little next to the rows updated.

@@ -18,6 +18,8 @@ from scipy import sparse
 from scipy.optimize import brentq
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from labyrinths.geometry import FlatBall, pairs_segment_disc_touch, tangent_bases
 
@@ -134,13 +136,24 @@ def brute_farthest_point_order(points, start: int = 0,
     return np.asarray(chosen, dtype=np.intp)
 
 
+def sphere_samples(d: int, n: int, seed: int = 0) -> np.ndarray:
+    """n quasi-uniform test samples on S^(d-1) (scrambled Sobol, seeded)."""
+    if d == 2:
+        rng = np.random.default_rng(seed)
+        theta = 2.0 * np.pi * (np.arange(n) + rng.random()) / n
+        return np.column_stack([np.cos(theta), np.sin(theta)])
+    sob = qmc.Sobol(d, scramble=True, seed=seed)
+    g = ndtri(np.clip(sob.random(1 << int(np.ceil(np.log2(int(n * 1.05) + 8)))),
+                      1e-12, 1.0 - 1e-12))
+    g = g[np.linalg.norm(g, axis=1) > 1e-9][:n]
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
 def sampled_covering_radius(points, d: int, samples: int = 100_000,
                             seed: int = 0) -> float:
     """Largest distance from `samples` quasi-uniform sphere points to the
     set: a lower bound on the covering radius, within
     ``nets.sampling_slack(d, samples)`` of it."""
-    from labyrinths.sampling import sphere_samples
-
     dist, _ = cKDTree(np.atleast_2d(points)).query(
         sphere_samples(d, samples, seed=seed), k=1)
     return float(dist.max())

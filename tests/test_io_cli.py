@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import labyrinths
 from labyrinths.cli import main
 from labyrinths.io import (
+    SVG_UNIT,
     MalformedFileError,
     doc_to_labyrinth,
-    dumps_canonical,
     export_csv,
     export_svg,
     labyrinth_to_doc,
@@ -55,10 +55,6 @@ def test_roundtrip_values_exact(lab, tmp_path):
         assert a.level == b.level
     assert np.array_equal(lab.schedule.s, loaded.schedule.s)
     assert lab.schedule.a == loaded.schedule.a
-    for x, y in zip(lab.nets, loaded.nets):
-        assert x.m == y.m
-        for cx, cy in zip(x.classes, y.classes):
-            assert np.array_equal(cx, cy)
 
 
 def test_component_transform_is_rejected(lab, tmp_path, capsys):
@@ -66,7 +62,7 @@ def test_component_transform_is_rejected(lab, tmp_path, capsys):
     assert all("transform" not in c for c in doc["components"])
     doc["components"][1]["transform"] = [[1.0, 0.0, 0.1], [0.0, 1.0, -0.2]]
     p = tmp_path / "t.json"
-    p.write_text(dumps_canonical(doc))
+    p.write_text(json.dumps(doc))
     with pytest.raises(MalformedFileError, match=r"components\[1\]\.transform"):
         load_labyrinth(str(p))
     assert run_cli("report", str(p)) == 1
@@ -78,7 +74,7 @@ def test_malformed_file_names_field(lab, tmp_path):
     doc = labyrinth_to_doc(lab)
     doc["components"][2]["radius"] = -1.0
     p = tmp_path / "bad.json"
-    p.write_text(dumps_canonical(doc))
+    p.write_text(json.dumps(doc))
     with pytest.raises(MalformedFileError) as exc:
         load_labyrinth(str(p))
     assert "components[2]" in str(exc.value)
@@ -86,7 +82,7 @@ def test_malformed_file_names_field(lab, tmp_path):
     doc2 = labyrinth_to_doc(lab)
     del doc2["version"]
     p2 = tmp_path / "bad2.json"
-    p2.write_text(dumps_canonical(doc2))
+    p2.write_text(json.dumps(doc2))
     with pytest.raises(MalformedFileError) as exc2:
         load_labyrinth(str(p2))
     assert "version" in str(exc2.value)
@@ -102,8 +98,42 @@ def test_svg_export_counts_and_viewbox(lab, tmp_path):
     info = export_svg(lab, str(p))
     text = p.read_text()
     assert text.count("<line") == len(lab)
-    assert 'viewBox="-1000 -1000 2000 2000"' in text
+    box = text.split('viewBox="', 1)[1].split('"', 1)[0]
+    assert [float(v) for v in box.split()] == [-1000.0, -1000.0, 2000.0, 2000.0]
     assert info["strokes"] == len(lab)
+
+
+def _svg_polygons(text: str, marker: str) -> list[np.ndarray]:
+    """Vertices of each polygon whose tag holds `marker`, in domain units
+    with y up."""
+    out = []
+    for line in text.splitlines():
+        if line.startswith("<polygon") and marker in line:
+            pts = line.split('points="', 1)[1].split('"', 1)[0].split()
+            out.append(np.array([[float(v) for v in p.split(",")] for p in pts])
+                       * [1.0, -1.0] / SVG_UNIT)
+    return out
+
+
+def test_svg_draws_a_d3_ellipsoid_as_its_shadow_around_its_discs(tmp_path):
+    lab_file, svg = tmp_path / "e3.json", tmp_path / "e3.svg"
+    assert run_cli("generate", "--dim", "3", "--domain", "ellipsoid", "--axes",
+                   "2,1,0.5", "--J", "1", "--out", str(lab_file)) == 0
+    assert run_cli("export", str(lab_file), "--svg", str(svg),
+                   "--projection", "0,2") == 0
+    text = svg.read_text()
+    (outline,) = _svg_polygons(text, 'stroke="#555555"')
+    x, z = outline.T
+    assert np.abs(x ** 2 / 4.0 + z ** 2 / 0.25 - 1.0).max() < 1e-9
+    # once round, counterclockwise
+    turn = np.unwrap(np.arctan2(z, x))
+    assert np.all(np.diff(turn) > 0.0) and turn[-1] - turn[0] < 2.0 * np.pi
+    # every drawn disc point lies on the inner side of every outline edge
+    discs = np.vstack(_svg_polygons(text, 'class="component"'))
+    edge = np.roll(outline, -1, axis=0) - outline
+    rel = discs[:, None, :] - outline[None]
+    assert len(discs) > 0
+    assert np.all(edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0] >= 0.0)
 
 
 def test_svg_rejects_high_dim_without_projection(tmp_path):
@@ -416,8 +446,8 @@ def test_cli_report_names_non_finite_radius(tmp_path, lab, capsys):
 @pytest.mark.parametrize("where, raw, named", [
     # tokens json reads as non-finite floats, wherever they sit
     (("schedule", "s0"), "NaN", "'schedule.s0' is not a finite number"),
-    (("nets", 1, "classes", 2, 5, 0), "Infinity",
-     "'nets[1].classes[2][5][0]' is not a finite number"),
+    (("schedule", "tangent_radii", 0), "Infinity",
+     "'schedule.tangent_radii[0]' is not a finite number"),
     (("scale",), "-Infinity", "'scale' is not a finite number"),
     (("components", 3, "center", 1), "1e999",
      "'components[3].center[1]' is not a finite number"),
@@ -428,8 +458,8 @@ def test_cli_report_names_non_finite_radius(tmp_path, lab, capsys):
      "schedule invalid: tangent disc at shell 2"),
     # wrong types and shapes
     (("components", 0), "5", "components[0] invalid"),
-    (("nets",), "5", "field 'nets' invalid"),
-    (("nets", 0, "classes", 1), "[[1.0, 2.0, 3.0]]", "nets[0] invalid"),
+    (("components",), "5", "field 'components' has wrong type"),
+    (("components", 0, "center"), "[[1.0, 2.0, 3.0]]", "components[0] invalid"),
     (("seed",), '"x"', "field 'seed' invalid"),
     (("scale",), '"x"', "field 'scale' invalid"),
     (("collar_widths",), '"ab"', "field 'collar_widths' invalid"),
@@ -439,17 +469,77 @@ def test_cli_report_names_non_finite_radius(tmp_path, lab, capsys):
 ])
 def test_cli_report_names_corrupt_field(tmp_path, lab, capsys, where, raw,
                                         named):
-    doc = labyrinth_to_doc(lab)
-    holder = doc
-    for key in where[:-1]:
-        holder = holder[key]
-    holder[where[-1]] = "@corrupt@"
     bad = tmp_path / "bad.json"
-    bad.write_text(dumps_canonical(doc).replace('"@corrupt@"', raw))
+    write_corrupt(labyrinth_to_doc(lab), where, raw, bad)
     assert run_cli("report", str(bad)) == 1
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+
+
+def write_corrupt(doc, where, raw, path):
+    """`doc` with the field at `where` written as the raw JSON text `raw`."""
+    holder = doc
+    for key in where[:-1]:
+        holder = holder[key]
+    holder[where[-1]] = "@corrupt@"
+    path.write_text(json.dumps(doc).replace('"@corrupt@"', raw))
+
+
+# `generate --domain ellipsoid --axes 2,1 --J 2 --seed 0` as written before
+# the format dropped its nets and ellipsoid norms: floats in 17 significant
+# digits with zeros and integral values as integers, a `nets` block, and
+# `domain.norm_to_ball` and `domain.norm_to_domain`
+NETS_LAYOUT = Path(__file__).parent / "data" / "ellipsoid_with_nets.json"
+
+
+def test_a_file_with_nets_loads_and_reports_as_its_regenerated_file(
+        tmp_path, capsys):
+    new = tmp_path / "new.json"
+    assert run_cli("generate", "--domain", "ellipsoid", "--axes", "2,1",
+                   "--J", "2", "--seed", "0", "--out", str(new)) == 0
+    doc = json.loads(new.read_text())
+    assert "nets" not in doc
+    assert sorted(doc["domain"]) == ["kind", "matrix", "to_ball"]
+    old_lab, new_lab = load_labyrinth(str(NETS_LAYOUT)), load_labyrinth(str(new))
+
+    def same(a, b):  # bit for bit, the sign of zero included
+        return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+    assert len(old_lab) == len(new_lab) > 0
+    for a, b in zip(old_lab.components, new_lab.components):
+        assert same(a.center, b.center) and same(a.normal, b.normal)
+        assert same(a.radius, b.radius) and a.level == b.level
+    for name in ("s0", "s", "m", "t", "c", "a", "tangent_radii"):
+        assert same(getattr(old_lab.schedule, name),
+                    getattr(new_lab.schedule, name))
+    assert same(old_lab.domain["matrix"], new_lab.domain["matrix"])
+    reports = []
+    for path in (NETS_LAYOUT, new):
+        capsys.readouterr()
+        assert run_cli("report", str(path), "--out",
+                       str(tmp_path / "r.json")) == 0
+        reports.append((_checks(capsys),
+                        json.loads((tmp_path / "r.json").read_text())))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("where, raw, rc, named", [
+    pytest.param(("nets",), "5", 0, "", id="not-a-list"),
+    pytest.param(("nets", 0, "classes", 1), "[[1.0, 2.0, 3.0]]", 0, "",
+                 id="class-of-wrong-dim"),
+    pytest.param(("nets", 1, "classes", 1, 7, 0), "Infinity", 1,
+                 "'nets[1].classes[1][7][0]' is not a finite number",
+                 id="infinity"),
+])
+def test_an_old_files_nets_are_ignored_unless_not_finite(tmp_path, capsys,
+                                                         where, raw, rc,
+                                                         named):
+    bad = tmp_path / "bad.json"
+    write_corrupt(json.loads(NETS_LAYOUT.read_text()), where, raw, bad)
+    assert run_cli("report", str(bad)) == rc
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000])
@@ -490,7 +580,7 @@ def test_cli_names_corrupt_domain(tmp_path, lab, capsys, command, domain,
     doc = labyrinth_to_doc(lab)
     doc["domain"] = domain
     bad = tmp_path / "bad.json"
-    bad.write_text(dumps_canonical(doc))
+    bad.write_text(json.dumps(doc))
     extra = {"report": [], "verify": ["--M", "0.1"],
              "export": ["--csv", str(tmp_path / "o.csv")]}[command]
     assert run_cli(command, str(bad), *extra) == 1
@@ -531,7 +621,7 @@ def test_cli_verify_rejects_corrupt_file(tmp_path, lab):
     doc = labyrinth_to_doc(lab)
     doc["components"][0]["radius"] = -1.0
     bad = tmp_path / "bad.json"
-    bad.write_text(dumps_canonical(doc))
+    bad.write_text(json.dumps(doc))
     rc = run_cli("verify", str(bad), "--M", "0.1")
     assert rc == 1
 
@@ -559,11 +649,11 @@ def test_cli_report_fails_net_covering_on_a_file_with_discs_removed(
     assert run_cli("generate", "--dim", "2", "--J", "3", "--seed", "0",
                    "--out", str(out)) == 0
     doc = json.loads(out.read_text())
-    # delete the half of shell 3 with x > 0; the stored nets stay whole
+    # delete the half of shell 3 with x > 0
     doc["components"] = [c for c in doc["components"]
                          if c["level"]["j"] != 3 or c["normal"][0] <= 0.0]
     cut = tmp_path / "cut.json"
-    cut.write_text(dumps_canonical(doc))
+    cut.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run_cli("report", str(out)) == 0
     assert _checks(capsys)["net-covering"][0]
@@ -737,7 +827,7 @@ def test_cli_rejects_a_dim_too_large_for_its_domain_matrix(
         raise AssertionError(f"a {dim}x{dim} ball domain was built")
 
     monkeypatch.setattr(domains, "ball_domain", refuse)
-    doc = dict(j1_doc, components=[], nets=[], dim=100_000)
+    doc = dict(j1_doc, components=[], dim=100_000)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert run_cli("report", str(bad)) == 1
@@ -782,11 +872,7 @@ J1_FIELDS = [
     ("components", -1, "normal", 0), ("components", 0, "radius"),
     ("components", 0, "level"), ("components", 0, "level", "j"),
     ("components", -1, "level", "k"), ("components", 0, "level", "p"),
-    ("seed",), ("scale",), ("kind",), ("nets",), ("nets", 0),
-    ("nets", 0, "r"), ("nets", 0, "c"), ("nets", 0, "m"),
-    ("nets", 0, "classes"), ("nets", 0, "classes", 0),
-    ("nets", 0, "classes", -1, 0), ("nets", 0, "classes", 0, 0, 1),
-    ("collar_widths",),
+    ("seed",), ("scale",), ("kind",), ("collar_widths",),
 ]
 
 HOSTILE = st.one_of(
