@@ -202,6 +202,11 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
             sched.validate()
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise MalformedFileError(f"schedule invalid: {exc}") from exc
+        # below this the audit's net bounds c * r_j underflow and the
+        # covering fractions over them overflow
+        if sched.c < 1.0 / MAX_COORDINATE:
+            raise MalformedFileError(
+                f"field 'schedule.c' must be at least {1.0 / MAX_COORDINATE:g}")
     kind = str(doc.get("kind", "shell"))
     if kind == "shell" and sched is not None:
         # the audit reads each disc's sublevel off its level
@@ -221,6 +226,14 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
             f"[{1.0 / MAX_COORDINATE:g}, {MAX_COORDINATE:g}]")
     domain = _field(doc, "domain", dict)
     _check_domain(domain, dim)
+    if domain.get("kind") == "ellipsoid":
+        # an older file's operator norms are derived and read by nothing,
+        # and its matrices may hold integers: re-saved, it writes what
+        # generate writes
+        domain = {name: np.asarray(val, dtype=float).tolist()
+                  if name in ("matrix", "to_ball") else val
+                  for name, val in domain.items()
+                  if name not in ("norm_to_ball", "norm_to_domain")}
     return Labyrinth(dim=dim, domain=domain, components=comps, schedule=sched,
                      seed=_optional(doc, "seed", int, 0),
                      scale=scale, kind=kind,

@@ -21,6 +21,9 @@ def sphere_candidates(d: int, count: int) -> np.ndarray:
     The set is exactly symmetric under x -> -x: row i + n/2 is -row i.
     For d = 2 the size n is the next power of two >= max(count, 8), and
     row i lies at angle 2 pi i / n: the rows go round the circle in order.
+    For d = 3 the half set is a golden-angle spiral; for d >= 4 it is
+    points 1 .. 2k of the unscrambled Sobol sequence (:func:`sobol`; point
+    0 is the origin) mapped through the normal quantile and normalised.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -38,13 +41,9 @@ def sphere_candidates(d: int, count: int) -> np.ndarray:
         out[:k, 0], out[:k, 1] = rho * np.cos(phi), rho * np.sin(phi)
         out[:k, 2] = z
     else:
-        # deferred: scipy.stats (with scipy.optimize) is slow to import
-        from scipy.stats import qmc
-
         k = (count + 1) // 2
-        sob = qmc.Sobol(d, scramble=False)
-        sob.fast_forward(1)  # skip the all-zero point
-        g = ndtri(np.clip(sob.random(2 * k), 1e-12, 1.0 - 1e-12))
+        # from point 1: point 0 is the origin of the unscrambled stream
+        g = ndtri(np.clip(sobol(d, 2 * k, skip=1), 1e-12, 1.0 - 1e-12))
         g = g[np.linalg.norm(g, axis=1) > 1e-9][:k]
         k = len(g)
         out = np.empty((2 * k, d))
@@ -61,6 +60,74 @@ def circle_rows(idx: np.ndarray, n: int) -> np.ndarray:
     rows = np.column_stack([np.cos(theta), np.sin(theta)])
     np.negative(rows, out=rows, where=(idx >= k)[:, None])
     return rows
+
+
+# The first 16 rows of the Joe & Kuo direction numbers (S. Joe and F. Y.
+# Kuo, "Constructing Sobol sequences with better two-dimensional
+# projections", SIAM J. Sci. Comput. 30 (2008) 2635-2654; the table
+# new-joe-kuo-6.21201, the one scipy.stats.qmc.Sobol ships): each row's
+# primitive polynomial, whose degree m is its bit length less 1, and its
+# first m direction numbers.  Row 0 is the van der Corput sequence.
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59, 61, 67, 91, 97)
+_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3),
+                (1, 3, 5, 13), (1, 1, 5, 5, 17), (1, 1, 5, 5, 5),
+                (1, 1, 7, 11, 19), (1, 1, 5, 1, 1), (1, 1, 1, 3, 11),
+                (1, 3, 5, 5, 31), (1, 3, 3, 9, 7, 49), (1, 1, 1, 15, 21, 21),
+                (1, 3, 1, 13, 27, 49))
+_SOBOL_BITS = 30
+
+
+def sobol(d: int, n: int, seed: int | None = None, skip: int = 0) -> np.ndarray:
+    """Points skip .. skip+n-1 of the 30-bit Sobol sequence in [0, 1)^d.
+
+    Bitwise those of ``scipy.stats.qmc.Sobol(d, scramble=seed is not None,
+    seed=seed)`` after `skip` points: the same direction numbers, and for
+    an integer `seed` the same linear matrix scramble and digital shift,
+    drawn from ``np.random.default_rng(seed)`` in scipy's order.  Point k
+    is the shift XOR the direction columns of the set bits of gray(k) =
+    k ^ (k >> 1); from one point to the next that changes one column, the
+    one of the lowest set bit of k, so the points are one XOR prefix scan.
+    """
+    if not 1 <= d <= len(_SOBOL_POLY):
+        raise ValueError(f"Sobol points are available in dimensions 1 to "
+                         f"{len(_SOBOL_POLY)}, not {d}")
+    if n < 1 or skip < 0 or skip + n > 1 << _SOBOL_BITS:
+        raise ValueError(f"Sobol points {skip} .. {skip + n - 1} are not "
+                         f"among the 2^{_SOBOL_BITS} there are")
+    # direction numbers as Bratley & Fox's recurrence makes them, column j
+    # scaled to bit _SOBOL_BITS - 1 - j
+    v = np.empty((d, _SOBOL_BITS), dtype=np.uint32)
+    for row, (poly, init) in enumerate(zip(_SOBOL_POLY, _SOBOL_VINIT[:d])):
+        m = len(init)
+        vals = list(init) if m else [1] * _SOBOL_BITS
+        for j in range(len(vals), _SOBOL_BITS):
+            new = vals[j - m]
+            for i in range(m):
+                if poly >> (m - 1 - i) & 1:
+                    new ^= vals[j - i - 1] << (i + 1)
+            vals.append(new)
+        v[row] = [x << (_SOBOL_BITS - 1 - j) for j, x in enumerate(vals)]
+    shift = np.zeros(d, dtype=np.uint32)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        top = _SOBOL_BITS - 1 - np.arange(_SOBOL_BITS, dtype=np.uint32)
+        shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) \
+            @ (np.uint32(1) << np.arange(_SOBOL_BITS, dtype=np.uint32))
+        lower = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS),
+                                     dtype=np.uint32))
+        lower[:, np.arange(_SOBOL_BITS), np.arange(_SOBOL_BITS)] = 1
+        # output bit p from the top: the parity of row p on the input bits
+        bits = v[:, None, :] >> top[:, None] & 1  # (d, bit from top, column)
+        v = ((lower @ bits & 1) << top[:, None]).sum(axis=1, dtype=np.uint32)
+    cols = v.T  # (bit, d)
+    steps = np.empty((n, d), dtype=np.uint32)
+    gray = skip ^ skip >> 1
+    steps[0] = shift ^ np.bitwise_xor.reduce(
+        cols[[b for b in range(_SOBOL_BITS) if gray >> b & 1]], axis=0)
+    k = np.arange(skip + 1, skip + n, dtype=np.uint64)
+    steps[1:] = cols[np.bitwise_count(k ^ (k - 1)) - 1]  # lowest set bit of k
+    np.bitwise_xor.accumulate(steps, axis=0, out=steps)
+    return steps * 2.0 ** -_SOBOL_BITS
 
 
 # Rows per block of the traversal's spatial partition: blocks small enough

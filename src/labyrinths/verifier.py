@@ -57,6 +57,7 @@ from .geometry import (
     tangent_bases,
 )
 from .nets import candidate_resolution, covering_radius
+from .sampling import sobol
 from .shells import Labyrinth, shell_net_separation, sqrt_gap_partial_sums
 
 # segments, and then (segment, disc) rows, per collision batch: the pair
@@ -310,14 +311,15 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
                   clearance: float = 0.0, seed: int = 0) -> Roadmap:
     """Quasi-uniform free samples plus rim-hugging offsets, k-NN connected.
 
-    Free-space samples are drawn from a scrambled Sobol stream and rejected
-    when within `clearance` of a component or outside the region; every
-    component rim point additionally gets a small ring of nodes at offset
-    clearance + RIM_STEP, which is where taut escape paths turn.  Edges are
-    the union of radius-neighbour and k-nearest pairs whose segments clear
-    all components at the given clearance; the k-NN query runs only for
-    the nodes with fewer than NEIGHBORS radius neighbours, which changes
-    no edge (:func:`_candidate_pairs`).
+    Free-space samples are drawn from the Sobol stream that `seed`
+    scrambles (:func:`labyrinths.sampling.sobol`), 16 384 points at a
+    time, and rejected when within `clearance` of a component or outside
+    the region; every component rim point additionally gets a small ring
+    of nodes at offset clearance + RIM_STEP, which is where taut escape
+    paths turn.  Edges are the union of radius-neighbour and k-nearest
+    pairs whose segments clear all components at the given clearance; the
+    k-NN query runs only for the nodes with fewer than NEIGHBORS radius
+    neighbours, which changes no edge (:func:`_candidate_pairs`).
     """
     if not MIN_NODE_BUDGET <= node_budget <= MAX_NODE_BUDGET:
         raise ValueError(f"node budget must lie in [{MIN_NODE_BUDGET}, "
@@ -334,14 +336,10 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
     rim_nodes = rim_nodes[:node_budget // 2]
     free_target = node_budget - len(rim_nodes)
 
-    # deferred: scipy.stats (with scipy.optimize) is slow to import
-    from scipy.stats import qmc
-
-    sob = qmc.Sobol(dim, scramble=True, seed=seed)
     accepted = []
     got = drawn = in_region = 0
     while got < free_target:
-        chunk = sob.random(16384) * (hi - lo) + lo
+        chunk = sobol(dim, 16384, seed, skip=drawn) * (hi - lo) + lo
         drawn += len(chunk)
         pts = chunk[_region_contains(region, chunk)]
         in_region += len(pts)
@@ -365,18 +363,47 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
         a, b = (nodes[p] for p in pairs[s:s + _COLLIDE_CHUNK].T)
         free[s:s + len(a)] = ~_segments_collide(a, b, comp, clearance)
         w[s:s + len(a)] = np.linalg.norm(a - b, axis=1)
-    pairs, w, n = pairs[free], w[free], len(nodes)
-    # lower entries (j, i) first: each row's columns come out sorted
-    graph = sparse.csr_matrix((np.concatenate([w, w]), (
-        np.concatenate(pairs.T[::-1]), np.concatenate(pairs.T))), shape=(n, n))
+    pairs, w = pairs[free], w[free]  # the unfiltered arrays go first
+    graph = _symmetric_csr(pairs, w, len(nodes))
     return Roadmap(nodes=nodes, graph=graph, clearance=clearance,
                    connect_radius=connect_radius, comp=comp,
                    n_rim=len(rim_nodes))
 
 
+def _symmetric_csr(pairs: np.ndarray, w: np.ndarray,
+                   n: int) -> sparse.csr_matrix:
+    """The n x n symmetric matrix with w at (i, j) and (j, i) for each of
+    the distinct `pairs` i < j, which come in lexicographic order.
+
+    Row r holds its lower neighbours (pairs (i, r), by i) and then its
+    upper ones (pairs (r, j), by j), so its columns come out sorted: the
+    matrix that ``csr_matrix`` makes of the (j, i) entries followed by the
+    (i, j) ones, built with no COO triplets.  The pairs are the upper
+    triangle's CSR rows as they stand; its CSC columns, from scipy's
+    counting-sort conversion, are the lower rows.
+    """
+    upper = np.bincount(pairs[:, 0], minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(upper, out=indptr[1:])
+    lower = sparse.csr_matrix((w, pairs[:, 1], indptr), shape=(n, n)).tocsc()
+    np.cumsum(upper + np.diff(lower.indptr), out=indptr[1:])
+    # each row's lower slots, then its upper ones; both kinds fill theirs
+    # in order
+    is_lower = np.repeat(np.tile([True, False], n), np.column_stack(
+        [np.diff(lower.indptr), upper]).ravel())
+    indices = np.empty(2 * len(pairs), dtype=np.int32)
+    data = np.empty(2 * len(pairs))
+    indices[is_lower], data[is_lower] = lower.indices, lower.data
+    del lower
+    np.logical_not(is_lower, out=is_lower)
+    indices[is_lower], data[is_lower] = pairs[:, 1], w
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def _candidate_pairs(nodes: np.ndarray, connect_radius: float,
                      neighbors: int) -> np.ndarray:
-    """Radius-neighbour and k-nearest pairs (i <= j), duplicates included.
+    """Radius-neighbour and k-nearest pairs (i <= j) as int32, duplicates
+    included.
 
     The k-NN query runs only for nodes with fewer than `neighbors` radius
     neighbours.  Any other node has that many nodes within
@@ -393,8 +420,11 @@ def _candidate_pairs(nodes: np.ndarray, connect_radius: float,
     _, nbr = tree.query(nodes[short], k=k)
     ii = np.repeat(short, k - 1)
     jj = nbr[:, 1:].ravel()
-    knn_pairs = np.column_stack([np.minimum(ii, jj), np.maximum(ii, jj)])
-    return np.vstack([pairs, knn_pairs])
+    out = np.empty((len(pairs) + len(ii), 2), dtype=np.int32)
+    out[:len(pairs)] = pairs
+    out[len(pairs):, 0] = np.minimum(ii, jj)
+    out[len(pairs):, 1] = np.maximum(ii, jj)
+    return out
 
 
 def _unique_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
@@ -852,8 +882,9 @@ def _add_net_checks(lab: Labyrinth, j: np.ndarray, k: np.ndarray,
         except ValueError as exc:  # no discs, or a hull not certified
             add("net-covering", False, failed_shell=jj, error=str(exc))
             return
-    # a file's zero tangent radius gives r_j = 0: its fractions are not finite
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a file's zero or subnormal tangent radius gives an r_j of 0 or near
+    # it: its fractions are not finite
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         worst = int(np.argmax(cover / limit))
         add("net-covering", bool(np.all(cover <= limit)),
             covering_fractions=[float(x) for x in cover / seps],

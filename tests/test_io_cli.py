@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -524,6 +525,23 @@ def test_a_file_with_nets_loads_and_reports_as_its_regenerated_file(
     assert reports[0] == reports[1]
 
 
+def test_resaving_an_old_ellipsoid_file_drops_its_derived_fields(tmp_path):
+    old = json.loads(NETS_LAYOUT.read_text())
+    assert "nets" in old
+    assert {"norm_to_ball", "norm_to_domain"} <= set(old["domain"])
+    resaved, new = tmp_path / "resaved.json", tmp_path / "new.json"
+    save_labyrinth(load_labyrinth(str(NETS_LAYOUT)), str(resaved))
+    doc = json.loads(resaved.read_text())
+    assert "nets" not in doc
+    assert sorted(doc["domain"]) == ["kind", "matrix", "to_ball"]
+    assert all(type(x) is float for name in ("matrix", "to_ball")
+               for row in doc["domain"][name] for x in row)
+    # the old file's integer zeros and 17-digit floats are gone too
+    assert run_cli("generate", "--domain", "ellipsoid", "--axes", "2,1",
+                   "--J", "2", "--seed", "0", "--out", str(new)) == 0
+    assert resaved.read_bytes() == new.read_bytes()
+
+
 @pytest.mark.parametrize("where, raw, rc, named", [
     pytest.param(("nets",), "5", 0, "", id="not-a-list"),
     pytest.param(("nets", 0, "classes", 1), "[[1.0, 2.0, 3.0]]", 0, "",
@@ -673,6 +691,9 @@ def test_cli_report_prints_the_covering_fraction_of_a_d4_file(
     cover = next(c for c in audit["checks"] if c["name"] == "net-covering")
     assert cover["passed"] and audit["passed"]
     assert cover["covering_fractions"] == [pytest.approx(0.5111, abs=5e-5)]
+    # the d >= 4 nets draw their candidates from the plain Sobol stream
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "792d55ac03e4d89dda6b738b9f913b7e2f4cc0536f5f24034336f622f3420074")
     capsys.readouterr()
     assert run_cli("report", str(out)) == 0
     assert "covering_fractions" in _checks(capsys)["net-covering"][1]
@@ -739,27 +760,23 @@ print(" ".join(m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules)
 """
 
 
-@pytest.mark.parametrize("commands, loads_stats", [
-    ([], False),
-    (["generate --J 1 --out a.json", "report a.json",
-      "export a.json --svg a.svg --csv a.csv"], False),
-    (["generate --dim 3 --J 2 --out b.json", "report b.json"], False),
-    (["generate --J 1 --out a.json",
-      "verify a.json --M 0.4 --seeds 1 --nodes 2000"], True),
+@pytest.mark.parametrize("commands", [
+    [],
+    ["generate --J 1 --out a.json", "report a.json",
+     "export a.json --svg a.svg --csv a.csv"],
+    ["generate --dim 3 --J 2 --out b.json", "report b.json"],
+    ["generate --J 1 --out a.json",
+     "verify a.json --M 0.4 --seeds 1 --nodes 2000"],
 ], ids=["import", "planar-generate-report-export", "ball3-generate-report",
         "verify"])
-def test_cli_loads_scipy_stats_and_optimize_only_on_demand(tmp_path, commands,
-                                                          loads_stats):
+def test_cli_loads_scipy_stats_and_optimize_only_on_demand(tmp_path, commands):
+    # the roadmap's Sobol draw is the library's own, so verify loads neither
     env = dict(os.environ, PYTHONPATH=str(Path(labyrinths.__file__).parents[1]))
     r = subprocess.run([sys.executable, "-c", IMPORT_BUDGET_SCRIPT, *commands],
                        cwd=tmp_path, env=env, capture_output=True, text=True,
                        timeout=300)
     assert r.returncode == 0, r.stderr
-    loaded = r.stdout.splitlines()[-1].split()
-    if loads_stats:  # the Sobol roadmap's draw
-        assert "scipy.stats" in loaded
-    else:
-        assert loaded == []
+    assert r.stdout.splitlines()[-1].split() == []
 
 
 @pytest.fixture(scope="module")
@@ -857,6 +874,27 @@ def test_loader_rejects_huge_schedule_radii_without_a_warning(
         warnings.simplefilter("error")
         with pytest.raises(MalformedFileError, match=named):
             load_labyrinth(str(bad))
+
+
+@pytest.mark.parametrize("where, rc, named", [
+    # 1e-320 lies in (0, 1/2), but c * r_j underflows in the audit, whose
+    # covering fractions over it overflowed: the loader stops it
+    (("schedule", "c"), 1, "field 'schedule.c' must be at least 1e-150"),
+    # a radius of 1e-320 gives discs that cover nothing: an audit FAIL
+    (("schedule", "tangent_radii", 0), 2,
+     "FAIL net-covering {'covering_fractions': [inf]"),
+])
+def test_report_of_a_subnormal_schedule_value_raises_no_warning(
+        j1_doc, tmp_path, where, rc, named):
+    bad = tmp_path / "bad.json"
+    write_with(j1_doc, where, 1e-320, bad)
+    env = dict(os.environ, PYTHONPATH=str(Path(labyrinths.__file__).parents[1]))
+    r = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                        "labyrinths.cli", "report", str(bad)], cwd=tmp_path,
+                       env=env, capture_output=True, text=True, timeout=300)
+    assert r.returncode == rc
+    assert named in r.stdout + r.stderr
+    assert "Warning" not in r.stderr and "Traceback" not in r.stderr
 
 
 # The fields of a J = 1 shell file, nested ones through their first or last

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scipy.spatial import cKDTree
+from scipy.stats import qmc
 
-from labyrinths.sampling import _BLOCK, farthest_point_order, sphere_candidates
+from labyrinths.sampling import (_BLOCK, farthest_point_order, sobol,
+                                 sphere_candidates)
 from oracles import brute_farthest_point_order, stacked_sphere_candidates
 
 
@@ -147,3 +149,38 @@ def test_candidates_in_higher_dimensions_are_antipodal_unit_rows():
     assert cand.shape == (2 * k, 5) and k == 500
     assert np.array_equal(cand[k:], -cand[:k])
     assert np.allclose(np.linalg.norm(cand, axis=1), 1.0, atol=1e-15)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_sobol_is_scipys_scrambled_stream_chunk_by_chunk(d):
+    # roadmap seeds are seed * 1_000_003 + node budget; the roadmap draws
+    # 16 384 points at a time and asks for the next chunk by its offset
+    for seed in (0, 80_000, 1_008_003, 3_002_009):
+        engine = qmc.Sobol(d, scramble=True, seed=seed)
+        for drawn in range(0, 3 * 16384, 16384):
+            assert same_bits(sobol(d, 16384, seed, skip=drawn),
+                             engine.random(16384)), (seed, drawn)
+    engine = qmc.Sobol(d, scramble=True, seed=7)
+    engine.fast_forward(12345)
+    assert same_bits(sobol(d, 777, 7, skip=12345), engine.random(777))
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_sobol_is_scipys_plain_stream_from_point_one(d):
+    # the d >= 4 candidate sets skip the plain stream's point 0, the origin
+    engine = qmc.Sobol(d, scramble=False)
+    engine.fast_forward(1)
+    assert same_bits(sobol(d, 5000, skip=1), engine.random(5000))
+    assert not sobol(d, 1).any()
+
+
+def test_sobol_names_its_dimension_limit():
+    with pytest.raises(ValueError, match="dimensions 1 to 16, not 17"):
+        sobol(17, 8)
+    with pytest.raises(ValueError, match="2\\^30"):
+        sobol(2, 8, skip=(1 << 30) - 4)

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -42,6 +41,7 @@ from labyrinths.verifier import (
     _region_measure,
     _segments_collide,
     _touches_any,
+    _symmetric_csr,
     _unique_pairs,
     EscapePath,
     add_containment_check,
@@ -165,8 +165,9 @@ def test_candidate_pairs_match_the_all_node_knn_rule(case):
     nodes, radius = _tied_rings() if case == "tied-rings" \
         else _roadmap_nodes(2 if case == "annulus-2d" else 3)
     want = all_node_candidate_pairs(nodes, radius, NEIGHBORS)
-    got = _unique_pairs(_candidate_pairs(nodes, radius, NEIGHBORS), len(nodes))
-    assert got.dtype == np.int32 and np.array_equal(got, want)
+    raw = _candidate_pairs(nodes, radius, NEIGHBORS)
+    got = _unique_pairs(raw, len(nodes))
+    assert raw.dtype == got.dtype == np.int32 and np.array_equal(got, want)
     # both branches run: some nodes skip the k-NN query, some need it
     pairs = cKDTree(nodes).query_pairs(radius, output_type="ndarray")
     degree = np.bincount(pairs.ravel(), minlength=len(nodes))
@@ -382,7 +383,7 @@ def test_roadmap_rejects_a_thin_region_before_any_draw(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("Sobol points were drawn for the thin region")
 
-    monkeypatch.setattr(scipy.stats.qmc, "Sobol", no_draw)
+    monkeypatch.setattr(verifier, "sobol", no_draw)
     thin = {"kind": "annulus", "inner": 0.5, "outer": 0.5001}
     with pytest.raises(RoadmapBudgetError, match="0.000314 of its sampling box"):
         build_roadmap(thin, empty_labyrinth(2, thin), 20_000)
@@ -461,6 +462,19 @@ def _same_csr(got, want) -> bool:
         getattr(got, f).dtype == getattr(want, f).dtype
         and np.array_equal(getattr(got, f), getattr(want, f))
         for f in ("indptr", "indices", "data"))
+
+
+@pytest.mark.parametrize("n, draws", [
+    (1, 0), (2, 1), (7, 0), (7, 40), (100, 3), (5000, 20_000)])
+def test_symmetric_csr_is_the_coo_built_matrix(n, draws):
+    # random node pairs, so some nodes have no edge and some only lower or
+    # only upper neighbours; built through COO, lower entries first
+    rng = np.random.default_rng(n + draws)
+    pairs = _unique_pairs(np.sort(rng.integers(0, n, (draws, 2)), axis=1), n)
+    w = rng.random(len(pairs))
+    want = sparse.csr_matrix((np.concatenate([w, w]), (
+        np.concatenate(pairs.T[::-1]), np.concatenate(pairs.T))), shape=(n, n))
+    assert _same_csr(_symmetric_csr(pairs, w, n), want)
 
 
 @pytest.mark.parametrize("case", ["plane-20k", "space-point"])
