@@ -7,15 +7,14 @@ it degenerates to a segment.  All functions here are pure.
 The ``pairs_*`` functions work on aligned rows (segment or point i against
 disc i) in any dimension, as do the rims and tangent bases of disc rows;
 a single disc is a table of one row (:func:`disc_rows`).
-At clearance 0 the segment/disc test is exact and needs no iteration: with
-signed plane heights ha, hb of its endpoints, a segment touches the closed
-disc iff it crosses the plane (sign(ha) * sign(hb) <= 0, not both zero) at
-a point within the radius of the centre, or lies in the plane (ha == hb ==
-0) with its point nearest the centre within the radius.  A graze at the
-rounding level (about 1e-17 at unit scale, e.g. a node computed to lie on a
-disc's plane) is decided by the sign of that rounding and can go either
-way; only a positive clearance makes it robust.  For clearance > 0 the
-convex distance along the segment is minimised by golden-section search.
+The segment/disc test (:func:`pairs_segment_disc_contact`) is exact and
+needs no iteration: with signed plane heights ha, hb of its endpoints, a
+segment touches the closed disc iff it crosses the plane (sign(ha) *
+sign(hb) <= 0, not both zero) at a point within the radius of the centre,
+or lies in the plane (ha == hb == 0) with its point nearest the centre
+within the radius.  A graze at the rounding level (about 1e-17 at unit
+scale, e.g. a node computed to lie on a disc's plane) is decided by the
+sign of that rounding and can go either way.
 
 Disc/disc rows (:func:`pairs_disc_disc_distance`) get certified lower
 bounds on their distance: exact in the plane, a support gap beyond it.
@@ -26,10 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# golden-section steps of the segment/disc distance
-GOLDEN_ITERS = 48
 
 # allowed deviation of a hyperplane normal from unit norm
 UNIT_NORM_TOL = 1e-12
@@ -159,50 +154,6 @@ def pairs_segment_disc_contact(A, B, C, N, R) -> np.ndarray:
                     0.0, 1.0)
         hit[k] = np.linalg.norm(u[:, None] * ab - ac, axis=1) <= R[k]
     return hit
-
-
-def pairs_segment_disc_distance(A, B, C, N, R) -> np.ndarray:
-    """Segment-to-disc distances for aligned rows, any dimension.
-
-    Exactly 0.0 on contact.  A row with A == B is a point and takes the
-    point/disc distance; every other row runs golden-section search on the
-    convex distance of a + t (b - a) to the disc, down to a parameter
-    interval of 0.618**GOLDEN_ITERS.
-    """
-    point = np.all(A == B, axis=1)
-    best = np.empty(len(A))
-    best[point] = pairs_point_disc_distance(A[point], C[point], N[point],
-                                            R[point])
-    seg = ~point
-    a, b, c, n, r = A[seg], B[seg], C[seg], N[seg], R[seg]
-
-    def g(t):
-        return pairs_point_disc_distance(a + t[:, None] * (b - a), c, n, r)
-
-    lo, hi = np.zeros(len(a)), np.ones(len(a))
-    x1, x2 = hi - INV_GOLDEN, lo + INV_GOLDEN
-    g1, g2 = g(x1), g(x2)
-    for _ in range(GOLDEN_ITERS):
-        left = g1 <= g2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        x1 = hi - INV_GOLDEN * (hi - lo)
-        x2 = lo + INV_GOLDEN * (hi - lo)
-        g1, g2 = g(x1), g(x2)
-    best[seg] = np.minimum.reduce([g(lo), g(hi), g1, g2])
-    best[pairs_segment_disc_contact(A, B, C, N, R)] = 0.0
-    return best
-
-
-def pairs_segment_disc_touch(A, B, C, N, R, clearance: float = 0.0) -> np.ndarray:
-    """Rows whose segment comes within `clearance` of its disc.
-
-    Clearance 0 is the exact contact test; a positive clearance compares
-    the golden-section distance.
-    """
-    if clearance == 0.0:
-        return pairs_segment_disc_contact(A, B, C, N, R)
-    return pairs_segment_disc_distance(A, B, C, N, R) <= clearance
 
 
 def disc_rows(balls) -> tuple:

@@ -290,7 +290,6 @@ def _jsonable(obj):
 
     if isinstance(obj, EscapePath):
         return {"length": _jsonable(obj.length),
-                "clearance": _jsonable(obj.clearance),
                 "polyline": _jsonable(obj.polyline)}
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -313,19 +312,22 @@ def _jsonable(obj):
 
 def export_svg(lab: Labyrinth, path: str, escape_path=None,
                projection: tuple[int, int] | None = None) -> dict:
-    """Draw the domain outline, faint sublevel circles, components, path.
+    """Draw the domain outline, faint sublevel curves, components, path.
 
     Components are one stroke each; the viewBox tightly bounds the domain
     scaled so the unit length is SVG_UNIT drawing units.  For dim > 2 a
-    projection pair of axes must be given.
+    projection pair of axes must be given.  A sublevel sphere is a circle,
+    except in an ellipsoid file stored in ball coordinates, where the
+    sphere of radius s is s times the ellipsoid: its curve is s times the
+    outline's.
     """
     if lab.dim != 2 and projection is None:
         raise ValueError("SVG export beyond the plane needs a projection pair")
     axes = list(projection if projection is not None else (0, 1))
     # an ellipsoid file stores ball coordinates; draw the domain's
     dom = lab.domain
-    M = np.linalg.inv(np.asarray(dom["to_ball"], dtype=float)) \
-        if dom.get("kind") == "ellipsoid" and "to_ball" in dom \
+    pulled = dom.get("kind") == "ellipsoid" and "to_ball" in dom
+    M = np.linalg.inv(np.asarray(dom["to_ball"], dtype=float)) if pulled \
         else np.eye(lab.dim)
 
     def draw(X):
@@ -340,13 +342,17 @@ def export_svg(lab: Labyrinth, path: str, escape_path=None,
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_num(-half)} {_num(-half)} {_num(2 * half)} {_num(2 * half)}">',
     ]
-    lines.extend(_domain_outline_svg(lab, axes))
+    outline = _domain_outline(lab, axes)
+    lines.extend(_domain_outline_svg(lab, outline))
     if lab.schedule is not None:
+        faint = 'fill="none" stroke="#dddddd" stroke-width="1"'
         for s_jk in lab.schedule.sublevels.ravel():
             r = SVG_UNIT * lab.scale * s_jk
-            lines.append(
-                f'<circle cx="0" cy="0" r="{_num(r)}" fill="none" '
-                f'stroke="#dddddd" stroke-width="1"/>')
+            if pulled:
+                pts = _points(r * outline * [1.0, -1.0])
+                lines.append(f'<polygon points="{pts}" {faint}/>')
+            else:
+                lines.append(f'<circle cx="0" cy="0" r="{_num(r)}" {faint}/>')
     if lab.components and lab.dim == 2:
         C, N, R = disc_rows(lab.components)
         U = R[:, None] * np.column_stack([-N[:, 1], N[:, 0]])
@@ -388,7 +394,26 @@ def _domain_bound(lab: Labyrinth) -> float:
     return max(1.0, lab.scale)
 
 
-def _domain_outline_svg(lab: Labyrinth, axes: list[int]) -> list[str]:
+def _domain_outline(lab: Labyrinth, axes: list[int]) -> np.ndarray | None:
+    """Boundary points of the domain's shadow on the axes, for an
+    ellipsoid or smooth domain; None for the round ones."""
+    dom = lab.domain
+    kind = dom.get("kind")
+    if kind == "ellipsoid":
+        # the shadow of {x : x'Ax <= 1} on the axes is the ellipse with
+        # boundary S^1/2 (cos, sin), S the axes' block of A^-1
+        S = np.linalg.inv(np.asarray(dom["matrix"], dtype=float))
+        w, V = np.linalg.eigh(S[np.ix_(axes, axes)])
+        theta = 2.0 * np.pi * np.arange(256) / 256
+        return np.column_stack([np.cos(theta), np.sin(theta)]) \
+            @ (V * np.sqrt(w)) @ V.T
+    if kind == "smooth":  # the presets are planar
+        return boundary_samples(resolve_domain(dom, lab.dim), 256)[:, axes]
+    return None
+
+
+def _domain_outline_svg(lab: Labyrinth,
+                        outline: np.ndarray | None) -> list[str]:
     dom = lab.domain
     kind = dom.get("kind")
     style = 'fill="none" stroke="#555555" stroke-width="2"'
@@ -399,19 +424,9 @@ def _domain_outline_svg(lab: Labyrinth, axes: list[int]) -> list[str]:
         ]
     if kind == "ball":
         return [f'<circle cx="0" cy="0" r="{_num(SVG_UNIT * max(1.0, lab.scale))}" {style}/>']
-    if kind == "ellipsoid":
-        # the shadow of {x : x'Ax <= 1} on the axes is the ellipse with
-        # boundary S^1/2 (cos, sin), S the axes' block of A^-1
-        S = np.linalg.inv(np.asarray(dom["matrix"], dtype=float))
-        w, V = np.linalg.eigh(S[np.ix_(axes, axes)])
-        theta = 2.0 * np.pi * np.arange(256) / 256
-        bnd = np.column_stack([np.cos(theta), np.sin(theta)]) \
-            @ (V * np.sqrt(w)) @ V.T
-    elif kind == "smooth":  # the presets are planar
-        bnd = boundary_samples(resolve_domain(dom, lab.dim), 256)[:, axes]
-    else:
+    if outline is None:
         return []
-    return [f'<polygon points="{_points(SVG_UNIT * bnd * [1.0, -1.0])}" {style}/>']
+    return [f'<polygon points="{_points(SVG_UNIT * outline * [1.0, -1.0])}" {style}/>']
 
 
 def export_csv(lab: Labyrinth, path: str) -> int:

@@ -12,18 +12,22 @@ sufficient bound (:func:`audit_labyrinth` lists which); disjointness uses
 ``min_distance`` is a certified lower bound, exact in the plane.
 
 Every roadmap edge, boundary link, shortcut and the final re-verification
-use one predicate, :func:`labyrinths.geometry.pairs_segment_disc_touch`,
-exact at the default clearance 0: a segment touches a closed disc iff it
-crosses the disc's hyperplane, or lies in it, within the radius of the
-centre.  Grazes at the rounding level (about 1e-17, e.g. a rim-ring node on
-a disc's plane) fall either way; a small positive clearance makes them
-robust.  The roadmap edges, boundary links and free samples (each point a
-segment of length 0) are culled by a KD query on a cover of each planar
-disc by small balls, as fine as the segments are short, and on bounding
-spheres beyond the plane (:func:`_segments_collide`);
-:func:`shortcut` and :func:`verify_path` test every segment against every
-disc (:func:`_touches_any`).  Per-disc quantities come from one table of
-disc rows per call (:class:`_CompArrays`), never one disc at a time.
+use one exact predicate,
+:func:`labyrinths.geometry.pairs_segment_disc_contact`: a segment touches a
+closed disc iff it crosses the disc's hyperplane, or lies in it, within the
+radius of the centre.  Grazes at the rounding level (about 1e-17, e.g. a
+rim-ring node on a disc's plane) fall either way.  The roadmap edges,
+boundary links and free samples (each point a segment of length 0) are
+culled by a KD query on a cover of each planar disc by small balls, as fine
+as the segments are short, and on bounding spheres beyond the plane
+(:func:`_segments_collide`); :func:`shortcut` and :func:`verify_path` test
+every segment against every disc (:func:`_touches_any`).  Per-disc
+quantities come from one table of disc rows per call (:class:`_CompArrays`),
+never one disc at a time.
+
+The roadmap stores each edge once, as an upper-triangular CSR matrix, and
+the escape search appends the source and target links as two trailing rows;
+Dijkstra runs undirected on it (:func:`shortest_escape`).
 
 The search region comes from the escape sets, not the domain: two spheres
 give the annulus between their radii, point sets a box around them.  The
@@ -51,7 +55,7 @@ from .geometry import (
     disc_rows,
     disc_support,
     pairs_disc_disc_distance,
-    pairs_segment_disc_touch,
+    pairs_segment_disc_contact,
     row_dots,
     separating_hyperplane,
     tangent_bases,
@@ -70,8 +74,8 @@ NEIGHBORS = 10
 CONNECT_FACTOR = 2.2
 
 # node budgets of one roadmap; one attempt's working set grows about linearly
-# with the budget (a traced peak of 12.5 MB at 20 000 planar nodes, 31 MB at
-# 80 000, for build_roadmap plus shortest_escape), so the cap bounds it
+# with the budget (a traced peak of 12.5 MiB at 20 000 planar nodes, 19.5 MiB
+# at 80 000, for build_roadmap plus shortest_escape), so the cap bounds it
 MIN_NODE_BUDGET = 100
 MAX_NODE_BUDGET = 1_000_000
 
@@ -88,11 +92,10 @@ class RoadmapBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class EffortBudget:
-    """Search effort: seeds, node budgets, clearance and shortcut rounds."""
+    """Search effort: seeds, node budgets and shortcut rounds."""
 
     seeds: tuple = (0, 1, 2, 3)
     node_budgets: tuple = (20_000, 80_000)
-    clearance: float = 0.0
     shortcut_rounds: int = 400
 
     @staticmethod
@@ -198,21 +201,20 @@ def _near_pairs(pts: np.ndarray, reach, comp: _CompArrays, k: int) -> tuple:
     return m["i"][keep], owner[m["j"][keep]]
 
 
-def _segments_collide(A: np.ndarray, B: np.ndarray, comp: _CompArrays,
-                      clearance: float) -> np.ndarray:
+def _segments_collide(A: np.ndarray, B: np.ndarray,
+                      comp: _CompArrays) -> np.ndarray:
     """Collision mask for segments [A[i], B[i]] against all components.
 
     A sub-ball cull limits the predicate to nearby segment/disc pairs.  It
-    is sound: if a segment of length L comes within `clearance` of a disc
-    point p, its midpoint lies within L/2 + clearance of p, and p within
-    rho of a sub-ball centre of that disc (:meth:`_CompArrays.cover`), so
-    the midpoint lies within L/2 + rho + clearance (+ 1e-12 for rounding)
-    of that centre.  Every surviving (segment, disc) row then goes through
-    the exact predicate.  The cover level comes from the median segment
-    length (:func:`_cover_level`): about 4x fewer rows than one bounding
-    sphere per disc for the short edges of a dense planar roadmap, the
-    bounding sphere itself beyond the plane and for segments as long as
-    the discs are wide.
+    is sound: if a segment of length L touches a disc at p, its midpoint
+    lies within L/2 of p, and p within rho of a sub-ball centre of that
+    disc (:meth:`_CompArrays.cover`), so the midpoint lies within
+    L/2 + rho (+ 1e-12 for rounding) of that centre.  Every surviving
+    (segment, disc) row then goes through the exact predicate.  The cover
+    level comes from the median segment length (:func:`_cover_level`):
+    about 4x fewer rows than one bounding sphere per disc for the short
+    edges of a dense planar roadmap, the bounding sphere itself beyond the
+    plane and for segments as long as the discs are wide.
     Segments, and then their (segment, disc) rows, go in chunks, which
     bounds the size of the pair arrays.
     """
@@ -224,19 +226,17 @@ def _segments_collide(A: np.ndarray, B: np.ndarray, comp: _CompArrays,
     for s in range(0, len(A), _COLLIDE_CHUNK):
         a, b = A[s:s + _COLLIDE_CHUNK], B[s:s + _COLLIDE_CHUNK]
         idx, cidx = _near_pairs(0.5 * (a + b),
-                                half[s:s + _COLLIDE_CHUNK] + clearance + 1e-12,
-                                comp, k)
+                                half[s:s + _COLLIDE_CHUNK] + 1e-12, comp, k)
         for r in range(0, len(idx), _COLLIDE_CHUNK):
             i, c = idx[r:r + _COLLIDE_CHUNK], cidx[r:r + _COLLIDE_CHUNK]
-            hit = pairs_segment_disc_touch(a[i], b[i], comp.centers[c],
-                                           comp.normals[c], comp.radii[c],
-                                           clearance)
+            hit = pairs_segment_disc_contact(a[i], b[i], comp.centers[c],
+                                             comp.normals[c], comp.radii[c])
             out[s + i[hit]] = True
     return out
 
 
-def _touches_any(A: np.ndarray, B: np.ndarray, comp: _CompArrays,
-                 clearance: float) -> np.ndarray:
+def _touches_any(A: np.ndarray, B: np.ndarray,
+                 comp: _CompArrays) -> np.ndarray:
     """Collision mask for segments [A[i], B[i]] against all components,
     with no cull: every segment/disc pair goes through the exact predicate
     in one call."""
@@ -244,8 +244,9 @@ def _touches_any(A: np.ndarray, B: np.ndarray, comp: _CompArrays,
     if n == 0:
         return np.zeros(len(A), dtype=bool)
     s, c = np.divmod(np.arange(len(A) * n), n)
-    return pairs_segment_disc_touch(A[s], B[s], comp.centers[c], comp.normals[c],
-                                    comp.radii[c], clearance).reshape(-1, n).any(axis=1)
+    return pairs_segment_disc_contact(
+        A[s], B[s], comp.centers[c], comp.normals[c],
+        comp.radii[c]).reshape(-1, n).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -297,29 +298,31 @@ def _region_measure(region: dict, dim: int) -> float:
 
 @dataclass(eq=False)
 class Roadmap:
-    """Collision-checked geometric graph over the free space of a region."""
+    """Collision-checked geometric graph over the free space of a region;
+    `graph` holds each edge once, at (i, j) with i < j."""
 
     nodes: np.ndarray
     graph: sparse.csr_matrix
-    clearance: float
     connect_radius: float
     comp: _CompArrays = None
     n_rim: int = 0
 
 
 def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
-                  clearance: float = 0.0, seed: int = 0) -> Roadmap:
+                  seed: int = 0) -> Roadmap:
     """Quasi-uniform free samples plus rim-hugging offsets, k-NN connected.
 
     Free-space samples are drawn from the Sobol stream that `seed`
     scrambles (:func:`labyrinths.sampling.sobol`), 16 384 points at a
-    time, and rejected when within `clearance` of a component or outside
-    the region; every component rim point additionally gets a small ring
-    of nodes at offset clearance + RIM_STEP, which is where taut escape
-    paths turn.  Edges are the union of radius-neighbour and k-nearest
-    pairs whose segments clear all components at the given clearance; the
-    k-NN query runs only for the nodes with fewer than NEIGHBORS radius
-    neighbours, which changes no edge (:func:`_candidate_pairs`).
+    time, and rejected when on a component or outside the region; every
+    component rim point additionally gets a small ring of nodes at offset
+    RIM_STEP, which is where taut escape paths turn.  Edges are the union
+    of radius-neighbour and k-nearest pairs whose segments clear all
+    components; the k-NN query runs only for the nodes with fewer than
+    NEIGHBORS radius neighbours, which changes no edge
+    (:func:`_candidate_pairs`).  The sorted distinct pairs i < j that
+    survive are the rows of an upper-triangular CSR matrix as they stand,
+    so the graph stores each edge once and is built with no sort.
     """
     if not MIN_NODE_BUDGET <= node_budget <= MAX_NODE_BUDGET:
         raise ValueError(f"node budget must lie in [{MIN_NODE_BUDGET}, "
@@ -332,7 +335,7 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
                                  " of its sampling box, fewer than one in 1000")
     comp = _CompArrays.from_components(lab.components)
 
-    rim_nodes = _rim_offset_nodes(lab, comp, clearance, region, node_budget)
+    rim_nodes = _rim_offset_nodes(lab, comp, region, node_budget)
     rim_nodes = rim_nodes[:node_budget // 2]
     free_target = node_budget - len(rim_nodes)
 
@@ -343,7 +346,7 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
         drawn += len(chunk)
         pts = chunk[_region_contains(region, chunk)]
         in_region += len(pts)
-        pts = pts[~_segments_collide(pts, pts, comp, clearance)]
+        pts = pts[~_segments_collide(pts, pts, comp)]
         accepted.append(pts)
         got += len(pts)
         if drawn >= 1000 * node_budget:
@@ -361,43 +364,17 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
     free, w = np.empty(len(pairs), dtype=bool), np.empty(len(pairs))
     for s in range(0, len(pairs), _COLLIDE_CHUNK):
         a, b = (nodes[p] for p in pairs[s:s + _COLLIDE_CHUNK].T)
-        free[s:s + len(a)] = ~_segments_collide(a, b, comp, clearance)
+        free[s:s + len(a)] = ~_segments_collide(a, b, comp)
         w[s:s + len(a)] = np.linalg.norm(a - b, axis=1)
     pairs, w = pairs[free], w[free]  # the unfiltered arrays go first
-    graph = _symmetric_csr(pairs, w, len(nodes))
-    return Roadmap(nodes=nodes, graph=graph, clearance=clearance,
-                   connect_radius=connect_radius, comp=comp,
-                   n_rim=len(rim_nodes))
-
-
-def _symmetric_csr(pairs: np.ndarray, w: np.ndarray,
-                   n: int) -> sparse.csr_matrix:
-    """The n x n symmetric matrix with w at (i, j) and (j, i) for each of
-    the distinct `pairs` i < j, which come in lexicographic order.
-
-    Row r holds its lower neighbours (pairs (i, r), by i) and then its
-    upper ones (pairs (r, j), by j), so its columns come out sorted: the
-    matrix that ``csr_matrix`` makes of the (j, i) entries followed by the
-    (i, j) ones, built with no COO triplets.  The pairs are the upper
-    triangle's CSR rows as they stand; its CSC columns, from scipy's
-    counting-sort conversion, are the lower rows.
-    """
-    upper = np.bincount(pairs[:, 0], minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(upper, out=indptr[1:])
-    lower = sparse.csr_matrix((w, pairs[:, 1], indptr), shape=(n, n)).tocsc()
-    np.cumsum(upper + np.diff(lower.indptr), out=indptr[1:])
-    # each row's lower slots, then its upper ones; both kinds fill theirs
-    # in order
-    is_lower = np.repeat(np.tile([True, False], n), np.column_stack(
-        [np.diff(lower.indptr), upper]).ravel())
-    indices = np.empty(2 * len(pairs), dtype=np.int32)
-    data = np.empty(2 * len(pairs))
-    indices[is_lower], data[is_lower] = lower.indices, lower.data
-    del lower
-    np.logical_not(is_lower, out=is_lower)
-    indices[is_lower], data[is_lower] = pairs[:, 1], w
-    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(pairs[:, 0], minlength=len(nodes)), out=indptr[1:])
+    # the column is copied: a view would keep both columns of pairs alive
+    graph = sparse.csr_matrix(
+        (w, np.ascontiguousarray(pairs[:, 1]), indptr),
+        shape=(len(nodes), len(nodes)))
+    return Roadmap(nodes=nodes, graph=graph, connect_radius=connect_radius,
+                   comp=comp, n_rim=len(rim_nodes))
 
 
 def _candidate_pairs(nodes: np.ndarray, connect_radius: float,
@@ -445,11 +422,10 @@ def _unique_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _rim_offset_nodes(lab: Labyrinth, comp: _CompArrays, clearance: float,
-                      region: dict, node_budget: int) -> np.ndarray:
+def _rim_offset_nodes(lab: Labyrinth, comp: _CompArrays, region: dict,
+                      node_budget: int) -> np.ndarray:
     if lab.is_empty:
         return np.empty((0, lab.dim))
-    offset = clearance + RIM_STEP
     rim_count = 12 if lab.dim >= 3 else 2
     # Fit the rings into half the node budget by thinning the ring, never
     # by dropping whole components.
@@ -463,11 +439,11 @@ def _rim_offset_nodes(lab: Labyrinth, comp: _CompArrays, clearance: float,
     U = np.where(nu > 0.0, U / np.where(nu > 0.0, nu, 1.0),
                  tangent_bases(comp.normals)[:, None, :, 0])
     ang = 2.0 * np.pi * np.arange(ring) / ring
-    pts = (rims[:, :, None] + offset * (
+    pts = (rims[:, :, None] + RIM_STEP * (
         np.cos(ang)[:, None] * U[:, :, None]
         + np.sin(ang)[:, None] * comp.normals[:, None, None])).reshape(-1, lab.dim)
     pts = pts[_region_contains(region, pts)]
-    return pts[~_segments_collide(pts, pts, comp, clearance)]
+    return pts[~_segments_collide(pts, pts, comp)]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +456,6 @@ class EscapePath:
 
     polyline: np.ndarray
     length: float
-    clearance: float
 
     def __post_init__(self):
         self.polyline = np.asarray(self.polyline, dtype=float)
@@ -529,9 +504,11 @@ def shortest_escape(rm: Roadmap, source: dict, target: dict) -> EscapePath | Non
     """Shortest roadmap path from the source set to the target set.
 
     Boundary nodes are linked to their projections onto the sets (collision
-    checked), then a single Dijkstra run over the augmented graph extracts
-    the minimum-length connection.  None means the roadmap is disconnected
-    at this resolution, which is never evidence that no path exists.
+    checked).  The links of the source and the target are two new rows, S
+    and T, appended to the roadmap's graph; each edge and link is stored
+    once, so one undirected Dijkstra run from S extracts the minimum-length
+    connection.  None means the roadmap is disconnected at this resolution,
+    which is never evidence that no path exists.
     """
     n = len(rm.nodes)
     links = []
@@ -544,28 +521,21 @@ def shortest_escape(rm: Roadmap, source: dict, target: dict) -> EscapePath | Non
         if len(near) == 0:
             return None
         proj = _project_to_set(descr, rm.nodes[near])
-        ok = ~_segments_collide(rm.nodes[near], proj, rm.comp, rm.clearance)
+        ok = ~_segments_collide(rm.nodes[near], proj, rm.comp)
         if not ok.any():
             return None
         moved = np.linalg.norm(rm.nodes[near[ok]] - proj[ok], axis=1)
         links.append((near[ok], np.maximum(moved, 1e-300)))
     (src_i, src_w), (tgt_i, tgt_w) = links
     S, T = n, n + 1
-    # S and T are the largest columns: a node's links end its row, S before
-    # T, and rows S and T end the matrix.  The links go in by node, since
-    # empty rows share an insertion point.
     g = rm.graph
-    ends, w = np.concatenate([src_i, tgt_i]), np.concatenate([src_w, tgt_w])
-    o = np.argsort(ends, kind="stable")
-    at = np.concatenate([g.indptr[ends[o] + 1], np.full(len(ends), g.nnz)])
-    cols = np.concatenate([np.repeat([S, T], [len(src_i), len(tgt_i)])[o], ends])
-    counts = np.diff(g.indptr) + np.bincount(ends, minlength=n)
-    indptr = np.cumsum(np.concatenate([[0], counts, [len(src_i), len(tgt_i)]]))
-    big = sparse.csr_matrix((np.insert(g.data, at, np.concatenate([w[o], w])),
-                             np.insert(g.indices, at, cols), indptr),
-                            shape=(n + 2, n + 2))
-    # every edge and link is stored both ways, so the directed run is exact
-    dist, pred = dijkstra(big, directed=True, indices=S,
+    ends = g.nnz + np.cumsum([len(src_i), len(tgt_i)], dtype=np.int32)
+    big = sparse.csr_matrix(
+        (np.concatenate([g.data, src_w, tgt_w]),
+         np.concatenate([g.indices, src_i, tgt_i], dtype=np.int32),
+         np.concatenate([g.indptr, ends], dtype=np.int32)),
+        shape=(n + 2, n + 2))
+    dist, pred = dijkstra(big, directed=False, indices=S,
                           return_predecessors=True)
     if not np.isfinite(dist[T]):
         return None
@@ -578,8 +548,7 @@ def shortest_escape(rm: Roadmap, source: dict, target: dict) -> EscapePath | Non
                       rm.nodes[inner],
                       _project_to_set(target, rm.nodes[inner[-1:]])])
     poly = _dedupe(poly)
-    return EscapePath(polyline=poly, length=path_length(poly),
-                      clearance=rm.clearance)
+    return EscapePath(polyline=poly, length=path_length(poly))
 
 
 def _dedupe(poly: np.ndarray) -> np.ndarray:
@@ -593,8 +562,8 @@ def shortcut(path: EscapePath, lab: Labyrinth, rounds: int = 400,
     """Randomised two-point shortcutting; length never increases.
 
     Random pairs of points along the polyline are joined by a straight
-    segment whenever that segment clears every component at the path's
-    clearance; a final vertex-skipping pass removes leftover corners.
+    segment whenever that segment clears every component; a final
+    vertex-skipping pass removes leftover corners.
     """
     comp = _CompArrays.from_components(lab.components)
     rng = np.random.default_rng(seed)
@@ -607,7 +576,7 @@ def shortcut(path: EscapePath, lab: Labyrinth, rounds: int = 400,
         a = poly[i] + ti * (poly[i + 1] - poly[i])
         b = poly[j] + tj * (poly[j + 1] - poly[j])
         if j <= i or np.linalg.norm(b - a) == 0.0 \
-                or _touches_any(a[None, :], b[None, :], comp, path.clearance)[0]:
+                or _touches_any(a[None, :], b[None, :], comp)[0]:
             continue
         poly = poly[:i + 1] + [a, b] + poly[j + 1:]
     # deterministic vertex-skipping sweep
@@ -618,14 +587,13 @@ def shortcut(path: EscapePath, lab: Labyrinth, rounds: int = 400,
         while k + 2 < len(poly):
             a, b = poly[k], poly[k + 2]
             if np.linalg.norm(b - a) > 0.0 and not _touches_any(
-                    a[None, :], b[None, :], comp, path.clearance)[0]:
+                    a[None, :], b[None, :], comp)[0]:
                 del poly[k + 1]
                 changed = True
             else:
                 k += 1
     poly = _dedupe(np.asarray(poly))
-    new = EscapePath(polyline=poly, length=path_length(poly),
-                     clearance=path.clearance)
+    new = EscapePath(polyline=poly, length=path_length(poly))
     if new.length > path.length:
         return path
     return new
@@ -640,8 +608,7 @@ def verify_path(path: EscapePath, lab: Labyrinth, source: dict | None = None,
     """
     poly = path.polyline
     if _touches_any(poly[:-1], poly[1:],
-                    _CompArrays.from_components(lab.components),
-                    path.clearance).any():
+                    _CompArrays.from_components(lab.components)).any():
         return False
     return all(s is None or _set_distance(s, p)[0] <= 1e-9
                for s, p in ((source, poly[:1]), (target, poly[-1:])))
@@ -665,7 +632,7 @@ def min_escape_length(lab: Labyrinth, source: dict, target: dict,
         for seed in effort.seeds:
             # no name holds the roadmap, so it is freed before the next build
             path = shortest_escape(
-                build_roadmap(region, lab, budget, effort.clearance,
+                build_roadmap(region, lab, budget,
                               seed=seed * 1_000_003 + budget), source, target)
             if path is not None:
                 path = shortcut(path, lab, rounds=effort.shortcut_rounds,

@@ -21,7 +21,8 @@ from scipy.spatial import cKDTree
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from labyrinths.geometry import FlatBall, pairs_segment_disc_touch, tangent_bases
+from labyrinths.geometry import (FlatBall, pairs_segment_disc_contact,
+                                 tangent_bases)
 
 
 def grid_point_disc_distance(x, center, normal, radius) -> float:
@@ -178,8 +179,7 @@ def stacked_sphere_candidates(d: int, count: int) -> np.ndarray:
     return np.vstack([half, -half])
 
 
-def brute_segments_collide(A, B, centers, normals, radii,
-                           clearance: float = 0.0) -> np.ndarray:
+def brute_segments_collide(A, B, centers, normals, radii) -> np.ndarray:
     """Collision mask of segments [A[i], B[i]] against every disc, with no cull.
 
     Every segment meets every disc in the library's row-wise predicate, one
@@ -190,9 +190,9 @@ def brute_segments_collide(A, B, centers, normals, radii,
     B = np.asarray(B, float)
     out = np.zeros(len(A), dtype=bool)
     for c, n, r in zip(centers, normals, radii):
-        out |= pairs_segment_disc_touch(
+        out |= pairs_segment_disc_contact(
             A, B, np.broadcast_to(c, A.shape), np.broadcast_to(n, A.shape),
-            np.full(len(A), r), clearance)
+            np.full(len(A), r))
     return out
 
 
@@ -425,7 +425,7 @@ def reference_roadmap_graph(rm):
     nodes, n = rm.nodes, len(rm.nodes)
     pairs = all_node_candidate_pairs(nodes, rm.connect_radius, NEIGHBORS)
     A, B = nodes[pairs[:, 0]], nodes[pairs[:, 1]]
-    ok = pairs[~_segments_collide(A, B, rm.comp, rm.clearance)]
+    ok = pairs[~_segments_collide(A, B, rm.comp)]
     w = np.linalg.norm(nodes[ok[:, 0]] - nodes[ok[:, 1]], axis=1)
     return sparse.csr_matrix(
         (np.concatenate([w, w]),
@@ -454,7 +454,7 @@ def reference_escape_graph(rm, graph, source: dict, target: dict):
         if descr["kind"] == "point":
             near = np.union1d(near, np.argsort(d)[:min(n, 24)])
         proj = _project_to_set(descr, nodes[near])
-        ok = ~_segments_collide(nodes[near], proj, rm.comp, rm.clearance)
+        ok = ~_segments_collide(nodes[near], proj, rm.comp)
         idx = near[ok]
         w = np.maximum(np.linalg.norm(nodes[idx] - proj[ok], axis=1), 1e-300)
         rows += [np.full(len(idx), end), idx]

@@ -12,8 +12,6 @@ from labyrinths.geometry import (
     pairs_disc_disc_distance,
     pairs_point_disc_distance,
     pairs_segment_disc_contact,
-    pairs_segment_disc_distance,
-    pairs_segment_disc_touch,
     separating_hyperplane,
     tangent_bases,
 )
@@ -31,13 +29,13 @@ DISC = FlatBall(center=np.array([0.5, 0.0]), normal=np.array([1.0, 0.0]),
 
 def test_segment_through_disc_center_intersects():
     A, B = DISC.center - DISC.normal, DISC.center + DISC.normal
-    assert pairs_segment_disc_touch(A[None], B[None], *disc_rows([DISC]))[0]
+    assert pairs_segment_disc_contact(A[None], B[None], *disc_rows([DISC]))[0]
 
 
 def test_axis_segment_crosses_disc():
-    assert pairs_segment_disc_touch(np.array([[0.0, 0.0]]),
-                                    np.array([[1.0, 0.0]]),
-                                    *disc_rows([DISC]))[0]
+    assert pairs_segment_disc_contact(np.array([[0.0, 0.0]]),
+                                      np.array([[1.0, 0.0]]),
+                                      *disc_rows([DISC]))[0]
 
 
 def test_offset_segment_distance_matches_brute_force():
@@ -45,10 +43,8 @@ def test_offset_segment_distance_matches_brute_force():
     brute = brute_segment_disc_distance(a, b, DISC.center, DISC.normal,
                                         DISC.radius, grid=20001)
     assert brute == pytest.approx(0.1, abs=1e-6)
-    row = (a[None], b[None], *disc_rows([DISC]))
-    assert pairs_segment_disc_distance(*row)[0] == pytest.approx(0.1, abs=1e-9)
-    assert not pairs_segment_disc_touch(*row, 0.0)[0]
-    assert pairs_segment_disc_touch(*row, 0.15)[0]
+    assert not pairs_segment_disc_contact(a[None], b[None],
+                                          *disc_rows([DISC]))[0]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -64,14 +60,15 @@ def test_zero_length_rows_take_the_point_distance(d):
     B = A.copy()
     B[1::2] = rng.uniform(-1.5, 1.5, size=(n // 2, d))  # odd rows: segments
     point = np.arange(n) % 2 == 0
-    dist = pairs_segment_disc_distance(A, B, C, N, R)
-    assert np.array_equal(dist[point], pairs_point_disc_distance(
-        A[point], C[point], N[point], R[point]))
-    assert np.all(dist[:4] == 0.0)
-    # each row alone gives the mixed batch's value
+    hit = pairs_segment_disc_contact(A, B, C, N, R)
+    # a point touches its disc iff its point/disc distance is 0
+    assert np.array_equal(hit[point], pairs_point_disc_distance(
+        A[point], C[point], N[point], R[point]) == 0.0)
+    assert np.all(hit[:4])
+    # each row alone gives the mixed batch's answer
     for i in range(n):
         rows = (X[i:i + 1] for X in (A, B, C, N, R))
-        assert pairs_segment_disc_distance(*rows)[0] == dist[i]
+        assert pairs_segment_disc_contact(*rows)[0] == hit[i]
 
 
 def test_point_distances():
@@ -118,12 +115,10 @@ def test_contact_kernel_degenerate_rows(d):
     n = len(rows)
     C, N, R = np.zeros((n, d)), np.tile(normal, (n, 1)), np.ones(n)
     assert np.array_equal(pairs_segment_disc_contact(A, B, C, N, R), expect)
-    assert np.array_equal(pairs_segment_disc_distance(A, B, C, N, R) == 0.0,
-                          expect)
     # each row alone gives the batch's answer
     for i in range(n):
-        assert pairs_segment_disc_touch(A[i:i + 1], B[i:i + 1],
-                                        *disc_rows([fb]))[0] == expect[i]
+        assert pairs_segment_disc_contact(A[i:i + 1], B[i:i + 1],
+                                          *disc_rows([fb]))[0] == expect[i]
 
 
 @settings(max_examples=120, deadline=None)
@@ -151,15 +146,12 @@ def test_contact_kernel_rows_agree_with_scalar_and_oracle(d, seed):
     target = C + rng.uniform(0.8, 1.2, size=(n, 1)) * R[:, None] * U
     B[::2] = (2.0 * target - A)[::2]
     contact = pairs_segment_disc_contact(A, B, C, N, R)
-    dist = pairs_segment_disc_distance(A, B, C, N, R)
-    assert np.array_equal(dist == 0.0, contact)
     for i in range(n):
         fb = FlatBall(center=C[i], normal=N[i], radius=R[i])
-        assert pairs_segment_disc_touch(A[i:i + 1], B[i:i + 1],
-                                        *disc_rows([fb]))[0] == contact[i]
+        assert pairs_segment_disc_contact(A[i:i + 1], B[i:i + 1],
+                                          *disc_rows([fb]))[0] == contact[i]
         grid_min = brute_segment_disc_distance(A[i], B[i], C[i], N[i], R[i],
                                                grid=200)
-        assert dist[i] <= grid_min + 1e-9
         thresh = np.linalg.norm(B[i] - A[i]) / 398.0 + 1e-9
         if contact[i] or grid_min > 2.0 * thresh:
             assert contact[i] == (grid_min <= thresh)
@@ -393,7 +385,7 @@ def test_intersect_predicate_agrees_with_grid_oracle(seed):
     thresh = seg_len / 398.0 + 1e-9
     grid_min = brute_segment_disc_distance(a, b, fb.center, fb.normal,
                                            fb.radius, grid=200)
-    pred = pairs_segment_disc_touch(a[None], b[None], *disc_rows([fb]))[0]
+    pred = pairs_segment_disc_contact(a[None], b[None], *disc_rows([fb]))[0]
     assume(pred or grid_min > 2.0 * thresh)
     assert pred == (grid_min <= thresh)
 

@@ -137,6 +137,26 @@ def test_svg_draws_a_d3_ellipsoid_as_its_shadow_around_its_discs(tmp_path):
     assert np.all(edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0] >= 0.0)
 
 
+def test_svg_draws_an_ellipsoid_files_sublevels_as_scaled_outlines(tmp_path):
+    # the file stores ball coordinates, where a sublevel is the sphere of
+    # radius s; in the domain it is s times the ellipsoid
+    lab_file, svg = tmp_path / "e3.json", tmp_path / "e3.svg"
+    assert run_cli("generate", "--dim", "3", "--domain", "ellipsoid", "--axes",
+                   "2,1,0.5", "--J", "1", "--out", str(lab_file)) == 0
+    assert run_cli("export", str(lab_file), "--svg", str(svg),
+                   "--projection", "0,2") == 0
+    text = svg.read_text()
+    lab = load_labyrinth(str(lab_file))
+    (outline,) = _svg_polygons(text, 'stroke="#555555"')
+    curves = _svg_polygons(text, 'stroke="#dddddd"')
+    levels = lab.scale * lab.schedule.sublevels.ravel()
+    assert "<circle" not in text and len(curves) == len(levels) > 1
+    for s, curve in zip(levels, curves):
+        np.testing.assert_allclose(curve, s * outline, rtol=1e-12, atol=1e-12)
+        x, z = curve.T
+        assert np.all(x ** 2 / 4.0 + z ** 2 / 0.25 < 1.0)
+
+
 def test_svg_rejects_high_dim_without_projection(tmp_path):
     lab3 = build_labyrinth(make_schedule(0.5, 1, 4), dim=3, seed=0)
     with pytest.raises(ValueError):

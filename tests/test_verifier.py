@@ -16,7 +16,7 @@ from labyrinths.geometry import (
     disc_rim_points,
     disc_rows,
     pairs_point_disc_distance,
-    pairs_segment_disc_touch,
+    pairs_segment_disc_contact,
     row_dots,
     separating_hyperplane,
 )
@@ -41,7 +41,6 @@ from labyrinths.verifier import (
     _region_measure,
     _segments_collide,
     _touches_any,
-    _symmetric_csr,
     _unique_pairs,
     EscapePath,
     add_containment_check,
@@ -99,33 +98,32 @@ def test_single_obstacle_matches_grid_oracle():
 
 
 def test_roadmap_rejection_law():
-    clearance = 0.05
-    rm = build_roadmap(SINGLE_LAB.domain, SINGLE_LAB, 2000,
-                       clearance=clearance, seed=0)
+    # no node lies on the disc, not even at a rim-ring offset
+    rm = build_roadmap(SINGLE_LAB.domain, SINGLE_LAB, 2000, seed=0)
     dists = pairs_point_disc_distance(rm.nodes, SINGLE.center, SINGLE.normal,
                                       SINGLE.radius)
-    assert dists.min() > clearance
+    assert dists.min() > 0.0
 
 
 def test_roadmap_rim_nodes_near_tips():
-    rm = build_roadmap(SINGLE_LAB.domain, SINGLE_LAB, 2000, 0.0, seed=0)
+    rm = build_roadmap(SINGLE_LAB.domain, SINGLE_LAB, 2000, seed=0)
     for tip in (np.array([0.5, 0.2]), np.array([0.5, -0.2])):
         near = np.linalg.norm(rm.nodes - tip, axis=1)
         assert np.sum(near < 3e-3) >= 4
 
 
 def test_roadmap_edges_avoid_components():
-    rm = build_roadmap(SINGLE_LAB.domain, SINGLE_LAB, 1500, 0.0, seed=1)
+    rm = build_roadmap(SINGLE_LAB.domain, SINGLE_LAB, 1500, seed=1)
     g = rm.graph.tocoo()
     rng = np.random.default_rng(0)
     take = rng.choice(len(g.row), size=min(300, len(g.row)), replace=False)
     C, N, R = disc_rows([SINGLE] * len(take))
-    assert not pairs_segment_disc_touch(rm.nodes[g.row[take]],
-                                        rm.nodes[g.col[take]], C, N, R).any()
+    assert not pairs_segment_disc_contact(rm.nodes[g.row[take]],
+                                          rm.nodes[g.col[take]], C, N, R).any()
 
 
 def test_edge_key_dedupe_matches_np_unique():
-    rm = build_roadmap(SINGLE_LAB.domain, SINGLE_LAB, 3000, 0.0, seed=0)
+    rm = build_roadmap(SINGLE_LAB.domain, SINGLE_LAB, 3000, seed=0)
     raw = _candidate_pairs(rm.nodes, rm.connect_radius, NEIGHBORS)
     raw = raw[np.random.default_rng(0).permutation(len(raw))]
     expect = np.unique(raw, axis=0)
@@ -156,7 +154,7 @@ def _tied_rings() -> tuple[np.ndarray, float]:
 def _roadmap_nodes(d: int) -> tuple[np.ndarray, float]:
     lab = annulus_labyrinth(0.5, 1.0, J=2 if d == 2 else 1, m=2, dim=d,
                             seed=0)
-    rm = build_roadmap(ANNULUS, lab, 6000 if d == 2 else 3000, 0.0, seed=3)
+    rm = build_roadmap(ANNULUS, lab, 6000 if d == 2 else 3000, seed=3)
     return rm.nodes, rm.connect_radius
 
 
@@ -218,9 +216,8 @@ def _near_disc_points(rng, discs: list[FlatBall], n: int,
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 9), d=st.sampled_from([2, 3, 4]),
        discs=st.integers(0, 25), rows=st.sampled_from([1, 2, 300]),
-       short=st.booleans(), clearance=st.sampled_from([0.0, 0.003, 0.05]))
-def test_segments_collide_matches_all_pairs(seed, d, discs, rows, short,
-                                             clearance):
+       short=st.booleans())
+def test_segments_collide_matches_all_pairs(seed, d, discs, rows, short):
     rng = np.random.default_rng(seed)
     comps = _random_discs(rng, d, discs)
     comp = _CompArrays.from_components(comps)
@@ -233,15 +230,15 @@ def test_segments_collide_matches_all_pairs(seed, d, discs, rows, short,
     u = rng.standard_normal((rows, d))
     u *= (half_len / np.linalg.norm(u, axis=1))[:, None]
     A, B = mid - u, mid + u
-    got = _segments_collide(A, B, comp, clearance)
+    got = _segments_collide(A, B, comp)
     if not discs:
-        assert not got.any() and not _touches_any(A, B, comp, clearance).any()
+        assert not got.any() and not _touches_any(A, B, comp).any()
         return
     want = brute_segments_collide(A, B, comp.centers, comp.normals,
-                                  comp.radii, clearance)
+                                  comp.radii)
     assert np.array_equal(got, want)
     # the unculled all-disc test of shortcut and verify_path agrees
-    assert np.array_equal(_touches_any(A, B, comp, clearance), want)
+    assert np.array_equal(_touches_any(A, B, comp), want)
     # short planar segments are culled with a finer cover (cached), long
     # ones and all beyond the plane with the bounding spheres (level 1)
     assert bool(comp.covers) == (short and d == 2)
@@ -249,8 +246,8 @@ def test_segments_collide_matches_all_pairs(seed, d, discs, rows, short,
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10 ** 9), d=st.sampled_from([2, 3, 4]),
-       discs=st.integers(1, 25), clearance=st.sampled_from([0.0, 0.003, 0.05]))
-def test_drop_blocked_matches_all_pairs_distance(seed, d, discs, clearance):
+       discs=st.integers(1, 25))
+def test_drop_blocked_matches_all_pairs_distance(seed, d, discs):
     rng = np.random.default_rng(seed)
     comps = _random_discs(rng, d, discs)
     comp = _CompArrays.from_components(comps)
@@ -258,20 +255,19 @@ def test_drop_blocked_matches_all_pairs_distance(seed, d, discs, clearance):
                      comp.centers[:3]])  # points on a disc
     dist = pairs_point_disc_distance(pts[:, None, :], comp.centers[None],
                                      comp.normals[None], comp.radii[None])
-    want = pts[dist.min(axis=1) > clearance]
+    want = pts[dist.min(axis=1) > 0.0]
     # the point cull: each point a segment of length 0
-    got = pts[~_segments_collide(pts, pts, comp, clearance)]
+    got = pts[~_segments_collide(pts, pts, comp)]
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("clearance", [0.0, 1e-3])
-def test_drop_blocked_fine_cover_matches_all_pairs_on_discs(clearance):
+def test_drop_blocked_fine_cover_matches_all_pairs_on_discs():
     rng = np.random.default_rng(11)
     comp = _CompArrays.from_components(_random_discs(rng, 2, 30))
     t = np.column_stack([-comp.normals[:, 1], comp.normals[:, 0]])
     t /= np.linalg.norm(t, axis=1, keepdims=True)
     # each disc's endpoints, centre and interior chord points, then the
-    # same points moved by up to twice the larger clearance
+    # same points moved by up to 2e-3
     s = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 6)])
     on = (comp.centers[:, None]
           + (comp.radii[:, None] * s)[..., None] * t[:, None]).reshape(-1, 2)
@@ -279,13 +275,13 @@ def test_drop_blocked_fine_cover_matches_all_pairs_on_discs(clearance):
                      rng.uniform(-1.2, 1.2, (2000, 2))])
     dist = pairs_point_disc_distance(pts[:, None, :], comp.centers[None],
                                      comp.normals[None], comp.radii[None])
-    keep = dist.min(axis=1) > clearance
-    got = pts[~_segments_collide(pts, pts, comp, clearance)]
+    keep = dist.min(axis=1) > 0.0
+    got = pts[~_segments_collide(pts, pts, comp)]
     assert list(comp.covers) == [16]  # culled on the finest planar cover
     assert np.array_equal(got, pts[keep])
     assert not keep[:len(on)][2::len(s)].any()  # centres lie on their discs
     moved = keep[len(on):2 * len(on)]
-    assert moved.any() and (clearance == 0.0 or not moved.all())
+    assert moved.any()
 
 
 @pytest.mark.parametrize("d, length, level", [
@@ -328,7 +324,7 @@ def test_roadmap_edges_match_all_pairs_collision_mask():
     from labyrinths.shells import annulus_labyrinth
 
     lab = annulus_labyrinth(0.5, 1.0, J=2, m=2, dim=2, seed=0)
-    rm = build_roadmap(ANNULUS, lab, 6000, 0.0, seed=3)
+    rm = build_roadmap(ANNULUS, lab, 6000, seed=3)
     pairs = all_node_candidate_pairs(rm.nodes, rm.connect_radius, NEIGHBORS)
     A, B = rm.nodes[pairs[:, 0]], rm.nodes[pairs[:, 1]]
     assert _cover_level(rm.comp, float(np.median(
@@ -336,10 +332,8 @@ def test_roadmap_edges_match_all_pairs_collision_mask():
     blocked = brute_segments_collide(A, B, rm.comp.centers, rm.comp.normals,
                                      rm.comp.radii)
     assert blocked.any()
-    g = sparse.triu(rm.graph).tocoo()
-    got = np.column_stack([g.row, g.col])
-    got = got[np.lexsort((got[:, 1], got[:, 0]))]
-    assert np.array_equal(got, pairs[~blocked])
+    g = rm.graph.tocoo()  # each edge once, rows and columns ascending
+    assert np.array_equal(np.column_stack([g.row, g.col]), pairs[~blocked])
 
 
 def test_verify_path_rejects_pierce_far_from_midpoint():
@@ -349,11 +343,11 @@ def test_verify_path_rejects_pierce_far_from_midpoint():
                     radius=0.01)
     lab = Labyrinth(dim=2, domain=SINGLE_LAB.domain, components=[tiny])
     pierced = np.array([[0.0, 0.0], [1.0, 0.0]])
-    path = EscapePath(polyline=pierced, length=1.0, clearance=0.0)
+    path = EscapePath(polyline=pierced, length=1.0)
     assert not verify_path(path, lab)
     around = np.array([[0.0, 0.0], [0.97, 0.02], [1.0, 0.0]])
-    assert verify_path(EscapePath(polyline=around, length=path_length(around),
-                                  clearance=0.0), lab)
+    assert verify_path(EscapePath(polyline=around,
+                                  length=path_length(around)), lab)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -375,7 +369,7 @@ def test_set_projection_rows_match_one_at_a_time(d):
 
 def test_roadmap_budget_validation():
     with pytest.raises(ValueError):
-        build_roadmap(ANNULUS, empty_labyrinth(2, ANNULUS), 50, 0.0, 0)
+        build_roadmap(ANNULUS, empty_labyrinth(2, ANNULUS), 50, seed=0)
 
 
 def test_roadmap_rejects_a_thin_region_before_any_draw(monkeypatch):
@@ -391,32 +385,29 @@ def test_roadmap_rejects_a_thin_region_before_any_draw(monkeypatch):
 
 def test_escape_path_bookkeeping():
     poly = np.array([[0.0, 0.0], [0.3, 0.4], [1.0, 0.4]])
-    p = EscapePath(polyline=poly, length=path_length(poly), clearance=0.0)
+    p = EscapePath(polyline=poly, length=path_length(poly))
     assert p.length == pytest.approx(0.5 + 0.7, abs=1e-12)
     with pytest.raises(ValueError):
-        EscapePath(polyline=poly, length=p.length + 1e-6, clearance=0.0)
+        EscapePath(polyline=poly, length=p.length + 1e-6)
     with pytest.raises(ValueError):
-        EscapePath(polyline=np.array([[0.0, 0.0], [0.0, 0.0]]), length=0.0,
-                   clearance=0.0)
+        EscapePath(polyline=np.array([[0.0, 0.0], [0.0, 0.0]]), length=0.0)
 
 
 def test_escape_path_rejects_non_finite_points_and_length():
     # the contact test reads NaN as no contact, so verify_path would pass it
     lab = annulus_labyrinth(0.5, 1.0, J=1)
     radial = np.array([[0.5, 0.0], [1.0, 0.0]])
-    assert not verify_path(EscapePath(polyline=radial, length=0.5,
-                                      clearance=0.0), lab)
+    assert not verify_path(EscapePath(polyline=radial, length=0.5), lab)
     nan_path = np.array([[0.5, 0.0], [np.nan, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="finite"):
-        EscapePath(polyline=nan_path, length=path_length(nan_path),
-                   clearance=0.0)
+        EscapePath(polyline=nan_path, length=path_length(nan_path))
     with pytest.raises(ValueError, match="finite"):
-        EscapePath(polyline=radial, length=np.nan, clearance=0.0)
+        EscapePath(polyline=radial, length=np.nan)
 
 
 def test_path_endpoints_lie_on_sets():
     lab = empty_labyrinth(2, ANNULUS)
-    rm = build_roadmap(ANNULUS, lab, 3000, 0.0, seed=2)
+    rm = build_roadmap(ANNULUS, lab, 3000, seed=2)
     path = shortest_escape(rm, SPHERE_IN, SPHERE_OUT)
     assert path is not None
     assert abs(np.linalg.norm(path.polyline[0]) - 0.5) < 1e-9
@@ -426,9 +417,9 @@ def test_path_endpoints_lie_on_sets():
 
 @pytest.mark.parametrize("source", [
     SPHERE_IN, {"kind": "point", "coords": [0.0, 0.75]}], ids=["sphere", "point"])
-def test_the_augmented_escape_graph_is_symmetric(monkeypatch, source):
-    # the directed Dijkstra run is exact only if every edge and every
-    # source/target link is stored both ways
+def test_the_escape_graph_stores_each_edge_and_link_once(monkeypatch, source):
+    # roadmap edges (i, j) with i < j, the source and target links in the
+    # two trailing rows S and T; the undirected run reads each both ways
     graphs = []
     run = verifier.dijkstra
 
@@ -438,13 +429,21 @@ def test_the_augmented_escape_graph_is_symmetric(monkeypatch, source):
 
     monkeypatch.setattr(verifier, "dijkstra", recorded)
     lab = annulus_labyrinth(0.5, 1.0, J=1)
-    rm = build_roadmap(ANNULUS, lab, 3000, 0.0, seed=2)
+    rm = build_roadmap(ANNULUS, lab, 3000, seed=2)
     assert shortest_escape(rm, source, SPHERE_OUT) is not None
     (big,) = graphs
-    assert (big != big.T).nnz == 0
     S = len(rm.nodes)
-    directed = run(big, directed=True, indices=S)
-    assert np.array_equal(directed, run(big, directed=False, indices=S))
+    assert big.indptr.dtype == big.indices.dtype == np.int32
+    g = big.tocoo()
+    edge = g.row < S
+    assert np.all((g.row[edge] < g.col[edge]) & (g.col[edge] < S))
+    assert np.all(g.col[~edge] < S) and set(g.row[~edge]) == {S, S + 1}
+    assert big.multiply(big.T).nnz == 0  # nothing is stored both ways
+    for got, want in zip(
+            run(big, directed=False, indices=S, return_predecessors=True),
+            run(big + big.T, directed=True, indices=S,
+                return_predecessors=True)):
+        assert np.array_equal(got, want)
 
 
 # the verify-plane instance: 640 discs in the annulus between its spheres
@@ -464,24 +463,12 @@ def _same_csr(got, want) -> bool:
         for f in ("indptr", "indices", "data"))
 
 
-@pytest.mark.parametrize("n, draws", [
-    (1, 0), (2, 1), (7, 0), (7, 40), (100, 3), (5000, 20_000)])
-def test_symmetric_csr_is_the_coo_built_matrix(n, draws):
-    # random node pairs, so some nodes have no edge and some only lower or
-    # only upper neighbours; built through COO, lower entries first
-    rng = np.random.default_rng(n + draws)
-    pairs = _unique_pairs(np.sort(rng.integers(0, n, (draws, 2)), axis=1), n)
-    w = rng.random(len(pairs))
-    want = sparse.csr_matrix((np.concatenate([w, w]), (
-        np.concatenate(pairs.T[::-1]), np.concatenate(pairs.T))), shape=(n, n))
-    assert _same_csr(_symmetric_csr(pairs, w, n), want)
-
-
 @pytest.mark.parametrize("case", ["plane-20k", "space-point"])
 def test_roadmap_and_escape_graphs_match_the_all_edges_reference(
         monkeypatch, case):
-    # the plane case has nodes with no edge next to linked nodes, where
-    # links that share an insertion point must keep their rows apart
+    # the roadmap is the reference's upper triangle, and the undirected run
+    # on it plus the two link rows is bitwise the directed run on the
+    # reference's symmetric escape graph
     if case == "plane-20k":
         lab, region, budget = _plane_lab(), PLANE_REGION, 20_000
         source, target = PLANE_SETS
@@ -498,15 +485,14 @@ def test_roadmap_and_escape_graphs_match_the_all_edges_reference(
         return run(graph, **kwargs)
 
     monkeypatch.setattr(verifier, "dijkstra", recorded)
-    rm = build_roadmap(region, lab, budget, 0.0, seed=budget)
+    rm = build_roadmap(region, lab, budget, seed=budget)
     shortest_escape(rm, source, target)
     want = reference_roadmap_graph(rm)
-    assert _same_csr(rm.graph, want)
+    assert _same_csr(rm.graph, sparse.triu(want, format="csr"))
     (big,) = graphs
     want_big = reference_escape_graph(rm, want, source, target)
-    assert _same_csr(big, want_big)
     S = len(rm.nodes)
-    for got, ref in zip(run(big, directed=True, indices=S,
+    for got, ref in zip(run(big, directed=False, indices=S,
                             return_predecessors=True),
                         run(want_big, directed=True, indices=S,
                             return_predecessors=True)):
@@ -515,14 +501,14 @@ def test_roadmap_and_escape_graphs_match_the_all_edges_reference(
 
 def test_one_planar_attempt_keeps_its_working_set_small():
     # build_roadmap plus shortest_escape at 20 000 nodes traces about
-    # 12.5 MB at its peak; with every edge's endpoints gathered at once, an
-    # unchunked predicate and the escape graph built through COO it was
-    # about 36 MB
+    # 12.5 MiB at its peak, in the roadmap's build; with every edge's
+    # endpoints gathered at once, an unchunked predicate and the escape
+    # graph built through COO it was about 36 MB
     lab = _plane_lab()
-    build_roadmap(PLANE_REGION, lab, 2000, 0.0, seed=0)  # imports come first
+    build_roadmap(PLANE_REGION, lab, 2000, seed=0)  # imports come first
     tracemalloc.start()
     try:
-        rm = build_roadmap(PLANE_REGION, lab, 20_000, 0.0, seed=20_000)
+        rm = build_roadmap(PLANE_REGION, lab, 20_000, seed=20_000)
         shortest_escape(rm, *PLANE_SETS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -552,7 +538,7 @@ def test_min_escape_length_frees_each_roadmap_before_the_next_build(
 
 def test_shortcut_straight_path_unchanged():
     poly = np.array([[0.0, 0.0], [1.0, 0.0]])
-    p = EscapePath(polyline=poly, length=1.0, clearance=0.0)
+    p = EscapePath(polyline=poly, length=1.0)
     q = shortcut(p, empty_labyrinth(2, {"kind": "box", "lo": [-1, -1],
                                         "hi": [2, 1]}), rounds=50, seed=0)
     assert q.length == pytest.approx(1.0, abs=1e-12)
@@ -561,7 +547,7 @@ def test_shortcut_straight_path_unchanged():
 def test_shortcut_collapses_zigzag():
     xs = np.linspace(0.0, 1.0, 21)
     poly = np.column_stack([xs, 0.05 * (-1.0) ** np.arange(21)])
-    p = EscapePath(polyline=poly, length=path_length(poly), clearance=0.0)
+    p = EscapePath(polyline=poly, length=path_length(poly))
     lab = empty_labyrinth(2, {"kind": "box", "lo": [-1, -1], "hi": [2, 1]})
     q = shortcut(p, lab, rounds=300, seed=1)
     straight = np.linalg.norm(poly[-1] - poly[0])
