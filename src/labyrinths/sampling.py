@@ -134,6 +134,10 @@ def sobol(d: int, n: int, seed: int | None = None, skip: int = 0) -> np.ndarray:
 # for tight bounding boxes, few enough that testing every box at each pick
 # costs little next to the rows updated.
 _BLOCK = 256
+# Blocks per slab: the layout's d2 and each pick's update of the blocks in
+# its reach are formed this many blocks (16 384 rows) at a time, so their
+# temporaries do not grow with the candidate count.
+_SLAB = 64
 
 
 @dataclass(eq=False)
@@ -178,6 +182,12 @@ def farthest_point_order(
     hold nearby points and about n log k rows are updated in all.  They
     are one (blocks, _BLOCK) array: the last is padded with copies of its
     last point, whose d2 = -1 is never picked and leaves the box unchanged.
+
+    The layout's d2 and each pick's update go _SLAB blocks at a time.  A
+    row's arithmetic does not depend on the slab it is in, so the picks
+    and d2 are bitwise one full-width pass's, and the temporaries stay at
+    one slab however many candidates there are, although the first picks
+    reach nearly every block.
     """
     n, d = points.shape
     if n == 0:
@@ -185,14 +195,16 @@ def farthest_point_order(
     sweep = start if isinstance(start, ParkedSweep) \
         else ParkedSweep([int(start) % n])
     if sweep.order is None:  # lay the sweep out from its start pick
-        diff = points - points[sweep.picks[0]]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        del diff  # n rows that need not stay alive while the blocks are made
-        sweep.order = np.pad(cKDTree(points, leafsize=_BLOCK).indices,
-                             (0, -n % _BLOCK), "edge")
-        d2 = d2[sweep.order]
+        order = np.pad(cKDTree(points, leafsize=_BLOCK).indices,
+                       (0, -n % _BLOCK), "edge")
+        p = points[sweep.picks[0]]
+        d2 = np.empty(len(order))
+        rows = _SLAB * _BLOCK
+        for s in range(0, len(order), rows):
+            diff = points[order[s:s + rows]] - p
+            d2[s:s + rows] = np.einsum("ij,ij->i", diff, diff)
         d2[n:] = -1.0
-        sweep.d2 = d2.reshape(-1, _BLOCK)
+        sweep.order, sweep.d2 = order, d2.reshape(-1, _BLOCK)
     chosen, order, d2 = sweep.picks, sweep.order, sweep.d2
     limit = n if stop_count is None else min(stop_count, n)
     thresh2 = None if stop_dist is None else float(stop_dist) ** 2
@@ -215,11 +227,12 @@ def farthest_point_order(
         chosen.append(i)
         p = points[i]
         gap = np.minimum(np.maximum(p, lo), hi) - p
-        hit = (np.einsum("ij,ij->i", gap, gap) * (1.0 - 1e-9) < top).nonzero()[0]
-        diff = pts[hit]
-        diff -= p  # in place, as the first picks reach nearly every block
-        new = np.einsum("bij,bij->bi", diff, diff)
-        del diff
-        d2[hit] = np.minimum(d2[hit], new, out=new)
-        top[hit] = new.max(axis=1)
+        reach = (np.einsum("ij,ij->i", gap, gap) * (1.0 - 1e-9) < top).nonzero()[0]
+        for s in range(0, len(reach), _SLAB):
+            hit = reach[s:s + _SLAB]
+            diff = pts[hit]
+            diff -= p
+            new = np.einsum("bij,bij->bi", diff, diff)
+            d2[hit] = np.minimum(d2[hit], new, out=new)
+            top[hit] = new.max(axis=1)
     return np.asarray(chosen, dtype=np.intp)

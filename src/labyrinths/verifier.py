@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from .config import RIM_STEP
@@ -80,10 +79,10 @@ MIN_NODE_BUDGET = 100
 MAX_NODE_BUDGET = 1_000_000
 
 # structural audit: the d = 3 lex-witness LPs run only up to this many
-# components; the planar half-gaps are taken this many disc pairs at a time
-# (0.13 MB a float array)
+# components; the planar half-gaps and the disjointness candidates are taken
+# this many disc pairs at a time (0.13 MB a float array)
 LEX_COMPONENT_CAP = 400
-_LEX_CHUNK = 1 << 14
+_PAIR_CHUNK = 1 << 14
 
 
 class RoadmapBudgetError(RuntimeError):
@@ -510,6 +509,9 @@ def shortest_escape(rm: Roadmap, source: dict, target: dict) -> EscapePath | Non
     connection.  None means the roadmap is disconnected at this resolution,
     which is never evidence that no path exists.
     """
+    # deferred: only verify searches, and csgraph costs other commands 3 MB
+    from scipy.sparse.csgraph import dijkstra
+
     n = len(rm.nodes)
     links = []
     for descr in (source, target):
@@ -666,7 +668,11 @@ def _pairwise_min_distance(comp: _CompArrays) -> float:
     Candidate pairs come from a sound centre-distance cull: pairs beyond
     the cull radius are at least `slack` apart, so when no candidate pair
     exists that slack is returned as a valid positive lower bound.  The
-    candidates go through :func:`pairs_disc_disc_distance` in one call.
+    candidates go through :func:`pairs_disc_disc_distance` _PAIR_CHUNK at
+    a time, with a running min: the kernel's rows do not depend on the
+    other rows of a call, so the min is bitwise that of one call on every
+    pair, and the working set is one chunk's (the d = 4, J = 2 file has
+    1.9 M candidate pairs).
     """
     if len(comp) < 2:
         return np.inf
@@ -675,10 +681,13 @@ def _pairwise_min_distance(comp: _CompArrays) -> float:
                                   output_type="ndarray")
     if len(pairs) == 0:
         return slack
-    i, j = pairs.T
     C, N, R = comp.centers, comp.normals, comp.radii
-    return min(float(pairs_disc_disc_distance(C[i], N[i], R[i],
-                                              C[j], N[j], R[j]).min()), slack)
+    low = np.inf  # np.minimum keeps a NaN, as one call's .min() does
+    for s in range(0, len(pairs), _PAIR_CHUNK):
+        i, j = pairs[s:s + _PAIR_CHUNK].T
+        low = np.minimum(low, pairs_disc_disc_distance(
+            C[i], N[i], R[i], C[j], N[j], R[j]).min())
+    return min(float(low), slack)
 
 
 def _lex_half_gaps(C, N, R) -> np.ndarray:
@@ -686,7 +695,7 @@ def _lex_half_gaps(C, N, R) -> np.ndarray:
     less the largest exact support of an earlier disc (inf for the first)."""
     n = len(C)
     top = np.full(n, -np.inf)
-    rows = max(1, _LEX_CHUNK // n)
+    rows = max(1, _PAIR_CHUNK // n)
     for lo in range(1, n, rows):
         hi = min(lo + rows, n)
         sup = disc_support(C[:hi - 1], N[:hi - 1], R[:hi - 1], N[lo:hi, None])

@@ -768,16 +768,28 @@ def test_cli_entrypoint_subprocess(tmp_path):
     assert out.exists()
 
 
-# runs the commands in one fresh interpreter and prints which of the slow
-# scipy subpackages they loaded
+# runs the commands (argv 2 on) in one fresh interpreter and prints which of
+# the comma-separated modules in argv 1 they loaded
 IMPORT_BUDGET_SCRIPT = """
 import sys
 from labyrinths.cli import main
-for argv in sys.argv[1:]:
+watched, *commands = sys.argv[1:]
+for argv in commands:
     rc = main(argv.split())
     assert rc == 0, (argv, rc)
-print(" ".join(m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules))
+print(" ".join(m for m in watched.split(",") if m in sys.modules))
 """
+
+
+def loaded_by(tmp_path, watched, commands) -> list[str]:
+    """The `watched` modules that `commands` load in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(labyrinths.__file__).parents[1]))
+    r = subprocess.run([sys.executable, "-c", IMPORT_BUDGET_SCRIPT,
+                        ",".join(watched), *commands],
+                       cwd=tmp_path, env=env, capture_output=True, text=True,
+                       timeout=300)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.splitlines()[-1].split()
 
 
 @pytest.mark.parametrize("commands", [
@@ -791,12 +803,27 @@ print(" ".join(m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules)
         "verify"])
 def test_cli_loads_scipy_stats_and_optimize_only_on_demand(tmp_path, commands):
     # the roadmap's Sobol draw is the library's own, so verify loads neither
-    env = dict(os.environ, PYTHONPATH=str(Path(labyrinths.__file__).parents[1]))
-    r = subprocess.run([sys.executable, "-c", IMPORT_BUDGET_SCRIPT, *commands],
-                       cwd=tmp_path, env=env, capture_output=True, text=True,
-                       timeout=300)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1].split() == []
+    assert loaded_by(tmp_path, ("scipy.stats", "scipy.optimize"),
+                     commands) == []
+
+
+@pytest.mark.parametrize("commands, loaded", [
+    ([], []),
+    (["generate --J 1 --out a.json", "report a.json",
+      "export a.json --svg a.svg --csv a.csv"], []),
+    (["generate --dim 3 --J 2 --out b.json", "report b.json",
+      "export b.json --svg b.svg --csv b.csv --projection 0,2"], []),
+    (["generate --J 1 --out a.json",
+      "verify a.json --M 0.4 --seeds 1 --nodes 2000"],
+     ["scipy.sparse.csgraph", "scipy.sparse.linalg"]),
+], ids=["import", "planar-generate-report-export",
+        "ball3-generate-report-export", "verify"])
+def test_cli_loads_the_dijkstra_stack_only_to_verify(tmp_path, commands,
+                                                     loaded):
+    # only the escape search runs Dijkstra; scipy.sparse.csgraph brings
+    # scipy.sparse.linalg with it
+    assert loaded_by(tmp_path, ("scipy.sparse.csgraph", "scipy.sparse.linalg"),
+                     commands) == loaded
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
-from labyrinths.sampling import (_BLOCK, farthest_point_order, sobol,
-                                 sphere_candidates)
+from labyrinths import sampling
+from labyrinths.sampling import (_BLOCK, ParkedSweep, farthest_point_order,
+                                 sobol, sphere_candidates)
 from oracles import brute_farthest_point_order, stacked_sphere_candidates
 
 
@@ -120,6 +121,29 @@ def test_traversal_ties_in_the_padded_last_block():
                 assert np.array_equal(got, want)
             assert len(farthest_point_order(pts, start=start,
                                             stop_dist=0.5)) == distinct
+
+
+def test_traversal_in_slabs_is_the_unslabbed_sweep_across_a_parked_resume(
+        monkeypatch):
+    # 100 000 d = 3 candidates are seven slabs of blocks, and the first
+    # picks reach nearly every block: both the layout and the updates cross
+    # slab boundaries.  One slab wide, the same sweep is the full-width pass.
+    cand = sphere_candidates(3, 100_000)
+    assert len(cand) > 6 * sampling._SLAB * _BLOCK
+    with monkeypatch.context() as m:
+        m.setattr(sampling, "_SLAB", len(cand))
+        straight = ParkedSweep([7919])
+        want = farthest_point_order(cand, start=straight, stop_dist=0.045)
+    parked = ParkedSweep([7919])
+    head = farthest_point_order(cand, start=parked, stop_dist=0.18)
+    got = farthest_point_order(cand, start=parked, stop_dist=0.045)
+    assert 0 < len(head) < len(got)
+    assert np.array_equal(head, want[:len(head)])
+    assert np.array_equal(got, want)
+    assert np.array_equal(parked.order, straight.order)
+    assert np.array_equal(parked.d2.view(np.uint64), straight.d2.view(np.uint64))
+    assert np.array_equal(got[:48], brute_farthest_point_order(
+        cand, start=7919, stop_count=48))
 
 
 @pytest.mark.parametrize("count", [8, 1000, 131072])

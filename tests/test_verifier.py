@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
 from labyrinths.domains import ellipsoid_domain, ellipsoid_labyrinth
@@ -15,6 +17,7 @@ from labyrinths.geometry import (
     FlatBall,
     disc_rim_points,
     disc_rows,
+    pairs_disc_disc_distance,
     pairs_point_disc_distance,
     pairs_segment_disc_contact,
     row_dots,
@@ -29,6 +32,7 @@ from labyrinths.shells import (
 )
 from labyrinths import verifier
 from labyrinths.verifier import (
+    _PAIR_CHUNK,
     NEIGHBORS,
     EffortBudget,
     RoadmapBudgetError,
@@ -37,6 +41,7 @@ from labyrinths.verifier import (
     _cover_level,
     _lex_half_gaps,
     _near_pairs,
+    _pairwise_min_distance,
     _project_to_set,
     _region_measure,
     _segments_collide,
@@ -421,13 +426,13 @@ def test_the_escape_graph_stores_each_edge_and_link_once(monkeypatch, source):
     # roadmap edges (i, j) with i < j, the source and target links in the
     # two trailing rows S and T; the undirected run reads each both ways
     graphs = []
-    run = verifier.dijkstra
+    run = csgraph.dijkstra
 
     def recorded(graph, **kwargs):
         graphs.append(graph)
         return run(graph, **kwargs)
 
-    monkeypatch.setattr(verifier, "dijkstra", recorded)
+    monkeypatch.setattr(csgraph, "dijkstra", recorded)
     lab = annulus_labyrinth(0.5, 1.0, J=1)
     rm = build_roadmap(ANNULUS, lab, 3000, seed=2)
     assert shortest_escape(rm, source, SPHERE_OUT) is not None
@@ -478,13 +483,13 @@ def test_roadmap_and_escape_graphs_match_the_all_edges_reference(
         source, target = {"kind": "point", "coords": [0.0, 0.0, 0.75]}, \
             SPHERE_OUT
     graphs = []
-    run = verifier.dijkstra
+    run = csgraph.dijkstra
 
     def recorded(graph, **kwargs):
         graphs.append(graph)
         return run(graph, **kwargs)
 
-    monkeypatch.setattr(verifier, "dijkstra", recorded)
+    monkeypatch.setattr(csgraph, "dijkstra", recorded)
     rm = build_roadmap(region, lab, budget, seed=budget)
     shortest_escape(rm, source, target)
     want = reference_roadmap_graph(rm)
@@ -606,6 +611,35 @@ def test_audit_fails_on_intersecting_discs_in_space():
                     if c["name"] == "pairwise-disjoint")
     assert not disjoint["passed"] and disjoint["min_distance"] == 0.0
     assert not rep["passed"]
+
+
+@pytest.mark.parametrize("d, side, h", [(3, 9, 0.01), (4, 5, 0.015)])
+def test_pairwise_min_distance_is_one_kernel_call_in_chunks(d, side, h):
+    # disjoint discs on a jittered grid (centres at least 0.8 h apart, radii
+    # at most 0.35 h), about 7 chunks of candidate pairs within the cull
+    # radius.  In one kernel call the working set grew with the pairs:
+    # 41.7 MiB in d = 3 and 46.9 MiB in d = 4; one chunk at a time it is
+    # 5.7 and 7.2 MiB.
+    rng = np.random.default_rng(d)
+    grid = np.array(list(itertools.product(range(side), repeat=d)), float)
+    C = h * (grid + rng.uniform(-0.1, 0.1, grid.shape))
+    N = rng.standard_normal(C.shape)
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    R = rng.uniform(0.2 * h, 0.35 * h, len(C))
+    comp = _CompArrays(C, N, R, cKDTree(C))
+    i, j = comp.tree.query_pairs(2.0 * R.max() + 0.05, output_type="ndarray").T
+    assert len(i) > 6 * _PAIR_CHUNK
+    one = pairs_disc_disc_distance(C[i], N[i], R[i], C[j], N[j], R[j]).min()
+    assert 0.0 < one < 0.05
+    _pairwise_min_distance(comp)  # imports and caches come first
+    tracemalloc.start()
+    try:
+        got = _pairwise_min_distance(comp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.float64(got).view(np.uint64) == one.view(np.uint64)
+    assert peak < 12 * 2 ** 20
 
 
 def _lex(rep: dict) -> dict:
