@@ -8,11 +8,11 @@ Only the file descriptor reads the kind: it resolves to a domain of the
 file's dimension (:func:`resolve_domain`) and back (`descriptor`).
 
 Ellipsoids are handled by one global linear change of coordinates.  Smooth
-strictly convex domains get local affine osculating maps at boundary
-points, a patch cover of the boundary with a certified gap delta, and a
-round-robin schedule that stacks shrinking collars of disc layers; each
-patch appears often enough that either a path crosses a full local stack
-or it pays delta per patch transition.
+strictly convex planar domains get local affine osculating maps at boundary
+points, a patch cover of the boundary with a collar gap delta measured on
+samples (:class:`PatchCover`), and a round-robin schedule that stacks
+shrinking collars of disc layers; each patch appears often enough that
+either a path crosses a full local stack or it pays delta per transition.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import sampling
 from .config import DEFAULT_C, DEFAULT_T
 from .geometry import FlatBall, row_dots, tangent_bases
 from .shells import (Labyrinth, build_labyrinth, schedule_discs,
@@ -34,8 +35,7 @@ PATCH_BOUNDARY_SAMPLES = 2048
 PATCH_RING_SAMPLES = 1024
 # boundary samples of the strict-convexity gate of smooth domains
 VALIDATION_SAMPLES = 257
-# chart validity: tangent directions (beyond the plane) and radii tried
-VALIDITY_DIRECTIONS = 16
+# chart validity: radii tried along the planar tangent pair
 VALIDITY_STEPS = 24
 # radial root finding: brentq's absolute and relative tolerances, iteration cap
 BRENT_XTOL = 1e-14
@@ -274,9 +274,8 @@ def brentq_rows(f, a, b) -> np.ndarray:
 def boundary_points(dom: ConvexDomain, directions: np.ndarray) -> np.ndarray:
     """Boundary points along rays from the origin, one per direction row.
 
-    Quadrics use the closed form u/sqrt(u'Au); other domains double each
-    row's bracket [0, hi] until rho(hi u) >= 0 and find all roots of
-    rho(s u) in one :func:`brentq_rows` call.
+    Quadrics use the closed form u/sqrt(u'Au); other domains the root of
+    rho(s u) on [0, 1], doubled at most 29 times (:func:`_line_roots`).
     """
     D = np.atleast_2d(np.asarray(directions, dtype=float))
     norms = np.sqrt(row_dots(D, D))
@@ -285,16 +284,32 @@ def boundary_points(dom: ConvexDomain, directions: np.ndarray) -> np.ndarray:
     U = D / norms[:, None]
     if dom.matrix is not None:
         return np.vstack([u / np.sqrt(float(u @ dom.matrix @ u)) for u in U])
-    hi = np.ones(len(U))
-    grow = np.asarray(dom.rho(U)) < 0.0
-    while grow.any():
-        hi[grow] *= 2.0
-        if hi.max() > 1e9:
-            raise ValueError("domain appears unbounded along a ray")
-        grow[grow] = np.asarray(dom.rho(hi[grow, None] * U[grow])) < 0.0
-    t = brentq_rows(lambda s, rows: dom.rho(s[:, None] * U[rows]),
-                    np.zeros(len(U)), hi)
+    t = _line_roots(lambda s, rows: dom.rho(s[:, None] * U[rows]),
+                    np.zeros(len(U)), np.ones(len(U)), 29)
+    if np.isnan(t).any():
+        raise ValueError("domain appears unbounded along a ray")
     return t[:, None] * U
+
+
+def _line_roots(f, lo: np.ndarray, hi: np.ndarray,
+                doublings: int) -> np.ndarray:
+    """A root of `f(s, rows)` in each row's bracket [lo, hi] (doubled in
+    place, at most `doublings` times, until f changes sign), NaN if none;
+    one :func:`brentq_rows` call finds them all."""
+    rows = np.arange(len(lo))
+    same = f(lo, rows) * f(hi, rows) > 0.0
+    for _ in range(doublings):
+        rows = np.flatnonzero(same)
+        if not len(rows):
+            break
+        lo[rows] *= 2.0
+        hi[rows] *= 2.0
+        same[rows] = f(lo[rows], rows) * f(hi[rows], rows) > 0.0
+    found = np.flatnonzero(~same)
+    out = np.full(len(lo), np.nan)
+    out[found] = brentq_rows(lambda s, rows: f(s, found[rows]), lo[found],
+                             hi[found])
+    return out
 
 
 def boundary_samples(dom: ConvexDomain, count: int) -> np.ndarray:
@@ -306,11 +321,13 @@ def boundary_samples(dom: ConvexDomain, count: int) -> np.ndarray:
 def boundary_distance(dom: ConvexDomain, pts: np.ndarray) -> np.ndarray:
     """Distance to the boundary, accurate near it.
 
-    Gradient-descent Newton steps project each point onto the zero set of
-    the defining function; for points within a thin collar this converges
-    in a few steps and the travelled distance matches the true boundary
-    distance to second order, which is where the collar bookkeeping needs
-    accuracy.
+    At most 8 Newton projections x <- x - rho(x) grad/|grad|^2 onto the
+    zero set of the defining function, all rows stopping together once
+    every |rho| < 1e-13; the result is the distance travelled.  The steps
+    follow the gradient, not the normal through the nearest boundary
+    point, so the value matches the true distance to second order in it:
+    on the ellipse preset the relative error measured 2e-9 at depth 1e-4,
+    2e-5 at 1e-2 and 1.4e-3 at 0.08, the default collar width.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     x = pts.copy()
@@ -439,18 +456,13 @@ def osculating_map(dom: ConvexDomain, x: np.ndarray,
 
 
 def _measure_validity(dom, x, n_out, B, L, chart_deviation) -> float:
-    """Largest sampled chart radius keeping |(|z|-1)| within chart_deviation."""
+    """Largest sampled chart radius keeping |(|z|-1)| within chart_deviation,
+    read along the planar tangent pair +-B[:, 0]."""
     e1 = np.eye(dom.dim)[0]
-    if dom.dim == 2:
-        tangents = [B[:, 0], -B[:, 0]]
-    else:
-        n = VALIDITY_DIRECTIONS
-        ang = 2.0 * np.pi * np.arange(n) / n
-        tangents = [np.cos(a) * B[:, 0] + np.sin(a) * B[:, 1] for a in ang]
     radii = 2.0 * domain_extent(dom) * np.geomspace(1e-3, 0.5, VALIDITY_STEPS)
     # every (radius, tangent) root in one batch; the scan stops at the
     # first radius that fails, and the roots past it go unread
-    ends = x + radii[:, None, None] * np.asarray(tangents)[None]
+    ends = x + radii[:, None, None] * np.array([B[:, 0], -B[:, 0]])[None]
     near = _boundary_near_rows(dom, ends.reshape(-1, dom.dim), n_out)
     good = 0.0
     for r, row in zip(radii, near.reshape(ends.shape)):
@@ -469,27 +481,13 @@ def _measure_validity(dom, x, n_out, B, L, chart_deviation) -> float:
 def _boundary_near_rows(dom, Y, n_out) -> np.ndarray:
     """Boundary points reached from the rows of Y along the normal direction.
 
-    Each row's bracket [lo, hi] starts at [-0.5, 0.5] and doubles until rho
-    changes sign along the line, at most 20 times; a row that finds none
-    comes back as NaN.
+    Each row's bracket [-0.5, 0.5] doubles at most 20 times
+    (:func:`_line_roots`); a row that finds no sign change comes back NaN.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    f = lambda s, rows: np.asarray(dom.rho(Y[rows] + s[:, None] * n_out))
-    lo, hi = np.full(len(Y), -0.5), np.full(len(Y), 0.5)
-    rows = np.arange(len(Y))
-    same = f(lo, rows) * f(hi, rows) > 0.0
-    for _ in range(20):
-        rows = np.flatnonzero(same)
-        if not len(rows):
-            break
-        lo[rows] *= 2.0
-        hi[rows] *= 2.0
-        same[rows] = f(lo[rows], rows) * f(hi[rows], rows) > 0.0
-    found = np.flatnonzero(~same)
-    s = brentq_rows(lambda s, rows: f(s, found[rows]), lo[found], hi[found])
-    out = np.full(Y.shape, np.nan)
-    out[found] = Y[found] + s[:, None] * n_out
-    return out
+    s = _line_roots(lambda s, rows: dom.rho(Y[rows] + s[:, None] * n_out),
+                    np.full(len(Y), -0.5), np.full(len(Y), 0.5), 20)
+    return Y + s[:, None] * n_out
 
 
 def domain_extent(dom: ConvexDomain) -> float:
@@ -506,11 +504,14 @@ def domain_extent(dom: ConvexDomain) -> float:
 
 @dataclass(eq=False)
 class PatchCover:
-    """Boundary-centred balls covering the boundary, with certified gap.
+    """Boundary-centred balls covering the boundary, with a measured gap.
 
-    delta lower-bounds the distance, inside the collar of width eta, from
-    any patch boundary to the boundary of the union of the others; the
-    schedule repetition count divides an escape budget by this gap.
+    delta is the distance, inside the collar of width eta, from any patch
+    boundary to the boundary of the union of the others, as a minimum over
+    PATCH_RING_SAMPLES points per ring (:func:`_measure_delta`).  It can
+    only overstate the true gap: by at most one ring spacing, 2 radius
+    sin(pi / PATCH_RING_SAMPLES), on the arcs, plus what the sampled collar
+    cuts miss at their ends.  The schedule divides an escape budget by it.
     """
 
     domain: ConvexDomain
@@ -528,28 +529,28 @@ def patch_cover(dom: ConvexDomain, patch_radius: float,
                 eta: float) -> PatchCover:
     """Greedy boundary cover by patch balls, then a gap-maximising shrink.
 
-    Patch centres are chosen farthest-point-first among boundary samples
-    until every sample is interior to some patch.  The common radius is
-    then re-chosen on a grid between the smallest covering radius and the
-    requested one to maximise the measured collar gap delta (measured by
-    sampled distances between patch boundaries restricted to the collar).
+    Patch centres are a farthest-point traversal of the planar boundary
+    samples from sample 0, stopped once every sample is interior to some
+    patch.  The common radius is then re-chosen on a grid between the
+    smallest covering radius and the requested one to maximise the
+    measured collar gap delta (:func:`_measure_delta`).
     """
+    if dom.dim != 2:
+        raise ValueError(f"the patch layer is planar (d = 2), not "
+                         f"d = {dom.dim}")
+    if not 0.0 < patch_radius < np.inf:  # NaN fails too
+        raise ValueError(f"patch radius {patch_radius} is not finite and "
+                         "positive")
     bnd = boundary_samples(dom, PATCH_BOUNDARY_SAMPLES)
     inradius = float(np.min(np.linalg.norm(bnd, axis=1)))
     if not (0.0 < eta < 0.25 * inradius):
         raise ValueError(f"eta must lie in (0, {0.25 * inradius:.6g}), below "
                          "a quarter of the domain inradius")
-    centers = [bnd[0]]
-    d2 = np.linalg.norm(bnd - bnd[0], axis=1)
     # cover the sampled boundary with strict interior margin
-    while d2.max() >= patch_radius * (1.0 - 1e-9):
-        i = int(np.argmax(d2))
-        centers.append(bnd[i])
-        d2 = np.minimum(d2, np.linalg.norm(bnd - bnd[i], axis=1))
-        if len(centers) > PATCH_BOUNDARY_SAMPLES:
-            raise CoverageError("patch radius too small to cover the boundary")
-    centers = np.asarray(centers)
-    covering_need = float(d2.max()) / patch_radius  # fraction of radius used
+    centers = bnd[sampling.farthest_point_order(
+        bnd, 0, stop_dist=patch_radius * (1.0 - 1e-9))]
+    reach = np.linalg.norm(bnd[:, None] - centers, axis=2).min(axis=1)
+    covering_need = float(reach.max()) / patch_radius  # fraction of radius used
     best = None
     for f in np.linspace(min(1.0, covering_need + 0.05), 1.0, 16):
         delta = _measure_delta(dom, centers, f * patch_radius, eta,
@@ -579,8 +580,6 @@ def _measure_delta(dom, centers, radius, eta, samples) -> float | None:
     """
     if len(centers) < 2:
         return None
-    if dom.dim != 2:
-        raise NotImplementedError("patch covers are implemented for d = 2")
     ang = 2.0 * np.pi * np.arange(samples) / samples
     circle = np.column_stack([np.cos(ang), np.sin(ang)])
     k = len(centers)
@@ -663,11 +662,10 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
         components.extend(
             FlatBall(center=c, normal=n, radius=r, level=(step + 1, k, p))
             for c, n, r, (_, k, p) in zip(C, N, R, levels.tolist()))
-        # nine points along each new segment, its ends included
+        # the ends of each new segment: the distance to the boundary is
+        # concave on a convex domain, so its minimum on a segment is at an end
         U = R[:, None] * np.column_stack([-N[:, 1], N[:, 0]])
-        pts = (C[:, None] + np.linspace(-1.0, 1.0, 9)[:, None] * U[:, None]
-               ).reshape(-1, 2)
-        eta_new = float(boundary_distance(dom, pts).min())
+        eta_new = float(boundary_distance(dom, np.vstack([C - U, C + U])).min())
         if eta_new >= eta:
             raise CollarCollapseError("collar width failed to decrease strictly")
         eta = eta_new

@@ -732,7 +732,8 @@ def audit_labyrinth(lab: Labyrinth) -> dict:
       whose margin is measured on the exact supports; its own normal in
       the plane, else an LP.  Run for every planar shell labyrinth, in
       d = 3 up to J = 4 shells and LEX_COMPONENT_CAP discs.  A FAIL means
-      "not certified", not a proof that no witness order exists.
+      "not certified", not a proof that no witness order exists; it names
+      the disc by its level, or by its file index if it has none.
 
     Patch-assembled labyrinths replace the shell checks with collar
     monotonicity and containment.  Failures are report entries, never
@@ -821,11 +822,11 @@ def audit_labyrinth(lab: Labyrinth) -> dict:
                 margins[i] = min(-disc_support(C[i], N[i], R[i], -w) - b,
                                  b - disc_support(C[:i], N[:i], R[:i], w).max())
             if h is None or margins[i] < LP_MARGIN_FLOOR:
-                failed_at = comps[order[i]].level
+                failed_at = comps[order[i]].level or int(order[i])
                 break
         worst = float(margins[1:].min(initial=np.inf))
         add("lex-hyperplane-witnesses", failed_at is None,
-            worst_margin=None if failed_at else worst,
+            worst_margin=None if failed_at is not None else worst,
             failed_component=failed_at)
 
     return {"empty": False, "passed": all(c["passed"] for c in checks),

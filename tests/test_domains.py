@@ -244,6 +244,17 @@ def test_patch_cover_eta_validation():
         patch_cover(ball_domain(2), 1.0, 0.3)
 
 
+def test_patch_cover_is_planar():
+    with pytest.raises(ValueError, match=r"planar \(d = 2\), not d = 3"):
+        patch_cover(ball_domain(3), 0.9, 0.08)
+
+
+@pytest.mark.parametrize("radius", [0.0, np.nan, np.inf, -0.5])
+def test_patch_cover_needs_a_finite_positive_radius(radius):
+    with pytest.raises(ValueError, match="finite and positive"):
+        patch_cover(ball_domain(2), radius, 0.08)
+
+
 def test_patch_delta_stable_under_denser_sampling():
     dom = ball_domain(2)
     cover = patch_cover(dom, 1.0, 0.08)
@@ -309,6 +320,34 @@ def test_assemble_collar_floor_trips(monkeypatch):
         assemble_patch_labyrinth(dom, cover, 0.2 * cover.delta, seed=0)
 
 
+@pytest.mark.parametrize("preset", [ellipse_preset, superellipse_preset])
+def test_collar_width_is_read_at_the_segment_ends(monkeypatch, preset):
+    """generate --M 1.0 at seed 0: each collar width is the least boundary
+    distance at the ends of its step's segments, and 65 points along each
+    segment never read lower than its ends (the distance is concave)."""
+    made = []
+    real_map = domains._map_disc_rows_2d
+
+    def record(*args):
+        made.append(real_map(*args))
+        return made[-1]
+
+    monkeypatch.setattr(domains, "_map_disc_rows_2d", record)
+    dom = preset()
+    lab = assemble_patch_labyrinth(dom, patch_cover(dom, 0.9, 0.08), 1.0,
+                                   seed=0)
+    assert len(made) == len(lab.collar_widths) > 10
+    t = np.linspace(-1.0, 1.0, 65)
+    for (C, N, R), width in zip(made, lab.collar_widths):
+        U = R[:, None] * np.column_stack([-N[:, 1], N[:, 0]])
+        assert width == boundary_distance(dom, np.vstack([C - U, C + U])).min()
+        along = boundary_distance(
+            dom, (C[:, None] + t[:, None] * U[:, None]).reshape(-1, 2))
+        along = along.reshape(len(C), len(t))
+        assert np.all(along.min(axis=1) >= along[:, [0, -1]].min(axis=1))
+        assert along.min() >= width
+
+
 def test_boundary_distance_accuracy():
     # the smooth preset and the quadric of the same ellipse x^2/4 + y^2 < 1
     th = np.linspace(0, 2 * np.pi, 17)
@@ -354,6 +393,22 @@ def test_boundary_near_equals_scipy_brentq_bit_for_bit():
     far = np.array([10.0, 10.0])
     assert np.isnan(_boundary_near_rows(dom, far, np.array([1.0, 0.0]))).all()
     assert scipy_boundary_near(dom, far, np.array([1.0, 0.0])) is None
+
+
+def test_rays_double_their_bracket_at_most_29_times():
+    def disc(a):  # the disc of radius a as a general defining function
+        return ConvexDomain(
+            kind="smooth", dim=2, name="disc",
+            rho=lambda x: np.sum(np.asarray(x) ** 2, axis=-1) / a ** 2 - 1.0,
+            grad=lambda x: 2.0 * np.asarray(x) / a ** 2,
+            hess=lambda x: 2.0 * np.eye(2) / a ** 2)
+
+    rays = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    within = 0.6 * 2.0 ** 29  # reached by the 29th doubling of [0, 1]
+    got = np.linalg.norm(boundary_points(disc(within), rays), axis=1)
+    assert np.allclose(got, within, rtol=1e-12, atol=0.0)
+    with pytest.raises(ValueError, match="unbounded along a ray"):
+        boundary_points(disc(1.1 * 2.0 ** 29), rays)
 
 
 def test_batched_brent_equals_brentq_row_by_row():

@@ -717,6 +717,24 @@ def test_planar_lex_falls_back_to_the_lp_on_an_inward_normal():
     assert not lex["passed"] and lex["failed_component"] == (1, 2, 0)
 
 
+def test_lex_fails_a_crossing_pair_whose_discs_have_no_level(tmp_path, capsys):
+    """A shell file without schedule or levels: the verdict is the failure,
+    and the failing disc is named by its index in the file."""
+    from labyrinths.cli import main
+    from labyrinths.io import save_labyrinth
+
+    pair = _inward_pair(0.05)
+    bare = replace(pair, components=[replace(fb, level=None)
+                                     for fb in pair.components])
+    lex = _lex(audit_labyrinth(bare))
+    assert not lex["passed"]
+    assert lex["worst_margin"] is None and lex["failed_component"] == 0
+    path = tmp_path / "bare.json"
+    save_labyrinth(bare, str(path))
+    assert main(["report", str(path)]) == 2
+    assert "FAIL lex-hyperplane-witnesses" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("make", [
     lambda: _ball2(0),
     lambda: build_labyrinth(make_schedule(0.5, 2, 4), dim=2, seed=0),
