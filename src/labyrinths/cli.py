@@ -285,8 +285,8 @@ def cmd_verify(args) -> int:
         radii, origin = (dom["inner"], dom["outer"]), \
             "the file's domain.inner/domain.outer"
     elif dom.get("kind") in ("ball", "ellipsoid") and lab.schedule is not None:
-        # ellipsoid labyrinths are stored in ball coordinates and the escape
-        # search runs there; see the budget transfer below
+        # a `to_ball` ellipsoid file stores its discs in ball coordinates and
+        # the escape search runs there; see the budget transfer below
         radii, origin = (lab.scale * lab.schedule.s0, lab.scale), \
             "the file's schedule.s0 and scale"
     else:
@@ -313,9 +313,10 @@ def cmd_verify(args) -> int:
     best = report["best_length"]
     out = {"budget_M": args.M}
     budget = args.M
-    if dom.get("kind") == "ellipsoid":
+    if dom.get("kind") == "ellipsoid" and "to_ball" in dom:
         # T maps the domain onto the ball and stretches lengths by at most
-        # |T| = sqrt(lambda_max(matrix)), so M holds if best > |T| M
+        # |T| = sqrt(lambda_max(matrix)), so M holds if best > |T| M; a file
+        # in the ellipsoid's own frame is searched there, against M itself
         norm_t = normalize_ellipsoid(dom["matrix"]).norm_to_ball
         budget = out["budget_ball"] = norm_t * args.M
     # a search that found no path at all is no evidence either way

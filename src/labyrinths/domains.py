@@ -430,6 +430,9 @@ def osculating_map(dom: ConvexDomain, x: np.ndarray,
     coordinates it corresponds to |(|z| - 1)| <= normal_scale * bound,
     which matters on flat boundary stretches where the chart compresses.
     """
+    if dom.dim != 2:  # validity is read along one tangent line
+        raise ValueError(f"the patch layer is planar (d = 2), not "
+                         f"d = {dom.dim}")
     x = np.asarray(x, dtype=float)
     if abs(dom.rho(x)) > 1e-9:
         raise ValueError("base point must lie on the boundary")

@@ -11,14 +11,15 @@ midpoints of the gaps between the picks, each level in order of (-d2 to
 the two neighbouring picks, index).  A pick changes no other midpoint's
 d2, and any other candidate lies nearer a pick.  In d >= 3 the sweep of
 `farthest_point_order` finds the traversal.  The sweep's picks do not
-depend on where it stops, and the distance from each pick to the earlier
-ones never grows along it, so the net at a coarser delta' is the prefix of
-the net at a finer delta that ends before the first pick closer than
-delta' to the earlier picks (Gonzalez 1985).  One net is therefore kept
-per candidate set and start, keyed by (dim, candidate count, seed), with
-the finest delta it was swept to; a coarser request is cut from it, and a
-finer one goes on with the sweep, which the newest entry keeps parked
-(`sampling.ParkedSweep`), or sweeps again from the start in an older one.
+depend on where it stops, and it records the squared distance to the
+earlier picks at which it made each one (`sampling.ParkedSweep.tops`).
+Those never grow along it, so the net at a coarser delta' is the prefix of
+the picks made at a squared distance of at least delta'^2: exactly where a
+sweep to delta' stops (Gonzalez 1985).  One net is therefore kept per
+candidate set and start, keyed by (dim, candidate count, seed), with the
+finest delta it was swept to and its recorded distances; a coarser request
+is cut from it, and a finer one goes on with the sweep, which the newest
+entry keeps parked, or sweeps again from the start in an older one.
 
 What is exact and what is bounded: each class is r-separated exactly (the
 colouring compares squared distances with no tolerance); the union covers
@@ -106,33 +107,11 @@ def _circle_net(n: int, start: int, thresh2: float) -> np.ndarray:
     return np.concatenate(net)
 
 
-# (dim, candidate count, seed) -> (delta, net, sweep): the finest net swept
-# so far, and the sweep parked where it stopped (None but in the newest entry)
-_NET_CACHE: dict[tuple, tuple[float, np.ndarray, ParkedSweep | None]] = {}
-
-
-def _stop_prefix(net: np.ndarray, thresh2: float) -> np.ndarray:
-    """`net` up to its first pick whose squared distance to the earlier
-    picks is below `thresh2`: where a sweep with that threshold stops.
-
-    The distances are formed as the sweep forms them (later point minus
-    earlier point, one row `einsum`), so the cut is bitwise the sweep's.
-    They never grow along the net, so a galloping then bisecting search
-    finds the cut after O(log k) tests of at most 2k rows each, for a
-    prefix of k points.
-    """
-    def stops(k: int) -> bool:
-        diff = net[k] - net[:k]
-        return bool(np.einsum("ij,ij->i", diff, diff).min() < thresh2)
-
-    lo, hi = 0, 1  # picks before lo are kept; the cut is at hi or before
-    while hi < len(net) and not stops(hi):
-        lo, hi = hi, 2 * hi
-    hi = min(hi, len(net))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if stops(mid) else (mid, hi)
-    return net[:hi]
+# (dim, candidate count, seed) -> (delta, net, tops, sweep): the finest net
+# swept so far, the squared distance at which each pick after the first was
+# made, and the sweep parked where it stopped (None but in the newest entry)
+_NET_CACHE: dict[tuple, tuple[float, np.ndarray, np.ndarray,
+                              ParkedSweep | None]] = {}
 
 
 def greedy_net(d: int, delta: float, seed: int = 0) -> np.ndarray:
@@ -149,9 +128,10 @@ def greedy_net(d: int, delta: float, seed: int = 0) -> np.ndarray:
 
     Planar nets come from the closed form and are not cached.  In d >= 3
     a call whose candidate set and start were swept before, to a delta no
-    larger, returns the exact prefix of that sweep at which a sweep to
-    this delta stops (module docstring), as a read-only view of the cached
-    net; a finer call resumes the sweep, and that net is read-only too.
+    larger, returns the prefix of that sweep's picks made at a squared
+    distance of at least this delta's threshold, where a sweep to this
+    delta stops (module docstring), as a read-only view of the cached net;
+    a finer call resumes the sweep, and that net is read-only too.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -164,22 +144,24 @@ def greedy_net(d: int, delta: float, seed: int = 0) -> np.ndarray:
             f"candidate budget {need} exceeds cap {CANDIDATE_CAP} "
             f"(d={d}, delta={delta})")
     stop_dist = delta * (1.0 - 1e-12)
+    thresh2 = float(stop_dist) ** 2  # the sweep's own stopping test
     if d == 2:  # n: the size of sphere_candidates(2, need)
         n = 1 << int(np.ceil(np.log2(max(need, 8))))
-        return _circle_net(n, int(seed) % n, float(stop_dist) ** 2)
+        return _circle_net(n, int(seed) % n, thresh2)
     key = (d, need, int(seed))
     cached = _NET_CACHE.get(key)
     if cached is not None and delta >= cached[0]:
-        return _stop_prefix(cached[1], float(stop_dist) ** 2)
+        _, net, tops, _ = cached
+        return net[:1 + np.count_nonzero(tops >= thresh2)]
     cand = sphere_candidates(d, need)
-    sweep = (cached and cached[2]) or ParkedSweep([seed % len(cand)])
+    sweep = (cached and cached[3]) or ParkedSweep([seed % len(cand)])
     net = cand[farthest_point_order(cand, start=sweep, stop_dist=stop_dist)]
     net.setflags(write=False)  # callers share the cached array
     if len(_NET_CACHE) > 64:
         _NET_CACHE.clear()
-    for other, (other_delta, other_net, _) in _NET_CACHE.items():
-        _NET_CACHE[other] = (other_delta, other_net, None)  # park one sweep
-    _NET_CACHE[key] = (float(delta), net, sweep)
+    for other, (*entry, _) in _NET_CACHE.items():
+        _NET_CACHE[other] = (*entry, None)  # park one sweep
+    _NET_CACHE[key] = (float(delta), net, np.array(sweep.tops), sweep)
     return net
 
 

@@ -6,7 +6,7 @@ that exact antipodes exist; the d=2 set is a power-of-two circle grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -145,11 +145,14 @@ class ParkedSweep:
     """A farthest-point traversal stopped between two picks: the picks so
     far, and the block layout's row `order` with each position's squared
     distance `d2` to the picks (None until a call lays the sweep out from
-    its start pick).  The rows, boxes and tops are made again from these."""
+    its start pick).  The rows, boxes and block tops are made again from
+    these.  `tops` holds, for each pick after the start, the squared
+    distance to the earlier picks at which it was made; they never grow."""
 
     picks: list[int]
     order: np.ndarray | None = None
     d2: np.ndarray | None = None
+    tops: list[float] = field(default_factory=list)
 
 
 def farthest_point_order(
@@ -168,7 +171,8 @@ def farthest_point_order(
     `start` is the first pick, or a sweep of these points parked by an
     earlier call, which goes on where it stopped and is parked again where
     this call stops; the result holds all its picks, bitwise those of one
-    sweep run straight to this stop.
+    sweep run straight to this stop.  The sweep records the squared
+    distance at which it made each pick (`ParkedSweep.tops`).
 
     Each pick updates only the candidates it can change.  The points are
     cut into blocks of _BLOCK, each with a bounding box and the largest
@@ -225,6 +229,7 @@ def farthest_point_order(
         at = tied[at // _BLOCK] * _BLOCK + at % _BLOCK
         i = int(order[at].min())
         chosen.append(i)
+        sweep.tops.append(float(m))
         p = points[i]
         gap = np.minimum(np.maximum(p, lo), hi) - p
         reach = (np.einsum("ij,ij->i", gap, gap) * (1.0 - 1e-9) < top).nonzero()[0]

@@ -303,12 +303,12 @@ def build_labyrinth(schedule: ShellSchedule | None, dim: int, seed: int = 0,
     if schedule is None or schedule.J == 0:
         return empty_labyrinth(dim, domain)
     schedule, shells = schedule_discs(schedule, dim, seed)
-    components = [FlatBall(center=c, normal=n, radius=r_j, level=tuple(lv))
+    # scaled rows are the products a scaled copy of each disc would hold
+    components = [FlatBall(center=c, normal=n, radius=scale * r_j,
+                           level=tuple(lv))
                   for centers, normals, r_j, levels, _ in shells
-                  for c, n, lv in zip(centers, normals, levels.tolist())]
-    if scale != 1.0:
-        components = [replace(fb, center=scale * fb.center,
-                              radius=scale * fb.radius) for fb in components]
+                  for c, n, lv in zip(scale * centers, normals,
+                                      levels.tolist())]
     return Labyrinth(dim=dim, domain=domain, components=components,
                      schedule=schedule, nets=[sh[4] for sh in shells],
                      seed=seed, scale=scale)

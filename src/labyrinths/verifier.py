@@ -22,8 +22,10 @@ culled by a KD query on a cover of each planar disc by small balls, as fine
 as the segments are short, and on bounding spheres beyond the plane
 (:func:`_segments_collide`); :func:`shortcut` and :func:`verify_path` test
 every segment against every disc (:func:`_touches_any`).  Per-disc
-quantities come from one table of disc rows per call (:class:`_CompArrays`),
-never one disc at a time.
+quantities come from one table of disc rows per call
+(:func:`labyrinths.geometry.disc_rows`; the roadmap's :class:`_CompArrays`
+adds the KD trees of its cull), never one disc at a time.  An
+:class:`EscapePath` measures its own length from its polyline.
 
 The roadmap stores each edge once, as an upper-triangular CSR matrix, and
 the escape search appends the source and target links as two trailing rows;
@@ -234,18 +236,17 @@ def _segments_collide(A: np.ndarray, B: np.ndarray,
     return out
 
 
-def _touches_any(A: np.ndarray, B: np.ndarray,
-                 comp: _CompArrays) -> np.ndarray:
-    """Collision mask for segments [A[i], B[i]] against all components,
-    with no cull: every segment/disc pair goes through the exact predicate
-    in one call."""
-    n = len(comp)
+def _touches_any(A: np.ndarray, B: np.ndarray, C: np.ndarray, N: np.ndarray,
+                 R: np.ndarray) -> np.ndarray:
+    """Collision mask for segments [A[i], B[i]] against all disc rows
+    (C, N, R), with no cull: every segment/disc pair goes through the exact
+    predicate in one call."""
+    n = len(R)
     if n == 0:
         return np.zeros(len(A), dtype=bool)
     s, c = np.divmod(np.arange(len(A) * n), n)
     return pairs_segment_disc_contact(
-        A[s], B[s], comp.centers[c], comp.normals[c],
-        comp.radii[c]).reshape(-1, n).any(axis=1)
+        A[s], B[s], C[c], N[c], R[c]).reshape(-1, n).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -451,27 +452,21 @@ def _rim_offset_nodes(lab: Labyrinth, comp: _CompArrays, region: dict,
 
 @dataclass(eq=False)
 class EscapePath:
-    """Certified collision-free polyline between the source and target sets."""
+    """Certified collision-free polyline between the source and target sets;
+    its length is the sum of its steps, computed once from the polyline."""
 
     polyline: np.ndarray
-    length: float
+    length: float = field(init=False)
 
     def __post_init__(self):
         self.polyline = np.asarray(self.polyline, dtype=float)
+        steps = np.linalg.norm(np.diff(self.polyline, axis=0), axis=1)
+        self.length = float(steps.sum())
         # NaN fails every comparison below, so it must be rejected first
         if not (np.all(np.isfinite(self.polyline)) and np.isfinite(self.length)):
             raise ValueError("path points and length must be finite")
-        steps = np.linalg.norm(np.diff(self.polyline, axis=0), axis=1)
         if np.any(steps == 0.0):
             raise ValueError("consecutive path points must differ")
-        recomputed = float(steps.sum())
-        if abs(recomputed - self.length) > 1e-12 * max(1.0, recomputed):
-            raise ValueError("stored length disagrees with the polyline")
-
-
-def path_length(polyline: np.ndarray) -> float:
-    return float(np.linalg.norm(np.diff(np.asarray(polyline, float), axis=0),
-                                axis=1).sum())
 
 
 def _set_sphere(descr: dict) -> tuple:
@@ -549,8 +544,7 @@ def shortest_escape(rm: Roadmap, source: dict, target: dict) -> EscapePath | Non
     poly = np.vstack([_project_to_set(source, rm.nodes[inner[:1]]),
                       rm.nodes[inner],
                       _project_to_set(target, rm.nodes[inner[-1:]])])
-    poly = _dedupe(poly)
-    return EscapePath(polyline=poly, length=path_length(poly))
+    return EscapePath(polyline=_dedupe(poly))
 
 
 def _dedupe(poly: np.ndarray) -> np.ndarray:
@@ -567,7 +561,7 @@ def shortcut(path: EscapePath, lab: Labyrinth, rounds: int = 400,
     segment whenever that segment clears every component; a final
     vertex-skipping pass removes leftover corners.
     """
-    comp = _CompArrays.from_components(lab.components)
+    rows = disc_rows(lab.components)
     rng = np.random.default_rng(seed)
     poly = [p.copy() for p in path.polyline]
     for _ in range(rounds):
@@ -578,7 +572,7 @@ def shortcut(path: EscapePath, lab: Labyrinth, rounds: int = 400,
         a = poly[i] + ti * (poly[i + 1] - poly[i])
         b = poly[j] + tj * (poly[j + 1] - poly[j])
         if j <= i or np.linalg.norm(b - a) == 0.0 \
-                or _touches_any(a[None, :], b[None, :], comp)[0]:
+                or _touches_any(a[None, :], b[None, :], *rows)[0]:
             continue
         poly = poly[:i + 1] + [a, b] + poly[j + 1:]
     # deterministic vertex-skipping sweep
@@ -589,13 +583,12 @@ def shortcut(path: EscapePath, lab: Labyrinth, rounds: int = 400,
         while k + 2 < len(poly):
             a, b = poly[k], poly[k + 2]
             if np.linalg.norm(b - a) > 0.0 and not _touches_any(
-                    a[None, :], b[None, :], comp)[0]:
+                    a[None, :], b[None, :], *rows)[0]:
                 del poly[k + 1]
                 changed = True
             else:
                 k += 1
-    poly = _dedupe(np.asarray(poly))
-    new = EscapePath(polyline=poly, length=path_length(poly))
+    new = EscapePath(polyline=_dedupe(np.asarray(poly)))
     if new.length > path.length:
         return path
     return new
@@ -609,8 +602,7 @@ def verify_path(path: EscapePath, lab: Labyrinth, source: dict | None = None,
     component pairs go through the predicate in one vectorised call.
     """
     poly = path.polyline
-    if _touches_any(poly[:-1], poly[1:],
-                    _CompArrays.from_components(lab.components)).any():
+    if _touches_any(poly[:-1], poly[1:], *disc_rows(lab.components)).any():
         return False
     return all(s is None or _set_distance(s, p)[0] <= 1e-9
                for s, p in ((source, poly[:1]), (target, poly[-1:])))

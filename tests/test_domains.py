@@ -175,6 +175,16 @@ def test_osculating_rejects_off_boundary_and_degenerate():
         osculating_map(flat, np.array([1.0, 0.0]))
 
 
+def test_osculating_map_is_planar():
+    # beyond the plane the validity radius would be read along one tangent
+    # line only, so the chart is refused rather than measured short
+    dom = ellipsoid_domain(np.diag([1.0, 0.25, 4.0]))
+    x = boundary_points(dom, np.array([[1.0, 1.0, 1.0]]))[0]
+    assert abs(dom.rho(x)) < 1e-9
+    with pytest.raises(ValueError, match=r"planar \(d = 2\), not d = 3"):
+        osculating_map(dom, x, 0.01)
+
+
 def test_superellipse_preset_validates():
     dom = superellipse_preset()
     x = boundary_points(dom, np.array([[1.0, 1.0]]))

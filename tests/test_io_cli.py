@@ -263,6 +263,35 @@ def test_cli_verify_holds_ellipsoid_budget_in_the_ball_frame(tmp_path):
     assert run_cli(*verify, "--M", "0.2") == 0
 
 
+def test_cli_verify_holds_an_own_frame_ellipsoid_file_to_m_itself(tmp_path):
+    # the discs of a file without `to_ball` lie in the ellipsoid's own frame
+    # and are searched there, so no transfer through |T| = 2 applies
+    lab_file = tmp_path / "own.json"
+    lab = build_labyrinth(make_schedule(0.5, 1, 2), dim=2, seed=0,
+                          domain={"kind": "ellipsoid",
+                                  "matrix": [[0.25, 0], [0, 0.25]]})
+    save_labyrinth(lab, str(lab_file))
+    assert run_cli("verify", str(lab_file), "--M", "0.8", "--seeds", "1",
+                   "--nodes", "4000") == 2
+    report = json.loads((tmp_path / "own.report.json").read_text())
+    assert "budget_ball" not in report
+    best = report["verification"]["best_length"]
+    assert best < 0.8 and report["audit"]["passed"] and not report["passed"]
+
+
+def test_cli_verify_transfers_a_to_ball_budget_by_the_norm_of_t(tmp_path):
+    from labyrinths.domains import normalize_ellipsoid
+
+    lab_file = tmp_path / "ell.json"
+    assert run_cli("generate", "--domain", "ellipsoid", "--axes", "2,2",
+                   "--J", "1", "--out", str(lab_file)) == 0
+    run_cli("verify", str(lab_file), "--M", "0.8", "--seeds", "1",
+            "--nodes", "2000")
+    report = json.loads((tmp_path / "ell.report.json").read_text())
+    norm_t = normalize_ellipsoid(np.diag([0.25, 0.25])).norm_to_ball
+    assert report["budget_ball"] == norm_t * 0.8 == 0.4
+
+
 def test_cli_verify_searches_an_ellipsoid_file_between_its_spheres(
         tmp_path, monkeypatch):
     # the search runs in ball coordinates from the sphere of radius s0 to

@@ -146,6 +146,29 @@ def test_traversal_in_slabs_is_the_unslabbed_sweep_across_a_parked_resume(
         cand, start=7919, stop_count=48))
 
 
+@pytest.mark.parametrize("d, count, stops", [
+    (3, 20_000, (0.3, 0.12, 0.06)), (4, 20_000, (0.6, 0.35, 0.25))])
+def test_sweep_records_each_pick_distance_across_a_parked_resume(d, count,
+                                                                  stops):
+    # one entry per pick after the start: its squared distance to the
+    # earlier picks as the sweep formed it, never growing, and each stop's
+    # picks exactly those recorded at or above its threshold
+    cand = sphere_candidates(d, count)
+    sweep = ParkedSweep([11])
+    for stop in stops:
+        got = farthest_point_order(cand, start=sweep, stop_dist=stop)
+        tops = np.array(sweep.tops)
+        assert len(tops) == len(got) - 1 == len(sweep.picks) - 1
+        assert np.all(np.diff(tops) <= 0.0)
+        assert np.count_nonzero(tops >= stop ** 2) == len(tops)
+    assert np.array_equal(got, farthest_point_order(cand, start=11,
+                                                    stop_dist=stops[-1]))
+    pts = cand[got]
+    for k in range(1, len(pts)):
+        diff = pts[k] - pts[:k]
+        assert tops[k - 1] == np.einsum("ij,ij->i", diff, diff).min()
+
+
 @pytest.mark.parametrize("count", [8, 1000, 131072])
 def test_circle_candidates_run_round_the_circle_by_angle(count):
     # the grid the closed-form planar nets walk: a power of two of rows in

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,6 +314,22 @@ def _assert_matches_cold_build(lab, dim, seed, scale=1.0):
         assert (got.r, got.c, got.m) == (ref.r, ref.c, ref.m)
         assert len(got.classes) == len(ref.classes)
         assert all(np.array_equal(a, b) for a, b in zip(got.classes, ref.classes))
+
+
+@pytest.mark.parametrize("dim, J, scale", [(2, 10, 1.25), (3, 1, 0.875)])
+def test_a_scaled_build_is_the_unit_build_scaled_disc_by_disc(dim, J, scale):
+    # the scaled rows are the same IEEE products as a scaled copy of each
+    # unit disc, so the files a scaled build writes do not move
+    sched = make_schedule(0.5, J, 2)
+    want = [replace(fb, center=scale * fb.center, radius=scale * fb.radius)
+            for fb in build_labyrinth(sched, dim, seed=2).components]
+    got = build_labyrinth(sched, dim, seed=2, scale=scale).components
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert a.center.tobytes() == b.center.tobytes()
+        assert a.normal.tobytes() == b.normal.tobytes()
+        assert type(a.radius) is float and a.radius == b.radius
+        assert a.level == b.level
 
 
 def _counting_sweeps(monkeypatch):
