@@ -25,7 +25,6 @@ def main():
     ap.add_argument("--M", type=float, default=1.0)
     ap.add_argument("--patch-radius", type=float, default=0.9)
     ap.add_argument("--eta", type=float, default=0.08)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--prefix", default="patches")
     args = ap.parse_args()
 
@@ -38,7 +37,7 @@ def main():
           f"delta {cover.delta:.4f} (10x remeasure {d10:.4f})")
     print(f"schedule: every patch {n} times ({n} * delta = "
           f"{n * cover.delta:.3f} > M = {args.M})")
-    lab = assemble_patch_labyrinth(dom, cover, args.M, seed=args.seed)
+    lab = assemble_patch_labyrinth(dom, cover, args.M)
     w = lab.collar_widths
     print(f"assembled {len(lab)} discs over {len(w)} steps; collar "
           f"{w[0]:.4f} -> {w[-1]:.2e}, strictly decreasing: "

@@ -101,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="exhaustion radii, comma separated")
     gen.add_argument("--patch-radius", type=float, default=0.9)
     gen.add_argument("--eta", type=float, default=0.08)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, default=0,
+                     help="turns the nets; a smooth-domain labyrinth starts "
+                     "every step's nets on its chart axis and records seed 0")
     gen.add_argument("--out", default="labyrinth.json")
     gen.add_argument("--audit-out", default=None)
 
@@ -233,7 +235,7 @@ def cmd_generate(args) -> int:
             except ValueError as exc:  # the step bound, before any step
                 raise UsageError(f"constraint violated: --M: {exc}") from exc
             lab = assemble_patch_labyrinth(dom, cover, args.M, t=args.t,
-                                           c=args.c, seed=seed)
+                                           c=args.c)
     except NetBudgetError as exc:
         raise UsageError(f"constraint violated: --dim and --c need a net finer "
                          f"than the candidate cap allows: {exc}") from exc
@@ -279,14 +281,15 @@ def cmd_verify(args) -> int:
                          f"neither, distinct, in [0, {MAX_COORDINATE:g}]")
     lab = _load(args.file)
     dom = lab.domain
+    # a `to_ball` ellipsoid file stores its discs in ball coordinates, where
+    # the unit sphere is the boundary; one in its own frame derives no spheres
+    to_ball = dom.get("kind") == "ellipsoid" and "to_ball" in dom
     if args.source is not None:
         radii, origin = spheres, "--source/--target"
     elif dom.get("kind") == "annulus":
         radii, origin = (dom["inner"], dom["outer"]), \
             "the file's domain.inner/domain.outer"
-    elif dom.get("kind") in ("ball", "ellipsoid") and lab.schedule is not None:
-        # a `to_ball` ellipsoid file stores its discs in ball coordinates and
-        # the escape search runs there; see the budget transfer below
+    elif (dom.get("kind") == "ball" or to_ball) and lab.schedule is not None:
         radii, origin = (lab.scale * lab.schedule.s0, lab.scale), \
             "the file's schedule.s0 and scale"
     else:
@@ -313,7 +316,7 @@ def cmd_verify(args) -> int:
     best = report["best_length"]
     out = {"budget_M": args.M}
     budget = args.M
-    if dom.get("kind") == "ellipsoid" and "to_ball" in dom:
+    if to_ball:
         # T maps the domain onto the ball and stretches lengths by at most
         # |T| = sqrt(lambda_max(matrix)), so M holds if best > |T| M; a file
         # in the ellipsoid's own frame is searched there, against M itself

@@ -37,10 +37,6 @@ PATCH_RING_SAMPLES = 1024
 VALIDATION_SAMPLES = 257
 # chart validity: radii tried along the planar tangent pair
 VALIDITY_STEPS = 24
-# radial root finding: brentq's absolute and relative tolerances, iteration cap
-BRENT_XTOL = 1e-14
-BRENT_RTOL = 4.0 * np.finfo(float).eps
-BRENT_MAXITER = 100
 # patch assembly: one shell per step, placed in the band [0.88, 0.97] of the
 # collar depth, with a chart deviation of 15% of the band's inner edge
 COLLAR_BAND = (0.88, 0.97)
@@ -193,84 +189,6 @@ def resolve_domain(descriptor: dict, dim: int) -> ConvexDomain:
     return dom
 
 
-def brentq_rows(f, a, b) -> np.ndarray:
-    """Roots of f in the brackets [a_i, b_i], one per row (Brent 1973).
-
-    `f(x, rows)` returns, for each row index in `rows`, the function of
-    that row at the matching entry of x.  This is scipy's ``brentq``
-    (brentq.c) run on all rows at once, step for step: the same bracket
-    swaps, inverse quadratic extrapolation and secant interpolation tests,
-    bisection fallbacks and stopping rule, with xtol = BRENT_XTOL and rtol
-    = BRENT_RTOL, so each root is bit for bit what ``brentq`` returns for
-    its row.  Raises ValueError when a function value is NaN or a bracket
-    has ends of one sign, and RuntimeError when a row has not converged
-    after BRENT_MAXITER steps, as ``brentq`` does.
-    """
-    def values(x, rows):
-        fx = np.asarray(f(x, rows), dtype=float)
-        bad = np.flatnonzero(np.isnan(fx))
-        if len(bad):
-            raise ValueError(f"The function value at x={float(x[bad[0]])} "
-                             "is NaN; solver cannot continue.")
-        return fx
-
-    xpre = np.array(a, dtype=float)
-    xcur = np.array(b, dtype=float)
-    rows = np.arange(len(xpre))
-    fpre, fcur = values(xpre, rows), values(xcur, rows)
-    root = np.where(fpre == 0.0, xpre, xcur)
-    live = (fpre != 0.0) & (fcur != 0.0)
-    if np.any(live & (np.signbit(fpre) == np.signbit(fcur))):
-        raise ValueError("f(a) and f(b) must have different signs")
-    rows, xpre, xcur, fpre, fcur = (v[live] for v in (rows, xpre, xcur,
-                                                      fpre, fcur))
-    if not len(rows):
-        return root
-    xblk, fblk, spre, scur = (np.zeros(len(rows)) for _ in range(4))
-    for _ in range(BRENT_MAXITER):
-        # keep the root bracketed by [xcur, xblk]
-        flip = (fpre != 0.0) & (fcur != 0.0) \
-            & (np.signbit(fpre) != np.signbit(fcur))
-        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-        step = xcur - xpre
-        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
-        # xcur is the better end
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = (np.where(swap, xcur, xpre),
-                            np.where(swap, xblk, xcur),
-                            np.where(swap, xcur, xblk))
-        fpre, fcur, fblk = (np.where(swap, fcur, fpre),
-                            np.where(swap, fblk, fcur),
-                            np.where(swap, fcur, fblk))
-        delta = (BRENT_XTOL + BRENT_RTOL * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0.0) | (np.abs(sbis) < delta)
-        if done.any():
-            root[rows[done]] = xcur[done]
-            if done.all():
-                return root
-            rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, \
-                sbis = (v[~done] for v in (rows, xpre, xcur, xblk, fpre, fcur,
-                                          fblk, spre, scur, delta, sbis))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            extrapolate = -fcur * (fblk * dblk - fpre * dpre) \
-                / (dblk * dpre * (fblk - fpre))
-        stry = np.where(xpre == xblk, interpolate, extrapolate)
-        short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) \
-            & (2 * np.abs(stry) < np.minimum(np.abs(spre),
-                                             3 * np.abs(sbis) - delta))
-        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-        xpre, fpre = xcur, fcur
-        xcur = np.where(np.abs(scur) > delta, xcur + scur,
-                        xcur + np.where(sbis > 0, delta, -delta))
-        fcur = values(xcur, rows)
-    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations, "
-                       f"value is {float(xcur[0]):f}")
-
-
 def boundary_points(dom: ConvexDomain, directions: np.ndarray) -> np.ndarray:
     """Boundary points along rays from the origin, one per direction row.
 
@@ -284,31 +202,45 @@ def boundary_points(dom: ConvexDomain, directions: np.ndarray) -> np.ndarray:
     U = D / norms[:, None]
     if dom.matrix is not None:
         return np.vstack([u / np.sqrt(float(u @ dom.matrix @ u)) for u in U])
-    t = _line_roots(lambda s, rows: dom.rho(s[:, None] * U[rows]),
-                    np.zeros(len(U)), np.ones(len(U)), 29)
+    t = _line_roots(dom, np.zeros_like(U), U, np.zeros(len(U)),
+                    np.ones(len(U)), 29)
     if np.isnan(t).any():
         raise ValueError("domain appears unbounded along a ray")
     return t[:, None] * U
 
 
-def _line_roots(f, lo: np.ndarray, hi: np.ndarray,
-                doublings: int) -> np.ndarray:
-    """A root of `f(s, rows)` in each row's bracket [lo, hi] (doubled in
-    place, at most `doublings` times, until f changes sign), NaN if none;
-    one :func:`brentq_rows` call finds them all."""
+def _line_roots(dom, Y, D, lo, hi, doublings) -> np.ndarray:
+    """The root s of rho(Y + s D) in each row's bracket [lo, hi], NaN if none.
+
+    A bracket whose ends do not change sign (a NaN product included)
+    doubles in place, at most `doublings` times.  Each row then takes
+    Newton steps s <- s - rho / (grad . D) from `hi` until one does not
+    lower s.  Along every line here rho is convex and rises through the
+    root from `lo` to `hi`, so each tangent meets zero at or beyond the
+    root and the steps fall onto it monotonically: no tolerance, no cap.
+    """
+    def f(s, rows):
+        return dom.rho(Y[rows] + s[:, None] * D[rows])
+
     rows = np.arange(len(lo))
-    same = f(lo, rows) * f(hi, rows) > 0.0
+    same = ~(f(lo, rows) * f(hi, rows) <= 0.0)
     for _ in range(doublings):
         rows = np.flatnonzero(same)
         if not len(rows):
             break
         lo[rows] *= 2.0
         hi[rows] *= 2.0
-        same[rows] = f(lo[rows], rows) * f(hi[rows], rows) > 0.0
+        same[rows] = ~(f(lo[rows], rows) * f(hi[rows], rows) <= 0.0)
     found = np.flatnonzero(~same)
+    Y, D, s = Y[found], D[found], hi[found]
+    lower = np.ones(len(s), dtype=bool)
+    while lower.any():
+        X = Y + s[:, None] * D
+        step = s - dom.rho(X) / row_dots(dom.grad(X), D)
+        lower = step < s
+        s = np.where(lower, step, s)
     out = np.full(len(lo), np.nan)
-    out[found] = brentq_rows(lambda s, rows: f(s, found[rows]), lo[found],
-                             hi[found])
+    out[found] = s
     return out
 
 
@@ -322,8 +254,8 @@ def boundary_distance(dom: ConvexDomain, pts: np.ndarray) -> np.ndarray:
     """Distance to the boundary, accurate near it.
 
     At most 8 Newton projections x <- x - rho(x) grad/|grad|^2 onto the
-    zero set of the defining function, all rows stopping together once
-    every |rho| < 1e-13; the result is the distance travelled.  The steps
+    zero set of the defining function, each row stopping once its own
+    |rho| < 1e-13; the result is the distance travelled.  The steps
     follow the gradient, not the normal through the nearest boundary
     point, so the value matches the true distance to second order in it:
     on the ellipse preset the relative error measured 2e-9 at depth 1e-4,
@@ -333,11 +265,13 @@ def boundary_distance(dom: ConvexDomain, pts: np.ndarray) -> np.ndarray:
     x = pts.copy()
     for _ in range(8):
         vals = np.asarray(dom.rho(x))
-        if np.all(np.abs(vals) < 1e-13):
+        moving = np.abs(vals) >= 1e-13
+        if not moving.any():
             break
         grads = np.asarray(dom.grad(x))
         gg = np.einsum("ij,ij->i", grads, grads)
-        x = x - (vals / np.maximum(gg, 1e-300))[:, None] * grads
+        x = np.where(moving[:, None],
+                     x - (vals / np.maximum(gg, 1e-300))[:, None] * grads, x)
     return np.linalg.norm(pts - x, axis=1)
 
 
@@ -488,7 +422,7 @@ def _boundary_near_rows(dom, Y, n_out) -> np.ndarray:
     (:func:`_line_roots`); a row that finds no sign change comes back NaN.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    s = _line_roots(lambda s, rows: dom.rho(Y[rows] + s[:, None] * n_out),
+    s = _line_roots(dom, Y, np.broadcast_to(n_out, Y.shape),
                     np.full(len(Y), -0.5), np.full(len(Y), 0.5), 20)
     return Y + s[:, None] * n_out
 
@@ -623,16 +557,17 @@ def patch_schedule(cover: PatchCover, M: float) -> list[int]:
 
 
 def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
-                             t: float = DEFAULT_T, c: float = DEFAULT_C,
-                             seed: int = 0) -> Labyrinth:
+                             t: float = DEFAULT_T,
+                             c: float = DEFAULT_C) -> Labyrinth:
     """Iterate the patch schedule, stacking disc layers in shrinking collars.
 
     Step j builds one shell on the class count its nets decide (every
-    class placed, :func:`schedule_discs`) inside patch U_(sigma j), in the
-    osculating chart within the band COLLAR_BAND * eta_j of collar depth,
-    and maps it back (exactly, segments to segments in the plane).  The
-    re-measured collar width eta_(j+1), the distance from the boundary to
-    everything built so far, must decrease strictly; the loop aborts with
+    class placed, :func:`schedule_discs`; nets start on the chart axis)
+    inside patch U_(sigma j), in the osculating chart within the band
+    COLLAR_BAND * eta_j of collar depth, and maps it back (exactly,
+    segments to segments in the plane).  The re-measured collar width
+    eta_(j+1), the distance from the boundary to everything built so far,
+    must decrease strictly; the loop aborts with
     :class:`CollarCollapseError` if it falls below COLLAR_FLOOR first.
     """
     if dom.dim != 2:
@@ -654,8 +589,7 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
         local = schedule_from_radii(s_lo, [s_lo + (s_hi - s_lo) / 2], 2, t, c)
         window = min(osc.validity_radius, cover.radius * 0.9) \
             * np.linalg.norm(osc.linear, 2)
-        C, N, R, levels = _local_patch_discs(local, dom.dim, seed + 101 * step,
-                                             window)
+        C, N, R, levels = _local_patch_discs(local, dom.dim, window)
         if not len(C):
             raise CollarCollapseError(
                 f"chart window at step {step} admitted no discs; enlarge the "
@@ -674,15 +608,16 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
         eta = eta_new
         collar_widths.append(eta)
     return Labyrinth(dim=dom.dim, domain=dom.descriptor(),
-                     components=components, schedule=None, seed=seed,
+                     components=components, schedule=None,
                      kind="patch", collar_widths=collar_widths)
 
 
-def _local_patch_discs(schedule, dim, seed, window) -> tuple:
+def _local_patch_discs(schedule, dim, window) -> tuple:
     """Disc rows (C, N, R, levels) of :func:`schedule_discs` in the chart
-    window around e1: the discs with |centre - e1| + radius <= window."""
+    window around e1: the discs with |centre - e1| + radius <= window; the
+    nets start at grid row 0, e1 itself, so the first pick's disc is on it."""
     rows = [(c, n, np.full(len(c), r), lv)
-            for c, n, r, lv, _ in schedule_discs(schedule, dim, seed)[1]]
+            for c, n, r, lv, _ in schedule_discs(schedule, dim)[1]]
     C, N, R, levels = (np.concatenate(col) for col in zip(*rows))
     off = C - np.eye(dim)[0]
     keep = np.sqrt(row_dots(off, off)) + R <= window

@@ -97,8 +97,9 @@ class FlatBall:
                 raise ValueError(f"flat ball {name} must be finite")
         if self.radius <= 0.0:
             raise ValueError("flat ball radius must be positive")
-        if abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
-            raise ValueError("flat ball normal must have unit norm")
+        with np.errstate(over="ignore"):  # a huge normal's norm is inf
+            if abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
+                raise ValueError("flat ball normal must have unit norm")
 
     @property
     def dim(self) -> int:

@@ -15,11 +15,12 @@ depend on where it stops, and it records the squared distance to the
 earlier picks at which it made each one (`sampling.ParkedSweep.tops`).
 Those never grow along it, so the net at a coarser delta' is the prefix of
 the picks made at a squared distance of at least delta'^2: exactly where a
-sweep to delta' stops (Gonzalez 1985).  One net is therefore kept per
-candidate set and start, keyed by (dim, candidate count, seed), with the
-finest delta it was swept to and its recorded distances; a coarser request
-is cut from it, and a finer one goes on with the sweep, which the newest
-entry keeps parked, or sweeps again from the start in an older one.
+sweep to delta' stops (Gonzalez 1985).  One net is therefore kept, for
+the last candidate set and start asked for, keyed by (dim, candidate count,
+seed), with the finest delta it was swept to and its sweep parked where it
+stopped; a coarser request is cut from it, a finer one goes on with the
+sweep, and a new key replaces the entry (on every generate traced, each
+cache hit read the newest entry).
 
 What is exact and what is bounded: each class is r-separated exactly (the
 colouring compares squared distances with no tolerance); the union covers
@@ -107,11 +108,9 @@ def _circle_net(n: int, start: int, thresh2: float) -> np.ndarray:
     return np.concatenate(net)
 
 
-# (dim, candidate count, seed) -> (delta, net, tops, sweep): the finest net
-# swept so far, the squared distance at which each pick after the first was
-# made, and the sweep parked where it stopped (None but in the newest entry)
-_NET_CACHE: dict[tuple, tuple[float, np.ndarray, np.ndarray,
-                              ParkedSweep | None]] = {}
+# (dim, candidate count, seed) -> (delta, net, sweep): the one net kept, the
+# finest swept for its key, and its sweep, parked where it stopped
+_NET_CACHE: dict[tuple, tuple[float, np.ndarray, ParkedSweep]] = {}
 
 
 def greedy_net(d: int, delta: float, seed: int = 0) -> np.ndarray:
@@ -149,20 +148,17 @@ def greedy_net(d: int, delta: float, seed: int = 0) -> np.ndarray:
         n = 1 << int(np.ceil(np.log2(max(need, 8))))
         return _circle_net(n, int(seed) % n, thresh2)
     key = (d, need, int(seed))
-    cached = _NET_CACHE.get(key)
-    if cached is not None and delta >= cached[0]:
-        _, net, tops, _ = cached
-        return net[:1 + np.count_nonzero(tops >= thresh2)]
-    cand = sphere_candidates(d, need)
-    sweep = (cached and cached[3]) or ParkedSweep([seed % len(cand)])
-    net = cand[farthest_point_order(cand, start=sweep, stop_dist=stop_dist)]
-    net.setflags(write=False)  # callers share the cached array
-    if len(_NET_CACHE) > 64:
-        _NET_CACHE.clear()
-    for other, (*entry, _) in _NET_CACHE.items():
-        _NET_CACHE[other] = (*entry, None)  # park one sweep
-    _NET_CACHE[key] = (float(delta), net, np.array(sweep.tops), sweep)
-    return net
+    finest, net, sweep = _NET_CACHE.get(key, (np.inf, None, None))
+    if delta < finest:
+        cand = sphere_candidates(d, need)
+        if sweep is None:  # a new key replaces the entry
+            _NET_CACHE.clear()
+            sweep = ParkedSweep([seed % len(cand)])
+        net = cand[farthest_point_order(cand, start=sweep,
+                                        stop_dist=stop_dist)]
+        net.setflags(write=False)  # callers share the cached array
+        _NET_CACHE[key] = (float(delta), net, sweep)
+    return net[:1 + np.count_nonzero(np.array(sweep.tops) >= thresh2)]
 
 
 def color_net(points: np.ndarray, r: float) -> list[np.ndarray]:

@@ -372,9 +372,9 @@ def chart_to_domain(osc, z) -> np.ndarray:
     return (np.asarray(z, dtype=float) - e1) @ osc.inverse.T + osc.base
 
 
-def filtered_patch_discs(schedule, dim: int, seed: int, window: float):
-    """Every disc of the shell labyrinth on the schedule made first, as a
-    `FlatBall` (its nets decide the class count), then those with
+def filtered_patch_discs(schedule, dim: int, window: float):
+    """Every disc of the seed-0 shell labyrinth on the schedule made first,
+    as a `FlatBall` (its nets decide the class count), then those with
     |centre - e1| + radius <= window kept: (centre, normal, radius, level)
     tuples."""
     from labyrinths.shells import build_labyrinth
@@ -382,7 +382,7 @@ def filtered_patch_discs(schedule, dim: int, seed: int, window: float):
     e1 = np.zeros(dim)
     e1[0] = 1.0
     return [(fb.center, fb.normal, fb.radius, fb.level)
-            for fb in build_labyrinth(schedule, dim, seed=seed).components
+            for fb in build_labyrinth(schedule, dim).components
             if np.linalg.norm(fb.center - e1) + fb.radius <= window]
 
 

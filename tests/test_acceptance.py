@@ -142,7 +142,7 @@ def test_criterion_6_patch_cover_suite():
     seq = patch_schedule(cover, M)
     n = len(seq) // cover.k
     ok_n = n == int(np.floor(M / cover.delta)) + 1 and n * cover.delta > M
-    lab = assemble_patch_labyrinth(dom, cover, M, seed=0)
+    lab = assemble_patch_labyrinth(dom, cover, M)
     w = lab.collar_widths
     ok_w = all(w[i] > w[i + 1] for i in range(len(w) - 1)) and w[-1] > 0.0
     rep = audit_labyrinth(lab)

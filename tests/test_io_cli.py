@@ -263,16 +263,24 @@ def test_cli_verify_holds_ellipsoid_budget_in_the_ball_frame(tmp_path):
     assert run_cli(*verify, "--M", "0.2") == 0
 
 
-def test_cli_verify_holds_an_own_frame_ellipsoid_file_to_m_itself(tmp_path):
+def test_cli_verify_holds_an_own_frame_ellipsoid_file_to_m_itself(
+        tmp_path, capsys):
     # the discs of a file without `to_ball` lie in the ellipsoid's own frame
-    # and are searched there, so no transfer through |T| = 2 applies
+    # and are searched there, so no transfer through |T| = 2 applies; the
+    # ellipsoid is the ball of radius 2, so the spheres of radius s0 and 1
+    # are not its boundary and verify derives none
     lab_file = tmp_path / "own.json"
     lab = build_labyrinth(make_schedule(0.5, 1, 2), dim=2, seed=0,
                           domain={"kind": "ellipsoid",
                                   "matrix": [[0.25, 0], [0, 0.25]]})
     save_labyrinth(lab, str(lab_file))
     assert run_cli("verify", str(lab_file), "--M", "0.8", "--seeds", "1",
-                   "--nodes", "4000") == 2
+                   "--nodes", "4000") == 1
+    assert "none derivable from the domain" in capsys.readouterr().err
+    assert not (tmp_path / "own.report.json").exists()
+    assert run_cli("verify", str(lab_file), "--M", "0.8", "--seeds", "1",
+                   "--nodes", "4000", "--source", "0.5",
+                   "--target", "1.0") == 2
     report = json.loads((tmp_path / "own.report.json").read_text())
     assert "budget_ball" not in report
     best = report["verification"]["best_length"]
@@ -952,6 +960,19 @@ def test_loader_rejects_huge_schedule_radii_without_a_warning(
             load_labyrinth(str(bad))
 
 
+@pytest.mark.parametrize("command", ["report", "export", "verify"])
+def test_a_huge_normal_is_named_without_a_warning(j1_doc, tmp_path, capsys,
+                                                  command):
+    # |n| overflows to inf; the unit-norm check must reject it quietly
+    bad = tmp_path / "bad.json"
+    write_with(j1_doc, ("components", -1, "normal", 0), 1e200, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(command, str(bad),
+                       *command_args(command, tmp_path)) == 1
+    assert "flat ball normal must have unit norm" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where, rc, named", [
     # 1e-320 lies in (0, 1/2), but c * r_j underflows in the audit, whose
     # covering fractions over it overflowed: the loader stops it
@@ -1018,6 +1039,7 @@ def test_fuzz_fields_exist_in_a_generated_file(j1_doc):
 @example(where=("components", 0, "center", 1), value=1e200)
 @example(where=("scale",), value=1e308)
 @example(where=("scale",), value=1e-237)
+@example(where=("components", -1, "normal", 0), value=1e200)
 def test_report_and_export_survive_one_changed_field(j1_doc, where, value):
     with tempfile.TemporaryDirectory() as tmp:
         bad = Path(tmp) / "bad.json"

@@ -331,12 +331,17 @@ def test_a_cleared_cache_sweeps_cold_from_the_start(monkeypatch):
     _NET_CACHE.clear()
 
 
-def test_only_the_newest_sweep_stays_parked():
+def test_a_new_key_replaces_the_cached_net(monkeypatch):
+    calls = counting_picks(monkeypatch)
     _NET_CACHE.clear()
-    greedy_net(3, 0.6, seed=0)
+    first = greedy_net(3, 0.6, seed=0)
     greedy_net(3, 0.6, seed=3)
-    assert [sweep is not None for *_, sweep in _NET_CACHE.values()] \
-        == [False, True]
+    assert [seed for _, _, seed in _NET_CACHE] == [3]
+    # the first key's net is gone, so asking for it again sweeps cold
+    again = greedy_net(3, 0.6, seed=0)
+    assert [cold for _, cold in calls] == [True, True, True]
+    assert np.array_equal(again, first)
+    assert [seed for _, _, seed in _NET_CACHE] == [0]
     _NET_CACHE.clear()
 
 
