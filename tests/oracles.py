@@ -196,6 +196,53 @@ def brute_segments_collide(A, B, centers, normals, radii) -> np.ndarray:
     return out
 
 
+def all_disc_shortcut(path, lab, rounds: int = 400, seed: int = 0):
+    """`verifier.shortcut` as it was before its bounding-box cull: every
+    candidate segment meets every disc of `lab`
+    (:func:`brute_segments_collide`).
+
+    Same random draws, same joins and the same vertex-skipping sweep, so
+    the library's culled shortcut must return this path bit for bit.
+    """
+    from labyrinths.verifier import EscapePath
+
+    C = np.array([fb.center for fb in lab.components])
+    N = np.array([fb.normal for fb in lab.components])
+    R = np.array([fb.radius for fb in lab.components])
+
+    def blocked(a, b):
+        return len(R) > 0 and bool(brute_segments_collide(
+            a[None, :], b[None, :], C, N, R)[0])
+
+    rng = np.random.default_rng(seed)
+    poly = [p.copy() for p in path.polyline]
+    for _ in range(rounds):
+        if len(poly) < 3:
+            break
+        i, j = sorted(rng.integers(0, len(poly) - 1, size=2))
+        ti, tj = rng.random(2)
+        a = poly[i] + ti * (poly[i + 1] - poly[i])
+        b = poly[j] + tj * (poly[j + 1] - poly[j])
+        if j <= i or np.linalg.norm(b - a) == 0.0 or blocked(a, b):
+            continue
+        poly = poly[:i + 1] + [a, b] + poly[j + 1:]
+    changed = True
+    while changed:
+        changed = False
+        k = 0
+        while k + 2 < len(poly):
+            a, b = poly[k], poly[k + 2]
+            if np.linalg.norm(b - a) > 0.0 and not blocked(a, b):
+                del poly[k + 1]
+                changed = True
+            else:
+                k += 1
+    poly = np.asarray(poly)
+    step = np.linalg.norm(np.diff(poly, axis=0), axis=1)
+    new = EscapePath(polyline=poly[np.concatenate([[True], step > 0.0])])
+    return path if new.length > path.length else new
+
+
 def all_node_candidate_pairs(nodes, connect_radius: float,
                              neighbors: int) -> np.ndarray:
     """Distinct roadmap candidate pairs i < j, in lexicographic order.

@@ -212,6 +212,23 @@ def test_cli_verify_exit_codes(tmp_path):
     assert len(poly) >= 2  # report carries the best escape polyline
 
 
+@pytest.mark.parametrize("dim, rho, J, M, nodes, best", [
+    (2, (0.75, 0.875), 10, "1.0", "80000", 1.465808568218864),
+    (3, (0.5, 1.0), 1, "0.4", "8000", 0.49999999999999994),
+], ids=["verify-plane", "annulus-d3"])
+def test_cli_verify_reports_the_pinned_best_length(tmp_path, dim, rho, J, M,
+                                                   nodes, best):
+    # the benchmark's planar instance and the unrotated d = 3 annulus: a
+    # faster collision cull must find the very same roadmap path
+    lab_file = tmp_path / "lab.json"
+    save_labyrinth(annulus_labyrinth(*rho, J=J, m=2, dim=dim, seed=0),
+                   str(lab_file))
+    rc = run_cli("verify", str(lab_file), "--M", M, "--seeds", "1",
+                 "--nodes", nodes)
+    report = json.loads((tmp_path / "lab.report.json").read_text())
+    assert rc == 0 and report["verification"]["best_length"] == best
+
+
 def test_cli_verify_fails_when_no_path_is_found(tmp_path, lab, monkeypatch):
     import labyrinths.cli as cli
 

@@ -22,6 +22,7 @@ from labyrinths.geometry import (
     pairs_segment_disc_contact,
     row_dots,
     separating_hyperplane,
+    tangent_bases,
 )
 from labyrinths.shells import (
     Labyrinth,
@@ -39,6 +40,9 @@ from labyrinths.verifier import (
     _candidate_pairs,
     _CompArrays,
     _cover_level,
+    _discs_meeting_box,
+    _edges_collide,
+    _incidence_table,
     _lex_half_gaps,
     _near_pairs,
     _pairwise_min_distance,
@@ -58,6 +62,7 @@ from labyrinths.verifier import (
 )
 
 from oracles import (
+    all_disc_shortcut,
     all_node_candidate_pairs,
     brute_segments_collide,
     grid_shortest_path,
@@ -246,6 +251,103 @@ def test_segments_collide_matches_all_pairs(seed, d, discs, rows, short):
     # short planar segments are culled with a finer cover (cached), long
     # ones and all beyond the plane with the bounding spheres (level 1)
     assert bool(comp.covers) == (short and d == 2)
+
+
+def _on_disc_lines(discs: list[FlatBall]) -> np.ndarray:
+    """Each disc's centre, its two tips along one in-plane direction, and
+    the two points of that line 1.5 radii out."""
+    C, N, R = disc_rows(discs)
+    t = tangent_bases(N)[:, :, 0]
+    s = np.array([0.0, -1.0, 1.0, -1.5, 1.5])
+    return (C[:, None] + (R[:, None] * s)[..., None]
+            * t[:, None]).reshape(-1, C.shape[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), d=st.sampled_from([2, 3]),
+       discs=st.integers(0, 25), radius=st.sampled_from([0.02, 0.1, 0.4]),
+       raw=st.booleans())
+def test_edges_collide_matches_all_pairs(seed, d, discs, radius, raw):
+    rng = np.random.default_rng(seed)
+    comps = _random_discs(rng, d, discs)
+    comp = _CompArrays.from_components(comps)
+    nodes = np.vstack([_near_disc_points(rng, comps, 300, 0.05),
+                       _on_disc_lines(comps)]) if discs \
+        else rng.uniform(-1.0, 1.0, (300, d))
+    n = len(nodes)
+    pairs = _candidate_pairs(nodes, radius, NEIGHBORS)
+    if raw:  # unsorted, with repeats and self-pairs (edges of length 0)
+        pairs = np.vstack([pairs, np.repeat(np.arange(n, dtype=np.int32),
+                                            2).reshape(-1, 2)])
+    else:
+        pairs = _unique_pairs(pairs, n)
+    A, B = nodes[pairs[:, 0]], nodes[pairs[:, 1]]
+    got = _edges_collide(nodes, pairs, np.linalg.norm(A - B, axis=1), comp)
+    if not discs:
+        assert not got.any()
+        return
+    want = brute_segments_collide(A, B, comp.centers, comp.normals,
+                                  comp.radii)
+    assert np.array_equal(got, want)
+    # the table holds exactly the node/disc rows within each node's reach
+    reach = rng.uniform(0.0, 0.2, n)
+    start, disc, dist = _incidence_table(nodes, reach, comp)
+    full = pairs_point_disc_distance(nodes[:, None], comp.centers[None],
+                                     comp.normals[None], comp.radii[None])
+    i, j = np.nonzero(full <= reach[:, None])
+    assert np.array_equal(np.repeat(np.arange(n), np.diff(start)), i)
+    assert np.array_equal(disc, j) and np.array_equal(dist, full[i, j])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), d=st.sampled_from([2, 3]),
+       discs=st.integers(0, 30), flat=st.booleans())
+def test_shortcut_matches_the_all_disc_loop(seed, d, discs, flat):
+    rng = np.random.default_rng(seed)
+    # a random walk on the grid of step 2^-20, so sums with 0.25 are exact;
+    # `flat` puts it on one line parallel to axis 0 (a box of zero width)
+    poly = np.round(np.cumsum(rng.uniform(-0.3, 0.3, (12, d)), axis=0)
+                    * 2 ** 20) / 2 ** 20
+    if flat:
+        poly[:, 1:] = poly[0, 1:]
+    poly = poly[np.concatenate([[True], np.any(np.diff(poly, axis=0), 1)])]
+    # a disc of normal e_0 whose extent along axis 1 ends exactly on the
+    # box's edge, at the tip that is the path's topmost vertex
+    top = poly[np.argmax(poly[:, 1])]
+    rim = FlatBall(center=top + 0.25 * np.eye(d)[1], normal=np.eye(d)[0],
+                   radius=0.25)
+    comps = _random_discs(rng, d, discs) + [rim]
+    lab = Labyrinth(dim=d, domain={"kind": "box", "lo": [-4.0] * d,
+                                   "hi": [4.0] * d}, components=comps)
+    path = EscapePath(polyline=poly)
+    got = shortcut(path, lab, rounds=60, seed=seed % 7)
+    want = all_disc_shortcut(path, lab, rounds=60, seed=seed % 7)
+    assert np.array_equal(got.polyline, want.polyline)
+    assert got.length == want.length
+    C, N, R = disc_rows(comps)
+    kept = _discs_meeting_box(C, N, R, poly.min(axis=0), poly.max(axis=0))[0]
+    assert (C[-1] - 0.25 * np.eye(d)[1])[1] == poly[:, 1].max()
+    assert any(np.array_equal(c, C[-1]) for c in kept)
+
+
+def test_verify_path_tests_every_disc_and_shortcut_only_those_in_reach(
+        monkeypatch):
+    sizes = []
+    run = verifier._touches_any
+
+    def recorded(A, B, C, N, R):
+        sizes.append(len(R))
+        return run(A, B, C, N, R)
+
+    monkeypatch.setattr(verifier, "_touches_any", recorded)
+    lab = _plane_lab()
+    path = EscapePath(polyline=np.array(
+        [[0.75, 0.0], [0.8, 0.03], [0.82, -0.02], [0.875, 0.0]]))
+    shortcut(path, lab, rounds=50)
+    assert sizes and max(sizes) < len(lab.components)
+    sizes.clear()
+    verify_path(path, lab, *PLANE_SETS)
+    assert sizes == [len(lab.components)]
 
 
 @settings(max_examples=40, deadline=None)
