@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -87,16 +88,23 @@ def _field(doc: dict, name: str, types) -> object:
     return val
 
 
-def _optional(doc: dict, name: str, convert, default) -> object:
-    try:
-        return convert(doc.get(name, default))
-    except (TypeError, ValueError) as exc:
-        raise MalformedFileError(f"field {name!r} invalid: {exc}") from exc
+def _optional(doc: dict, name: str, valid, what: str, default) -> object:
+    """doc[name], or `default` when it is absent, once `valid` accepts it;
+    a value it rejects raises an error naming the field, then `what`."""
+    val = doc.get(name, default)
+    if not valid(val):
+        raise MalformedFileError(f"field {name!r} invalid: {what}")
+    return val
 
 
 def _finite_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool) \
-        and math.isfinite(val)
+    """A JSON number within the float range: no string, bool or NaN."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an integer beyond the largest float
+        return False
 
 
 def _check_domain(domain: dict, dim: int) -> None:
@@ -217,13 +225,13 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
                 raise MalformedFileError(
                     f"field 'components[{i}].level' must be integers (j, k, p)"
                     f" with 1 <= j <= {sched.J} and 1 <= k <= {sched.m}")
-    scale = _optional(doc, "scale", float, 1.0)
     # beyond these bounds the search box overflows or the norms of its
     # samples underflow
-    if not 1.0 / MAX_COORDINATE <= scale <= MAX_COORDINATE:
-        raise MalformedFileError(
-            "field 'scale' must be a finite normal number > 0, within "
-            f"[{1.0 / MAX_COORDINATE:g}, {MAX_COORDINATE:g}]")
+    scale = float(_optional(
+        doc, "scale", lambda v: _finite_number(v)
+        and 1.0 / MAX_COORDINATE <= v <= MAX_COORDINATE,
+        "the field 'scale' must be a finite normal number > 0, within "
+        f"[{1.0 / MAX_COORDINATE:g}, {MAX_COORDINATE:g}]", 1.0))
     domain = _field(doc, "domain", dict)
     _check_domain(domain, dim)
     if domain.get("kind") == "ellipsoid":
@@ -235,19 +243,24 @@ def doc_to_labyrinth(doc: dict) -> Labyrinth:
                   for name, val in domain.items()
                   if name not in ("norm_to_ball", "norm_to_domain")}
     return Labyrinth(dim=dim, domain=domain, components=comps, schedule=sched,
-                     seed=_optional(doc, "seed", int, 0),
+                     seed=_optional(doc, "seed", lambda v: type(v) is int,
+                                    "must be an integer", 0),
                      scale=scale, kind=kind,
-                     collar_widths=_optional(
+                     collar_widths=[float(w) for w in _optional(
                          doc, "collar_widths",
-                         lambda ws: [float(w) for w in ws], []))
+                         lambda ws: isinstance(ws, list)
+                         and all(map(_finite_number, ws)),
+                         "must be a list of numbers", [])])
 
 
 def _non_finite_field(doc: dict) -> str | None:
-    """Name of the first NaN or infinite number in a parsed document."""
+    """Name of the first NaN or infinite number in a parsed document, or of
+    an integer beyond the float range."""
     stack = [("", doc)]
     while stack:
         name, val = stack.pop()
-        if isinstance(val, float) and not math.isfinite(val):
+        if isinstance(val, float) and not math.isfinite(val) \
+                or type(val) is int and abs(val) > sys.float_info.max:
             return name
         if isinstance(val, dict):
             items = [(f"{name}.{k}" if name else k, v) for k, v in val.items()]

@@ -18,20 +18,18 @@ closed disc iff it crosses the disc's hyperplane, or lies in it, within the
 radius of the centre.  Grazes at the rounding level (about 1e-17, e.g. a
 rim-ring node on a disc's plane) fall either way.  Every cull below keeps
 each row the predicate could find touching, so every mask is the one an
-all-disc test gives.  The roadmap edges are culled by endpoint/disc
-incidence: a table of the discs within each node's longest edge, built
-once per roadmap, and an edge tests the discs of its first end within its
-length (:func:`_edges_collide`).  The boundary links and free samples
-(each point a segment of length 0) are culled by a KD query on a cover of
-each planar disc by small balls, as fine as the segments are short, and on
-bounding spheres beyond the plane (:func:`_segments_collide`), which also
-finds the incidence table's rows.  :func:`shortcut` tests only the discs
-whose axis-aligned extent meets its path's bounding box;
-:func:`verify_path` tests every segment against every disc
-(:func:`_touches_any`).  Per-disc quantities come from one table of disc
-rows per call (:func:`labyrinths.geometry.disc_rows`; the roadmap's
-:class:`_CompArrays` adds the KD trees of its cull), never one disc at a
-time.  An :class:`EscapePath` measures its own length from its polyline.
+all-disc test gives.  The search has one cull, by endpoint/disc incidence
+(:func:`_segments_collide`): the roadmap edges, the free samples and rim
+nodes (each point a segment of length 0) and the boundary links each test
+only the discs within their length of their first end, found through a
+cover of each planar disc by small balls, and through bounding spheres
+beyond the plane.  :func:`shortcut` tests only the discs whose
+axis-aligned extent meets its path's bounding box; :func:`verify_path`
+tests every segment against every disc (:func:`_touches_any`).  Per-disc
+quantities come from one table of disc rows per call
+(:func:`labyrinths.geometry.disc_rows`; the roadmap's :class:`_CompArrays`
+adds the KD trees of its cull), never one disc at a time.  An
+:class:`EscapePath` measures its own length from its polyline.
 
 The roadmap stores each edge once, as an upper-triangular CSR matrix, and
 the escape search appends the source and target links as two trailing rows;
@@ -72,8 +70,8 @@ from .nets import candidate_resolution, covering_radius
 from .sampling import sobol
 from .shells import Labyrinth, shell_net_separation, sqrt_gap_partial_sums
 
-# segments, and then (segment, disc) rows, per collision batch: the pair
-# arrays of a batch stay within a few MB
+# segments per collision batch, whose (segment, disc) rows then reach the
+# predicate a quarter of that at a time: a batch's arrays stay within a few MB
 _COLLIDE_CHUNK = 1 << 15
 
 # roadmap edges: k nearest neighbours plus every pair within CONNECT_FACTOR
@@ -82,7 +80,7 @@ NEIGHBORS = 10
 CONNECT_FACTOR = 2.2
 
 # node budgets of one roadmap; one attempt's working set grows about linearly
-# with the budget (a traced peak of 12.5 MiB at 20 000 planar nodes, 19.1 MiB
+# with the budget (a traced peak of 11.6 MiB at 20 000 planar nodes, 19.6 MiB
 # at 80 000, for build_roadmap plus shortest_escape), so the cap bounds it
 MIN_NODE_BUDGET = 100
 MAX_NODE_BUDGET = 1_000_000
@@ -195,9 +193,8 @@ def _near_pairs(pts: np.ndarray, reach, comp: _CompArrays, k: int) -> tuple:
     Uses the level-k cover of :meth:`_CompArrays.cover`: one dual-tree
     pass at the largest reach, then a per-row filter; reach may be a
     scalar.  A disc shows up once per sub-ball in reach, so rows repeat;
-    :func:`_segments_collide` marks hits idempotently and skips
-    deduplication, which costs more than the repeats, and
-    :func:`_incidence_table` drops them with the sort it needs anyway.
+    :func:`_segments_collide` drops them with the sort that groups its
+    rows by run anyway.
     """
     owner, tree, rho = comp.cover(k)
     reach = np.broadcast_to(reach, (len(pts),)) + rho
@@ -214,111 +211,63 @@ def _segments_collide(A: np.ndarray, B: np.ndarray,
                       comp: _CompArrays) -> np.ndarray:
     """Collision mask for segments [A[i], B[i]] against all components.
 
-    A sub-ball cull limits the predicate to nearby segment/disc pairs.  It
-    is sound: if a segment of length L touches a disc at p, its midpoint
-    lies within L/2 of p, and p within rho of a sub-ball centre of that
-    disc (:meth:`_CompArrays.cover`), so the midpoint lies within
-    L/2 + rho (+ 1e-12 for rounding) of that centre.  Every surviving
-    (segment, disc) row then goes through the exact predicate.  The cover
-    level comes from the median segment length (:func:`_cover_level`):
-    the finest planar cover for the free samples and rim nodes (points),
-    the bounding sphere itself beyond the plane and for segments as long
-    as the discs are wide.  Segments, and then their (segment, disc) rows,
-    go in chunks, which bounds the size of the pair arrays.  The roadmap's
-    edges take :func:`_edges_collide` instead.
+    An endpoint/disc incidence cull limits the predicate to nearby
+    (segment, disc) rows.  It is sound: a segment [a, b] of length L that
+    touches a disc D at p has dist(a, D) <= |a - p| <= L.  Consecutive rows
+    with the same first end form a run: a roadmap node's edges, whose pairs
+    come sorted by their first end, or one point (a segment of length 0)
+    or boundary link.  The run's first end gets the discs within the run's
+    longest L (+ 1e-12 for rounding): :func:`_near_pairs` finds them on the
+    cover level of the median reach (:func:`_cover_level`), their exact
+    :func:`pairs_point_disc_distance` keeps them, and a sort of the keys
+    run * len(comp) + disc drops the repeats.  Each row then sends its
+    run's discs within its own L (+ 1e-12) through the exact predicate.
+    The same cull serves every dimension.  Rows go _COLLIDE_CHUNK at a
+    time, a run cut at a chunk's end being two runs, and a chunk's rows in
+    pieces of about _COLLIDE_CHUNK // 4 (row, disc) pairs.
     """
     out = np.zeros(len(A), dtype=bool)
     if len(comp) == 0 or len(A) == 0:
         return out
-    half = 0.5 * np.linalg.norm(B - A, axis=1)
-    k = _cover_level(comp, 2.0 * float(np.median(half)))
+    m, piece = len(comp), _COLLIDE_CHUNK // 4
     for s in range(0, len(A), _COLLIDE_CHUNK):
         a, b = A[s:s + _COLLIDE_CHUNK], B[s:s + _COLLIDE_CHUNK]
-        idx, cidx = _near_pairs(0.5 * (a + b),
-                                half[s:s + _COLLIDE_CHUNK] + 1e-12, comp, k)
-        for r in range(0, len(idx), _COLLIDE_CHUNK):
-            i, c = idx[r:r + _COLLIDE_CHUNK], cidx[r:r + _COLLIDE_CHUNK]
-            hit = pairs_segment_disc_contact(a[i], b[i], comp.centers[c],
-                                             comp.normals[c], comp.radii[c])
-            out[s + i[hit]] = True
-    return out
-
-
-def _incidence_table(nodes: np.ndarray, reach: np.ndarray,
-                     comp: _CompArrays) -> tuple:
-    """(start, disc, dist): for each node i, the discs within reach[i] by
-    pairs_point_disc_distance, at disc[start[i]:start[i + 1]] in ascending
-    order, and their distances.
-
-    The rows come from :func:`_near_pairs` on the cover level of the median
-    reach, _COLLIDE_CHUNK // 16 nodes at a time.  Repeats of a row (one per
-    sub-ball in reach) hold the same distance; a sort of the keys
-    node * len(comp) + disc and a neighbour mask drop them.
-    """
-    m, step = len(comp), _COLLIDE_CHUNK // 16
-    k = _cover_level(comp, float(np.median(reach)))
-    counts, discs, dists = [], [], []
-    for s in range(0, len(nodes), step):
-        pts = nodes[s:s + step]
-        i, c = _near_pairs(pts, reach[s:s + step], comp, k)
-        d = pairs_point_disc_distance(pts[i], comp.centers[c],
+        length = np.sqrt(np.einsum("ij,ij->i", b - a, b - a))
+        new = np.zeros(len(a), dtype=bool)
+        for x in a.T:  # a coordinate at a time: np.any(axis=1) is slower
+            new[1:] |= x[1:] != x[:-1]
+        new[0] = True
+        head = np.flatnonzero(new)
+        reach = np.maximum.reduceat(length, head) + 1e-12
+        i, c = _near_pairs(a[head], reach, comp,
+                           _cover_level(comp, float(np.median(reach))))
+        d = pairs_point_disc_distance(a[head[i]], comp.centers[c],
                                       comp.normals[c], comp.radii[c])
-        near = d <= reach[s + i]
+        near = d <= reach[i]
         key = i[near].astype(np.int64) * m + c[near]
         order = np.argsort(key)
         key, d = key[order], d[near][order]
         first = np.ones(len(key), dtype=bool)
         first[1:] = key[1:] != key[:-1]
-        i, c = np.divmod(key[first], m)
-        counts.append(np.bincount(i, minlength=len(pts)))
-        discs.append(c)
-        dists.append(d[first])
-    start = np.zeros(len(nodes) + 1, dtype=np.intp)
-    np.cumsum(np.concatenate(counts), out=start[1:])
-    return start, np.concatenate(discs), np.concatenate(dists)
-
-
-def _edges_collide(nodes: np.ndarray, pairs: np.ndarray, lengths: np.ndarray,
-                   comp: _CompArrays) -> np.ndarray:
-    """Collision mask of the roadmap edges [nodes[i], nodes[j]], (i, j) the
-    rows of `pairs` and `lengths` their lengths, against all components.
-
-    An endpoint/disc incidence cull limits the predicate to nearby rows.
-    It is sound: an edge [a, b] of length L that touches a disc D at p has
-    dist(a, D) <= |a - p| <= L.  So each node i gets the discs within its
-    longest edge (i, j) (:func:`_incidence_table`, built once), and an edge
-    sends those of its first end within its own L (+ 1e-12 for rounding)
-    through the exact predicate.  Edges go _COLLIDE_CHUNK // 8 at a time,
-    and a chunk's (edge, disc) rows in pieces of about _COLLIDE_CHUNK // 4,
-    which bounds the pair arrays.  The same cull serves every dimension;
-    beyond the plane the table's rows come from the bounding spheres.
-    """
-    out = np.zeros(len(pairs), dtype=bool)
-    if len(comp) == 0 or len(pairs) == 0:
-        return out
-    step = _COLLIDE_CHUNK // 4
-    reach = np.zeros(len(nodes))
-    np.maximum.at(reach, pairs[:, 0], lengths)
-    reach += 1e-12
-    start, disc_of, dist = _incidence_table(nodes, reach, comp)
-    del reach
-    for s in range(0, len(pairs), step // 2):
-        i = pairs[s:s + step // 2, 0]
-        count = start[i + 1] - start[i]
-        first = np.cumsum(count) - count
-        # pieces of edges whose (edge, disc) rows start in one run of `step`
-        cut = np.flatnonzero(np.diff(first // step)) + 1
-        for lo, hi in zip([0, *cut], [*cut, len(i)]):
-            c = count[lo:hi]
-            edge = np.repeat(np.arange(s + lo, s + hi), c)
-            pos = np.arange(len(edge)) + np.repeat(
-                start[i[lo:hi]] - (first[lo:hi] - first[lo]), c)
-            near = dist[pos] <= lengths[edge] + 1e-12
-            edge, disc = edge[near], disc_of[pos[near]]
-            hit = pairs_segment_disc_contact(
-                nodes[pairs[edge, 0]], nodes[pairs[edge, 1]],
-                comp.centers[disc], comp.normals[disc], comp.radii[disc])
-            out[edge[hit]] = True
+        key, d = key[first], d[first]
+        # run h holds the discs disc[start[h]:start[h + 1]]
+        start = np.searchsorted(key, np.arange(len(head) + 1) * m)
+        disc = key % m
+        run = np.cumsum(new) - 1
+        count = start[run + 1] - start[run]
+        offset = np.cumsum(count) - count
+        # pieces of rows whose (row, disc) pairs start in one span of `piece`
+        cut = np.flatnonzero(np.diff(offset // piece)) + 1
+        for lo, hi in zip([0, *cut], [*cut, len(a)]):
+            row = np.repeat(np.arange(lo, hi), count[lo:hi])
+            pos = np.arange(len(row)) + np.repeat(
+                start[run[lo:hi]] - (offset[lo:hi] - offset[lo]),
+                count[lo:hi])
+            keep = d[pos] <= length[row] + 1e-12
+            row, c = row[keep], disc[pos[keep]]
+            hit = pairs_segment_disc_contact(a[row], b[row], comp.centers[c],
+                                             comp.normals[c], comp.radii[c])
+            out[s + row[hit]] = True
     return out
 
 
@@ -406,11 +355,10 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
     of radius-neighbour and k-nearest pairs whose segments clear all
     components; the k-NN query runs only for the nodes with fewer than
     NEIGHBORS radius neighbours, which changes no edge
-    (:func:`_candidate_pairs`).  The candidate edges are collided through
-    the endpoint/disc incidence table (:func:`_edges_collide`): on the
-    640-disc planar benchmark instance at 80 000 nodes, 775 k (edge, disc)
-    rows for 600 k edges reach the predicate, against 1.64 M through the
-    midpoint cull of :func:`_segments_collide`.  The sorted distinct pairs
+    (:func:`_candidate_pairs`).  The candidate edges go to
+    :func:`_segments_collide` in the chunks whose endpoints are gathered
+    for their lengths; sorted by their first end, a node's edges there
+    share one lookup of the discs near it.  The sorted distinct pairs
     i < j that survive are the rows of an upper-triangular CSR matrix as
     they stand, so the graph stores each edge once and is built with no
     sort.
@@ -452,11 +400,11 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
         _candidate_pairs(nodes, connect_radius, NEIGHBORS), len(nodes))
 
     # endpoints are gathered a chunk at a time, never for all edges at once
-    w = np.empty(len(pairs))
+    free, w = np.empty(len(pairs), dtype=bool), np.empty(len(pairs))
     for s in range(0, len(pairs), _COLLIDE_CHUNK):
         a, b = (nodes[p] for p in pairs[s:s + _COLLIDE_CHUNK].T)
+        free[s:s + len(a)] = ~_segments_collide(a, b, comp)
         w[s:s + len(a)] = np.linalg.norm(a - b, axis=1)
-    free = ~_edges_collide(nodes, pairs, w, comp)
     pairs, w = pairs[free], w[free]  # the unfiltered arrays go first
     indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
     np.cumsum(np.bincount(pairs[:, 0], minlength=len(nodes)), out=indptr[1:])

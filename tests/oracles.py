@@ -463,16 +463,18 @@ def reference_roadmap_graph(rm):
     """The roadmap's graph rebuilt from its nodes with every edge at once.
 
     The distinct candidate pairs come from ``np.unique`` (int64 rows), the
-    endpoints of every edge are gathered into two full arrays for one
-    collision call, the weights are read from the surviving rows and the
-    symmetric CSR is built through COO, upper entries first.
+    endpoints of every edge are gathered into two full arrays and met with
+    every disc, with no cull (:func:`brute_segments_collide`), the weights
+    are read from the surviving rows and the symmetric CSR is built through
+    COO, upper entries first.
     """
-    from labyrinths.verifier import NEIGHBORS, _segments_collide
+    from labyrinths.verifier import NEIGHBORS
 
-    nodes, n = rm.nodes, len(rm.nodes)
+    nodes, n, comp = rm.nodes, len(rm.nodes), rm.comp
     pairs = all_node_candidate_pairs(nodes, rm.connect_radius, NEIGHBORS)
     A, B = nodes[pairs[:, 0]], nodes[pairs[:, 1]]
-    ok = pairs[~_segments_collide(A, B, rm.comp)]
+    ok = pairs[~brute_segments_collide(A, B, comp.centers, comp.normals,
+                                       comp.radii)]
     w = np.linalg.norm(nodes[ok[:, 0]] - nodes[ok[:, 1]], axis=1)
     return sparse.csr_matrix(
         (np.concatenate([w, w]),
@@ -485,14 +487,13 @@ def reference_escape_graph(rm, graph, source: dict, target: dict):
 
     Each escape set links its nearby nodes (every node within 1.5 connect
     radii, and for a point set also its 24 nearest) to its projection when
-    that link clears the discs; the set's new node (n for the source, n + 1
-    for the target) gets those links both ways, appended after the
-    entries of `graph`.
+    that link clears every disc (:func:`brute_segments_collide`); the set's
+    new node (n for the source, n + 1 for the target) gets those links both
+    ways, appended after the entries of `graph`.
     """
-    from labyrinths.verifier import (_project_to_set, _segments_collide,
-                                     _set_distance)
+    from labyrinths.verifier import _project_to_set, _set_distance
 
-    nodes, n = rm.nodes, len(rm.nodes)
+    nodes, n, comp = rm.nodes, len(rm.nodes), rm.comp
     g = graph.tocoo()
     rows, cols, vals = [g.row], [g.col], [g.data]
     for end, descr in ((n, source), (n + 1, target)):
@@ -501,7 +502,8 @@ def reference_escape_graph(rm, graph, source: dict, target: dict):
         if descr["kind"] == "point":
             near = np.union1d(near, np.argsort(d)[:min(n, 24)])
         proj = _project_to_set(descr, nodes[near])
-        ok = ~_segments_collide(nodes[near], proj, rm.comp)
+        ok = ~brute_segments_collide(nodes[near], proj, comp.centers,
+                                     comp.normals, comp.radii)
         idx = near[ok]
         w = np.maximum(np.linalg.norm(nodes[idx] - proj[ok], axis=1), 1e-300)
         rows += [np.full(len(idx), end), idx]

@@ -541,6 +541,23 @@ def test_cli_report_names_non_finite_radius(tmp_path, lab, capsys):
     # levels the audit would read the sublevel of (the fixture has J = 2)
     (("components", 0, "level"), "null", "field 'components[0].level'"),
     (("components", 1, "level", "j"), "9", "field 'components[1].level'"),
+    # only JSON numbers: no strings, bools or fractional seeds
+    (("collar_widths",), '"987"', "field 'collar_widths' invalid"),
+    (("collar_widths",), '["nan"]', "field 'collar_widths' invalid"),
+    (("collar_widths",), "[0.5, true]", "field 'collar_widths' invalid"),
+    (("seed",), "7.9", "field 'seed' invalid"),
+    (("seed",), "true", "field 'seed' invalid"),
+    (("scale",), '"1"', "field 'scale' invalid"),
+    (("scale",), "true", "field 'scale' invalid"),
+    pytest.param(("scale",), "1" + "0" * 400,
+                 "'scale' is not a finite number",
+                 id="scale-beyond-the-float-range"),
+    pytest.param(("components", 0, "radius"), "1" + "0" * 400,
+                 "'components[0].radius' is not a finite number",
+                 id="radius-beyond-the-float-range"),
+    pytest.param(("schedule", "s0"), "-1" + "0" * 400,
+                 "'schedule.s0' is not a finite number",
+                 id="s0-beyond-the-float-range"),
 ])
 def test_cli_report_names_corrupt_field(tmp_path, lab, capsys, where, raw,
                                         named):

@@ -41,8 +41,6 @@ from labyrinths.verifier import (
     _CompArrays,
     _cover_level,
     _discs_meeting_box,
-    _edges_collide,
-    _incidence_table,
     _lex_half_gaps,
     _near_pairs,
     _pairwise_min_distance,
@@ -267,36 +265,63 @@ def _on_disc_lines(discs: list[FlatBall]) -> np.ndarray:
 @given(seed=st.integers(0, 10 ** 9), d=st.sampled_from([2, 3]),
        discs=st.integers(0, 25), radius=st.sampled_from([0.02, 0.1, 0.4]),
        raw=st.booleans())
-def test_edges_collide_matches_all_pairs(seed, d, discs, radius, raw):
+def test_segment_runs_match_all_pairs(seed, d, discs, radius, raw):
     rng = np.random.default_rng(seed)
     comps = _random_discs(rng, d, discs)
     comp = _CompArrays.from_components(comps)
     nodes = np.vstack([_near_disc_points(rng, comps, 300, 0.05),
                        _on_disc_lines(comps)]) if discs \
         else rng.uniform(-1.0, 1.0, (300, d))
+    # ten nodes twice, each copy next to its node: five copies with identical
+    # coordinates, five that share only the first coordinate
+    twins = rng.choice(len(nodes), 10, replace=False)
+    copies = nodes[twins]
+    copies[5:, 1:] += 1e-3
+    order = np.argsort(np.concatenate([np.arange(len(nodes)), twins]),
+                       kind="stable")
+    nodes = np.vstack([nodes, copies])[order]
     n = len(nodes)
     pairs = _candidate_pairs(nodes, radius, NEIGHBORS)
-    if raw:  # unsorted, with repeats and self-pairs (edges of length 0)
+    if raw:  # shuffled and half flipped, with repeats and self-pairs
         pairs = np.vstack([pairs, np.repeat(np.arange(n, dtype=np.int32),
                                             2).reshape(-1, 2)])
-    else:
+        pairs = pairs[rng.permutation(len(pairs))]
+        flip = rng.random(len(pairs)) < 0.5
+        pairs[flip] = pairs[flip, ::-1]
+    else:  # sorted: runs of rows that share their first end
         pairs = _unique_pairs(pairs, n)
     A, B = nodes[pairs[:, 0]], nodes[pairs[:, 1]]
-    got = _edges_collide(nodes, pairs, np.linalg.norm(A - B, axis=1), comp)
+    assert np.any(np.all(A == B, axis=1))  # rows of length 0
+    sent = []
+    predicate = verifier.pairs_segment_disc_contact
+
+    def recorded(*rows):
+        sent.append(len(rows[0]))
+        return predicate(*rows)
+
+    verifier.pairs_segment_disc_contact = recorded
+    try:
+        got = _segments_collide(A, B, comp)
+        whole = sum(sent)
+        # a run cut in two: its rows go to two calls
+        cut = np.flatnonzero(np.all(A[1:] == A[:-1], axis=1))
+        cut = int(cut[len(cut) // 2]) + 1 if len(cut) else len(A) // 2
+        split = np.concatenate([_segments_collide(A[:cut], B[:cut], comp),
+                                _segments_collide(A[cut:], B[cut:], comp)])
+    finally:
+        verifier.pairs_segment_disc_contact = predicate
     if not discs:
-        assert not got.any()
+        assert not got.any() and not split.any() and not sent
         return
     want = brute_segments_collide(A, B, comp.centers, comp.normals,
                                   comp.radii)
-    assert np.array_equal(got, want)
-    # the table holds exactly the node/disc rows within each node's reach
-    reach = rng.uniform(0.0, 0.2, n)
-    start, disc, dist = _incidence_table(nodes, reach, comp)
-    full = pairs_point_disc_distance(nodes[:, None], comp.centers[None],
-                                     comp.normals[None], comp.radii[None])
-    i, j = np.nonzero(full <= reach[:, None])
-    assert np.array_equal(np.repeat(np.arange(n), np.diff(start)), i)
-    assert np.array_equal(disc, j) and np.array_equal(dist, full[i, j])
+    assert np.array_equal(got, want) and np.array_equal(split, want)
+    # the cull sends each row once to each disc within its own length of
+    # its first end, and no other disc
+    near = pairs_point_disc_distance(A[:, None], comp.centers[None],
+                                     comp.normals[None], comp.radii[None]) \
+        <= np.linalg.norm(B - A, axis=1)[:, None] + 1e-12
+    assert whole == near.sum()
 
 
 @settings(max_examples=40, deadline=None)
@@ -440,6 +465,36 @@ def test_roadmap_edges_match_all_pairs_collision_mask():
     assert blocked.any()
     g = rm.graph.tocoo()  # each edge once, rows and columns ascending
     assert np.array_equal(np.column_stack([g.row, g.col]), pairs[~blocked])
+
+
+def test_every_candidate_edge_reaches_the_one_cull(monkeypatch):
+    # the graph holds exactly the candidate edges a _segments_collide call
+    # saw and found free, so no edge reaches the graph by another cull
+    seen, free, calls = set(), set(), []
+    run = verifier._segments_collide
+
+    def recorded(A, B, comp):
+        hit = run(A, B, comp)
+        rows = np.hstack([A, B])
+        seen.update(r.tobytes() for r in rows)
+        free.update(r.tobytes() for r in rows[~hit])
+        calls.append(len(A))
+        return hit
+
+    monkeypatch.setattr(verifier, "_segments_collide", recorded)
+    rm = build_roadmap(PLANE_REGION, _plane_lab(), 6000, seed=6000)
+    built = len(calls)
+    shortest_escape(rm, *PLANE_SETS)
+    assert len(calls) == built + 2  # the source and the target links
+    pairs = _unique_pairs(_candidate_pairs(
+        rm.nodes, rm.connect_radius, NEIGHBORS), len(rm.nodes))
+    rows = [r.tobytes() for r in np.hstack(
+        [rm.nodes[pairs[:, 0]], rm.nodes[pairs[:, 1]]])]
+    assert all(r in seen for r in rows)
+    kept = np.array([r in free for r in rows])
+    g = rm.graph.tocoo()
+    assert 0 < g.nnz < len(pairs)
+    assert np.array_equal(np.column_stack([g.row, g.col]), pairs[kept])
 
 
 def test_verify_path_rejects_pierce_far_from_midpoint():
@@ -604,7 +659,7 @@ def test_roadmap_and_escape_graphs_match_the_all_edges_reference(
 
 def test_one_planar_attempt_keeps_its_working_set_small():
     # build_roadmap plus shortest_escape at 20 000 nodes traces about
-    # 12.5 MiB at its peak, in the roadmap's build; with every edge's
+    # 11.6 MiB at its peak, in the roadmap's build; with every edge's
     # endpoints gathered at once, an unchunked predicate and the escape
     # graph built through COO it was about 36 MB
     lab = _plane_lab()
