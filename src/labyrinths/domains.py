@@ -511,38 +511,62 @@ def _measure_delta(dom, centers, radius, eta, samples) -> float | None:
     """min over patches j of dist(V & dU_j, V & d(union_{i!=j} U_i)).
 
     A collar point of ring i lies on the boundary of the union without
-    patch j when no patch other than i and j strictly contains it, so each
-    ring's points are sorted once by the patches containing them: free for
-    every j (none), for one j only (exactly that one), or for none.
+    patch j when no patch other than i and j strictly contains it, so the
+    collar points of all rings, in one table, are sorted once by the
+    patches containing them: free for every j (none), for one j only
+    (exactly that one), or for none.  A ring point lies about `radius`
+    from its centre, so only patches whose centres are within 2 radius of
+    its own can contain it, and ring i can come nearer to ring j than the
+    best gap so far only if their centres are within 2 radius plus that
+    gap: patch j queries just those rings' trees of free points, nearest
+    first, and the points free for j alone.  `slack` covers the rounding
+    of the ring points, so both culls keep every candidate that counts.
     """
-    if len(centers) < 2:
+    k = len(centers)
+    if k < 2:
         return None
     ang = 2.0 * np.pi * np.arange(samples) / samples
     circle = np.column_stack([np.cos(ang), np.sin(ang)])
-    k = len(centers)
-    in_collar, only = [], []
-    for i, c in enumerate(centers):
-        ring = c + radius * circle
-        ring = ring[(dom.rho(ring) <= 0.0)
-                    & (boundary_distance(dom, ring) <= eta)]
-        inside = np.linalg.norm(ring[:, None] - centers, axis=2) \
-            < radius * (1.0 - 1e-12)
-        inside[:, i] = False
-        # the one other patch containing a point, -1 if none, k if several
-        only.append(np.where(inside.sum(axis=1) > 1, k, np.where(
-            inside.any(axis=1), inside.argmax(axis=1), -1)))
-        in_collar.append(ring)
-    ring_of = np.repeat(np.arange(k), [len(r) for r in in_collar])
-    pts, only = np.concatenate(in_collar), np.concatenate(only)
+    pts = (centers[:, None] + radius * circle).reshape(-1, 2)
+    inner = np.flatnonzero(dom.rho(pts) <= 0.0)
+    keep = inner[boundary_distance(dom, pts[inner]) <= eta]
+    pts = pts[keep]
+    # ring i's collar points are the rows start[i]:start[i + 1]
+    start = np.searchsorted(keep // samples, np.arange(k + 1))
+    if np.any(np.diff(start) == 0):
+        return None
+    slack = 1e-9 * (radius + np.abs(centers).max())
+    pairs = cKDTree(centers).query_pairs(2.0 * radius + slack,
+                                         output_type="ndarray")
+    ring, patch = np.concatenate([pairs, pairs[:, ::-1]]).T
+    size = start[ring + 1] - start[ring]
+    row = np.repeat(start[ring] - np.cumsum(size) + size, size) \
+        + np.arange(size.sum())
+    patch = np.repeat(patch, size)
+    inside = np.linalg.norm(pts[row] - centers[patch], axis=1) \
+        < radius * (1.0 - 1e-12)
+    row, patch = row[inside], patch[inside]
+    # the one other patch containing a point, -1 if none, k if several
+    only = np.full(len(pts), -1)
+    only[row] = patch
+    only[np.bincount(row, minlength=len(pts)) > 1] = k
+    free = [pts[a:b][only[a:b] == -1] for a, b in zip(start[:-1], start[1:])]
+    trees = [cKDTree(f) if len(f) else None for f in free]
+    alone = np.flatnonzero((only >= 0) & (only < k))
+    alone = alone[np.argsort(only[alone], kind="stable")]
+    cut = np.searchsorted(only[alone], np.arange(k + 1))
     delta = np.inf
     for j in range(k):
-        mine = in_collar[j]
-        if len(mine) == 0:
-            return None
-        others = pts[(ring_of != j) & ((only == -1) | (only == j))]
-        if len(others) == 0:
-            continue
-        delta = min(delta, float(cKDTree(others).query(mine, k=1)[0].min()))
+        mine = pts[start[j]:start[j + 1]]
+        if cut[j + 1] > cut[j]:
+            tree = cKDTree(pts[alone[cut[j]:cut[j + 1]]])
+            delta = min(delta, float(tree.query(mine, k=1)[0].min()))
+        dc = np.linalg.norm(centers - centers[j], axis=1).tolist()
+        for i in sorted(range(k), key=dc.__getitem__):
+            if dc[i] > 2.0 * radius + delta + slack:
+                break
+            if i != j and trees[i] is not None:
+                delta = min(delta, float(trees[i].query(mine, k=1)[0].min()))
     return None if not np.isfinite(delta) else delta
 
 

@@ -22,6 +22,7 @@ bounds on their distance: exact in the plane, a support gap beyond it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,15 +92,17 @@ class FlatBall:
         self.center = np.asarray(self.center, dtype=float)
         self.normal = np.asarray(self.normal, dtype=float)
         self.radius = float(self.radius)
+        normal = self.normal.ravel().tolist()
         # NaN fails every comparison below, so it must be rejected first
-        for name in ("center", "normal", "radius"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        for name, values in (("center", self.center.ravel().tolist()),
+                             ("normal", normal), ("radius", [self.radius])):
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"flat ball {name} must be finite")
         if self.radius <= 0.0:
             raise ValueError("flat ball radius must be positive")
-        with np.errstate(over="ignore"):  # a huge normal's norm is inf
-            if abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
-                raise ValueError("flat ball normal must have unit norm")
+        # hypot scales, so a huge finite normal gives a huge norm, no overflow
+        if abs(math.hypot(*normal) - 1.0) > 1e-9:
+            raise ValueError("flat ball normal must have unit norm")
 
     @property
     def dim(self) -> int:
@@ -218,18 +221,28 @@ def pairs_disc_disc_distance(C1, N1, R1, C2, N2, R2) -> np.ndarray:
         return _pairs_segseg_distance_2d(
             C1 - R1[:, None] * U1, C1 + R1[:, None] * U1,
             C2 - R2[:, None] * U2, C2 + R2[:, None] * U2)
-    x, y = C1.copy(), C1.copy()
-    d = np.full(len(C1), np.inf)
+    x, y, d = np.empty_like(C1), np.empty_like(C1), np.empty(len(C1))
+    # the live rows, compacted; a row is written back once it stops
     live = np.arange(len(C1))
+    rows = [np.ascontiguousarray(A) for A in (C1, N1, R1, C2, N2, R2)]
+    xl = yl = rows[0]
+    dl = np.full(len(C1), np.inf)
     for _ in range(400):
         if len(live) == 0:
             break
-        y[live] = _pairs_project_to_disc(x[live], C2[live], N2[live], R2[live])
-        x[live] = _pairs_project_to_disc(y[live], C1[live], N1[live], R1[live])
-        new = np.linalg.norm(x[live] - y[live], axis=1)
-        gain = d[live] - new
-        d[live] = new
-        live = live[gain >= 1e-10]
+        c1, n1, r1, c2, n2, r2 = rows
+        yl = _pairs_project_to_disc(xl, c2, n2, r2)
+        xl = _pairs_project_to_disc(yl, c1, n1, r1)
+        new = np.linalg.norm(xl - yl, axis=1)
+        going = dl - new >= 1e-10
+        dl = new
+        if not going.all():
+            stop = ~going
+            x[live[stop]], y[live[stop]], d[live[stop]] = \
+                xl[stop], yl[stop], dl[stop]
+            live, xl, yl, dl = live[going], xl[going], yl[going], dl[going]
+            rows = [A[going] for A in rows]
+    x[live], y[live], d[live] = xl, yl, dl
     w = (x - y) / np.where(d > 0.0, d, 1.0)[:, None]
     gap = -disc_support(C1, N1, R1, -w) - disc_support(C2, N2, R2, w)
     return np.maximum(np.minimum(d, gap), 0.0)

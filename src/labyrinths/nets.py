@@ -166,33 +166,32 @@ def color_net(points: np.ndarray, r: float) -> list[np.ndarray]:
 
     Greedy colouring of the proximity graph (edge iff distance < r,
     strictly), vertices in decreasing degree order with index ties; the
-    class count is at most 1 + max degree.
+    class count is at most 1 + max degree.  The graph is held as arrays
+    (both directions of each pair, grouped by source, with offsets) and
+    walked as Python lists; a colour depends only on the set of colours
+    around a vertex, not on the order its neighbours are listed in.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
     if n == 0:
         raise ValueError("points must be nonempty")
-    tree = cKDTree(points)
-    pairs = tree.query_pairs(r, output_type="ndarray")
-    if len(pairs):
-        diff = points[pairs[:, 0]] - points[pairs[:, 1]]
-        strict = np.einsum("ij,ij->i", diff, diff) < r * r
-        pairs = pairs[strict]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in pairs:
-        adj[i].append(int(j))
-        adj[j].append(int(i))
-    degrees = np.array([len(a) for a in adj])
-    order = np.lexsort((np.arange(n), -degrees))
-    color = np.full(n, -1, dtype=int)
-    for v in order:
-        used = {color[w] for w in adj[v] if color[w] >= 0}
+    pairs = cKDTree(points).query_pairs(r, output_type="ndarray")
+    diff = points[pairs[:, 0]] - points[pairs[:, 1]]
+    pairs = pairs[np.einsum("ij,ij->i", diff, diff) < r * r]
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    degrees = np.bincount(src, minlength=n)
+    nbrs = dst[np.argsort(src, kind="stable")].tolist()
+    start = np.concatenate([[0], np.cumsum(degrees)]).tolist()
+    color = [-1] * n  # an uncoloured neighbour adds -1, which no c equals
+    for v in np.lexsort((np.arange(n), -degrees)).tolist():
+        used = {color[w] for w in nbrs[start[v]:start[v + 1]]}
         c = 0
         while c in used:
             c += 1
         color[v] = c
-    m = int(color.max()) + 1
-    return [points[color == k] for k in range(m)]
+    color = np.array(color)
+    return [points[color == k] for k in range(int(color.max()) + 1)]
 
 
 def covering_radius(points: np.ndarray, d: int) -> float:

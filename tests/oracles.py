@@ -7,8 +7,10 @@ the row-wise geometric predicates, except the reference builds at the end:
 they replay a construction the plain way (a cold sweep per shell, scipy's
 ``brentq`` one row at a time, every disc made before it is filtered, each
 disc mapped through a chart on its own, a roadmap's edges collided all at
-once and its escape graph built through COO), so a faster path can be held
-to it bit for bit.
+once and its escape graph built through COO, a colouring walked through
+adjacency lists, a collar gap read off a dense containment matrix, a
+disc/disc bound gathered by live rows every round), so a faster path can
+be held to it bit for bit.
 """
 
 from __future__ import annotations
@@ -512,3 +514,93 @@ def reference_escape_graph(rm, graph, source: dict, target: dict):
     return sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n + 2, n + 2))
+
+
+def loop_color_net(points, r: float) -> list[np.ndarray]:
+    """Greedy colouring with an adjacency list per point, one ``append``
+    per direction of each strict pair: decreasing degree, index ties,
+    smallest colour no neighbour holds."""
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    pairs = cKDTree(points).query_pairs(r, output_type="ndarray")
+    if len(pairs):
+        diff = points[pairs[:, 0]] - points[pairs[:, 1]]
+        pairs = pairs[np.einsum("ij,ij->i", diff, diff) < r * r]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in pairs:
+        adj[i].append(int(j))
+        adj[j].append(int(i))
+    degrees = np.array([len(a) for a in adj])
+    color = np.full(n, -1, dtype=int)
+    for v in np.lexsort((np.arange(n), -degrees)):
+        used = {color[w] for w in adj[v] if color[w] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        color[v] = c
+    return [points[color == k] for k in range(int(color.max()) + 1)]
+
+
+def dense_measure_delta(dom, centers, radius, eta, samples):
+    """The collar gap ring by ring: each ring's collar points, their
+    containment read from a dense points-by-patches distance matrix, and
+    for each patch j one tree over every other ring's points free for j."""
+    from labyrinths.domains import boundary_distance
+
+    if len(centers) < 2:
+        return None
+    ang = 2.0 * np.pi * np.arange(samples) / samples
+    circle = np.column_stack([np.cos(ang), np.sin(ang)])
+    k = len(centers)
+    in_collar, only = [], []
+    for i, c in enumerate(centers):
+        ring = c + radius * circle
+        ring = ring[(dom.rho(ring) <= 0.0)
+                    & (boundary_distance(dom, ring) <= eta)]
+        inside = np.linalg.norm(ring[:, None] - centers, axis=2) \
+            < radius * (1.0 - 1e-12)
+        inside[:, i] = False
+        only.append(np.where(inside.sum(axis=1) > 1, k, np.where(
+            inside.any(axis=1), inside.argmax(axis=1), -1)))
+        in_collar.append(ring)
+    ring_of = np.repeat(np.arange(k), [len(r) for r in in_collar])
+    pts, only = np.concatenate(in_collar), np.concatenate(only)
+    delta = np.inf
+    for j in range(k):
+        mine = in_collar[j]
+        if len(mine) == 0:
+            return None
+        others = pts[(ring_of != j) & ((only == -1) | (only == j))]
+        if len(others) == 0:
+            continue
+        delta = min(delta, float(cKDTree(others).query(mine, k=1)[0].min()))
+    return None if not np.isfinite(delta) else delta
+
+
+def gathered_disc_disc_distance(C1, N1, R1, C2, N2, R2) -> np.ndarray:
+    """The d >= 3 disc/disc lower bound with every array gathered by the
+    live row indices each round (at most 400 rounds, a row stopping once
+    it gains less than 1e-10), then the support gap along x - y."""
+    from labyrinths.geometry import disc_support
+
+    def project(X, C, N, R):  # nearest points of the discs to the rows of X
+        v = X - C
+        w = v - np.einsum("ij,ij->i", v, N)[:, None] * N
+        rho = np.linalg.norm(w, axis=1)
+        return C + w * np.where(rho > R, R / np.maximum(rho, R), 1.0)[:, None]
+
+    x, y = C1.copy(), C1.copy()
+    d = np.full(len(C1), np.inf)
+    live = np.arange(len(C1))
+    for _ in range(400):
+        if len(live) == 0:
+            break
+        y[live] = project(x[live], C2[live], N2[live], R2[live])
+        x[live] = project(y[live], C1[live], N1[live], R1[live])
+        new = np.linalg.norm(x[live] - y[live], axis=1)
+        gain = d[live] - new
+        d[live] = new
+        live = live[gain >= 1e-10]
+    w = (x - y) / np.where(d > 0.0, d, 1.0)[:, None]
+    gap = -disc_support(C1, N1, R1, -w) - disc_support(C2, N2, R2, w)
+    return np.maximum(np.minimum(d, gap), 0.0)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labyrinths import domains
+from labyrinths import domains, sampling
 from labyrinths.domains import (
     MAX_PATCH_STEPS,
     PATCH_BOUNDARY_SAMPLES,
+    PATCH_RING_SAMPLES,
     CollarCollapseError,
     ConvexDomain,
     PatchCover,
@@ -39,6 +40,7 @@ from labyrinths.verifier import audit_labyrinth
 from oracles import (
     chart_to_ball,
     chart_to_domain,
+    dense_measure_delta,
     filtered_patch_discs,
     map_flatball_2d,
     per_sample_convexity_gate,
@@ -269,6 +271,35 @@ def test_patch_delta_stable_under_denser_sampling():
     d10 = measure_delta(cover, 10)
     assert d10 is not None
     assert abs(d10 - cover.delta) <= 0.1 * cover.delta
+
+
+@pytest.mark.parametrize("eta", [0.08, 0.02])
+@pytest.mark.parametrize("patch_radius", [0.9, 0.3, 0.15, 0.08])
+@pytest.mark.parametrize("preset", [ellipse_preset, superellipse_preset])
+def test_collar_gap_equals_the_dense_ring_by_ring_gap(preset, patch_radius,
+                                                      eta):
+    """The one-table gap with its culled containment and ring trees is the
+    dense per-ring measurement bit for bit (k = 6 to 76 patches), at the
+    first and the last radius of the cover's shrink grid."""
+    dom = preset()
+    bnd = boundary_samples(dom, PATCH_BOUNDARY_SAMPLES)
+    centers = bnd[sampling.farthest_point_order(
+        bnd, 0, stop_dist=patch_radius * (1.0 - 1e-9))]
+    reach = np.linalg.norm(bnd[:, None] - centers, axis=2).min(axis=1)
+    first = min(1.0, float(reach.max()) / patch_radius + 0.05)
+    for f in (first, 1.0):
+        args = (dom, centers, f * patch_radius, eta, PATCH_RING_SAMPLES)
+        want = dense_measure_delta(*args)
+        assert want is not None
+        assert domains._measure_delta(*args) == want
+
+
+def test_collar_gap_is_none_when_a_ring_misses_the_collar():
+    dom = ellipse_preset()
+    centers = boundary_samples(dom, PATCH_BOUNDARY_SAMPLES)[::512]
+    args = (dom, centers, 0.5, 1e-3, PATCH_RING_SAMPLES)
+    assert dense_measure_delta(*args) is None
+    assert domains._measure_delta(*args) is None
 
 
 def test_patch_schedule_laws():

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labyrinths import geometry
 from labyrinths.geometry import (
     FlatBall,
     disc_norm_range,
@@ -20,6 +23,7 @@ from oracles import (
     brute_disc_disc_distance,
     brute_segment_disc_distance,
     full_lp_margin,
+    gathered_disc_disc_distance,
     segment_segment_distance_2d,
 )
 
@@ -86,6 +90,44 @@ def test_flatball_rejects_non_finite(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError, match=field):
         FlatBall(**kwargs)
+
+
+# (center, normal, radius, message): the checks run in this order, so a
+# ball wrong in several ways names the first
+FLATBALL_ERRORS = [
+    ([np.nan, 0.0], [np.nan, 1.0], np.nan, "flat ball center must be finite"),
+    ([0.0, -np.inf], [0.0, 1.0], 0.5, "flat ball center must be finite"),
+    ([0.0, 0.0], [np.inf, 1.0], np.nan, "flat ball normal must be finite"),
+    ([0.0, 0.0, 0.0], [0.0, np.nan, 1.0], -1.0,
+     "flat ball normal must be finite"),
+    ([0.0, 0.0], [0.0, 2.0], np.inf, "flat ball radius must be finite"),
+    ([0.0, 0.0], [0.0, 2.0], 0.0, "flat ball radius must be positive"),
+    ([0.0, 0.0], [0.0, 1.0], -0.5, "flat ball radius must be positive"),
+    ([0.0, 0.0], [0.0, 2.0], 0.5, "flat ball normal must have unit norm"),
+    ([0.0, 0.0], [1e200, 1.0], 0.5, "flat ball normal must have unit norm"),
+    ([0.0, 0.0], [1e308, 1e308], 0.5, "flat ball normal must have unit norm"),
+    ([0.0, 0.0, 0.0], [0.0, 0.0, 1.0 + 2e-9], 0.5,
+     "flat ball normal must have unit norm"),
+    ([0.0, 0.0, 0.0, 0.0], [0.0] * 4, 0.5,
+     "flat ball normal must have unit norm"),
+]
+
+
+@pytest.mark.parametrize("center,normal,radius,message", FLATBALL_ERRORS)
+def test_flatball_names_its_first_fault_without_a_warning(center, normal,
+                                                          radius, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            FlatBall(center=center, normal=normal, radius=radius)
+    assert str(exc.value) == message
+
+
+def test_flatball_accepts_a_normal_within_the_unit_tolerance():
+    fb = FlatBall(center=[0.0, 0.0, 0.0], normal=[0.0, 0.0, 1.0 + 5e-10],
+                  radius=1)
+    assert fb.radius == 1.0 and fb.radius.__class__ is float
+    assert fb.center.dtype == fb.normal.dtype == np.float64
 
 
 # (a, b, touches) against the unit disc at the origin with normal e_last
@@ -514,3 +556,46 @@ def test_planar_disc_distances_are_the_segment_formula():
     assert len(got) == 1000
     assert np.array_equal(got, want)
     assert got.min() == 0.0032602746444939565
+
+
+def near_parallel_disc_rows(rng, d: int, rows: int):
+    """Random disc rows in half the pairs; in the other half the second
+    disc is the first turned by 0.02 to 0.3 rad about a line of its plane
+    0.01 to 0.1 beyond its rim: disjoint discs on planes meeting at a
+    small angle, where alternating projection needs many rounds."""
+    N1 = rng.standard_normal((rows, d))
+    N1 /= np.linalg.norm(N1, axis=1, keepdims=True)
+    C1 = rng.uniform(-1.0, 1.0, (rows, d))
+    R1 = rng.uniform(0.1, 0.8, rows)
+    N2 = rng.standard_normal((rows, d))
+    N2 /= np.linalg.norm(N2, axis=1, keepdims=True)
+    C2 = rng.uniform(-1.0, 1.0, (rows, d))
+    R2 = rng.uniform(0.1, 0.8, rows)
+    w = np.arange(rows) % 2 == 1
+    u = tangent_bases(N1[w])[:, :, 0]
+    th = rng.uniform(0.02, 0.3, (w.sum(), 1))
+    arm = R1[w, None] + rng.uniform(0.01, 0.1, (w.sum(), 1))
+    N2[w] = np.cos(th) * N1[w] + np.sin(th) * u
+    C2[w] = C1[w] + arm * ((1.0 - np.cos(th)) * u + np.sin(th) * N1[w])
+    R2[w] = R1[w]
+    return C1, N1, R1, C2, N2, R2
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_disc_distance_equals_the_gathered_loop_bit_for_bit(d, monkeypatch):
+    """The compacted loop gives every row of the per-round gathered loop,
+    on rows that stop after a few rounds and rows that run for hundreds."""
+    rows = near_parallel_disc_rows(np.random.default_rng(d), d, 400)
+    want = gathered_disc_disc_distance(*rows)
+    live = []
+    project = geometry._pairs_project_to_disc
+
+    def counted(X, C, N, R):
+        live.append(len(X))
+        return project(X, C, N, R)
+
+    monkeypatch.setattr(geometry, "_pairs_project_to_disc", counted)
+    got = pairs_disc_disc_distance(*rows)
+    assert np.array_equal(got, want)
+    # rows stopped in many different rounds, and some ran for 100 or more
+    assert live[0] == 400 and len(set(live)) > 20 and len(live) >= 2 * 100

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import labyrinths
+from labyrinths import nets
 from labyrinths.cli import main
 from labyrinths.io import (
     SVG_UNIT,
@@ -27,6 +28,7 @@ from labyrinths.io import (
     save_labyrinth,
 )
 from labyrinths.shells import annulus_labyrinth, build_labyrinth, make_schedule
+from oracles import loop_color_net
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +189,60 @@ def test_cli_generate_and_determinism(tmp_path):
                   "--J", "2", "--seed", "3", "--out", str(out2))
     assert rc1 == 0 and rc2 == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# the four inputs of the generate-cycle benchmark workload, each file's
+# sha256 at seed 0
+GENERATE_CYCLE = {
+    "ball2": (["--dim", "2", "--domain", "ball", "--J", "3"],
+              "c9ccac17ceaff5452173a6f4ae173d29f19049e441c80009419a3876b11dc828"),
+    "ball3": (["--dim", "3", "--domain", "ball", "--J", "2"],
+              "dbee7ca7e86ed3fdd67667c5f9d8810ef39a99aee6343284067a32038fc3ee1b"),
+    "ellipsoid": (["--domain", "ellipsoid", "--axes", "2,1", "--J", "2"],
+                  "8dd040d7064309413ac4b4eb139d11e2dafef052367313d475ba6bf8a8fa7c6e"),
+    "ellipse": (["--domain", "ellipse", "--M", "1.0"],
+                "5add2858d68be677d7d4406bf3c2ed792f79480c2e22c55eafb4932599a82cd1"),
+}
+
+
+@pytest.fixture(scope="module")
+def generate_cycle(tmp_path_factory):
+    """The four generate-cycle files at seed 0 from a cold net cache, and
+    the (points, r) of every net the generates coloured, in call order."""
+    out = tmp_path_factory.mktemp("generate-cycle")
+    colored = []
+    color_net = nets.color_net
+
+    def record(points, r):
+        colored.append((np.array(points), r))
+        return color_net(points, r)
+
+    nets._NET_CACHE.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nets, "color_net", record)
+        for key, (argv, _) in GENERATE_CYCLE.items():
+            assert main(["generate", *argv, "--seed", "0",
+                         "--out", str(out / f"{key}.json")]) == 0
+    return out, colored
+
+
+def test_generate_cycle_files_are_pinned(generate_cycle):
+    out, _ = generate_cycle
+    for key, (_, digest) in GENERATE_CYCLE.items():
+        got = hashlib.sha256((out / f"{key}.json").read_bytes()).hexdigest()
+        assert got == digest, key
+
+
+def test_color_net_equals_the_adjacency_list_loop_on_generate_cycle_nets(
+        generate_cycle):
+    _, colored = generate_cycle
+    assert len(colored) == 39
+    assert sum(len(points) for points, _ in colored) == 11_068
+    for points, r in colored:
+        want = loop_color_net(points, r)
+        got = nets.color_net(points, r)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_cli_rejects_tc_violation(tmp_path, capsys):

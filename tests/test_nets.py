@@ -23,6 +23,7 @@ from labyrinths.nets import (
 from labyrinths.sampling import ParkedSweep, circle_rows, sphere_candidates
 from oracles import (
     brute_farthest_point_order,
+    loop_color_net,
     sampled_covering_radius,
     stacked_sphere_candidates,
 )
@@ -123,6 +124,25 @@ def test_color_net_partition_and_separation(seed, r):
     assert np.allclose(stacked[key], pts[key0])
     for cls in classes:
         assert min_pairwise(cls) >= r
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), seed=st.integers(0, 10 ** 9),
+       n=st.integers(1, 60), lattice=st.booleans())
+def test_color_net_equals_the_adjacency_list_loop(d, seed, n, lattice):
+    """Bit for bit the classes of the loop over per-point adjacency lists,
+    on inputs with repeated points, ties of degree (small integer lattice
+    points) and r equal to the distance of one of the pairs."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-2, 3, (n, d)).astype(float) if lattice \
+        else rng.standard_normal((n, d))
+    pts = pts[rng.integers(0, n, n + n // 3)]
+    i, j = rng.integers(0, len(pts), 2)
+    r = float(np.linalg.norm(pts[i] - pts[j])) or 1.0
+    want, got = loop_color_net(pts, r), color_net(pts, r)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 def test_covering_radius_examples():
