@@ -255,23 +255,25 @@ def boundary_distance(dom: ConvexDomain, pts: np.ndarray) -> np.ndarray:
 
     At most 8 Newton projections x <- x - rho(x) grad/|grad|^2 onto the
     zero set of the defining function, each row stopping once its own
-    |rho| < 1e-13; the result is the distance travelled.  The steps
-    follow the gradient, not the normal through the nearest boundary
-    point, so the value matches the true distance to second order in it:
-    on the ellipse preset the relative error measured 2e-9 at depth 1e-4,
-    2e-5 at 1e-2 and 1.4e-3 at 0.08, the default collar width.
+    |rho| < 1e-13, and rho and grad read on the moving rows only; the
+    result is the distance travelled.  The steps follow the gradient, not
+    the normal through the nearest boundary point, so the value matches
+    the true distance to second order in it: on the ellipse preset the
+    relative error measured 2e-9 at depth 1e-4, 2e-5 at 1e-2 and 1.4e-3
+    at 0.08, the default collar width.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     x = pts.copy()
+    live = np.arange(len(x))
     for _ in range(8):
-        vals = np.asarray(dom.rho(x))
+        vals = np.asarray(dom.rho(x[live]))
         moving = np.abs(vals) >= 1e-13
-        if not moving.any():
+        live, vals = live[moving], vals[moving]
+        if not len(live):
             break
-        grads = np.asarray(dom.grad(x))
+        grads = np.asarray(dom.grad(x[live]))
         gg = np.einsum("ij,ij->i", grads, grads)
-        x = np.where(moving[:, None],
-                     x - (vals / np.maximum(gg, 1e-300))[:, None] * grads, x)
+        x[live] -= (vals / np.maximum(gg, 1e-300))[:, None] * grads
     return np.linalg.norm(pts - x, axis=1)
 
 
@@ -339,30 +341,39 @@ class OsculatingMap:
     """Affine chart at a boundary point sending the domain to ~unit ball.
 
     Under z = linear @ (y - base) + e1 the defining function agrees with
-    |z|^2 - 1 to second order at the base point; `validity_radius` bounds
-    the chart domain so that |(|z| - 1)| stays within the deviation it was
-    measured at (:func:`osculating_map`) on the boundary within it.
+    |z|^2 - 1 to second order at the base point.  `deviations[i]` is the
+    worst |(|z| - 1)| of the boundary at chart radius `radii[i]` along the
+    planar tangent pair, infinite from the first radius with no boundary
+    root; :meth:`validity_radius` reads a bound's radius off them.
     """
 
     base: np.ndarray
     linear: np.ndarray
     inverse: np.ndarray
-    validity_radius: float
     normal_scale: float
+    radii: np.ndarray
+    deviations: np.ndarray
+
+    def validity_radius(self, deviation_bound: float) -> float:
+        """Largest sampled radius up to which every deviation stays within
+        the bound.  The bound is a domain-space distance; in chart
+        coordinates it is normal_scale * bound, which matters on flat
+        boundary stretches where the chart compresses."""
+        within = self.deviations <= self.normal_scale * deviation_bound
+        count = int(np.logical_and.accumulate(within).sum())
+        if count == 0:
+            raise ValueError("no valid chart radius at the requested deviation")
+        return float(self.radii[count - 1])
 
 
-def osculating_map(dom: ConvexDomain, x: np.ndarray,
-                   deviation_bound: float = 0.05) -> OsculatingMap:
+def osculating_map(dom: ConvexDomain, x: np.ndarray) -> OsculatingMap:
     """Second-order normalising chart at boundary point x.
 
     The outward normal goes to the first axis and the tangential directions
     are rescaled by the square roots of the curvature eigenvalues, so the
     boundary osculates the unit sphere at e1 exactly to second order.  The
-    validity radius is measured by sampling: the largest tested chart
-    radius within which the boundary stays within `deviation_bound` of the
-    osculating sphere.  The bound is a domain-space distance; in chart
-    coordinates it corresponds to |(|z| - 1)| <= normal_scale * bound,
-    which matters on flat boundary stretches where the chart compresses.
+    chart's deviations from that sphere are sampled at VALIDITY_STEPS
+    radii, geometric from 2e-3 to 1 domain extent, on both tangent sides.
     """
     if dom.dim != 2:  # validity is read along one tangent line
         raise ValueError(f"the patch layer is planar (d = 2), not "
@@ -385,34 +396,16 @@ def osculating_map(dom: ConvexDomain, x: np.ndarray,
     e1 = np.eye(dom.dim)[0]
     L = np.outer(e1, s_n * n_out) \
         + np.vstack([np.zeros(dom.dim), (Bscale[:, None] * U.T) @ B.T])
-    Li = np.linalg.inv(L)
-
-    validity = _measure_validity(dom, x, n_out, B, L, s_n * deviation_bound)
-    return OsculatingMap(base=x, linear=L, inverse=Li,
-                         validity_radius=validity, normal_scale=s_n)
-
-
-def _measure_validity(dom, x, n_out, B, L, chart_deviation) -> float:
-    """Largest sampled chart radius keeping |(|z|-1)| within chart_deviation,
-    read along the planar tangent pair +-B[:, 0]."""
-    e1 = np.eye(dom.dim)[0]
     radii = 2.0 * domain_extent(dom) * np.geomspace(1e-3, 0.5, VALIDITY_STEPS)
-    # every (radius, tangent) root in one batch; the scan stops at the
-    # first radius that fails, and the roots past it go unread
     ends = x + radii[:, None, None] * np.array([B[:, 0], -B[:, 0]])[None]
     near = _boundary_near_rows(dom, ends.reshape(-1, dom.dim), n_out)
-    good = 0.0
-    for r, row in zip(radii, near.reshape(ends.shape)):
-        if np.isnan(row).any():
-            break
-        worst = max(abs(np.linalg.norm(L @ (b - x) + e1) - 1.0) for b in row)
-        if worst <= chart_deviation:
-            good = r
-        else:
-            break
-    if good == 0.0:
-        raise ValueError("no valid chart radius at the requested deviation")
-    return float(good)
+    near = near.reshape(ends.shape)
+    worst = np.array([max(abs(np.linalg.norm(L @ (b - x) + e1) - 1.0)
+                          for b in row) for row in near])
+    lost = np.isnan(near).any(axis=(1, 2))
+    worst[np.logical_or.accumulate(lost)] = np.inf
+    return OsculatingMap(base=x, linear=L, inverse=np.linalg.inv(L),
+                         normal_scale=s_n, radii=radii, deviations=worst)
 
 
 def _boundary_near_rows(dom, Y, n_out) -> np.ndarray:
@@ -597,6 +590,7 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
     if dom.dim != 2:
         raise NotImplementedError("patch assembly is implemented for d = 2")
     schedule = patch_schedule(cover, M)
+    charts = [osculating_map(dom, x) for x in cover.centers]
     eta = cover.eta
     collar_widths: list[float] = []
     components: list[FlatBall] = []
@@ -607,17 +601,18 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
                 f"collar width {eta:.3g} fell below {COLLAR_FLOOR} at step "
                 f"{step} of {len(schedule)}")
         dev = min(0.05, DEVIATION_FRACTION * alpha * eta)
-        osc = osculating_map(dom, cover.centers[pidx], deviation_bound=dev)
+        osc = charts[pidx]
         h = osc.normal_scale * eta
         s_lo, s_hi = 1.0 - beta * h, 1.0 - alpha * h
         local = schedule_from_radii(s_lo, [s_lo + (s_hi - s_lo) / 2], 2, t, c)
-        window = min(osc.validity_radius, cover.radius * 0.9) \
+        window = min(osc.validity_radius(dev), cover.radius * 0.9) \
             * np.linalg.norm(osc.linear, 2)
-        C, N, R, levels = _local_patch_discs(local, dom.dim, window)
+        C, N, R, levels, reach = _local_patch_discs(local, dom.dim, window)
         if not len(C):
             raise CollarCollapseError(
-                f"chart window at step {step} admitted no discs; enlarge the "
-                "patch radius or the deviation budget")
+                f"chart window at step {step} admitted no discs: its width "
+                f"{window:.2g} is below the smallest disc footprint "
+                f"|c - e1| + r = {reach:.2g}; enlarge --patch-radius")
         C, N, R = _map_disc_rows_2d(osc.inverse, osc.base - osc.inverse @
                                     np.array([1.0, 0.0]), C, N, R)
         components.extend(
@@ -638,11 +633,13 @@ def assemble_patch_labyrinth(dom: ConvexDomain, cover: PatchCover, M: float,
 
 def _local_patch_discs(schedule, dim, window) -> tuple:
     """Disc rows (C, N, R, levels) of :func:`schedule_discs` in the chart
-    window around e1: the discs with |centre - e1| + radius <= window; the
-    nets start at grid row 0, e1 itself, so the first pick's disc is on it."""
+    window around e1: the discs whose footprint |centre - e1| + radius is
+    at most the window; the nets start at grid row 0, e1 itself, so the
+    first pick's disc is on it.  The smallest footprint of all comes last."""
     rows = [(c, n, np.full(len(c), r), lv)
             for c, n, r, lv, _ in schedule_discs(schedule, dim)[1]]
     C, N, R, levels = (np.concatenate(col) for col in zip(*rows))
     off = C - np.eye(dim)[0]
-    keep = np.sqrt(row_dots(off, off)) + R <= window
-    return C[keep], N[keep], R[keep], levels[keep]
+    reach = np.sqrt(row_dots(off, off)) + R
+    keep = reach <= window
+    return C[keep], N[keep], R[keep], levels[keep], float(reach.min())

@@ -604,3 +604,67 @@ def gathered_disc_disc_distance(C1, N1, R1, C2, N2, R2) -> np.ndarray:
     w = (x - y) / np.where(d > 0.0, d, 1.0)[:, None]
     gap = -disc_support(C1, N1, R1, -w) - disc_support(C2, N2, R2, w)
     return np.maximum(np.minimum(d, gap), 0.0)
+
+
+def per_step_osculating_map(dom, x, deviation_bound: float):
+    """The chart at boundary point x built for one deviation bound, as each
+    patch step once built it: (linear, inverse, normal_scale, validity
+    radius), the radius found by scanning the sampled chart radii up to the
+    first whose tangent-side roots are missing or deviate by more than
+    normal_scale * deviation_bound; ValueError when the first already does."""
+    from labyrinths.domains import (VALIDITY_STEPS, _boundary_near_rows,
+                                    domain_extent)
+
+    if dom.dim != 2:
+        raise ValueError(f"the patch layer is planar (d = 2), not "
+                         f"d = {dom.dim}")
+    x = np.asarray(x, dtype=float)
+    if abs(dom.rho(x)) > 1e-9:
+        raise ValueError("base point must lie on the boundary")
+    g = dom.grad(x)
+    ng = float(np.linalg.norm(g))
+    n_out = g / ng
+    B = tangent_bases(n_out[None])[0]
+    Ht = B.T @ dom.hess(x) @ B
+    lam, U = np.linalg.eigh(0.5 * (Ht + Ht.T))
+    if lam.min() <= 1e-12:
+        raise ValueError("tangential Hessian is degenerate at the base point")
+    s_n = float(lam.mean()) / ng
+    Bscale = np.sqrt(s_n * lam / ng)
+    e1 = np.eye(dom.dim)[0]
+    L = np.outer(e1, s_n * n_out) \
+        + np.vstack([np.zeros(dom.dim), (Bscale[:, None] * U.T) @ B.T])
+    chart_deviation = s_n * deviation_bound
+    radii = 2.0 * domain_extent(dom) * np.geomspace(1e-3, 0.5, VALIDITY_STEPS)
+    ends = x + radii[:, None, None] * np.array([B[:, 0], -B[:, 0]])[None]
+    near = _boundary_near_rows(dom, ends.reshape(-1, dom.dim), n_out)
+    good = 0.0
+    for r, row in zip(radii, near.reshape(ends.shape)):
+        if np.isnan(row).any():
+            break
+        worst = max(abs(np.linalg.norm(L @ (b - x) + e1) - 1.0) for b in row)
+        if worst <= chart_deviation:
+            good = r
+        else:
+            break
+    if good == 0.0:
+        raise ValueError("no valid chart radius at the requested deviation")
+    return L, np.linalg.inv(L), s_n, float(good)
+
+
+def all_rows_boundary_distance(dom, pts) -> np.ndarray:
+    """The boundary distance with rho and grad evaluated on every row in
+    each of at most 8 Newton projections, stopped rows included; a row
+    moves while its own |rho| >= 1e-13."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    x = pts.copy()
+    for _ in range(8):
+        vals = np.asarray(dom.rho(x))
+        moving = np.abs(vals) >= 1e-13
+        if not moving.any():
+            break
+        grads = np.asarray(dom.grad(x))
+        gg = np.einsum("ij,ij->i", grads, grads)
+        x = np.where(moving[:, None],
+                     x - (vals / np.maximum(gg, 1e-300))[:, None] * grads, x)
+    return np.linalg.norm(pts - x, axis=1)

@@ -12,6 +12,7 @@ from labyrinths.domains import (
     PATCH_RING_SAMPLES,
     CollarCollapseError,
     ConvexDomain,
+    OsculatingMap,
     PatchCover,
     _boundary_near_rows,
     _local_patch_discs,
@@ -38,12 +39,14 @@ from labyrinths.shells import (make_schedule, schedule_discs,
                                schedule_from_radii)
 from labyrinths.verifier import audit_labyrinth
 from oracles import (
+    all_rows_boundary_distance,
     chart_to_ball,
     chart_to_domain,
     dense_measure_delta,
     filtered_patch_discs,
     map_flatball_2d,
     per_sample_convexity_gate,
+    per_step_osculating_map,
     scipy_boundary_near,
     scipy_boundary_samples,
 )
@@ -148,11 +151,11 @@ def test_osculating_ellipse_frozen_map():
 def test_osculating_deviation_within_validity_radius():
     dom = ellipse_preset()
     x = boundary_points(dom, np.array([[1.0, 0.7]]))[0]
-    osc = osculating_map(dom, x, deviation_bound=0.05)
-    assert osc.validity_radius > 0.05
+    osc = osculating_map(dom, x)
+    assert osc.validity_radius(0.05) > 0.05
     # domain-space deviation: in chart units the sphere defect divides by
     # the normal scale
-    s = np.linspace(-1, 1, 41) * osc.validity_radius
+    s = np.linspace(-1, 1, 41) * osc.validity_radius(0.05)
     n_out = dom.grad(x) / np.linalg.norm(dom.grad(x))
     B = np.array([-n_out[1], n_out[0]])
     b = _boundary_near_rows(dom, x + s[:, None] * B, n_out)
@@ -160,6 +163,138 @@ def test_osculating_deviation_within_validity_radius():
     defect = np.abs(np.linalg.norm(chart_to_ball(osc, b), axis=1) - 1.0) \
         / osc.normal_scale
     assert np.all(defect <= 0.05 + 1e-9)
+
+
+def _tie(deviation, scale):
+    """A bound whose chart deviation scale * bound is `deviation` exactly
+    when one of the three floats nearest deviation / scale gives it."""
+    b = deviation / scale
+    for cand in (b, np.nextafter(b, np.inf), np.nextafter(b, -np.inf)):
+        if cand * scale == deviation:
+            return cand, True
+    return b, False
+
+
+@pytest.mark.parametrize("patch_radius", [0.9, 0.5])
+@pytest.mark.parametrize("preset", [ellipse_preset, superellipse_preset])
+def test_validity_radius_matches_the_per_step_chart(monkeypatch, preset,
+                                                    patch_radius):
+    """One chart per centre answers every step's bound as the chart built
+    for that bound did, in value or in the same ValueError: the bounds of
+    each step of --M 4 (to its collapse, where it collapses; --M 1.0's
+    steps are its first ones), each measured deviation as its own bound,
+    and 50 random bounds.  The assembly builds one chart per centre."""
+    dom = preset()
+    cover = patch_cover(dom, patch_radius, 0.08)
+    built, asked = [], []
+    real_map, real_radius = osculating_map, domains.OsculatingMap.validity_radius
+
+    def record_map(dom, x):
+        built.append(x)
+        return real_map(dom, x)
+
+    def record_radius(osc, bound):
+        asked.append(bound)
+        return real_radius(osc, bound)
+
+    monkeypatch.setattr(domains, "osculating_map", record_map)
+    monkeypatch.setattr(domains.OsculatingMap, "validity_radius", record_radius)
+    try:
+        assemble_patch_labyrinth(dom, cover, 4.0)
+    except CollarCollapseError:  # the 0.5 covers stop past step 80
+        pass
+    monkeypatch.undo()
+    assert np.array_equal(built, cover.centers)
+    assert len(asked) > 3 * cover.k
+
+    def check(osc, bound):
+        try:
+            want = per_step_osculating_map(dom, osc.base, bound)[3]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                osc.validity_radius(bound)
+            return
+        assert osc.validity_radius(bound) == want
+
+    charts = [osculating_map(dom, x) for x in cover.centers]
+    exact = 0
+    for j, osc in enumerate(charts):
+        L, Li, scale, _ = per_step_osculating_map(dom, osc.base, 0.05)
+        assert np.array_equal(osc.linear, L) and np.array_equal(osc.inverse, Li)
+        assert osc.normal_scale == scale
+        for bound in asked[j::cover.k]:
+            check(osc, bound)
+        for d in osc.deviations[np.isfinite(osc.deviations)]:
+            bound, tied = _tie(d, scale)
+            exact += tied
+            check(osc, bound)
+    assert exact >= 10 * cover.k
+    rng = np.random.default_rng(7)
+    for j, e in zip(rng.integers(cover.k, size=50), rng.uniform(-9, 0, 50)):
+        check(charts[j], 10.0 ** e)
+
+
+def test_validity_radius_is_the_longest_prefix_within_the_bound():
+    osc = OsculatingMap(base=np.zeros(2), linear=np.eye(2), inverse=np.eye(2),
+                        normal_scale=2.0, radii=np.arange(1.0, 6.0),
+                        deviations=np.array([1.0, 3.0, 2.0, np.inf, 1.0]))
+    assert osc.validity_radius(0.5) == 1.0  # the tie 2 * 0.5 = 1
+    assert osc.validity_radius(1.0) == 1.0  # 2.0 is within, 3.0 is not
+    assert osc.validity_radius(1.5) == 3.0
+    assert osc.validity_radius(1e300) == 3.0
+    with pytest.raises(ValueError, match="no valid chart radius"):
+        osc.validity_radius(0.49)
+
+
+def test_a_missing_boundary_root_ends_the_chart(monkeypatch):
+    """No root on one side at the sixth radius: that radius and every
+    later one are out of every bound's reach, as the per-step scan stopped
+    there, though the later radii find both their roots."""
+    real = domains._boundary_near_rows
+
+    def drop(dom, Y, n_out):
+        out = real(dom, Y, n_out)
+        out[2 * 5] = np.nan  # rows are (radius, side) pairs
+        return out
+
+    monkeypatch.setattr(domains, "_boundary_near_rows", drop)
+    dom = ellipse_preset()
+    x = boundary_points(dom, np.array([[1.0, 0.7]]))[0]
+    osc = osculating_map(dom, x)
+    assert np.all(np.isfinite(osc.deviations[:5]))
+    assert np.all(np.isinf(osc.deviations[5:]))
+    for bound in [*(osc.deviations[:5] / osc.normal_scale), 1.0, 1e300]:
+        assert osc.validity_radius(bound) == \
+            per_step_osculating_map(dom, x, bound)[3]
+
+
+def test_one_assembly_builds_one_chart_per_patch(monkeypatch):
+    """generate --domain ellipse --M 4: 72 steps, nine on each of the 8
+    patches, and 8 charts."""
+    built = []
+    real_map = osculating_map
+    monkeypatch.setattr(domains, "osculating_map",
+                        lambda dom, x: built.append(x) or real_map(dom, x))
+    dom = ellipse_preset()
+    cover = patch_cover(dom, 0.9, 0.08)
+    lab = assemble_patch_labyrinth(dom, cover, 4.0)
+    assert (cover.k, len(lab.collar_widths)) == (8, 72)
+    assert len(built) == 8
+
+
+def test_an_empty_chart_window_names_its_width_and_footprint(tmp_path,
+                                                             capsys):
+    # the flat superellipse sides compress the chart, so the step-0 window
+    # of patch radius 0.3 is narrower than the disc on its axis
+    from labyrinths.cli import main
+
+    assert main(["generate", "--domain", "superellipse", "--M", "1.0",
+                 "--patch-radius", "0.3", "--out",
+                 str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: chart window at step 0 admitted no discs: its width 0.0066 "
+        "is below the smallest disc footprint |c - e1| + r = 0.0087; "
+        "enlarge --patch-radius\n")
 
 
 def test_osculating_rejects_off_boundary_and_degenerate():
@@ -182,7 +317,7 @@ def test_osculating_map_is_planar():
     x = boundary_points(dom, np.array([[1.0, 1.0, 1.0]]))[0]
     assert abs(dom.rho(x)) < 1e-9
     with pytest.raises(ValueError, match=r"planar \(d = 2\), not d = 3"):
-        osculating_map(dom, x, 0.01)
+        osculating_map(dom, x).validity_radius(0.01)
 
 
 def test_superellipse_preset_validates():
@@ -408,6 +543,21 @@ def test_boundary_distance_of_a_row_does_not_depend_on_its_call():
         assert d == boundary_distance(dom, p)[0]
 
 
+@pytest.mark.parametrize("preset", [ellipse_preset, superellipse_preset])
+def test_boundary_distance_matches_the_all_rows_loop(preset):
+    """Rows on the boundary (stopped before the first step), near it, deep
+    inside and far outside (the superellipse's quartic ones still moving
+    after 8 steps): the moving-rows loop equals the all-rows loop bit for
+    bit."""
+    dom = preset()
+    b = boundary_samples(dom, 64)
+    pts = np.vstack([b, (1.0 - 1e-3) * b, 0.92 * b, 0.3 * b, 0.02 * b,
+                     3.0 * b, 50.0 * b])
+    assert np.any(np.abs(dom.rho(b)) < 1e-13)
+    got = boundary_distance(dom, pts)
+    assert np.array_equal(got, all_rows_boundary_distance(dom, pts))
+
+
 def test_resolve_domain_takes_the_dimension():
     for dim in (2, 3, 4):
         dom = resolve_domain({"kind": "ball"}, dim)
@@ -515,8 +665,10 @@ def test_patch_step_makes_only_the_discs_it_keeps(monkeypatch):
     schedule, dim, window = steps[0]
     steps.append((schedule, dim, 0.0))  # an empty window
     for schedule, dim, window in steps:
-        C, N, R, levels = _local_patch_discs(schedule, dim, window)
+        C, N, R, levels, reach = _local_patch_discs(schedule, dim, window)
         ref = filtered_patch_discs(schedule, dim, window)
+        assert reach == min(np.linalg.norm(c - [1.0, 0.0]) + r for c, _, r, _
+                            in filtered_patch_discs(schedule, dim, np.inf))
         assert len(C) == len(N) == len(R) == len(levels) == len(ref)
         for c, n, r, level, (center, normal, radius, lv) in zip(
                 C, N, R, levels.tolist(), ref):
