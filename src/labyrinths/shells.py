@@ -382,12 +382,13 @@ def exhaustion_labyrinth(plan: ExhaustionPlan, dim: int = 2,
                          t: float = DEFAULT_T, c: float = DEFAULT_C,
                          seed: int = 0, effort=None,
                          search_effort=None) -> list[dict]:
-    """One labyrinth per annulus, each verified to exceed its budget.
+    """One labyrinth per annulus, the shortest escape found above its budget.
 
     Verifier-in-the-loop replaces the non-constructive "large enough" shell
     count: a cheap probe search estimates the forced escape length, the
-    shell count grows by quadratic extrapolation (forced length scales like
-    sqrt(J) for equal-width shells), and a candidate stands only when the
+    shell count grows by quadratic extrapolation (a heuristic: that the
+    forced length scales like sqrt(J) for equal-width shells is unproven,
+    see ROADMAP items 3, 4 and 6), and a candidate stands only when the
     full-effort search actually finds a shortest escape path measuring
     above the budget.  A disconnected roadmap (no path found at all) is
     recorded in the history but never accepted as success, since it says

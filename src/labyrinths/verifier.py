@@ -19,17 +19,16 @@ radius of the centre.  Grazes at the rounding level (about 1e-17, e.g. a
 rim-ring node on a disc's plane) fall either way.  Every cull below keeps
 each row the predicate could find touching, so every mask is the one an
 all-disc test gives.  The search has one cull, by endpoint/disc incidence
-(:func:`_segments_collide`): the roadmap edges, the free samples and rim
-nodes (each point a segment of length 0) and the boundary links each test
-only the discs within their length of their first end, found through a
-cover of each planar disc by small balls, and through bounding spheres
-beyond the plane.  :func:`shortcut` tests only the discs whose
-axis-aligned extent meets its path's bounding box; :func:`verify_path`
-tests every segment against every disc (:func:`_touches_any`).  Per-disc
-quantities come from one table of disc rows per call
-(:func:`labyrinths.geometry.disc_rows`; the roadmap's :class:`_CompArrays`
-adds the KD trees of its cull), never one disc at a time.  An
-:class:`EscapePath` measures its own length from its polyline.
+(:func:`_segments_collide`): the roadmap edges, the rim nodes (each point a
+segment of length 0) and the boundary links each test only the discs within
+their length of their first end, found through a cover of each planar disc
+by small balls, and through bounding spheres beyond the plane.
+:func:`shortcut` tests only the discs whose axis-aligned extent meets its
+path's bounding box; :func:`verify_path` tests every segment against every
+disc (:func:`_touches_any`).  Per-disc quantities come from one table of
+disc rows per call (:func:`labyrinths.geometry.disc_rows`; the roadmap's
+:class:`_CompArrays` adds the KD trees of its cull), never one disc at a
+time.  An :class:`EscapePath` measures its own length from its polyline.
 
 The roadmap stores each edge once, as an upper-triangular CSR matrix, and
 the escape search appends the source and target links as two trailing rows;
@@ -93,7 +92,7 @@ _PAIR_CHUNK = 1 << 14
 
 
 class RoadmapBudgetError(RuntimeError):
-    """Under one draw in 1000 lands in the search region, clear of discs."""
+    """Under one draw in 1000 lands in the search region."""
 
 
 @dataclass(frozen=True)
@@ -349,10 +348,12 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
 
     Free-space samples are drawn from the Sobol stream that `seed`
     scrambles (:func:`labyrinths.sampling.sobol`), 16 384 points at a
-    time, and rejected when on a component or outside the region; every
-    component rim point additionally gets a small ring of nodes at offset
-    RIM_STEP, which is where taut escape paths turn.  Edges are the union
-    of radius-neighbour and k-nearest pairs whose segments clear all
+    time, and kept when in the region.  They skip the point test: it fires
+    only at height exactly 0.0 within a disc's radius, where the predicate
+    finds every edge and link of the node touching, so it stays isolated.
+    Every component rim point additionally gets a small ring of nodes at
+    offset RIM_STEP, which is where taut escape paths turn.  Edges are the
+    union of radius-neighbour and k-nearest pairs whose segments clear all
     components; the k-NN query runs only for the nodes with fewer than
     NEIGHBORS radius neighbours, which changes no edge
     (:func:`_candidate_pairs`).  The candidate edges go to
@@ -375,24 +376,19 @@ def build_roadmap(region: dict, lab: Labyrinth, node_budget: int,
     comp = _CompArrays.from_components(lab.components)
 
     rim_nodes = _rim_offset_nodes(lab, comp, region, node_budget)
-    rim_nodes = rim_nodes[:node_budget // 2]
     free_target = node_budget - len(rim_nodes)
 
     accepted = []
-    got = drawn = in_region = 0
+    got = drawn = 0
     while got < free_target:
         chunk = sobol(dim, 16384, seed, skip=drawn) * (hi - lo) + lo
         drawn += len(chunk)
-        pts = chunk[_region_contains(region, chunk)]
-        in_region += len(pts)
-        pts = pts[~_segments_collide(pts, pts, comp)]
-        accepted.append(pts)
-        got += len(pts)
+        accepted.append(chunk[_region_contains(region, chunk)])
+        got += len(accepted[-1])
         if drawn >= 1000 * node_budget:
             raise RoadmapBudgetError(
-                f"the search region holds {in_region} of {drawn} draws "
-                f"({in_region / drawn:.3g} of its sampling box) and {got} "
-                f"of them clear the discs, fewer than one in 1000")
+                f"the search region holds {got} of {drawn} draws "
+                f"({got / drawn:.3g} of its sampling box), fewer than one in 1000")
     nodes = np.vstack([np.vstack(accepted)[:free_target], rim_nodes])
 
     connect_radius = CONNECT_FACTOR * (measure / max(len(nodes), 1)) ** (1.0 / dim)
@@ -466,8 +462,9 @@ def _rim_offset_nodes(lab: Labyrinth, comp: _CompArrays, region: dict,
     if lab.is_empty:
         return np.empty((0, lab.dim))
     rim_count = 12 if lab.dim >= 3 else 2
-    # Fit the rings into half the node budget by thinning the ring, never
-    # by dropping whole components.
+    # Fit the rings into half the node budget by thinning the ring, then by
+    # an even stride through the nodes, which come disc by disc: while half
+    # the budget is at least the disc count, every disc keeps some.
     per_tip_cap = (node_budget // 2) // max(1, len(lab.components) * rim_count)
     ring = int(np.clip(per_tip_cap, 2, 8))
     # each rim point's ring spans its radial direction u and the normal; a
@@ -482,7 +479,8 @@ def _rim_offset_nodes(lab: Labyrinth, comp: _CompArrays, region: dict,
         np.cos(ang)[:, None] * U[:, :, None]
         + np.sin(ang)[:, None] * comp.normals[:, None, None])).reshape(-1, lab.dim)
     pts = pts[_region_contains(region, pts)]
-    return pts[~_segments_collide(pts, pts, comp)]
+    pts = pts[~_segments_collide(pts, pts, comp)]
+    return pts[::max(1, -(-len(pts) // (node_budget // 2)))]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
+from labyrinths.config import DEFAULT_C, DEFAULT_T, RIM_STEP
 from labyrinths.domains import ellipsoid_domain, ellipsoid_labyrinth
 from labyrinths.geometry import (
     LP_MARGIN_FLOOR,
@@ -415,6 +416,100 @@ def test_drop_blocked_fine_cover_matches_all_pairs_on_discs():
     assert moved.any()
 
 
+def _assert_isolated(P, Q, comp: _CompArrays, disc) -> None:
+    """Each node of P fails the point test, and every segment between it
+    and the same row of Q touches, whichever end comes first: by the cull,
+    and by the predicate on the disc the node lies on."""
+    assert _segments_collide(P, P, comp).all()
+    C, N, R = comp.centers[disc], comp.normals[disc], comp.radii[disc]
+    for a, b in ((P, Q), (Q, P)):
+        assert _segments_collide(a, b, comp).all()
+        assert pairs_segment_disc_contact(a, b, C, N, R).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), d=st.sampled_from([2, 3]),
+       axis=st.booleans())
+def test_a_node_on_a_disc_has_no_edge(seed, d, axis):
+    # why build_roadmap skips the point test on free samples: a node it
+    # rejects lies at height exactly 0.0 within a disc's radius, and every
+    # segment from it, crossing the plane or in it, touches that disc
+    rng = np.random.default_rng(seed)
+    comps = _random_discs(rng, d, 6)
+    if axis:  # coordinate planes: every point below has height 0.0
+        comps = [replace(fb, normal=np.eye(d)[rng.integers(d)])
+                 for fb in comps]
+    comp = _CompArrays.from_components(comps)
+    C, N, R = comp.centers, comp.normals, comp.radii
+    # points along the rim-point directions, rounded as the rim rings are:
+    # about one in 20 lands at height 0.0 on a tilted disc
+    U = (disc_rim_points(C, N, R, 12) - C[:, None]) / R[:, None, None]
+
+    def in_plane(i):
+        j = rng.integers(0, U.shape[1], len(i))
+        return C[i] + (rng.uniform(-1.2, 1.2, len(i)) * R[i])[:, None] \
+            * U[i, j]
+
+    i = rng.integers(0, len(R), 2000)
+    pts = in_plane(i)
+    # a rim-level graze goes either way, so the nodes keep 1e-9 inside
+    own = pairs_segment_disc_contact(pts, pts, C[i], N[i], R[i]) \
+        & (np.linalg.norm(pts - C[i], axis=1) < R[i] - 1e-9)
+    p, disc = pts[own], i[own]
+    assert len(p) > (1000 if axis else 0)
+    far = p + rng.uniform(-0.5, 0.5, p.shape)  # crosses the plane
+    for q in (far, in_plane(disc)):  # in the plane when axis is set
+        _assert_isolated(p, q, comp, disc)
+
+
+@pytest.mark.parametrize("p, q, fb", [
+    ([0.5, 0.1], [[0.7, 0.3], [0.3, 0.1], [0.5, -0.5], [0.5, 0.5]], SINGLE),
+    ([0.5, 0.1, 0.05],
+     [[0.7, 0.3, 0.0], [0.2, 0.1, 0.05], [0.5, -0.3, 0.1], [0.5, 0.4, 0.4]],
+     FlatBall(center=np.array([0.5, 0.0, 0.0]),
+              normal=np.array([1.0, 0.0, 0.0]), radius=0.2))],
+    ids=["plane", "space"])
+def test_a_node_inside_a_disc_touches_by_every_segment(p, q, fb):
+    # a node strictly inside the disc: segments crossing its plane, and
+    # segments in the plane through the centre or away from it
+    q = np.array(q)
+    _assert_isolated(np.tile(p, (len(q), 1)), q,
+                     _CompArrays.from_components([fb]), np.zeros(len(q), int))
+
+
+@pytest.mark.parametrize("case", ["plane-20k", "space-8k"])
+def test_no_free_sample_lands_on_a_disc(case):
+    # the benchmark's instances: the point test build_roadmap skips would
+    # have rejected no free sample
+    if case == "plane-20k":
+        lab, region, budget = _plane_lab(), PLANE_REGION, 20_000
+    else:
+        lab, region, budget = annulus_labyrinth(0.5, 1.0, J=1, m=2, dim=3,
+                                                seed=0), ANNULUS, 8000
+    rm = build_roadmap(region, lab, budget, seed=budget)
+    free = rm.nodes[:len(rm.nodes) - rm.n_rim]
+    assert len(free) > budget // 2
+    assert not _segments_collide(free, free, rm.comp).any()
+
+
+def test_overflowing_rim_rings_keep_nodes_of_every_disc():
+    # generate --dim 3 --J 2: the 2-node rings of its 692 discs hold 16 307
+    # nodes, beyond half of d >= 3's default 10 000; a stride through them
+    # keeps some of every disc's, where a prefix kept only 213 discs'
+    lab = build_labyrinth(make_schedule(0.5, 2, 2, DEFAULT_T, DEFAULT_C), 3,
+                          seed=0)
+    rm = build_roadmap(ANNULUS, lab, 10_000, seed=10_000)
+    assert len(lab.components) == 692 and 0 < rm.n_rim <= 5000
+    rim = rm.nodes[len(rm.nodes) - rm.n_rim:]
+    C, N, R = rm.comp.centers, rm.comp.normals, rm.comp.radii
+    near = cKDTree(C).sparse_distance_matrix(
+        cKDTree(rim), R.max() + 2 * RIM_STEP, output_type="ndarray")
+    d = pairs_point_disc_distance(rim[near["j"]], C[near["i"]],
+                                  N[near["i"]], R[near["i"]])
+    kept = np.unique(near["i"][d <= RIM_STEP * (1 + 1e-9)])
+    assert len(kept) == len(lab.components)
+
+
 @pytest.mark.parametrize("d, length, level", [
     (2, 0.068 / 15.3, 8), (2, 0.068 / 2.0, 2), (2, 0.068 / 1.99, 1),
     (2, 1.0, 1), (2, 0.0, 16), (2, 1e-9, 16), (3, 0.068 / 15.3, 1),
@@ -470,7 +565,7 @@ def test_roadmap_edges_match_all_pairs_collision_mask():
 def test_every_candidate_edge_reaches_the_one_cull(monkeypatch):
     # the graph holds exactly the candidate edges a _segments_collide call
     # saw and found free, so no edge reaches the graph by another cull
-    seen, free, calls = set(), set(), []
+    seen, free, calls, points = set(), set(), [], []
     run = verifier._segments_collide
 
     def recorded(A, B, comp):
@@ -479,11 +574,16 @@ def test_every_candidate_edge_reaches_the_one_cull(monkeypatch):
         seen.update(r.tobytes() for r in rows)
         free.update(r.tobytes() for r in rows[~hit])
         calls.append(len(A))
+        if np.array_equal(A, B):
+            points.append(A[~hit])
         return hit
 
     monkeypatch.setattr(verifier, "_segments_collide", recorded)
     rm = build_roadmap(PLANE_REGION, _plane_lab(), 6000, seed=6000)
     built = len(calls)
+    # one point test, on the rim nodes; the free samples skip it
+    (rim,) = points
+    assert np.array_equal(rim, rm.nodes[len(rm.nodes) - rm.n_rim:])
     shortest_escape(rm, *PLANE_SETS)
     assert len(calls) == built + 2  # the source and the target links
     pairs = _unique_pairs(_candidate_pairs(
